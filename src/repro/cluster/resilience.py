@@ -88,9 +88,9 @@ class ResiliencePolicy:
     Frozen and picklable — it travels into worker processes, result
     cache keys, and scenario documents unchanged, exactly like
     :class:`~repro.faults.FaultPlan`.  A zero value disables the
-    corresponding policy; the all-zero policy is indistinguishable from
-    no policy at all (:attr:`active` is False and the simulator takes
-    the unperturbed fast path).
+    corresponding policy; the all-zero policy is no policy at all
+    (:attr:`active` is False, and the run reports no
+    :class:`ResilienceStats`).
     """
 
     deadline_ns: float = 0.0           # 0 = no deadline
@@ -149,9 +149,9 @@ class ResiliencePolicy:
     def active(self) -> bool:
         """True when this policy can change a run at all.
 
-        The inactive policy keeps the simulator on its unperturbed
-        path, so a no-op policy run is byte-identical to a policy-free
-        one (mirrors :attr:`~repro.faults.FaultPlan.active`).
+        An inactive policy runs the same request lifecycle as no
+        policy and reports no :class:`ResilienceStats` (mirrors
+        :attr:`~repro.faults.FaultPlan.active`).
         """
         return (self.deadline_ns > 0.0 or self.hedge_quantile > 0.0
                 or self.breaker_factor > 0.0 or self.shed_inflight > 0)

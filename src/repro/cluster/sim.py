@@ -41,9 +41,10 @@ from ..sim import Engine, LatencyRecorder, Server
 from ..sim.rng import decision_uniform, substream
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .resilience import (DEADLINE_WAIT, HEDGE_WAIT, RETRY_BACKOFF,
-                         SHED_REJECT, SHED_REJECT_NS, CircuitBreaker,
-                         ResiliencePolicy, ResilienceStats, RetryBudget,
-                         hedge_delay_ns, parse_policy)
+                         SHED_REJECT, SHED_REJECT_NS, ZERO_POLICY,
+                         CircuitBreaker, ResiliencePolicy,
+                         ResilienceStats, RetryBudget, hedge_delay_ns,
+                         parse_policy)
 from .routing import HostView, Router, make_router
 from .topology import ClusterTopology
 from .traffic import OpenLoopZipfian
@@ -147,6 +148,59 @@ class ClusterResult:
         return self.achieved_qps * (self.successes / self.requests)
 
 
+class _Request:
+    """One client request; it settles exactly once."""
+
+    __slots__ = ("index", "arrival", "key", "is_write", "owner",
+                 "resident", "settled", "won", "outstanding", "tried",
+                 "chain", "pending_retry")
+
+    def __init__(self, index: int, arrival: float, key: int,
+                 is_write: bool, owner: int, resident: bool) -> None:
+        self.index = index
+        self.arrival = arrival
+        self.key = key
+        self.is_write = is_write
+        self.owner = owner
+        self.resident = resident
+        self.settled = False           # an outcome bucket was counted
+        self.won = False               # settled by a successful attempt
+        self.outstanding = 0           # attempts the client still awaits
+        self.tried = ()                # hosts an attempt was queued at
+        self.chain = 0                 # retries issued so far
+        self.pending_retry = False     # a retry is in its backoff
+
+
+class _Attempt:
+    """One try at serving a request: the primary, a retry or the hedge.
+
+    The engine and the host's :class:`~repro.sim.Server` carry it as
+    the callback argument, so an attempt costs one object rather than
+    a closure per lifecycle step.
+    """
+
+    __slots__ = ("req", "number", "prefix", "issue", "hedge", "target",
+                 "reroute", "done", "abandoned", "timer", "fault_parts",
+                 "recoveries", "grant", "cpu", "misses", "mem_ns",
+                 "service")
+
+    def __init__(self, req: _Request, number: int, prefix: tuple,
+                 issue: float, hedge: bool, target: int,
+                 reroute: bool) -> None:
+        self.req = req
+        self.number = number           # 0 = primary/hedge, k = retry k
+        self.prefix = prefix           # policy span segments so far
+        self.issue = issue
+        self.hedge = hedge
+        self.target = target
+        self.reroute = reroute         # owner's link was down at launch
+        self.done = False              # served or cancelled
+        self.abandoned = False         # its deadline fired first
+        self.timer = None
+        self.fault_parts = ()
+        self.recoveries = 0
+
+
 class ClusterSim:
     """Drives a :class:`ClusterTopology` under open-loop zipfian load."""
 
@@ -163,8 +217,8 @@ class ClusterSim:
         if isinstance(policy, str):
             policy = parse_policy(policy)
         if policy is not None and not policy.active:
-            # The all-zero policy changes nothing; normalizing it to
-            # None keeps the policy-free fast path byte-identical.
+            # The all-zero policy is no policy: the run reports no
+            # ResilienceStats, exactly like policy=None.
             policy = None
         self.policy = policy
         self.fault_plans = dict(fault_plans) if fault_plans else {}
@@ -205,10 +259,22 @@ class ClusterSim:
     def run(self, qps: float, *, theta: float = 0.99,
             requests: int = 8_000,
             write_fraction: float = 0.05) -> ClusterResult:
-        if self.policy is not None:
-            return self._run_resilient(qps, theta=theta,
-                                       requests=requests,
-                                       write_fraction=write_fraction)
+        """Serve one open-loop trace (docs/CLUSTER.md).
+
+        Each *request* settles exactly once — into one of the outcome
+        buckets of :class:`~repro.cluster.resilience.ResilienceStats` —
+        but may spawn several *attempts* (retries after a deadline
+        expiry, one hedged secondary).  No policy is the zero policy:
+        every request is then one attempt that settles ``ok``.  The
+        asymmetry that produces retry storms is deliberate: a client
+        abandoning an attempt at its deadline cannot reach into the
+        server's queue, so the abandoned attempt still consumes a full
+        service slot when granted (wasted work); only a *successful*
+        settle actively cancels still-queued sibling attempts
+        (first-wins hedging), because success is the one outcome the
+        client can signal.
+        """
+        policy = self.policy or ZERO_POLICY
         topo = self.topology
         traffic = OpenLoopZipfian(
             qps=qps, num_requests=requests, keyspace=topo.total_keys,
@@ -218,6 +284,7 @@ class ClusterSim:
         traced = tracer.enabled
         spans = self.telemetry.spans
         spanned = spans.enabled
+        route = self.router.route
 
         servers = [Server(host.spec.workers, name=host.name)
                    for host in topo.hosts]
@@ -265,228 +332,6 @@ class ClusterSim:
         service_total = [0.0]
         last_completion = [0.0]
 
-        def submit(index: int, arrival: float, key: int,
-                   is_write: bool) -> None:
-            owner = topo.shard_of(key)
-            resident = self.pool_resident(key)
-            penalty = 0.0
-            rerouted_from: int | None = None
-            if resident:
-                views = [HostView(i, up=link_up[i],
-                                  in_flight=servers[i].busy
-                                  + servers[i].queue_depth)
-                         for i in range(topo.num_hosts)]
-                target = self.router.route(key, owner, views)
-                if not link_up[owner]:
-                    # The owner's link is down; reaching the shared
-                    # pool slice from a survivor costs one redirect.
-                    link_injected[owner] += 1
-                    rerouted[0] += 1
-                    rerouted_from = owner
-                    penalty = REROUTE_HOP_NS
-            else:
-                target = owner       # local DRAM keys never move
-
-            def start() -> None:
-                cpu = CPU_BASE_NS * float(cpu_jitter[index])
-                misses = EFFECTIVE_MISSES_MEAN * float(miss_jitter[index])
-                if is_write:
-                    misses *= WRITE_MISS_FACTOR
-                if float(cache_u[index]) < hit_prob:
-                    misses *= CACHE_HIT_MISS_FACTOR
-                miss_ns = pool_ns_by_host[owner] if resident \
-                    else dram_ns
-                extra = penalty
-                fault_parts: tuple = ()
-                pending_recoveries = 0
-                injector = injectors.get(target) if resident else None
-                if injector is not None:
-                    fault_parts, pending_recoveries = \
-                        injector.request_extras(index,
-                                                reread_ns=misses * miss_ns)
-                    for _, part_ns in fault_parts:
-                        extra += part_ns
-                service = cpu + misses * miss_ns + extra
-                service_total[0] += service
-
-                def finish() -> None:
-                    servers[target].release()
-                    sojourn = engine.now - arrival
-                    cluster_sojourn.record(sojourn)
-                    host_sojourn[target].record(sojourn)
-                    served[target] += 1
-                    completed[0] += 1
-                    last_completion[0] = engine.now
-                    for _ in range(pending_recoveries):
-                        injector.recovery()
-                    if rerouted_from is not None:
-                        link_recovered[rerouted_from] += 1
-                        absorbed[target] += 1
-                    if traced:
-                        tracer.complete(
-                            f"{CLUSTER_TRACK}.host{target}",
-                            "put" if is_write else "get",
-                            arrival, sojourn, request=index)
-
-                if not spanned:
-                    engine.schedule(service, finish)
-                    return
-
-                # Spanned path only: the segment builder binds start()'s
-                # locals as defaults so the spans-off closure above keeps
-                # its exact shape (no extra cells on the hot path).
-                def finish_spanned(cpu=cpu, misses=misses,
-                                   mem_total=misses * miss_ns,
-                                   grant=engine.now,
-                                   parts=pool_parts_by_host[owner]
-                                   if resident else dram_parts,
-                                   fault_parts=fault_parts) -> None:
-                    finish()
-                    # Ordered waterfall; the memory components use a
-                    # residual on the last entry so their sum closes
-                    # exactly on misses * miss_ns.
-                    segments = [("client.wait", grant - arrival)]
-                    if rerouted_from is not None:
-                        segments.append(("route.reroute", penalty))
-                    segments.append(("shard.cpu", cpu))
-                    accounted = 0.0
-                    last = len(parts) - 1
-                    for pos, (part, per_miss) in enumerate(parts):
-                        if pos == last:
-                            dur = mem_total - accounted
-                        else:
-                            dur = misses * per_miss
-                            accounted += dur
-                        segments.append((part, dur))
-                    segments.extend(fault_parts)
-                    spans.record(index, arrival, segments,
-                                 kind="put" if is_write else "get")
-
-                engine.schedule(service, finish_spanned)
-
-            servers[target].acquire(start)
-
-        if self.link_down is not None:
-            down = self.link_down
-
-            def kill_link() -> None:
-                link_up[down.host] = False
-
-            engine.schedule_at(down.at_fraction * traffic.duration_ns,
-                               kill_link)
-
-        for req in traffic.requests():
-            engine.schedule_at(req.arrival_ns, submit, req.index,
-                               req.arrival_ns, req.key, req.is_write)
-        engine.run()
-
-        if completed[0] != requests:
-            raise ClusterError(
-                f"only {completed[0]}/{requests} requests completed")
-
-        hosts = []
-        for index, host in enumerate(topo.hosts):
-            injector = injectors.get(index)
-            inj = (injector.injected if injector else 0) \
-                + link_injected[index]
-            rec = (injector.recovered if injector else 0) \
-                + link_recovered[index]
-            recorder = host_sojourn[index]
-            hosts.append(HostResult(
-                name=host.name, index=index, requests=served[index],
-                p50_ns=recorder.p50() if len(recorder) else 0.0,
-                p99_ns=recorder.p99() if len(recorder) else 0.0,
-                injected=inj, recovered=rec, absorbed=absorbed[index],
-                pool_fraction=host.pool_fraction))
-
-        registry = self.telemetry.registry
-        registry.counter("cluster.requests").inc(completed[0])
-        registry.gauge("cluster.p99_sojourn_ns").set(cluster_sojourn.p99())
-        achieved = completed[0] / (last_completion[0] / 1e9)
-        registry.gauge("cluster.achieved_qps").set(achieved)
-        for result in hosts:
-            registry.gauge(
-                f"cluster.host{result.index}.p99_ns").set(result.p99_ns)
-
-        return ClusterResult(
-            qps=qps, theta=theta, pool_share=topo.pool_share,
-            requests=completed[0], achieved_qps=achieved,
-            p50_ns=cluster_sojourn.p50(), p99_ns=cluster_sojourn.p99(),
-            mean_service_ns=service_total[0] / completed[0],
-            pool_utilization=topo.pool_utilization(),
-            rerouted=rerouted[0],
-            link_down_host=self.link_down.host
-            if self.link_down is not None else None,
-            hosts=tuple(hosts))
-
-    # -- the resilient run -------------------------------------------------
-
-    def _run_resilient(self, qps: float, *, theta: float,
-                       requests: int,
-                       write_fraction: float) -> ClusterResult:
-        """The policied request lifecycle (docs/CLUSTER.md).
-
-        Each *request* settles exactly once — into one of the outcome
-        buckets of :class:`~repro.cluster.resilience.ResilienceStats` —
-        but may spawn several *attempts* (retries after a deadline
-        expiry, one hedged secondary).  The asymmetry that produces
-        retry storms is deliberate: a client abandoning an attempt at
-        its deadline cannot reach into the server's queue, so the
-        abandoned attempt still consumes a full service slot when
-        granted (wasted work); only a *successful* settle actively
-        cancels still-queued sibling attempts (first-wins hedging),
-        because success is the one outcome the client can signal.
-        """
-        policy = self.policy
-        assert policy is not None
-        topo = self.topology
-        traffic = OpenLoopZipfian(
-            qps=qps, num_requests=requests, keyspace=topo.total_keys,
-            theta=theta, write_fraction=write_fraction, seed=self.seed)
-        engine = Engine(telemetry=self.telemetry)
-        tracer = self.telemetry.tracer
-        traced = tracer.enabled
-        spans = self.telemetry.spans
-        spanned = spans.enabled
-
-        servers = [Server(host.spec.workers, name=host.name)
-                   for host in topo.hosts]
-        host_sojourn = [LatencyRecorder(f"{host.name}-sojourn")
-                        for host in topo.hosts]
-        cluster_sojourn = LatencyRecorder("cluster-sojourn")
-        injectors: dict[int, FaultInjector] = {}
-        for index, plan in self.fault_plans.items():
-            injector = injector_for(plan, stream=f"host{index}",
-                                    telemetry=self.telemetry)
-            if injector is not None:
-                injectors[index] = injector
-
-        dram_ns = topo.dram_read_ns()
-        pool_ns_by_host = [topo.pool_read_ns(host)
-                           for host in range(topo.num_hosts)]
-        hit_prob = topo.cache_hit_prob(theta)
-        if spanned:
-            dram_parts = topo.dram_components()
-            pool_parts_by_host = [topo.pool_components(host)
-                                  for host in range(topo.num_hosts)]
-
-        n = requests
-        cpu_jitter = substream("cluster/cpu", self.seed).lognormal(
-            0.0, CPU_JITTER_SIGMA, size=n)
-        miss_jitter = substream("cluster/miss", self.seed).lognormal(
-            0.0, MISS_JITTER_SIGMA, size=n)
-        cache_u = substream("cluster/cache", self.seed).random(n)
-
-        link_up = [True] * topo.num_hosts
-        link_injected = [0] * topo.num_hosts
-        link_recovered = [0] * topo.num_hosts
-        absorbed = [0] * topo.num_hosts
-        served = [0] * topo.num_hosts
-        rerouted = [0]
-        completed = [0]
-        service_total = [0.0]
-        last_completion = [0.0]
-
         budget = RetryBudget(policy.retry_budget)
         breaker: CircuitBreaker | None = None
         if policy.breaking:
@@ -503,12 +348,13 @@ class ClusterSim:
                 self.seed, policy.hedge_quantile,
                 miss_ns=max(pool_ns_by_host))
         deadline = policy.deadline_ns
+        shed_inflight = policy.shed_inflight
         counts = {"ok": 0, "ok_retried": 0, "ok_hedged": 0,
                   "deadline_exceeded": 0, "rejected": 0,
                   "hedges": 0, "hedge_wins": 0}
         wasted = [0.0]
 
-        def routable(exclude: frozenset) -> list[HostView]:
+        def routable(exclude: tuple) -> list[HostView]:
             views = [HostView(i, up=link_up[i],
                               in_flight=servers[i].busy
                               + servers[i].queue_depth)
@@ -527,12 +373,11 @@ class ClusterSim:
                     return masked
             return views
 
-        def settle_failure(state: dict, index: int, arrival: float,
-                           outcome: str, segments: list,
-                           is_write: bool) -> None:
-            if state["settled"]:
+        def settle_failure(req: _Request, outcome: str,
+                           segments: list) -> None:
+            if req.settled:
                 return           # a racing hedge won during the window
-            state["settled"] = True
+            req.settled = True
             counts[outcome] += 1
             completed[0] += 1
             last_completion[0] = engine.now
@@ -540,231 +385,213 @@ class ClusterSim:
                 # The client *waited* this long for nothing: failures
                 # belong in the sojourn tail.  Rejections don't — the
                 # balancer turned them around in SHED_REJECT_NS.
-                cluster_sojourn.record(engine.now - arrival)
+                cluster_sojourn.record(engine.now - req.arrival)
             if spanned:
-                spans.record(index, arrival, segments,
-                             kind="put" if is_write else "get")
+                spans.record(req.index, req.arrival, segments,
+                             kind="put" if req.is_write else "get")
 
-        def launch(state: dict, index: int, arrival: float, key: int,
-                   is_write: bool, owner: int, resident: bool,
-                   attempt: int, prefix: tuple, issue: float,
-                   hedge: bool, exclude: frozenset) -> None:
-            if resident:
-                target = self.router.route(key, owner,
-                                           routable(exclude))
+        def launch(req: _Request, number: int, prefix: tuple,
+                   issue: float, hedge: bool, exclude: tuple) -> None:
+            owner = req.owner
+            if req.resident:
+                target = route(req.key, owner, routable(exclude))
+                # The owner's link is down; reaching the shared pool
+                # slice from a survivor costs one redirect.
                 reroute = not link_up[owner]
             else:
                 target = owner       # local DRAM keys never move
                 reroute = False
-
-            if policy.shedding and servers[target].busy \
-                    + servers[target].queue_depth \
-                    >= policy.shed_inflight:
+            server = servers[target]
+            if shed_inflight and server.busy + server.queue_depth \
+                    >= shed_inflight:
                 if hedge:
                     return           # the primary attempt carries on
-                segments = list(prefix)
-                segments.append((SHED_REJECT, SHED_REJECT_NS))
-                engine.schedule(SHED_REJECT_NS, settle_failure, state,
-                                index, arrival, "rejected", segments,
-                                is_write)
+                engine.schedule(SHED_REJECT_NS, settle_failure, req,
+                                "rejected",
+                                [*prefix, (SHED_REJECT, SHED_REJECT_NS)])
                 return
-            if attempt == 0 and not hedge:
+            primary = not (number or hedge)
+            if primary:
                 budget.note_admitted()
-            state["outstanding"] += 1
-            state["tried"].add(target)
+            req.outstanding += 1
+            req.tried += (target,)
             if hedge:
                 counts["hedges"] += 1
-            done = [False]
-            abandoned = [False]
-            timer = None
-
-            def on_deadline() -> None:
-                if state["settled"] or done[0]:
-                    return
-                abandoned[0] = True
-                state["outstanding"] -= 1
-                if not hedge and state["chain"] < policy.retries \
-                        and budget.allow():
-                    state["chain"] += 1
-                    chain = state["chain"]
-                    # Exponential backoff with full deterministic
-                    # jitter in [0.5, 1.5) of the doubled base.
-                    backoff = policy.backoff_base_ns \
-                        * (2.0 ** (chain - 1)) \
-                        * (0.5 + decision_uniform(
-                            self.seed, "resil-backoff", index, chain))
-                    new_prefix = prefix + ((DEADLINE_WAIT, deadline),
-                                           (RETRY_BACKOFF, backoff))
-                    state["pending_retry"] = True
-
-                    def relaunch() -> None:
-                        state["pending_retry"] = False
-                        if state["settled"]:
-                            return
-                        launch(state, index, arrival, key, is_write,
-                               owner, resident, chain, new_prefix,
-                               engine.now, False,
-                               frozenset(state["tried"]))
-
-                    engine.schedule(backoff, relaunch)
-                    return
-                if state["outstanding"] == 0 \
-                        and not state["pending_retry"]:
-                    segments = list(prefix)
-                    segments.append((DEADLINE_WAIT, deadline))
-                    settle_failure(state, index, arrival,
-                                   "deadline_exceeded", segments,
-                                   is_write)
-
+            att = _Attempt(req, number, prefix, issue, hedge, target,
+                           reroute)
             if deadline > 0.0:
-                timer = engine.schedule_at(issue + deadline,
-                                           on_deadline)
+                att.timer = engine.schedule_at(issue + deadline,
+                                               on_deadline, att)
+            server.acquire(start, att)
+            if primary and hedge_wait > 0.0 and req.resident:
+                engine.schedule(hedge_wait, maybe_hedge, att)
 
-            def start() -> None:
-                if state["won"]:
-                    # First-wins cancel: the client already has its
-                    # answer, so this still-queued attempt vacates the
-                    # slot with zero service.  The release is scheduled
-                    # rather than called so a long chain of cancelled
-                    # waiters cannot recurse through the grant path.
-                    done[0] = True
-                    if timer is not None:
-                        engine.cancel(timer)
-                    if not abandoned[0]:
-                        state["outstanding"] -= 1
-                    engine.schedule(0.0, servers[target].release)
-                    return
-                cpu = CPU_BASE_NS * float(cpu_jitter[index])
-                misses = EFFECTIVE_MISSES_MEAN * float(miss_jitter[index])
-                if is_write:
-                    misses *= WRITE_MISS_FACTOR
-                if float(cache_u[index]) < hit_prob:
-                    misses *= CACHE_HIT_MISS_FACTOR
-                miss_ns = pool_ns_by_host[owner] if resident \
-                    else dram_ns
-                extra = REROUTE_HOP_NS if reroute else 0.0
-                fault_parts: tuple = ()
-                pending_recoveries = 0
-                injector = injectors.get(target) if resident else None
-                if injector is not None:
-                    # Every attempt draws its own faults: a retry hits
-                    # fresh device weather, not a replay of the first
-                    # attempt's.  Attempt 0 keeps the base-path key so
-                    # fault accounting stays comparable across modes.
-                    if hedge:
-                        fault_key = (index, "h", attempt)
-                    elif attempt:
-                        fault_key = (index, "a", attempt)
-                    else:
-                        fault_key = (index,)
-                    fault_parts, pending_recoveries = \
-                        injector.request_extras(
-                            *fault_key, reread_ns=misses * miss_ns)
-                    for _, part_ns in fault_parts:
-                        extra += part_ns
-                service = cpu + misses * miss_ns + extra
-                service_total[0] += service
-                grant = engine.now
+        def on_deadline(att: _Attempt) -> None:
+            req = att.req
+            if req.settled or att.done:
+                return
+            att.abandoned = True
+            req.outstanding -= 1
+            if not att.hedge and req.chain < policy.retries \
+                    and budget.allow():
+                req.chain += 1
+                chain = req.chain
+                # Exponential backoff with full deterministic jitter
+                # in [0.5, 1.5) of the doubled base.
+                backoff = policy.backoff_base_ns * (2.0 ** (chain - 1)) \
+                    * (0.5 + decision_uniform(
+                        self.seed, "resil-backoff", req.index, chain))
+                req.pending_retry = True
+                engine.schedule(backoff, relaunch, req, chain,
+                                att.prefix + ((DEADLINE_WAIT, deadline),
+                                              (RETRY_BACKOFF, backoff)))
+                return
+            if req.outstanding == 0 and not req.pending_retry:
+                settle_failure(req, "deadline_exceeded",
+                               [*att.prefix, (DEADLINE_WAIT, deadline)])
 
-                def finish() -> None:
-                    servers[target].release()
-                    done[0] = True
-                    if timer is not None:
-                        engine.cancel(timer)
-                    for _ in range(pending_recoveries):
-                        injector.recovery()
-                    if reroute:
-                        # All reroute accounting lands at termination
-                        # so abandoned attempts still balance
-                        # injected == recovered.
-                        link_injected[owner] += 1
-                        link_recovered[owner] += 1
-                        rerouted[0] += 1
-                        absorbed[target] += 1
-                    if breaker is not None:
-                        breaker.observe(target, engine.now - issue,
-                                        engine.now)
-                    if state["settled"] or abandoned[0]:
-                        # A losing attempt: the server did the work,
-                        # nobody was listening.
-                        wasted[0] += service
-                        if not abandoned[0]:
-                            state["outstanding"] -= 1
-                        return
-                    state["settled"] = True
-                    state["won"] = True
-                    state["outstanding"] -= 1
-                    sojourn = engine.now - arrival
-                    cluster_sojourn.record(sojourn)
-                    host_sojourn[target].record(sojourn)
-                    served[target] += 1
-                    completed[0] += 1
-                    last_completion[0] = engine.now
-                    if hedge:
-                        counts["ok_hedged"] += 1
-                        counts["hedge_wins"] += 1
-                    elif attempt:
-                        counts["ok_retried"] += 1
-                    else:
-                        counts["ok"] += 1
-                    if traced:
-                        tracer.complete(
-                            f"{CLUSTER_TRACK}.host{target}",
-                            "put" if is_write else "get",
-                            arrival, sojourn, request=index)
-                    if not spanned:
-                        return
-                    segments = list(prefix)
-                    segments.append(("client.wait", grant - issue))
-                    if reroute:
-                        segments.append(("route.reroute",
-                                         REROUTE_HOP_NS))
-                    segments.append(("shard.cpu", cpu))
-                    mem_total = misses * miss_ns
-                    parts = pool_parts_by_host[owner] if resident \
-                        else dram_parts
-                    accounted = 0.0
-                    last = len(parts) - 1
-                    for pos, (part, per_miss) in enumerate(parts):
-                        if pos == last:
-                            dur = mem_total - accounted
-                        else:
-                            dur = misses * per_miss
-                            accounted += dur
-                        segments.append((part, dur))
-                    segments.extend(fault_parts)
-                    spans.record(index, arrival, segments,
-                                 kind="put" if is_write else "get")
+        def relaunch(req: _Request, chain: int, prefix: tuple) -> None:
+            req.pending_retry = False
+            if not req.settled:
+                launch(req, chain, prefix, engine.now, False, req.tried)
 
-                engine.schedule(service, finish)
+        def maybe_hedge(att: _Attempt) -> None:
+            req = att.req
+            if req.settled or att.done:
+                return
+            exclude = (att.target,)
+            if not any(view.up and view.index != att.target
+                       for view in routable(exclude)):
+                return               # nowhere distinct to hedge to
+            launch(req, 0, att.prefix + ((HEDGE_WAIT, hedge_wait),),
+                   engine.now, True, exclude)
 
-            servers[target].acquire(start)
+        def start(att: _Attempt) -> None:
+            req = att.req
+            target = att.target
+            if req.won:
+                # First-wins cancel: the client already has its answer,
+                # so this still-queued attempt vacates the slot with
+                # zero service.  The release is scheduled rather than
+                # called so a long chain of cancelled waiters cannot
+                # recurse through the grant path.
+                att.done = True
+                if att.timer is not None:
+                    engine.cancel(att.timer)
+                if not att.abandoned:
+                    req.outstanding -= 1
+                engine.schedule(0.0, servers[target].release)
+                return
+            index = req.index
+            cpu = CPU_BASE_NS * float(cpu_jitter[index])
+            misses = EFFECTIVE_MISSES_MEAN * float(miss_jitter[index])
+            if req.is_write:
+                misses *= WRITE_MISS_FACTOR
+            if float(cache_u[index]) < hit_prob:
+                misses *= CACHE_HIT_MISS_FACTOR
+            mem_ns = misses * (pool_ns_by_host[req.owner]
+                               if req.resident else dram_ns)
+            extra = REROUTE_HOP_NS if att.reroute else 0.0
+            injector = injectors.get(target) if req.resident else None
+            if injector is not None:
+                # Every attempt draws its own faults: a retry hits
+                # fresh device weather, not a replay of the first
+                # attempt's.  The primary keeps the bare request key so
+                # fault accounting stays comparable across policies.
+                if att.hedge:
+                    fault_key = (index, "h", att.number)
+                elif att.number:
+                    fault_key = (index, "a", att.number)
+                else:
+                    fault_key = (index,)
+                att.fault_parts, att.recoveries = \
+                    injector.request_extras(*fault_key, reread_ns=mem_ns)
+                for _, part_ns in att.fault_parts:
+                    extra += part_ns
+            service = cpu + mem_ns + extra
+            service_total[0] += service
+            att.grant = engine.now
+            att.cpu = cpu
+            att.misses = misses
+            att.mem_ns = mem_ns
+            att.service = service
+            engine.schedule(service, finish, att)
 
-            if not hedge and attempt == 0 and hedge_wait > 0.0 \
-                    and resident:
-                def maybe_hedge() -> None:
-                    if state["settled"] or done[0]:
-                        return
-                    views = routable(frozenset((target,)))
-                    if not any(view.up and view.index != target
-                               for view in views):
-                        return       # nowhere distinct to hedge to
-                    launch(state, index, arrival, key, is_write,
-                           owner, resident, 0,
-                           prefix + ((HEDGE_WAIT, hedge_wait),),
-                           engine.now, True, frozenset((target,)))
-
-                engine.schedule(hedge_wait, maybe_hedge)
+        def finish(att: _Attempt) -> None:
+            req = att.req
+            target = att.target
+            servers[target].release()
+            att.done = True
+            if att.timer is not None:
+                engine.cancel(att.timer)
+            if att.recoveries:
+                injector = injectors[target]
+                for _ in range(att.recoveries):
+                    injector.recovery()
+            if att.reroute:
+                # All reroute accounting lands at termination so
+                # abandoned attempts still balance injected == recovered.
+                link_injected[req.owner] += 1
+                link_recovered[req.owner] += 1
+                rerouted[0] += 1
+                absorbed[target] += 1
+            now = engine.now
+            if breaker is not None:
+                breaker.observe(target, now - att.issue, now)
+            if req.settled or att.abandoned:
+                # A losing attempt: the server did the work, nobody
+                # was listening.
+                wasted[0] += att.service
+                if not att.abandoned:
+                    req.outstanding -= 1
+                return
+            req.settled = req.won = True
+            req.outstanding -= 1
+            sojourn = now - req.arrival
+            cluster_sojourn.record(sojourn)
+            host_sojourn[target].record(sojourn)
+            served[target] += 1
+            completed[0] += 1
+            last_completion[0] = now
+            if att.hedge:
+                counts["ok_hedged"] += 1
+                counts["hedge_wins"] += 1
+            elif att.number:
+                counts["ok_retried"] += 1
+            else:
+                counts["ok"] += 1
+            if traced:
+                tracer.complete(f"{CLUSTER_TRACK}.host{target}",
+                                "put" if req.is_write else "get",
+                                req.arrival, sojourn, request=req.index)
+            if not spanned:
+                return
+            # Ordered waterfall; the memory components use a residual
+            # on the last entry so their sum closes exactly on mem_ns.
+            segments = [*att.prefix, ("client.wait", att.grant - att.issue)]
+            if att.reroute:
+                segments.append(("route.reroute", REROUTE_HOP_NS))
+            segments.append(("shard.cpu", att.cpu))
+            parts = pool_parts_by_host[req.owner] if req.resident \
+                else dram_parts
+            accounted = 0.0
+            last = len(parts) - 1
+            for pos, (part, per_miss) in enumerate(parts):
+                if pos == last:
+                    dur = att.mem_ns - accounted
+                else:
+                    dur = att.misses * per_miss
+                    accounted += dur
+                segments.append((part, dur))
+            segments.extend(att.fault_parts)
+            spans.record(req.index, req.arrival, segments,
+                         kind="put" if req.is_write else "get")
 
         def submit(index: int, arrival: float, key: int,
                    is_write: bool) -> None:
-            owner = topo.shard_of(key)
-            resident = self.pool_resident(key)
-            state = {"settled": False, "won": False, "outstanding": 0,
-                     "tried": set(), "chain": 0,
-                     "pending_retry": False}
-            launch(state, index, arrival, key, is_write, owner,
-                   resident, 0, (), arrival, False, frozenset())
+            req = _Request(index, arrival, key, is_write,
+                           topo.shard_of(key), self.pool_resident(key))
+            launch(req, 0, (), arrival, False, ())
 
         if self.link_down is not None:
             down = self.link_down
@@ -799,37 +626,38 @@ class ClusterSim:
                 injected=inj, recovered=rec, absorbed=absorbed[index],
                 pool_fraction=host.pool_fraction))
 
-        stats = ResilienceStats(
-            ok=counts["ok"], ok_retried=counts["ok_retried"],
-            ok_hedged=counts["ok_hedged"],
-            deadline_exceeded=counts["deadline_exceeded"],
-            rejected=counts["rejected"],
-            retries_issued=budget.issued,
-            retries_suppressed=budget.suppressed,
-            hedges_launched=counts["hedges"],
-            hedge_wins=counts["hedge_wins"],
-            breaker_opens=breaker.opens if breaker is not None else 0,
-            wasted_ns=wasted[0])
-
         registry = self.telemetry.registry
         registry.counter("cluster.requests").inc(completed[0])
-        registry.gauge("cluster.p99_sojourn_ns").set(
-            cluster_sojourn.p99() if len(cluster_sojourn) else 0.0)
+        p50 = cluster_sojourn.p50() if len(cluster_sojourn) else 0.0
+        p99 = cluster_sojourn.p99() if len(cluster_sojourn) else 0.0
+        registry.gauge("cluster.p99_sojourn_ns").set(p99)
         achieved = completed[0] / (last_completion[0] / 1e9)
         registry.gauge("cluster.achieved_qps").set(achieved)
         for result in hosts:
             registry.gauge(
                 f"cluster.host{result.index}.p99_ns").set(result.p99_ns)
-        registry.gauge("cluster.goodput_qps").set(
-            achieved * (stats.successes / completed[0]))
+
+        stats = None
+        if self.policy is not None:
+            stats = ResilienceStats(
+                ok=counts["ok"], ok_retried=counts["ok_retried"],
+                ok_hedged=counts["ok_hedged"],
+                deadline_exceeded=counts["deadline_exceeded"],
+                rejected=counts["rejected"],
+                retries_issued=budget.issued,
+                retries_suppressed=budget.suppressed,
+                hedges_launched=counts["hedges"],
+                hedge_wins=counts["hedge_wins"],
+                breaker_opens=breaker.opens if breaker is not None
+                else 0,
+                wasted_ns=wasted[0])
+            registry.gauge("cluster.goodput_qps").set(
+                achieved * (stats.successes / completed[0]))
 
         return ClusterResult(
             qps=qps, theta=theta, pool_share=topo.pool_share,
             requests=completed[0], achieved_qps=achieved,
-            p50_ns=cluster_sojourn.p50()
-            if len(cluster_sojourn) else 0.0,
-            p99_ns=cluster_sojourn.p99()
-            if len(cluster_sojourn) else 0.0,
+            p50_ns=p50, p99_ns=p99,
             mean_service_ns=service_total[0] / completed[0],
             pool_utilization=topo.pool_utilization(),
             rerouted=rerouted[0],

@@ -9,6 +9,8 @@ a policied :class:`ClusterSim` run keeps the outcome-bucket invariant
 shapes; this file pins the pieces.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -16,6 +18,7 @@ from repro.cluster import (
     ClusterSim,
     ClusterTopology,
     HostView,
+    LinkDown,
     PRESETS,
     ResiliencePolicy,
     RetryBudget,
@@ -26,6 +29,7 @@ from repro.cluster import (
 from repro.cluster.resilience import ZERO_POLICY
 from repro.errors import ClusterError
 from repro.faults import FaultPlan
+from repro.telemetry import SpanConfig, SpanRecorder, Telemetry
 
 
 class TestPolicyValidation:
@@ -183,23 +187,67 @@ class TestHedgeDelay:
         assert p95 > p50 > 0.0
 
 
-def run_sim(policy=None, *, fault_plans=None, qps=150_000.0,
-            requests=1_200, seed=11):
+def run_sim(policy=None, *, fault_plans=None, link_down=None,
+            telemetry=None, qps=150_000.0, requests=1_200, seed=11):
     topo = ClusterTopology(3, keys_per_host=10_000)
     sim = ClusterSim(topo, seed=seed, policy=policy,
-                     fault_plans=fault_plans)
+                     fault_plans=fault_plans, link_down=link_down,
+                     telemetry=telemetry)
     return sim.run(qps=qps, requests=requests)
 
 
+# Active policies whose knobs never fire at this load: each one keeps
+# ClusterSim's policy machinery switched on, so the run must reproduce
+# the no-policy run exactly and settle every request ``ok``.
+INERT_POLICIES = {
+    "shed": ResiliencePolicy(shed_inflight=10**9),
+    "deadline": ResiliencePolicy(deadline_ns=1e15),
+}
+
+SETUPS = {
+    "healthy": {},
+    "stalls": {"fault_plans": {
+        h: FaultPlan(stall_rate=0.1, stall_ns=80_000.0, seed=3)
+        for h in range(3)}},
+    "link-down": {"link_down": LinkDown(1)},
+}
+
+
+def spanned_run(policy, setup):
+    spans = SpanRecorder(SpanConfig())
+    result = run_sim(policy, telemetry=Telemetry(spans=spans),
+                     **SETUPS[setup])
+    return result, spans.export()
+
+
 class TestSimIntegration:
-    def test_zero_policy_matches_no_policy_byte_for_byte(self):
-        assert run_sim(ZERO_POLICY) == run_sim(None)
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    @pytest.mark.parametrize("name", sorted(INERT_POLICIES))
+    def test_inert_policy_matches_no_policy(self, name, setup):
+        policy = INERT_POLICIES[name]
+        assert policy.active
+        base, base_spans = spanned_run(None, setup)
+        result, result_spans = spanned_run(policy, setup)
+        assert result.resilience is not None
+        assert result.resilience.ok == result.requests
+        assert dataclasses.replace(result, resilience=None) == base
+        assert result_spans == base_spans
 
     def test_no_policy_run_reports_no_resilience_stats(self):
-        result = run_sim(None)
-        assert result.resilience is None
-        assert result.successes == result.requests
-        assert result.goodput_qps == result.achieved_qps
+        for policy in (None, ZERO_POLICY):
+            telemetry = Telemetry()
+            result = run_sim(policy, telemetry=telemetry)
+            assert result.resilience is None
+            assert result.successes == result.requests
+            assert result.goodput_qps == result.achieved_qps
+            assert "cluster.achieved_qps" in telemetry.registry
+            assert "cluster.goodput_qps" not in telemetry.registry
+
+    def test_policied_run_sets_the_goodput_gauge(self):
+        telemetry = Telemetry()
+        result = run_sim(PRESETS["deadline"], telemetry=telemetry)
+        assert telemetry.registry.get("cluster.goodput_qps").value \
+            == result.goodput_qps
 
     def test_outcome_buckets_partition_the_requests(self):
         plans = {h: FaultPlan(stall_rate=0.1, stall_ns=80_000.0,
