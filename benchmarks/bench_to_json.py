@@ -3,9 +3,10 @@
 Gives perf PRs a written trajectory: each run captures per-figure serial
 seconds (plus ``--jobs N`` seconds for internally-sharded figures), the
 whole-suite serial vs ``--jobs N`` wall clock, the effective CPU count
-(affinity/cgroup aware, so recorded speedups carry honest context), and
-the DES engine microbenchmarks — including raw scheduler throughput
-(``engine.events_per_sec``) — the hot-path optimizations target.
+(the one ``--jobs`` uses) beside the cgroup CPU quota, so recorded
+speedups carry honest context, and the DES engine microbenchmarks —
+including raw scheduler throughput (``engine.events_per_sec``) — the
+hot-path optimizations target.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_to_json.py --label local --jobs 4
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
@@ -48,30 +48,13 @@ def _best_of(fn, repeats: int) -> float:
     return min(_time_once(fn) for _ in range(max(1, repeats)))
 
 
-def effective_cpu_count() -> int:
-    """CPUs this process can actually use, not what the host has.
-
-    ``os.cpu_count()`` reports the machine; in a container with a CPU
-    affinity mask or a cgroup-v2 quota that overstates the parallelism
-    a ``--jobs N`` run really got, which makes recorded speedups
-    uninterpretable.  Take the most restrictive of the affinity mask,
-    the cgroup quota (``cpu.max``), and the host count.
-    """
-    host = os.cpu_count() or 1
-    candidates = [host]
+def cgroup_cpus() -> float | None:
+    """The cgroup-v2 CPU quota (``cpu.max``), or ``None`` when unset."""
     try:
-        candidates.append(len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):
-        pass
-    try:
-        quota_text = Path("/sys/fs/cgroup/cpu.max").read_text().split()
-        if quota_text and quota_text[0] != "max":
-            quota, period = int(quota_text[0]), int(quota_text[1])
-            if quota > 0 and period > 0:
-                candidates.append(max(1, quota // period))
-    except (FileNotFoundError, OSError, ValueError, IndexError):
-        pass
-    return min(candidates)
+        quota, period = Path("/sys/fs/cgroup/cpu.max").read_text().split()
+        return None if quota == "max" else int(quota) / int(period)
+    except (OSError, ValueError):
+        return None
 
 
 def _load_sibling(name: str):
@@ -166,6 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.experiments import REGISTRY
     from repro.experiments.registry import resolve_id
     from repro.experiments.runner import _run_ids
+    from repro.parallel import effective_cpu_count
 
     ids = [resolve_id(eid) for eid in args.ids] if args.ids \
         else sorted(REGISTRY)
@@ -222,6 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         "version": repro.__version__,
         "python": platform.python_version(),
         "cpus": effective_cpu_count(),
+        "cgroup_cpus": cgroup_cpus(),
         "mode": "full" if args.full else "fast",
         "jobs": args.jobs,
         "figures": figures,

@@ -14,7 +14,7 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/engine_events_per_sec.py
     PYTHONPATH=src python benchmarks/engine_events_per_sec.py \
-        --scheduler both --events 500000
+        --events 500000
 
 or let ``bench_to_json.py`` fold the number into the
 ``engine.events_per_sec`` field of BENCH_<label>.json (see
@@ -32,7 +32,7 @@ TIMERS = 64
 SEED = 7
 
 
-def run_engine_load(events: int, *, scheduler: str | None = None,
+def run_engine_load(events: int, *,
                     timers: int = TIMERS) -> tuple[int, float]:
     """Dispatch ~``events`` timer events; return (dispatched, seconds).
 
@@ -47,7 +47,7 @@ def run_engine_load(events: int, *, scheduler: str | None = None,
 
     rng = np.random.default_rng(SEED)
     gaps = rng.exponential(1_000.0, size=events + timers)
-    engine = Engine(scheduler=scheduler)
+    engine = Engine()
     budget = [events]
     cursor = [timers]
 
@@ -68,12 +68,12 @@ def run_engine_load(events: int, *, scheduler: str | None = None,
     return engine.events_processed, elapsed
 
 
-def events_per_sec(events: int = DEFAULT_EVENTS, *, repeats: int = 3,
-                   scheduler: str | None = None) -> float:
+def events_per_sec(events: int = DEFAULT_EVENTS, *,
+                   repeats: int = 3) -> float:
     """Best-of-``repeats`` engine throughput in events per second."""
     best = 0.0
     for _ in range(max(1, repeats)):
-        dispatched, elapsed = run_engine_load(events, scheduler=scheduler)
+        dispatched, elapsed = run_engine_load(events)
         if elapsed > 0:
             best = max(best, dispatched / elapsed)
     return best
@@ -85,25 +85,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--events", type=int, default=DEFAULT_EVENTS,
                         help=f"events per run (default: {DEFAULT_EVENTS})")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="runs per scheduler, best-of (default: 3)")
-    parser.add_argument("--scheduler", default=None,
-                        choices=["calendar", "heap", "both"],
-                        help="scheduler to measure (default: the active "
-                             "REPRO_SIM_SCHEDULER mode)")
+                        help="runs, best-of (default: 3)")
     args = parser.parse_args(argv)
     if args.events <= 0:
         print("error: --events must be positive", file=sys.stderr)
         return 2
 
-    modes = (["calendar", "heap"] if args.scheduler == "both"
-             else [args.scheduler])
-    for mode in modes:
-        rate = events_per_sec(args.events, repeats=args.repeats,
-                              scheduler=mode)
-        from repro.sim.engine import scheduler_mode
-        shown = mode if mode is not None else scheduler_mode()
-        print(f"{shown:10s} {rate:12,.0f} events/s "
-              f"({args.events} events, best of {args.repeats})")
+    rate = events_per_sec(args.events, repeats=args.repeats)
+    print(f"{rate:12,.0f} events/s "
+          f"({args.events} events, best of {args.repeats})")
     return 0
 
 

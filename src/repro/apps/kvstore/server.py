@@ -9,7 +9,6 @@ sojourn time (queue wait + service) is what the p99 curves plot.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ...errors import WorkloadError
@@ -72,16 +71,28 @@ class KvServer:
         if requests <= 0:
             raise WorkloadError(f"requests must be positive: {requests}")
         if (self.workers == 1 and not self.telemetry.enabled
-                and not self.telemetry.spans.enabled
-                and os.environ.get("REPRO_KV_FASTPATH", "") != "0"):
+                and not self.telemetry.spans.enabled):
             # A capacity-1 FIFO station needs no event queue: the
-            # Lindley recursion below replays the DES float-for-float.
+            # Lindley recursion replays the DES float-for-float.
             return self._run_fast(target_qps, requests)
+        return self._run_des(target_qps, requests)
+
+    def _run_des(self, target_qps: float, requests: int) -> RunResult:
+        """The event-driven path: every request is an arrival event, a
+        :class:`Server` grant and a finish event on a fresh engine.
+
+        Runs whenever workers contend, or a tracer or span recorder
+        needs real event interleaving; it is also the reference the
+        fast path is tested against.  Request state rides through
+        :meth:`Server.acquire` and :meth:`Engine.schedule` as callback
+        arguments, so no closure is allocated per request.
+        """
         engine = Engine(telemetry=self.telemetry)
         tracer = self.telemetry.tracer
         traced = tracer.enabled
         spans = self.telemetry.spans
         spanned = spans.enabled
+        store = self.store
         name = ("redis-event-loop" if self.workers == 1
                 else f"memcached-{self.workers}w")
         server = Server(self.workers, name=name)
@@ -92,74 +103,57 @@ class KvServer:
         last_completion = [0.0]
         mean_gap_ns = 1e9 / target_qps
 
-        def submit(index: int, arrival_time: float) -> None:
-            def start() -> None:
-                op = self.store.workload.next_operation(arrivals)
-                if op is Operation.INSERT:
-                    # Workload D: new records append and become the
-                    # "latest" keys subsequent reads favor.
-                    key = self.store.insert_record()
-                else:
-                    key = self.store.chooser.next_key(arrivals)
-                cpu, misses, miss_ns = \
-                    self.store.sample_service_parts(op, key)
-                service = cpu + misses * miss_ns
-                service_total[0] += service
+        def start(index: int, arrival_time: float) -> None:
+            op = store.workload.next_operation(arrivals)
+            if op is Operation.INSERT:
+                # Workload D: new records append and become the
+                # "latest" keys subsequent reads favor.
+                key = store.insert_record()
+            else:
+                key = store.chooser.next_key(arrivals)
+            cpu, misses, miss_ns = store.sample_service_parts(op, key)
+            service = cpu + misses * miss_ns
+            service_total[0] += service
+            engine.schedule(service, finish, index, arrival_time, op,
+                            key, cpu, misses, miss_ns, engine.now)
 
-                def finish() -> None:
-                    server.release()
-                    sojourn.record(engine.now - arrival_time)
-                    completed[0] += 1
-                    last_completion[0] = engine.now
-                    if traced:
-                        tracer.complete(KVSTORE_TRACK, op.value,
-                                        arrival_time,
-                                        engine.now - arrival_time,
-                                        request=index)
-
-                if not spanned:
-                    engine.schedule(service, finish)
-                    return
-
-                # Spanned path only: defaults bind start()'s locals so
-                # the spans-off closure above keeps its exact shape (no
-                # extra cells on the hot path).
-                def finish_spanned(key=key, cpu=cpu, misses=misses,
-                                   mem_total=misses * miss_ns,
-                                   grant=engine.now) -> None:
-                    finish()
-                    # The memory part splits by the kind of node
-                    # backing the record's lines; the second entry
-                    # is a residual so the pair closes exactly on
-                    # misses * miss_ns.
-                    dram_share, cxl_share = \
-                        self.store.miss_node_split(key)
-                    segments = [
-                        ("client.wait", grant - arrival_time),
+        def finish(index: int, arrival_time: float, op: Operation,
+                   key: int, cpu: float, misses: float, miss_ns: float,
+                   grant: float) -> None:
+            server.release()
+            now = engine.now
+            sojourn.record(now - arrival_time)
+            completed[0] += 1
+            last_completion[0] = now
+            if traced:
+                tracer.complete(KVSTORE_TRACK, op.value, arrival_time,
+                                now - arrival_time, request=index)
+            if not spanned:
+                return
+            # The memory part splits by the kind of node backing the
+            # record's lines; the second entry is a residual so the
+            # pair closes exactly on misses * miss_ns.
+            mem_total = misses * miss_ns
+            dram_share, cxl_share = store.miss_node_split(key)
+            segments = [("client.wait", grant - arrival_time),
                         ("kv.cpu", cpu)]
-                    if cxl_share == 0.0:
-                        segments.append(("mem.dram", mem_total))
-                    elif dram_share == 0.0:
-                        segments.append(("mem.cxl", mem_total))
-                    else:
-                        dram_part = misses * dram_share
-                        segments.append(("mem.dram", dram_part))
-                        segments.append(
-                            ("mem.cxl", mem_total - dram_part))
-                    spans.record(index, arrival_time, segments,
-                                 kind=op.value)
-
-                engine.schedule(service, finish_spanned)
-
-            server.acquire(start)
+            if cxl_share == 0.0:
+                segments.append(("mem.dram", mem_total))
+            elif dram_share == 0.0:
+                segments.append(("mem.cxl", mem_total))
+            else:
+                dram_part = misses * dram_share
+                segments.append(("mem.dram", dram_part))
+                segments.append(("mem.cxl", mem_total - dram_part))
+            spans.record(index, arrival_time, segments, kind=op.value)
 
         # Pre-draw all arrival times (exponential gaps).
         gaps = arrivals.exponential(mean_gap_ns, size=requests)
         arrival_time = 0.0
         for index in range(requests):
             arrival_time += float(gaps[index])
-            engine.schedule_at(arrival_time,
-                               lambda i=index, t=arrival_time: submit(i, t))
+            engine.schedule_at(arrival_time, server.acquire, start, index,
+                               arrival_time)
         engine.run()
 
         elapsed = last_completion[0]
@@ -187,9 +181,8 @@ class KvServer:
         draw (operation, key, service) — happen in arrival-index order
         exactly as the engine replays them, and the float arithmetic
         here is the same adds/compares the event loop performs.  The
-        result is byte-identical to the DES path
-        (``REPRO_KV_FASTPATH=0`` forces the engine for verification;
-        ``tests/apps/test_kv_fastpath.py`` pins the equivalence).
+        result is byte-identical to :meth:`_run_des`
+        (``tests/apps/test_kv_fastpath.py`` pins the equivalence).
         Tracing runs keep the DES path so per-request trace events and
         engine trace spans still appear.
         """

@@ -180,18 +180,14 @@ def run_config(fast: bool, *, fault_plan=None, span_config=None,
     """The result-shaping config material for cache keys and journals.
 
     Everything that can change an experiment's payload belongs here:
-    ``fast`` mode, the engine scheduling mode
-    (:func:`repro.sim.engine.scheduling_fingerprint`) and, when given,
-    the full fault-plan and span configurations (a spanned result
-    carries its attribution payload, so it must never be served from —
-    or land in — a spans-off cache slot).  Tests that predict cache or
-    journal paths should build their material through this function
-    rather than hard-coding the dict shape.
+    ``fast`` mode and, when given, the full fault-plan and span
+    configurations (a spanned result carries its attribution payload,
+    so it must never be served from — or land in — a spans-off cache
+    slot).  Tests that predict cache or journal paths should build their
+    material through this function rather than hard-coding the dict
+    shape.
     """
-    from ..sim.engine import scheduling_fingerprint
-
-    config: dict = {"fast": fast,
-                    "scheduler": scheduling_fingerprint()}
+    config: dict = {"fast": fast}
     if fault_plan is not None:
         config["faults"] = fault_plan.to_dict()
     if span_config is not None:
@@ -246,12 +242,9 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
     result list comes back in id order and matches a serial run
     byte-for-byte.
 
-    The cache key covers every result-shaping input: ``fast``, the
-    engine scheduling mode (:func:`repro.sim.engine.scheduling_fingerprint`
-    — a result computed under the legacy heap scheduler is never served
-    for the calendar path or vice versa) and, when given, the full
-    fault-plan configuration — so a changed fault plan is a cache
-    miss, never a stale healthy (or degraded) result.  The
+    The cache key covers every result-shaping input: ``fast`` and, when
+    given, the full fault-plan configuration — so a changed fault plan
+    is a cache miss, never a stale healthy (or degraded) result.  The
     checkpoint journal is addressed by the same material plus the id
     list (:func:`~repro.resilience.suite_hash`), and every completed
     unit is journaled **as it lands**, so an interrupt at any point

@@ -12,74 +12,39 @@ Design notes
 
 Hot-path layout
 ---------------
-Two scheduler implementations share the same ``(time, seq)`` total
-order, so every model produces byte-identical results under either;
-``REPRO_SIM_SCHEDULER`` selects one (``calendar`` is the default,
-``heap`` is the legacy fallback):
+The queue is a two-level run queue in the calendar-queue family,
+totally ordered by ``(time, seq)``.  The *current run* is a sorted list
+walked by index; arrivals that land inside the run's time span are
+``bisect.insort``-ed after the walk cursor (a C-level binary search +
+memmove), while arrivals beyond it are appended, unsorted, to a
+*future* list.  When the current run is exhausted the future list is
+sorted wholesale (C Timsort over ``(time, seq, handle)`` tuples,
+near-linear on the mostly-ordered batches models actually generate)
+and swapped in as the next run.  :meth:`Engine.run` drains the current
+run in one interpreter loop — no per-event method call, no heap sift.
+``tests/sim/test_engine_calendar.py`` pins the firing order against a
+recorded event-order golden.
 
-* **calendar** — a two-level run queue in the calendar-queue family.
-  The *current run* is a sorted list walked by index; arrivals that
-  land inside the run's time span are ``bisect.insort``-ed after the
-  walk cursor (a C-level binary search + memmove), while arrivals
-  beyond it are appended, unsorted, to a *future* list.  When the
-  current run is exhausted the future list is sorted wholesale (C
-  Timsort over ``(time, seq, handle)`` tuples, near-linear on the
-  mostly-ordered batches models actually generate) and swapped in as
-  the next run.  :meth:`run` drains the current run in one interpreter
-  loop — no per-event method call, no heap sift — which is where the
-  batched ``step_until`` win comes from.
-* **heap** — the historical binary heap of ``(time, seq, handle)``
-  tuples; ``heapq`` orders entries with C-level tuple comparison.
-
-Cancellation is a tombstone flag on the handle in both modes;
-tombstones are skipped exactly once, at the queue head.  Callbacks can
-carry positional arguments through the event
-(``schedule(delay, fn, a, b)``), which lets hot models pass a bound
-method plus its arguments instead of allocating a fresh closure per
-request.
-
-The active mode participates in the experiment cache key via
-:func:`scheduling_fingerprint`, so results computed under one
-scheduler are never served for the other (docs/PERFORMANCE.md).
+Cancellation is a tombstone flag on the handle; tombstones are skipped
+exactly once, at the queue head.  Callbacks can carry positional
+arguments through the event (``schedule(delay, fn, a, b)``), which lets
+hot models pass a bound method plus its arguments instead of allocating
+a fresh closure per request.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import os
 from bisect import insort
 from typing import Any, Callable
 
 from ..errors import SimulationError
 from ..telemetry import NULL_TELEMETRY, Telemetry
 
-_MODE_ENV = "REPRO_SIM_SCHEDULER"
-_MODES = ("calendar", "heap")
-
 # Compact the executed prefix of the current run once the walk cursor
 # passes this many entries; keeps long prescheduled runs from pinning
 # their whole history while staying amortized O(1) per event.
 _COMPACT_THRESHOLD = 65536
-
-
-def scheduler_mode() -> str:
-    """The process-wide scheduler mode (``calendar`` unless overridden).
-
-    Set ``REPRO_SIM_SCHEDULER=heap`` to fall back to the legacy binary
-    heap — useful for bisecting a suspected scheduler bug, and pinned
-    equivalent by ``tests/sim/test_engine.py``.
-    """
-    mode = os.environ.get(_MODE_ENV, "").strip().lower() or "calendar"
-    if mode not in _MODES:
-        raise SimulationError(
-            f"unknown {_MODE_ENV}={mode!r}; expected one of {_MODES}")
-    return mode
-
-
-def scheduling_fingerprint() -> str:
-    """Cache-key component naming the active scheduler implementation."""
-    return f"sim-scheduler:{scheduler_mode()}"
 
 
 class _Scheduled:
@@ -96,9 +61,6 @@ class _Scheduled:
         self.args = args
         self.cancelled = False
 
-    def __lt__(self, other: "_Scheduled") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Engine:
     """Event loop with a nanosecond clock.
@@ -113,25 +75,16 @@ class Engine:
     [10.0]
     """
 
-    def __init__(self, *, telemetry: Telemetry | None = None,
-                 scheduler: str | None = None) -> None:
-        mode = scheduler if scheduler is not None else scheduler_mode()
-        if mode not in _MODES:
-            raise SimulationError(
-                f"unknown scheduler={mode!r}; expected one of {_MODES}")
-        self._mode = mode
-        self._calendar = mode == "calendar"
+    def __init__(self, *, telemetry: Telemetry | None = None) -> None:
         self._now = 0.0
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
-        # heap mode: one binary heap.
-        self._heap: list[tuple[float, int, _Scheduled]] = []
-        # calendar mode: sorted current run walked by ``_pos`` + an
-        # unsorted future list.  Every future entry's time is strictly
-        # greater than ``_run_max`` (the current run's last time), so
-        # draining the run before sorting the future preserves the
-        # global (time, seq) order.
+        # A sorted current run walked by ``_pos`` + an unsorted future
+        # list.  Every future entry's time is strictly greater than
+        # ``_run_max`` (the current run's last time), so draining the
+        # run before sorting the future preserves the global
+        # (time, seq) order.
         self._run_list: list[tuple[float, int, _Scheduled]] = []
         self._pos = 0
         self._future: list[tuple[float, int, _Scheduled]] = []
@@ -143,11 +96,6 @@ class Engine:
     def now(self) -> float:
         """Current simulation time in ns."""
         return self._now
-
-    @property
-    def scheduler(self) -> str:
-        """The scheduler implementation this engine was built with."""
-        return self._mode
 
     @property
     def events_processed(self) -> int:
@@ -163,13 +111,10 @@ class Engine:
         time = self._now + delay
         seq = next(self._seq)
         handle = _Scheduled(time, seq, callback, args)
-        if self._calendar:
-            if time > self._run_max:
-                self._future.append((time, seq, handle))
-            else:
-                insort(self._run_list, (time, seq, handle), self._pos)
+        if time > self._run_max:
+            self._future.append((time, seq, handle))
         else:
-            heapq.heappush(self._heap, (time, seq, handle))
+            insort(self._run_list, (time, seq, handle), self._pos)
         return handle
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
@@ -211,14 +156,9 @@ class Engine:
 
     def peek(self) -> float | None:
         """Time of the next pending event, or ``None`` if none is queued."""
-        if self._calendar:
-            if not self._advance():
-                return None
-            return self._run_list[self._pos][0]
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        if not self._advance():
+            return None
+        return self._run_list[self._pos][0]
 
     def step(self, until: float | None = None) -> bool:
         """Execute the next event in one bounded queue scan.
@@ -227,44 +167,24 @@ class Engine:
         given, when the next live event lies strictly after ``until``
         (the event stays queued; the clock is not advanced).
         """
-        if self._calendar:
-            if not self._advance():
-                return False
-            pos = self._pos
-            time, _seq, handle = self._run_list[pos]
-            if until is not None and time > until:
-                return False
-            self._pos = pos + 1
-            if time < self._now:
-                raise SimulationError(
-                    f"event at t={time} before now={self._now}")
-            self._now = time
-            self._processed += 1
-            handle.callback(*handle.args)
-            return True
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            handle = head[2]
-            if handle.cancelled:
-                heapq.heappop(heap)
-                continue
-            time = head[0]
-            if until is not None and time > until:
-                return False
-            heapq.heappop(heap)
-            if time < self._now:
-                raise SimulationError(
-                    f"event at t={time} before now={self._now}")
-            self._now = time
-            self._processed += 1
-            handle.callback(*handle.args)
-            return True
-        return False
+        if not self._advance():
+            return False
+        pos = self._pos
+        time, _seq, handle = self._run_list[pos]
+        if until is not None and time > until:
+            return False
+        self._pos = pos + 1
+        if time < self._now:
+            raise SimulationError(
+                f"event at t={time} before now={self._now}")
+        self._now = time
+        self._processed += 1
+        handle.callback(*handle.args)
+        return True
 
     def _drain(self, until: float | None,
                max_events: int | None) -> int:
-        """Batched calendar-mode drain: one interpreter loop per run.
+        """Batched drain: one interpreter loop per run.
 
         Executes live events in ``(time, seq)`` order until the queue
         empties or the next event lies strictly after ``until``.
@@ -322,21 +242,15 @@ class Engine:
         """Execute every pending event with ``time <= until``.
 
         The batched counterpart of repeated :meth:`step` calls: the
-        whole drain runs in one interpreter loop (calendar mode).
-        Unlike :meth:`run` the clock is left at the last executed
-        event, not advanced to ``until``.  Returns the number of
-        callbacks executed.
+        whole drain runs in one interpreter loop.  Unlike :meth:`run`
+        the clock is left at the last executed event, not advanced to
+        ``until``.  Returns the number of callbacks executed.
         """
         if self._running:
             raise SimulationError("Engine.step_until() is not reentrant")
         self._running = True
         try:
-            if self._calendar:
-                return self._drain(until, None)
-            executed = 0
-            while self.step(until):
-                executed += 1
-            return executed
+            return self._drain(until, None)
         finally:
             self._running = False
 
@@ -354,23 +268,7 @@ class Engine:
         self._running = True
         run_start = self._now
         try:
-            if self._calendar:
-                self._drain(until, max_events)
-            elif max_events is None:
-                step = self.step
-                while step(until):
-                    pass
-            else:
-                step = self.step
-                executed = 0
-                while True:
-                    if executed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "model may not terminate")
-                    if not step(until):
-                        break
-                    executed += 1
+            self._drain(until, max_events)
             if until is not None and self._now < until:
                 self._now = until
         finally:

@@ -1,13 +1,17 @@
 """Calendar-queue scheduler pins: the semantics the batched hot path
-must not move, plus heap ≡ calendar event-order equivalence.
+must not move, plus a recorded event-order golden.
 
-The generic engine contract lives in ``test_engine.py`` (and runs under
-whichever scheduler ``REPRO_SIM_SCHEDULER`` selects).  This file pins
-the calendar-specific machinery — run/future promotion, in-run
+The generic engine contract lives in ``test_engine.py``.  This file
+pins the calendar-specific machinery — run/future promotion, in-run
 insertion behind the walk cursor, tombstones inside a batched drain,
-``step_until`` bounds, compaction — and cross-checks both
-implementations against each other on an adversarial workload.
+``step_until`` bounds, compaction — and replays an adversarial workload
+against ``engine_order_golden.json``.  The golden was recorded while a
+binary-heap scheduler still ran beside the calendar queue, and both
+produced it event for event.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,53 +19,24 @@ import pytest
 import repro.sim.engine as engine_mod
 from repro.errors import SimulationError
 from repro.sim import Engine
-from repro.sim.engine import scheduler_mode, scheduling_fingerprint
 
-MODES = ["calendar", "heap"]
-
-
-class TestModeSelection:
-    def test_default_mode_is_calendar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-        assert scheduler_mode() == "calendar"
-        assert Engine().scheduler == "calendar"
-
-    def test_env_selects_heap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
-        assert scheduler_mode() == "heap"
-        assert Engine().scheduler == "heap"
-
-    def test_unknown_env_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "splay-tree")
-        with pytest.raises(SimulationError):
-            scheduler_mode()
-
-    def test_unknown_constructor_mode_rejected(self):
-        with pytest.raises(SimulationError):
-            Engine(scheduler="bogus")
-
-    def test_fingerprint_names_the_mode(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-        assert scheduling_fingerprint() == "sim-scheduler:calendar"
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
-        assert scheduling_fingerprint() == "sim-scheduler:heap"
+GOLDEN = Path(__file__).with_name("engine_order_golden.json")
 
 
-@pytest.mark.parametrize("mode", MODES)
 class TestSameInstantFifo:
-    def test_same_instant_fires_in_schedule_order(self, mode):
-        eng = Engine(scheduler=mode)
+    def test_same_instant_fires_in_schedule_order(self):
+        eng = Engine()
         order = []
         for tag in range(20):
             eng.schedule(5.0, order.append, tag)
         eng.run()
         assert order == list(range(20))
 
-    def test_fifo_survives_run_promotion(self, mode):
+    def test_fifo_survives_run_promotion(self):
         # Same-instant events split across the run/future boundary:
         # the first batch lands in the initial future list, the second
         # is scheduled from a callback after promotion.
-        eng = Engine(scheduler=mode)
+        eng = Engine()
         order = []
         eng.schedule(1.0, lambda: [eng.schedule(4.0, order.append, t)
                                    for t in ("c", "d")])
@@ -71,10 +46,9 @@ class TestSameInstantFifo:
         assert order == ["a", "b", "c", "d"]
 
 
-@pytest.mark.parametrize("mode", MODES)
 class TestTombstones:
-    def test_cancel_in_future_list(self, mode):
-        eng = Engine(scheduler=mode)
+    def test_cancel_in_future_list(self):
+        eng = Engine()
         fired = []
         doomed = eng.schedule(10.0, fired.append, "doomed")
         eng.schedule(20.0, fired.append, "kept")
@@ -83,10 +57,10 @@ class TestTombstones:
         assert fired == ["kept"]
         assert eng.events_processed == 1
 
-    def test_cancel_after_in_run_insertion(self, mode):
+    def test_cancel_after_in_run_insertion(self):
         # Cancel an event that was insort-ed into the *current* run
         # from a callback — the tombstone must be honored mid-drain.
-        eng = Engine(scheduler=mode)
+        eng = Engine()
         fired = []
 
         def first():
@@ -99,8 +73,8 @@ class TestTombstones:
         eng.run()
         assert fired == ["kept", "tail"]
 
-    def test_cancel_every_pending_event(self, mode):
-        eng = Engine(scheduler=mode)
+    def test_cancel_every_pending_event(self):
+        eng = Engine()
         handles = [eng.schedule(float(i + 1), lambda: None)
                    for i in range(10)]
         for handle in handles:
@@ -110,36 +84,35 @@ class TestTombstones:
         assert eng.peek() is None
 
 
-@pytest.mark.parametrize("mode", MODES)
 class TestStepUntil:
-    def test_executes_only_events_at_or_before_bound(self, mode):
-        eng = Engine(scheduler=mode)
+    def test_executes_only_events_at_or_before_bound(self):
+        eng = Engine()
         fired = []
         for t in (10.0, 20.0, 30.0, 40.0):
             eng.schedule(t, fired.append, t)
         assert eng.step_until(25.0) == 2
         assert fired == [10.0, 20.0]
 
-    def test_clock_stays_at_last_event_not_bound(self, mode):
+    def test_clock_stays_at_last_event_not_bound(self):
         # Unlike run(until=...), step_until leaves the clock where the
         # last executed event put it.
-        eng = Engine(scheduler=mode)
+        eng = Engine()
         eng.schedule(10.0, lambda: None)
         eng.step_until(50.0)
         assert eng.now == 10.0
 
-    def test_boundary_event_included(self, mode):
-        eng = Engine(scheduler=mode)
+    def test_boundary_event_included(self):
+        eng = Engine()
         fired = []
         eng.schedule(25.0, fired.append, "edge")
         assert eng.step_until(25.0) == 1
         assert fired == ["edge"]
 
-    def test_empty_queue_returns_zero(self, mode):
-        assert Engine(scheduler=mode).step_until(100.0) == 0
+    def test_empty_queue_returns_zero(self):
+        assert Engine().step_until(100.0) == 0
 
-    def test_remaining_events_fire_on_resume(self, mode):
-        eng = Engine(scheduler=mode)
+    def test_remaining_events_fire_on_resume(self):
+        eng = Engine()
         fired = []
         eng.schedule(10.0, fired.append, "early")
         eng.schedule(100.0, fired.append, "late")
@@ -148,8 +121,8 @@ class TestStepUntil:
         assert fired == ["early", "late"]
         assert eng.now == 100.0
 
-    def test_not_reentrant(self, mode):
-        eng = Engine(scheduler=mode)
+    def test_not_reentrant(self):
+        eng = Engine()
         errors = []
 
         def nested():
@@ -163,34 +136,33 @@ class TestStepUntil:
         assert len(errors) == 1
 
 
-@pytest.mark.parametrize("mode", MODES)
 class TestRunGuards:
-    def test_max_events_raises_even_with_empty_queue(self, mode):
+    def test_max_events_raises_even_with_empty_queue(self):
         # The legacy loop checked the budget before polling the queue;
         # the batched drain must keep that order.
-        eng = Engine(scheduler=mode)
+        eng = Engine()
         with pytest.raises(SimulationError):
             eng.run(max_events=0)
 
-    def test_max_events_counts_only_executed(self, mode):
+    def test_max_events_counts_only_executed(self):
         # Tombstones don't consume the budget; the budget check runs
         # *before* polling the queue, so executing exactly max_events
         # raises (the legacy loop's boundary, kept by the drain).
-        eng = Engine(scheduler=mode)
+        eng = Engine()
         handles = [eng.schedule(float(i + 1), lambda: None)
                    for i in range(10)]
         for handle in handles[:8]:
             eng.cancel(handle)
         eng.run(max_events=3)              # 2 live events < budget
         assert eng.events_processed == 2
-        eng2 = Engine(scheduler=mode)
+        eng2 = Engine()
         eng2.schedule(1.0, lambda: None)
         eng2.schedule(2.0, lambda: None)
         with pytest.raises(SimulationError):
             eng2.run(max_events=2)
 
-    def test_run_not_reentrant(self, mode):
-        eng = Engine(scheduler=mode)
+    def test_run_not_reentrant(self):
+        eng = Engine()
         errors = []
 
         def nested():
@@ -209,7 +181,7 @@ class TestCalendarInternals:
         # A callback schedules an event that lands between remaining
         # entries of the *current* run: it must be insort-ed after the
         # cursor and fire in time order within the same drain.
-        eng = Engine(scheduler="calendar")
+        eng = Engine()
         order = []
         eng.schedule(10.0, lambda: (order.append("first"),
                                     eng.schedule(5.0, order.append,
@@ -220,7 +192,7 @@ class TestCalendarInternals:
 
     def test_compaction_preserves_order(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "_COMPACT_THRESHOLD", 8)
-        eng = Engine(scheduler="calendar")
+        eng = Engine()
         fired = []
         handles = [eng.schedule(float(i), fired.append, i)
                    for i in range(100)]
@@ -233,7 +205,7 @@ class TestCalendarInternals:
 
     def test_compaction_with_mid_drain_insertions(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "_COMPACT_THRESHOLD", 4)
-        eng = Engine(scheduler="calendar")
+        eng = Engine()
         fired = []
 
         def chain(n):
@@ -275,9 +247,10 @@ def _random_workload(eng: Engine, seed: int) -> list:
     return trace
 
 
-class TestHeapCalendarEquivalence:
+class TestEventOrderGolden:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_identical_event_traces(self, seed):
-        calendar = _random_workload(Engine(scheduler="calendar"), seed)
-        heap = _random_workload(Engine(scheduler="heap"), seed)
-        assert calendar == heap
+    def test_matches_recorded_trace(self, seed):
+        golden = json.loads(GOLDEN.read_text())[str(seed)]
+        trace = _random_workload(Engine(), seed)
+        # JSON has no tuples; compare in its list form.
+        assert json.loads(json.dumps(trace)) == golden
