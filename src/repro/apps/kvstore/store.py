@@ -80,10 +80,8 @@ class KvStore:
             + system.backend_for_node(node.node_id).idle_read_ns()
             for node in system.topology.nodes}
         self._cache_hit_prob = self._estimate_cache_hit_prob()
-        # Per-key expected miss latency, built lazily on first use
-        # (None = unbuilt, False = record too large for the vectorized
-        # build, ndarray = the table).  See _build_miss_table.
-        self._miss_table: np.ndarray | None | bool = None
+        # Per-key (miss_ns, dram_ns, cxl_ns), filled as keys are touched.
+        self._miss_memo: dict[int, tuple[float, float, float]] = {}
 
     def free(self) -> None:
         """Return the store's pages to the allocator (sweep hygiene)."""
@@ -111,13 +109,25 @@ class KvStore:
         return key * self.record_bytes
 
     def record_node_mix(self, key: int) -> dict[int, float]:
-        """Fraction of the record's lines on each node."""
+        """Fraction of the record's lines on each node, by node id.
+
+        Walks the (usually one or two) pages the record spans in
+        ``page_nodes``; records and pages are both cacheline-aligned,
+        so no line straddles a page.
+        """
         start = self.record_offset(key)
-        offsets = np.arange(start, start + self.record_bytes, CACHELINE)
-        nodes = self.allocation.nodes_of(offsets)
-        ids, counts = np.unique(nodes, return_counts=True)
-        return {int(n): float(c) / len(offsets)
-                for n, c in zip(ids, counts)}
+        end = start + self.record_bytes
+        page = self.allocation.page_bytes
+        page_nodes = self.allocation.page_nodes
+        lines: dict[int, int] = {}
+        while start < end:
+            index = start // page
+            stop = min((index + 1) * page, end)
+            node = int(page_nodes[index])
+            lines[node] = lines.get(node, 0) + (stop - start) // CACHELINE
+            start = stop
+        total = self.record_bytes // CACHELINE
+        return {node: lines[node] / total for node in sorted(lines)}
 
     def cxl_resident_fraction(self) -> float:
         """Fraction of the whole store on CXL nodes (verifies policies)."""
@@ -138,63 +148,34 @@ class KvStore:
 
     # -- service times ---------------------------------------------------------
 
-    def _build_miss_table(self) -> np.ndarray | bool:
-        """Vectorize ``average_miss_latency_ns`` over the whole keyspace.
+    def _miss_parts(self, key: int) -> tuple[float, float, float]:
+        """Memoized ``(miss_ns, dram_ns, cxl_ns)`` of one record.
 
-        A record shorter than a page touches at most two pages, so each
-        key's node mix is (lines-on-first-page, lines-on-second-page)
-        split between two ``page_nodes`` entries — a handful of O(keys)
-        integer ops instead of an ``arange``/``nodes_of``/``unique``
-        round-trip per query.  The float expression replicates the
-        scalar path exactly: shares accumulate in ascending node-id
-        order with the same ``count/lines`` division and
-        ``share * ns`` product, and the single-node case collapses to
-        ``1.0 * ns`` just as the scalar sum does — so every table entry
-        is bit-identical to what the per-key computation returns.
+        ``miss_ns`` is the line-weighted per-miss latency, summed in
+        ascending node-id order; the other two split the same products
+        by node kind.  Computed on first touch, so a store's setup cost
+        follows the keys a run draws, not its keyspace.
         """
-        page = self.allocation.page_bytes
-        rb = self.record_bytes
-        if rb > page:
-            self._miss_table = False
-            return False
-        nlines = rb // CACHELINE
-        page_nodes = self.allocation.page_nodes
-        ns_arr = np.zeros(max(int(page_nodes.max()),
-                              max(self._node_read_ns)) + 1)
-        for node, ns in self._node_read_ns.items():
-            ns_arr[node] = ns
-        start = np.arange(self.capacity_keys, dtype=np.int64) * rb
-        first_page = start // page
-        last_page = (start + rb - CACHELINE) // page
-        n1 = page_nodes[first_page].astype(np.int64)
-        n2 = page_nodes[last_page].astype(np.int64)
-        # Lines of the record on its first page (start and page are
-        # both cacheline-multiples, so the bound divides exactly).
-        a = np.minimum(nlines, ((first_page + 1) * page - start)
-                       // CACHELINE).astype(np.float64)
-        b = nlines - a
-        lo_first = n1 <= n2
-        c_lo = np.where(lo_first, a, b)
-        c_hi = np.where(lo_first, b, a)
-        ns_lo = ns_arr[np.minimum(n1, n2)]
-        ns_hi = ns_arr[np.maximum(n1, n2)]
-        split = (c_lo / nlines) * ns_lo + (c_hi / nlines) * ns_hi
-        table = np.where(n1 == n2, ns_arr[n1], split)
-        self._miss_table = table
-        return table
+        parts = self._miss_memo.get(key)
+        if parts is not None:
+            return parts
+        topology = self.system.topology
+        miss_ns = 0.0
+        dram = 0.0
+        cxl = 0.0
+        for node, share in self.record_node_mix(key).items():
+            part = share * self._node_read_ns[node]
+            miss_ns += part
+            if topology.node(node).kind.is_cxl:
+                cxl += part
+            else:
+                dram += part
+        parts = self._miss_memo[key] = (miss_ns, dram, cxl)
+        return parts
 
     def average_miss_latency_ns(self, key: int) -> float:
         """Expected per-miss latency given the record's node mix."""
-        table = self._miss_table
-        if table is None:
-            table = self._build_miss_table()
-        if table is not False:
-            if not 0 <= key < self.num_keys:
-                raise WorkloadError(f"key {key} outside keyspace")
-            return float(table[key])
-        mix = self.record_node_mix(key)
-        return sum(share * self._node_read_ns[node]
-                   for node, share in mix.items())
+        return self._miss_parts(key)[0]
 
     def sample_service_parts(self, op: Operation, key: int
                              ) -> tuple[float, float, float]:
@@ -227,18 +208,9 @@ class KvStore:
 
         Splits :meth:`average_miss_latency_ns` by the kind of node
         backing each of the record's lines — the span layer's
-        DRAM-vs-CXL attribution.  Only called on spanned runs; uses the
-        exact per-node scalar path, no RNG.
+        DRAM-vs-CXL attribution.  Only called on spanned runs; no RNG.
         """
-        mix = self.record_node_mix(key)
-        dram = 0.0
-        cxl = 0.0
-        for node, share in mix.items():
-            part = share * self._node_read_ns[node]
-            if self.system.topology.node(node).kind.is_cxl:
-                cxl += part
-            else:
-                dram += part
+        _, dram, cxl = self._miss_parts(key)
         return dram, cxl
 
     def mean_service_ns(self, samples: int = 2000) -> float:

@@ -20,14 +20,14 @@ from .sim import (ClusterResult, ClusterSim, HostResult, LinkDown,
                   REROUTE_HOP_NS)
 from .topology import (ClusterTopology, Host, HostSpec, POOL_HOP_NS,
                        RECORD_BYTES)
-from .traffic import OpenLoopZipfian, Request
+from .traffic import OpenLoopZipfian
 
 __all__ = [
     "CircuitBreaker", "ClusterResult", "ClusterSim", "ClusterTopology",
     "HashShardRouter", "Host", "HostResult", "HostSpec", "HostView",
     "LeastLoadedRouter", "LinkDown", "OpenLoopZipfian", "POOL_HOP_NS",
     "PRESETS", "PoolAllocator", "PoolSlice", "RECORD_BYTES",
-    "REROUTE_HOP_NS", "Request", "ResiliencePolicy", "ResilienceStats",
+    "REROUTE_HOP_NS", "ResiliencePolicy", "ResilienceStats",
     "RetryBudget", "Router", "SHED_REJECT_NS", "SpillPlan",
     "hedge_delay_ns", "make_policy", "make_router", "parse_policy",
     "plan_spill",

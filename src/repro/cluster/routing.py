@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ClusterError, unknown_option
-from ..workloads.distributions import fnv1a_64
 
 
 @dataclass
@@ -103,8 +102,3 @@ def make_router(name: str) -> Router:
     if name not in ROUTERS:
         raise ClusterError(unknown_option("router", name, ROUTERS))
     return ROUTERS[name]()
-
-
-def scramble(key: int) -> int:
-    """The key-to-hashspace scrambler routing and residency share."""
-    return fnv1a_64(key)

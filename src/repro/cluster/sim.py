@@ -587,10 +587,17 @@ class ClusterSim:
             spans.record(req.index, req.arrival, segments,
                          kind="put" if req.is_write else "get")
 
+        # Owner and residency are pure functions of the key, so each
+        # distinct key pays its shard lookup and blake2b draw once.
+        placement: dict[int, tuple[int, bool]] = {}
+
         def submit(index: int, arrival: float, key: int,
                    is_write: bool) -> None:
-            req = _Request(index, arrival, key, is_write,
-                           topo.shard_of(key), self.pool_resident(key))
+            placed = placement.get(key)
+            if placed is None:
+                placed = placement[key] = (topo.shard_of(key),
+                                           self.pool_resident(key))
+            req = _Request(index, arrival, key, is_write, *placed)
             launch(req, 0, (), arrival, False, ())
 
         if self.link_down is not None:
@@ -602,9 +609,11 @@ class ClusterSim:
             engine.schedule_at(down.at_fraction * traffic.duration_ns,
                                kill_link)
 
-        for req in traffic.requests():
-            engine.schedule_at(req.arrival_ns, submit, req.index,
-                               req.arrival_ns, req.key, req.is_write)
+        for index, (arrival, key, is_write) in enumerate(zip(
+                traffic.arrival_ns.tolist(), traffic.keys.tolist(),
+                traffic.writes.tolist())):
+            engine.schedule_at(arrival, submit, index, arrival, key,
+                               is_write)
         engine.run()
 
         if completed[0] != requests:

@@ -8,31 +8,20 @@ queues build, hiding the p99 knee).
 
 All randomness is **pre-drawn** at construction from named substreams
 (:func:`repro.sim.rng.substream`), indexed by request: arrival gaps,
-key ranks, and write flags each come from their own stream.  Simulation
-order can never perturb the draws, which is what makes serial and
-``--jobs N`` cluster runs byte-identical and makes the trace a pure
-function of ``(seed, stream, parameters)``.
+key ranks, and write flags each come from their own stream (keys in
+one batch, equal to drawing them one by one).  Simulation order can
+never perturb the draws, which is what makes serial and ``--jobs N``
+cluster runs byte-identical and makes the trace a pure function of
+``(seed, stream, parameters)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ClusterError
 from ..sim.rng import DEFAULT_SEED, substream
 from ..workloads.distributions import ZipfianKeys
-
-
-@dataclass(frozen=True)
-class Request:
-    """One client request, placed on the arrival timeline."""
-
-    index: int
-    arrival_ns: float
-    key: int                           # global key in [0, keyspace)
-    is_write: bool
 
 
 class OpenLoopZipfian:
@@ -68,20 +57,11 @@ class OpenLoopZipfian:
             1e9 / qps, size=num_requests)
         self.arrival_ns = np.cumsum(gaps)
 
-        chooser = ZipfianKeys(keyspace, theta)
-        key_rng = substream(f"{stream}/keys", seed)
-        self.keys = np.fromiter(
-            (chooser.next_key(key_rng) for _ in range(num_requests)),
-            dtype=np.int64, count=num_requests)
+        self.keys = ZipfianKeys(keyspace, theta).next_keys(
+            substream(f"{stream}/keys", seed), num_requests)
 
         self.writes = substream(f"{stream}/writes", seed).random(
             num_requests) < write_fraction
-
-    def requests(self) -> list[Request]:
-        """The trace as arrival-ordered :class:`Request` records."""
-        return [Request(index=i, arrival_ns=float(self.arrival_ns[i]),
-                        key=int(self.keys[i]), is_write=bool(self.writes[i]))
-                for i in range(self.num_requests)]
 
     @property
     def duration_ns(self) -> float:

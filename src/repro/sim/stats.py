@@ -42,9 +42,11 @@ class LatencyRecorder:
             else Histogram(name)
 
     def record(self, latency_ns: float) -> None:
-        """Add one sample; negative latencies indicate a model bug."""
-        if latency_ns < 0:
-            raise ValueError(f"negative latency recorded: {latency_ns}")
+        """Add one sample; a negative or NaN latency is a model bug."""
+        if not latency_ns >= 0:       # also false for NaN
+            raise ValueError(
+                f"{self.name}: negative or NaN latency recorded: "
+                f"{latency_ns}")
         self._hist.record(latency_ns)
 
     def __len__(self) -> int:

@@ -19,6 +19,7 @@ here without regressing the hot DES loops.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from ..errors import TelemetryError
 
@@ -135,15 +136,22 @@ class Histogram:
         self._sum = 0.0
 
     def record(self, value: float) -> None:
-        """Add one observation; invalidates the percentile cache."""
+        """Add one observation; invalidates the percentile cache.
+
+        NaN is refused: it would land in an arbitrary bucket and break
+        the sort the percentiles rely on.
+        """
+        if value != value:
+            raise TelemetryError(f"histogram {self.name!r} recorded NaN")
         self._samples.append(value)
         self._sorted = None
         self._sum += value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self._counts[index] += 1
-                return
-        self._overflow += 1
+        # First bound >= value, i.e. the bucket with value <= bound.
+        index = bisect_left(self.buckets, value)
+        if index < len(self._counts):
+            self._counts[index] += 1
+        else:
+            self._overflow += 1
 
     def __len__(self) -> int:
         return len(self._samples)

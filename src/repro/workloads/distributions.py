@@ -12,6 +12,8 @@ variant spreading hot keys over the keyspace via FNV hashing.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import WorkloadError
@@ -30,6 +32,33 @@ def fnv1a_64(value: int) -> int:
         hashed ^= byte
         hashed = (hashed * _FNV_PRIME) % (1 << 64)
     return hashed
+
+
+def fnv1a_64_array(values: np.ndarray) -> np.ndarray:
+    """:func:`fnv1a_64` over a uint64 array, one byte lane at a time.
+
+    Array ``uint64`` products wrap modulo 2**64 silently, which is the
+    hash's own reduction; a scalar ``uint64`` product would instead warn
+    on overflow, so the whole computation stays on arrays.
+    """
+    values = np.asarray(values, dtype=np.uint64)
+    hashed = np.full(values.shape, _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    low_byte = np.uint64(0xFF)
+    for shift in range(0, 64, 8):
+        hashed ^= (values >> np.uint64(shift)) & low_byte
+        hashed *= prime
+    return hashed
+
+
+@lru_cache(maxsize=256)
+def _zeta_head(terms: int, theta: float) -> float:
+    """``sum(1 / i**theta for i in 1..terms)``, memoized per argument.
+
+    Every chooser construction, ``hot_mass`` query and workload-D insert
+    needs the same few heads, so each is summed once per process.
+    """
+    return sum(1.0 / i ** theta for i in range(1, terms + 1))
 
 
 class KeyChooser:
@@ -98,15 +127,18 @@ class ZipfianKeys(KeyChooser):
         # Exact for small n; Euler–Maclaurin tail for large n keeps this
         # O(1)-ish instead of summing millions of terms.
         cutoff = 10_000
-        head = sum(1.0 / i ** theta for i in range(1, min(n, cutoff) + 1))
+        head = _zeta_head(min(n, cutoff), theta)
         if n <= cutoff:
             return head
         tail = (n ** (1 - theta) - cutoff ** (1 - theta)) / (1 - theta)
         return head + tail
 
-    def next_rank(self, rng: np.random.Generator) -> int:
-        """Popularity rank (0 = hottest), Gray et al.'s method."""
-        u = rng.random()
+    def _rank(self, u: float) -> int:
+        """Gray et al.'s rank of the uniform draw ``u``.
+
+        Python float math on purpose: a vectorized ``pow`` may differ in
+        the last ulp and flip the ``int()`` truncation.
+        """
         uz = u * self._zetan
         if uz < 1.0:
             return 0
@@ -115,9 +147,29 @@ class ZipfianKeys(KeyChooser):
         return int(self.keyspace
                    * (self._eta * u - self._eta + 1) ** self._alpha)
 
+    def next_rank(self, rng: np.random.Generator) -> int:
+        """Popularity rank (0 = hottest), Gray et al.'s method."""
+        return self._rank(rng.random())
+
     def next_key(self, rng: np.random.Generator) -> int:
         rank = min(self.next_rank(rng), self.keyspace - 1)
         return fnv1a_64(rank) % self.keyspace
+
+    def next_keys(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` keys from one batch of uniforms, as int64.
+
+        Equal to ``[next_key(rng) for _ in range(n)]``: ``rng.random(n)``
+        yields the same uniforms as ``n`` scalar draws, each goes
+        through :meth:`_rank`, and the scramble is
+        :func:`fnv1a_64_array`.
+        """
+        rank = self._rank
+        last = self.keyspace - 1
+        ranks = np.fromiter((min(rank(u), last)
+                             for u in rng.random(n).tolist()),
+                            dtype=np.uint64, count=n)
+        return (fnv1a_64_array(ranks)
+                % np.uint64(self.keyspace)).astype(np.int64)
 
     def grow(self, new_keyspace: int) -> None:
         super().grow(new_keyspace)

@@ -1,5 +1,7 @@
 """Redis-YCSB study: placement, service model, DES server, Fig 6/7 shapes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,69 @@ class TestStorePlacement:
         store = study.build_store(WORKLOADS["A"], 0.5)
         mix = store.record_node_mix(123)
         assert sum(mix.values()) == pytest.approx(1.0)
+
+
+# sha256 of the float64 bytes of (a) the per-key miss latency over the
+# whole 220 000-key capacity and (b) miss_node_split on every 7th of the
+# first 200 000 keys, recorded from the former vectorized whole-keyspace
+# table.  The per-key memo must reproduce both bit for bit.
+MISS_LATENCY_SHA256 = {
+    0.0: ("fb01b88a3a114a04c69762c102db516ba3fd70bdbfb9955bb1c6f9a419ac9345",
+          "8b8895f9a9b17582ebd7b160c53ec1fc7687da754a755ba28c9930da090a01fe"),
+    1 / 31: ("049bdc9c499c1ad2e4e3b7b2bba290ec111e575880147d8b0e6be48b0454d9ca",
+             "963b04b253d77757bb066bb8ded2e81ecb95e67c8f99a16da033163daf4699ec"),
+    0.1: ("52686bfaf8d78b28e27e5aed53fbe3315dce93156d929d89b32c50b8e734162c",
+          "8b5be0cafa573d2a6b7692dce6c63b4507a2da83b865a2b19691e9817bfd4a04"),
+    0.5: ("b7aac890b05d3b2bef181b060092fe61dd7ca6d6003880162ad334018af20ba4",
+          "545933190270b3857ed32e4f357086fd8c7e6a33fce8c59cd478bc8ebf83f33e"),
+    1.0: ("4aa3dcfd492b0913c23b6719b10ecd493e3bd2470fd6df4ba2dc2147255c156e",
+          "80c0f0f14b0ed4b8996e64dec17a53340ca54ff0f120ef8e291d2939c3c42629"),
+}
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(
+        np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestMissLatencyPinned:
+    @pytest.mark.parametrize("fraction", sorted(MISS_LATENCY_SHA256))
+    def test_per_key_values_match_the_pinned_table(self, system, study,
+                                                   fraction):
+        # The study's stores hold 200 000 keys in 220 000 keys of
+        # capacity; a store with the same capacity fully populated has
+        # the same page map, so every capacity key can be queried.
+        capacity = int(study.num_keys * 1.1)
+        store = KvStore(system, study.policy_for_fraction(fraction),
+                        workload=WORKLOADS["A"], num_keys=capacity,
+                        capacity_keys=capacity)
+        try:
+            latency, split = MISS_LATENCY_SHA256[fraction]
+            assert _sha256([store.average_miss_latency_ns(key)
+                            for key in range(capacity)]) == latency
+            assert _sha256([store.miss_node_split(key) for key in
+                            range(0, study.num_keys, 7)]) == split
+        finally:
+            store.free()
+
+    def test_split_sums_to_the_miss_latency(self, study):
+        store = study.build_store(WORKLOADS["A"], 0.5)
+        try:
+            for key in (0, 3, 123, 199_999):
+                dram, cxl = store.miss_node_split(key)
+                assert dram + cxl == store.average_miss_latency_ns(key)
+        finally:
+            store.free()
+
+    def test_out_of_range_key_rejected(self, study):
+        store = study.build_store(WORKLOADS["A"], 0.5)
+        try:
+            with pytest.raises(WorkloadError):
+                store.average_miss_latency_ns(study.num_keys)
+            with pytest.raises(WorkloadError):
+                store.miss_node_split(-1)
+        finally:
+            store.free()
 
 
 class TestServiceModel:

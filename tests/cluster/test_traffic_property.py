@@ -99,12 +99,14 @@ class TestTraceShape:
         assert np.all(np.diff(trace.arrival_ns) >= 0)
         assert trace.offered_qps() == pytest.approx(200_000.0, rel=0.1)
 
-    def test_requests_view_round_trips_the_arrays(self):
-        trace = OpenLoopZipfian(qps=50_000.0, num_requests=50,
-                                keyspace=1_000, seed=9)
-        reqs = trace.requests()
-        assert [r.index for r in reqs] == list(range(50))
-        assert [r.key for r in reqs] == [int(k) for k in trace.keys]
+    def test_keys_equal_per_key_draws(self):
+        trace = OpenLoopZipfian(qps=50_000.0, num_requests=500,
+                                keyspace=1_000, theta=0.9, seed=9)
+        chooser = ZipfianKeys(1_000, 0.9)
+        rng = substream("cluster/keys", 9)
+        assert trace.keys.dtype == np.int64
+        assert trace.keys.tolist() == [chooser.next_key(rng)
+                                       for _ in range(500)]
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ClusterError):

@@ -64,6 +64,15 @@ class TestLatencyRecorder:
         with pytest.raises(ValueError):
             LatencyRecorder().record(-1.0)
 
+    def test_nan_latency_rejected_by_name(self):
+        rec = LatencyRecorder("host0-sojourn")
+        for value in (5.0, 1.0):
+            rec.record(value)
+        with pytest.raises(ValueError, match="host0-sojourn.*NaN"):
+            rec.record(float("nan"))
+        assert rec.samples == [5.0, 1.0]
+        assert rec.p50() == 3.0
+
     def test_empty_recorder_raises_on_stats(self):
         with pytest.raises(ValueError):
             LatencyRecorder().mean()

@@ -77,10 +77,22 @@ class TestHistogram:
 
     def test_bucket_counts(self):
         hist = Histogram("h", buckets=(10.0, 100.0))
-        for value in (1.0, 5.0, 50.0, 500.0):
+        # On-bound values belong to the bucket they bound (value <= bound).
+        for value in (1.0, 5.0, 10.0, 50.0, 100.0, 500.0):
             hist.record(value)
         pairs = hist.bucket_counts()
-        assert pairs == [(10.0, 2), (100.0, 1), (float("inf"), 1)]
+        assert pairs == [(10.0, 3), (100.0, 2), (float("inf"), 1)]
+
+    def test_nan_rejected_by_name(self):
+        hist = Histogram("kv-sojourn", buckets=(10.0, 100.0))
+        for value in (5.0, 1.0, 3.0):
+            hist.record(value)
+        with pytest.raises(TelemetryError, match="kv-sojourn.*NaN"):
+            hist.record(float("nan"))
+        assert hist.count == 3
+        assert (hist.min(), hist.p50(), hist.max()) == (1.0, 3.0, 5.0)
+        assert hist.bucket_counts() == [(10.0, 3), (100.0, 0),
+                                        (float("inf"), 0)]
 
     def test_non_increasing_buckets_rejected(self):
         with pytest.raises(TelemetryError):

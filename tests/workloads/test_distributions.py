@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import WorkloadError
 from repro.sim.rng import substream
 from repro.workloads import LatestKeys, UniformKeys, ZipfianKeys
-from repro.workloads.distributions import fnv1a_64
+from repro.workloads.distributions import fnv1a_64, fnv1a_64_array
 
 
 def draw(chooser, n=4000, name="keys"):
@@ -90,6 +90,50 @@ class TestZipfian:
             assert 0 <= zipf.next_key(rng) < keyspace
 
 
+def reference_zeta(n, theta):
+    """The unmemoized zeta: exact head to 10 000 terms, then the tail."""
+    cutoff = 10_000
+    head = sum(1.0 / i ** theta for i in range(1, min(n, cutoff) + 1))
+    if n <= cutoff:
+        return head
+    return head + (n ** (1 - theta) - cutoff ** (1 - theta)) / (1 - theta)
+
+
+class TestZipfianBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(keyspace=st.integers(min_value=1, max_value=10**7),
+           theta=st.floats(min_value=0.0, max_value=1.0,
+                           exclude_min=True, exclude_max=True),
+           n=st.integers(min_value=0, max_value=2000),
+           seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_next_keys_equals_scalar_draws(self, keyspace, theta, n, seed):
+        zipf = ZipfianKeys(keyspace, theta)
+        batch_rng = substream("batch", seed)
+        scalar_rng = substream("batch", seed)
+        batch = zipf.next_keys(batch_rng, n)
+        assert batch.dtype == np.int64
+        assert batch.tolist() == [zipf.next_key(scalar_rng)
+                                  for _ in range(n)]
+        # Both paths leave the generator at the same point.
+        assert batch_rng.random() == scalar_rng.random()
+
+    def test_memoized_zeta_matches_the_plain_sum(self):
+        for theta in (0.3, 0.99):
+            for n in (1, 2, 9_999, 10_000, 10_001, 10**7):
+                expected = reference_zeta(n, theta)
+                assert ZipfianKeys._zeta(n, theta) == expected
+                assert ZipfianKeys._zeta(n, theta) == expected   # cached
+
+    def test_memoized_hot_mass_matches_the_plain_sum(self):
+        for keyspace in (5_000, 1_000_000):
+            zipf = ZipfianKeys(keyspace)
+            for hot in (1, 4_000, 9_999, 10_000, 10_001, 50_000):
+                expected = min(1.0, reference_zeta(min(hot, keyspace), 0.99)
+                               / reference_zeta(keyspace, 0.99))
+                assert zipf.hot_mass(hot) == expected
+                assert zipf.hot_mass(hot) == expected
+
+
 class TestLatest:
     def test_favors_recent_keys(self):
         """Workload D reads 'the most recently inserted elements'."""
@@ -116,3 +160,15 @@ class TestFnv:
     def test_spreads_consecutive_inputs(self):
         hashes = {fnv1a_64(i) % 1000 for i in range(100)}
         assert len(hashes) > 80
+
+    def test_array_matches_scalar_on_edge_values(self):
+        edges = [0, 255, 256, 2**63, 2**64 - 1]
+        hashed = fnv1a_64_array(np.array(edges, dtype=np.uint64))
+        assert hashed.dtype == np.uint64
+        assert [int(h) for h in hashed] == [fnv1a_64(v) for v in edges]
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                    max_size=50))
+    def test_array_matches_scalar(self, values):
+        hashed = fnv1a_64_array(np.array(values, dtype=np.uint64))
+        assert [int(h) for h in hashed] == [fnv1a_64(v) for v in values]
