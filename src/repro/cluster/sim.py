@@ -427,6 +427,10 @@ class ClusterSim:
                 engine.schedule(hedge_wait, maybe_hedge, att)
 
         def on_deadline(att: _Attempt) -> None:
+            # The fired timer's args hold ``att``; dropping it breaks
+            # the attempt <-> timer cycle so the attempt is freed by
+            # reference counting, not left for the cycle collector.
+            att.timer = None
             req = att.req
             if req.settled or att.done:
                 return

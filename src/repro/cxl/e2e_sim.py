@@ -122,12 +122,6 @@ class CxlEndToEndSim:
         self.closed_page = closed_page
         self.fault_plan = fault_plan
 
-    def _map(self, line: int) -> tuple[int, int]:
-        lines_per_row = self.timings.lines_per_row
-        row_index = line // lines_per_row
-        return row_index % self.timings.banks, \
-            row_index // self.timings.banks
-
     def run(self, *, threads: int, lines_per_thread: int = 1500
             ) -> E2eResult:
         """Stream reads from ``threads`` pinned threads to completion."""
@@ -135,6 +129,7 @@ class CxlEndToEndSim:
             raise SimulationError(
                 "threads and lines_per_thread must be positive")
         engine = Engine(telemetry=self.telemetry)
+        schedule = engine.schedule
         tracer = self.telemetry.tracer
         traced = tracer.enabled
         latency_hist = self.telemetry.registry.histogram(
@@ -146,55 +141,60 @@ class CxlEndToEndSim:
             flit_ns *= injector.plan.link_slowdown
         hop_ns = self.port.phy.config.hop_latency_ns
         pack_ns = self.port.pack_ns
-        banks = [Bank(self.timings, i)
-                 for i in range(self.timings.banks)]
+        timings = self.timings
+        nbanks = timings.banks
+        burst_ns = timings.burst_ns
+        tfaw_ns = timings.tfaw_ns
+        controller_ns = self.controller_ns
+        closed_page = self.closed_page
+        banks = [Bank(timings, i) for i in range(nbanks)]
         # Stagger regions by a row so threads start in distinct banks.
-        row_lines = self.timings.lines_per_row
+        row_lines = timings.lines_per_row
+        stride = self.region_lines + row_lines
 
-        state = {"m2s_free_at": 0.0, "s2m_free_at": 0.0,
-                 "dram_bus_free_at": 0.0, "completed": 0,
-                 "last_done": 0.0}
+        m2s_free_at = 0.0
+        s2m_free_at = 0.0
+        dram_bus_free_at = 0.0
+        completed = 0
+        last_done = 0.0
         next_line = [0] * threads       # per-thread progress
         latencies: list[float] = []
         activate_times: deque[float] = deque(maxlen=4)
 
-        def respect_tfaw(at: float) -> float:
-            if len(activate_times) == 4:
-                at = max(at, activate_times[0] + self.timings.tfaw_ns)
-            activate_times.append(at)
-            return at
-
         # Hot path: per-request arguments ride through the event
-        # (engine.schedule(delay, fn, *args)) instead of a fresh
-        # closure per request — see docs/PERFORMANCE.md.  ``attempt``
-        # numbers the send for one line (1 = first issue); fault draws
-        # are keyed on (line, attempt) so retries re-roll while replays
-        # of the same decision never do.
-        def launch(thread: int) -> None:
-            if next_line[thread] >= lines_per_thread:
-                return
+        # (schedule(delay, fn, *args)) instead of a fresh closure per
+        # request, and the pipeline state lives in closure cells — see
+        # docs/PERFORMANCE.md.  ``attempt`` numbers the send for one
+        # line (1 = first issue); fault draws are keyed on (line,
+        # attempt) so retries re-roll while replays of the same
+        # decision never do.
+        def launch(thread: int, now: float) -> None:
             index = next_line[thread]
-            next_line[thread] += 1
-            line = (thread * (self.region_lines + row_lines)) + index
-            send(thread, line, engine.now, 1)
+            if index >= lines_per_thread:
+                return
+            next_line[thread] = index + 1
+            send(thread, thread * stride + index, now, 1)
 
         def send(thread: int, line: int, issued_at: float,
                  attempt: int) -> None:
+            nonlocal m2s_free_at
+            now = engine.now
             sends = REQUEST_FLITS if injector is None \
                 else injector.crc_transmissions(REQUEST_FLITS,
                                                 "m2s", line, attempt)
-            start = max(engine.now + pack_ns, state["m2s_free_at"])
-            state["m2s_free_at"] = start + sends * flit_ns
+            start = max(now + pack_ns, m2s_free_at)
+            m2s_free_at = start + sends * flit_ns
             if traced:
                 tracer.complete(TRACK_PORT, "m2s.memrd", start,
                                 sends * flit_ns, thread=thread)
-            arrive = state["m2s_free_at"] + hop_ns
-            engine.schedule(arrive - engine.now,
-                            device_handle, thread, line, issued_at,
-                            attempt)
+            arrive = m2s_free_at + hop_ns
+            schedule(arrive - now, device_handle, thread, line, issued_at,
+                     attempt)
 
         def device_handle(thread: int, line: int, issued_at: float,
                           attempt: int) -> None:
+            nonlocal dram_bus_free_at
+            now = engine.now
             if injector is not None \
                     and attempt <= injector.plan.max_retries \
                     and injector.timeout(line, attempt):
@@ -204,52 +204,59 @@ class CxlEndToEndSim:
                 injector.retried()
                 if traced:
                     tracer.instant(TRACK_WBUF, "fault-timeout",
-                                   engine.now, thread=thread)
-                engine.schedule(injector.plan.timeout_ns,
-                                send, thread, line, issued_at,
-                                attempt + 1)
+                                   now, thread=thread)
+                schedule(injector.plan.timeout_ns,
+                         send, thread, line, issued_at, attempt + 1)
                 return
-            bank_index, row = self._map(line)
+            row_index = line // row_lines
+            bank_index = row_index % nbanks
+            row = row_index // nbanks
             bank = banks[bank_index]
-            if self.closed_page:
+            if closed_page:
                 bank.open_row = None       # auto-precharged after use
-            issue_at = engine.now + self.controller_ns
+            issue_at = now + controller_ns
             if injector is not None:
                 stall = injector.stall_ns(line, attempt)
                 if stall:
                     if traced:
                         tracer.instant(TRACK_WBUF, "fault-stall",
-                                       engine.now, thread=thread)
+                                       now, thread=thread)
                     issue_at += stall
             if bank.open_row != row:
-                issue_at = respect_tfaw(issue_at)
+                # tFAW: at most four activates in any window.
+                if len(activate_times) == 4:
+                    issue_at = max(issue_at, activate_times[0] + tfaw_ns)
+                activate_times.append(issue_at)
             data_at, hit = bank.access(row, issue_at)
             # The device data bus serializes bursts.
-            burst_start = max(data_at, state["dram_bus_free_at"])
-            state["dram_bus_free_at"] = burst_start + self.timings.burst_ns
+            burst_start = max(data_at, dram_bus_free_at)
+            dram_bus_free_at = burst_start + burst_ns
             if traced:
                 tracer.complete(TRACK_DRAM, "burst", burst_start,
-                                self.timings.burst_ns, bank=bank_index,
-                                hit=hit)
-            engine.schedule(state["dram_bus_free_at"] - engine.now,
-                            respond, thread, line, issued_at, attempt)
+                                burst_ns, bank=bank_index, hit=hit)
+            schedule(dram_bus_free_at - now,
+                     respond, thread, line, issued_at, attempt)
 
         def respond(thread: int, line: int, issued_at: float,
                     attempt: int) -> None:
+            nonlocal s2m_free_at
+            now = engine.now
             sends = RESPONSE_FLITS if injector is None \
                 else injector.crc_transmissions(RESPONSE_FLITS,
                                                 "s2m", line, attempt)
-            start = max(engine.now, state["s2m_free_at"])
-            state["s2m_free_at"] = start + sends * flit_ns
+            start = max(now, s2m_free_at)
+            s2m_free_at = start + sends * flit_ns
             if traced:
                 tracer.complete(TRACK_PORT, "s2m.drs", start,
                                 sends * flit_ns, thread=thread)
-            done_at = state["s2m_free_at"] + hop_ns + pack_ns
-            engine.schedule(done_at - engine.now,
-                            complete, thread, line, issued_at, attempt)
+            done_at = s2m_free_at + hop_ns + pack_ns
+            schedule(done_at - now,
+                     complete, thread, line, issued_at, attempt)
 
         def complete(thread: int, line: int, issued_at: float,
                      attempt: int) -> None:
+            nonlocal completed, last_done
+            now = engine.now
             if injector is not None \
                     and attempt <= injector.plan.max_retries \
                     and injector.poisoned(line, attempt):
@@ -260,38 +267,38 @@ class CxlEndToEndSim:
                 injector.retried()
                 if traced:
                     tracer.instant(TRACK_PORT, "fault-poison",
-                                   engine.now, thread=thread)
-                engine.schedule(injector.plan.retry_backoff_ns,
-                                send, thread, line, issued_at,
-                                attempt + 1)
+                                   now, thread=thread)
+                schedule(injector.plan.retry_backoff_ns,
+                         send, thread, line, issued_at, attempt + 1)
                 return
-            state["completed"] += 1
-            state["last_done"] = engine.now
-            latencies.append(engine.now - issued_at)
-            latency_hist.record(engine.now - issued_at)
+            completed += 1
+            last_done = now
+            latency = now - issued_at
+            latencies.append(latency)
+            latency_hist.record(latency)
             if traced:
                 tracer.complete(TRACK_CORE, "read", issued_at,
-                                engine.now - issued_at, thread=thread)
-            launch(thread)      # the freed fill buffer refills
+                                latency, thread=thread)
+            launch(thread, now)     # the freed fill buffer refills
 
         for thread in range(threads):
             for _ in range(self.mlp_per_thread):
-                launch(thread)
+                launch(thread, 0.0)
         engine.run()
         expected = threads * lines_per_thread
-        if state["completed"] != expected:
+        if completed != expected:
             raise SimulationError(
-                f"only {state['completed']} of {expected} completed")
+                f"only {completed} of {expected} completed")
         row_hits = sum(b.row_hits for b in banks)
         row_misses = sum(b.row_misses for b in banks)
         registry = self.telemetry.registry
-        registry.counter("cxl.e2e.read.completed").inc(state["completed"])
+        registry.counter("cxl.e2e.read.completed").inc(completed)
         registry.counter("cxl.e2e.read.row_hits").inc(row_hits)
         registry.counter("cxl.e2e.read.row_misses").inc(row_misses)
         latencies.sort()
         return E2eResult(
-            threads=threads, completed=state["completed"],
-            elapsed_ns=state["last_done"],
+            threads=threads, completed=completed,
+            elapsed_ns=last_done,
             row_hits=row_hits, row_misses=row_misses,
             p50_ns=interpolate_percentile(latencies, 50.0),
             p99_ns=interpolate_percentile(latencies, 99.0),
@@ -370,6 +377,7 @@ class CxlWriteEndToEndSim:
             raise SimulationError(
                 "threads and lines_per_thread must be positive")
         engine = Engine(telemetry=self.telemetry)
+        schedule = engine.schedule
         tracer = self.telemetry.tracer
         traced = tracer.enabled
         injector = injector_for(self.fault_plan, stream="e2e-write",
@@ -378,117 +386,125 @@ class CxlWriteEndToEndSim:
         if injector is not None:
             flit_ns *= injector.plan.link_slowdown
         hop_ns = self.port.phy.config.hop_latency_ns
-        lines_per_row = self.timings.lines_per_row
-        banks = [Bank(self.timings, i)
-                 for i in range(self.timings.banks)]
+        timings = self.timings
+        nbanks = timings.banks
+        burst_ns = timings.burst_ns
+        lines_per_row = timings.lines_per_row
+        stride = self.region_lines + lines_per_row
+        issue_gap_ns = self.issue_gap_ns
+        controller_ns = self.controller_ns
+        buffer_entries = self.buffer_entries
+        request_flits = self.WRITE_REQUEST_FLITS
+        banks = [Bank(timings, i) for i in range(nbanks)]
 
-        state = {"m2s_free_at": 0.0, "dram_bus_free_at": 0.0,
-                 "credits": self.buffer_entries, "completed": 0,
-                 "last_done": 0.0, "stalls": 0}
+        m2s_free_at = 0.0
+        dram_bus_free_at = 0.0
+        credits = buffer_entries
+        completed = 0
+        last_done = 0.0
+        stalls = 0
         next_line = [0] * threads
         waiting_for_credit: deque[tuple[int, int]] = deque()
+        backlog_cap = threads * 12
+        stalled_threads: list[int] = []
 
-        def occupancy_sample() -> None:
-            tracer.count(TRACK_WBUF, "occupancy", engine.now,
-                         self.buffer_entries - state["credits"])
+        def occupancy_sample(now: float) -> None:
+            tracer.count(TRACK_WBUF, "occupancy", now,
+                         buffer_entries - credits)
 
         def thread_tick(thread: int) -> None:
             """A writer produces one line per issue gap, credits allowing."""
-            if next_line[thread] >= lines_per_thread:
-                return
+            nonlocal credits, stalls
             index = next_line[thread]
-            next_line[thread] += 1
-            line = thread * (self.region_lines + lines_per_row) + index
-            if state["credits"] > 0:
-                state["credits"] -= 1
+            if index >= lines_per_thread:
+                return
+            next_line[thread] = index + 1
+            line = thread * stride + index
+            if credits > 0:
+                credits -= 1
                 if traced:
-                    occupancy_sample()
+                    occupancy_sample(engine.now)
                 send(thread, line)
             else:
-                state["stalls"] += 1
+                stalls += 1
                 if traced:
                     tracer.instant(TRACK_WBUF, "credit-stall", engine.now,
                                    thread=thread)
                 waiting_for_credit.append((thread, line))
             # Pace the next store; a full WC pipeline stalls naturally
             # because the credit queue backs up.
-            if len(waiting_for_credit) < threads * 12:
-                engine.schedule(self.issue_gap_ns, thread_tick, thread)
+            if len(waiting_for_credit) < backlog_cap:
+                schedule(issue_gap_ns, thread_tick, thread)
             else:
                 stalled_threads.append(thread)
 
-        stalled_threads: list[int] = []
-
         def send(thread: int, line: int) -> None:
-            sends = self.WRITE_REQUEST_FLITS if injector is None \
-                else injector.crc_transmissions(self.WRITE_REQUEST_FLITS,
-                                                "m2s", line)
-            start = max(engine.now, state["m2s_free_at"])
-            state["m2s_free_at"] = start + sends * flit_ns
+            nonlocal m2s_free_at
+            now = engine.now
+            sends = request_flits if injector is None \
+                else injector.crc_transmissions(request_flits, "m2s", line)
+            start = max(now, m2s_free_at)
+            m2s_free_at = start + sends * flit_ns
             if traced:
                 tracer.complete(TRACK_PORT, "m2s.rwd", start,
-                                sends * flit_ns,
-                                thread=thread)
-            arrive = state["m2s_free_at"] + hop_ns
-            engine.schedule(arrive - engine.now, buffer_arrival, line)
+                                sends * flit_ns, thread=thread)
+            arrive = m2s_free_at + hop_ns
+            schedule(arrive - now, buffer_arrival, line)
 
         def buffer_arrival(line: int) -> None:
+            nonlocal dram_bus_free_at
+            now = engine.now
             # The controller is a pipeline stage (latency, not
             # occupancy); banks and the shared data bus serialize.
-            controller_ns = self.controller_ns
+            latency = controller_ns
             if injector is not None:
                 stall = injector.stall_ns("drain", line)
                 if stall:
                     if traced:
-                        tracer.instant(TRACK_WBUF, "fault-stall",
-                                       engine.now)
-                    controller_ns += stall
+                        tracer.instant(TRACK_WBUF, "fault-stall", now)
+                    latency += stall
             row_index = line // lines_per_row
-            bank = banks[row_index % self.timings.banks]
-            data_at, hit = bank.access(row_index // self.timings.banks,
-                                       engine.now + controller_ns)
-            burst_start = max(data_at, state["dram_bus_free_at"])
-            state["dram_bus_free_at"] = burst_start + self.timings.burst_ns
+            bank = banks[row_index % nbanks]
+            data_at, hit = bank.access(row_index // nbanks, now + latency)
+            burst_start = max(data_at, dram_bus_free_at)
+            dram_bus_free_at = burst_start + burst_ns
             if traced:
                 tracer.complete(TRACK_DRAM, "drain-burst", burst_start,
-                                self.timings.burst_ns,
-                                bank=bank.index, hit=hit)
-            engine.schedule(state["dram_bus_free_at"] - engine.now,
-                            drained)
+                                burst_ns, bank=bank.index, hit=hit)
+            schedule(dram_bus_free_at - now, drained)
 
         def drained() -> None:
-            state["completed"] += 1
-            state["last_done"] = engine.now
+            nonlocal completed, last_done, credits
+            completed += 1
+            last_done = engine.now
             if waiting_for_credit:
                 thread, line = waiting_for_credit.popleft()
                 send(thread, line)
                 if stalled_threads:
-                    resume = stalled_threads.pop()
-                    engine.schedule(self.issue_gap_ns,
-                                    thread_tick, resume)
+                    schedule(issue_gap_ns, thread_tick,
+                             stalled_threads.pop())
             else:
-                state["credits"] += 1
+                credits += 1
                 if traced:
-                    occupancy_sample()
+                    occupancy_sample(last_done)
 
         for thread in range(threads):
-            engine.schedule(thread * 0.5, thread_tick, thread)
+            schedule(thread * 0.5, thread_tick, thread)
         engine.run()
         expected = threads * lines_per_thread
-        if state["completed"] != expected:
+        if completed != expected:
             raise SimulationError(
-                f"only {state['completed']} of {expected} drained")
+                f"only {completed} of {expected} drained")
         row_hits = sum(b.row_hits for b in banks)
         row_misses = sum(b.row_misses for b in banks)
         registry = self.telemetry.registry
-        registry.counter("cxl.e2e.write.completed").inc(state["completed"])
-        registry.counter("cxl.e2e.write.credit_stalls").inc(
-            state["stalls"])
+        registry.counter("cxl.e2e.write.completed").inc(completed)
+        registry.counter("cxl.e2e.write.credit_stalls").inc(stalls)
         registry.counter("cxl.e2e.write.row_hits").inc(row_hits)
         registry.counter("cxl.e2e.write.row_misses").inc(row_misses)
         return E2eResult(
-            threads=threads, completed=state["completed"],
-            elapsed_ns=state["last_done"],
+            threads=threads, completed=completed,
+            elapsed_ns=last_done,
             row_hits=row_hits, row_misses=row_misses,
             faults_injected=injector.injected if injector else 0,
             faults_recovered=injector.recovered if injector else 0)

@@ -84,6 +84,14 @@ class Bank:
     def __init__(self, timings: DdrTimings, index: int) -> None:
         self.timings = timings
         self.index = index
+        # The timings are frozen; cache the ones ``access`` reads so the
+        # hot path skips the attribute chain and the ``burst_ns``
+        # property evaluation (same expression, so bit-identical).
+        self.burst_ns = timings.burst_ns
+        self.tcl_ns = timings.tcl_ns
+        self.trcd_ns = timings.trcd_ns
+        self.trp_ns = timings.trp_ns
+        self.tras_ns = timings.tras_ns
         self.open_row: int | None = None
         self.last_activate = -1e18
         self._next_cas_at = 0.0
@@ -111,12 +119,11 @@ class Bank:
             if self.open_row is not None:
                 # Respect tRAS before precharging the old row.
                 activate_at = max(activate_at,
-                                  self.last_activate
-                                  + self.timings.tras_ns)
-                activate_at += self.timings.trp_ns
+                                  self.last_activate + self.tras_ns)
+                activate_at += self.trp_ns
             self.open_row = row
             self.last_activate = activate_at
-            cas_at = activate_at + self.timings.trcd_ns
-        self._next_cas_at = cas_at + self.timings.burst_ns
-        data_at = cas_at + self.timings.tcl_ns
+            cas_at = activate_at + self.trcd_ns
+        self._next_cas_at = cas_at + self.burst_ns
+        data_at = cas_at + self.tcl_ns
         return data_at, hit

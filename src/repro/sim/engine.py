@@ -18,18 +18,24 @@ walked by index; arrivals that land inside the run's time span are
 ``bisect.insort``-ed after the walk cursor (a C-level binary search +
 memmove), while arrivals beyond it are appended, unsorted, to a
 *future* list.  When the current run is exhausted the future list is
-sorted wholesale (C Timsort over ``(time, seq, handle)`` tuples,
+sorted wholesale (C Timsort over ``[time, seq, callback, args]`` entries,
 near-linear on the mostly-ordered batches models actually generate)
 and swapped in as the next run.  :meth:`Engine.run` drains the current
 run in one interpreter loop — no per-event method call, no heap sift.
 ``tests/sim/test_engine_calendar.py`` pins the firing order against a
 recorded event-order golden.
 
-Cancellation is a tombstone flag on the handle; tombstones are skipped
-exactly once, at the queue head.  Callbacks can carry positional
-arguments through the event (``schedule(delay, fn, a, b)``), which lets
-hot models pass a bound method plus its arguments instead of allocating
-a fresh closure per request.
+Each event is one list ``[time, seq, callback, args]`` that is both
+the queue entry and the handle :meth:`Engine.schedule` returns, so an
+event costs one allocation.  ``seq`` is unique, so list comparison
+settles on ``(time, seq)`` and never reaches the callback.
+Cancellation tombstones the entry in place — its callback becomes
+``None`` and its args ``()``, dropping every reference the event held
+— and tombstones are skipped exactly once, at the queue head.
+Callbacks can carry positional arguments through the event
+(``schedule(delay, fn, a, b)``), which lets hot models pass a bound
+method plus its arguments instead of allocating a fresh closure per
+request.
 """
 
 from __future__ import annotations
@@ -45,21 +51,6 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 # passes this many entries; keeps long prescheduled runs from pinning
 # their whole history while staying amortized O(1) per event.
 _COMPACT_THRESHOLD = 65536
-
-
-class _Scheduled:
-    """A handle for one scheduled callback; cancellation is a tombstone."""
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., Any],
-                 args: tuple = ()) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
 
 
 class Engine:
@@ -85,9 +76,9 @@ class Engine:
         # ``_run_max`` (the current run's last time), so draining the
         # run before sorting the future preserves the global
         # (time, seq) order.
-        self._run_list: list[tuple[float, int, _Scheduled]] = []
+        self._run_list: list[list] = []
         self._pos = 0
-        self._future: list[tuple[float, int, _Scheduled]] = []
+        self._future: list[list] = []
         self._run_max = float("-inf")
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
@@ -103,28 +94,36 @@ class Engine:
         return self._processed
 
     def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any) -> _Scheduled:
+                 *args: Any) -> list:
         """Run ``callback(*args)`` at ``now + delay``; returns a
         cancellable handle."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
+        if callback is None:
+            raise SimulationError("schedule() needs a callback, got "
+                                  "callback=None")
         time = self._now + delay
-        seq = next(self._seq)
-        handle = _Scheduled(time, seq, callback, args)
+        entry = [time, next(self._seq), callback, args]
         if time > self._run_max:
-            self._future.append((time, seq, handle))
+            self._future.append(entry)
         else:
-            insort(self._run_list, (time, seq, handle), self._pos)
-        return handle
+            insort(self._run_list, entry, self._pos)
+        return entry
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any) -> _Scheduled:
+                    *args: Any) -> list:
         """Run ``callback(*args)`` at absolute time ``time``."""
         return self.schedule(time - self._now, callback, *args)
 
-    def cancel(self, handle: _Scheduled) -> None:
-        """Cancel a previously scheduled callback (idempotent)."""
-        handle.cancelled = True
+    def cancel(self, handle: list) -> None:
+        """Cancel a previously scheduled callback.
+
+        Idempotent, and a no-op once the event has fired.  The entry
+        drops its callback and args, so a cancelled timer no longer
+        keeps the objects it would have been called with alive.
+        """
+        handle[2] = None
+        handle[3] = ()
 
     def _advance(self) -> bool:
         """Position the walk cursor at the next live entry.
@@ -138,7 +137,7 @@ class Engine:
         n = len(run)
         while True:
             while pos < n:
-                if run[pos][2].cancelled:
+                if run[pos][2] is None:
                     pos += 1
                     continue
                 self._pos = pos
@@ -170,7 +169,7 @@ class Engine:
         if not self._advance():
             return False
         pos = self._pos
-        time, _seq, handle = self._run_list[pos]
+        time, _seq, callback, args = self._run_list[pos]
         if until is not None and time > until:
             return False
         self._pos = pos + 1
@@ -179,7 +178,7 @@ class Engine:
                 f"event at t={time} before now={self._now}")
         self._now = time
         self._processed += 1
-        handle.callback(*handle.args)
+        callback(*args)
         return True
 
     def _drain(self, until: float | None,
@@ -203,7 +202,10 @@ class Engine:
                     "model may not terminate")
             if pos >= len(run):
                 if not future:
-                    self._pos = pos
+                    # Every entry has fired: drop them, so a drained
+                    # engine pins none of their callbacks' arguments.
+                    run.clear()
+                    self._pos = 0
                     return executed
                 future.sort()
                 self._run_list = run = future
@@ -211,12 +213,10 @@ class Engine:
                 self._run_max = run[-1][0]
                 pos = 0
                 continue
-            entry = run[pos]
-            handle = entry[2]
-            if handle.cancelled:
+            time, _seq, callback, args = run[pos]
+            if callback is None:
                 pos += 1
                 continue
-            time = entry[0]
             if until is not None and time > until:
                 self._pos = pos
                 return executed
@@ -231,7 +231,7 @@ class Engine:
             self._now = now = time
             self._processed += 1
             executed += 1
-            handle.callback(*handle.args)
+            callback(*args)
             # A callback may have stepped the engine itself; re-sync
             # the cursor (schedule() insorts after it, so entries
             # before ``pos`` are never displaced).

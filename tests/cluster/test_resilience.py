@@ -10,6 +10,7 @@ shapes; this file pins the pieces.
 """
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.cluster import (
     parse_policy,
 )
 from repro.cluster.resilience import ZERO_POLICY
+from repro.cluster.sim import _Attempt
 from repro.errors import ClusterError
 from repro.faults import FaultPlan
 from repro.telemetry import SpanConfig, SpanRecorder, Telemetry
@@ -277,3 +279,32 @@ class TestSimIntegration:
         assert stats.hedges_launched > 0
         assert stats.hedge_wins == stats.ok_hedged
         assert stats.hedge_wins <= stats.hedges_launched
+
+
+class TestAttemptLifetime:
+    """Attempts die by reference counting, not by the cycle collector:
+    a deadline timer's args hold its attempt, so both the cancel path
+    and the fired-deadline path must break the attempt <-> timer
+    cycle, or peak memory follows GC cadence."""
+
+    @pytest.mark.parametrize("name", ["guarded", "unbudgeted",
+                                      "hedged-deadline"])
+    def test_no_attempt_outlives_the_run(self, name):
+        policy = PRESETS.get(name) or ResiliencePolicy(
+            deadline_ns=120_000.0, retries=2, hedge_quantile=0.95)
+        plans = {h: FaultPlan(stall_rate=0.1, stall_ns=80_000.0, seed=3)
+                 for h in range(3)}
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_sim(policy, fault_plans=plans,
+                             qps=220_000.0, telemetry=Telemetry(
+                                 spans=SpanRecorder(SpanConfig())))
+            leaked = sum(isinstance(obj, _Attempt)
+                         for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        stats = result.resilience
+        assert stats.deadline_exceeded + stats.ok_retried \
+            + stats.ok_hedged > 0      # deadlines or hedges did fire
+        assert leaked == 0

@@ -39,6 +39,15 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Engine().schedule(-1.0, lambda: None)
 
+    def test_none_callback_rejected(self):
+        # ``None`` marks a cancelled entry, so it can't be a callback.
+        eng = Engine()
+        with pytest.raises(SimulationError, match="callback"):
+            eng.schedule(1.0, None)
+        with pytest.raises(SimulationError, match="callback"):
+            eng.schedule_at(1.0, None)
+        assert eng.peek() is None
+
     def test_schedule_at_absolute_time(self):
         eng = Engine()
         eng.schedule(10.0, lambda: eng.schedule_at(25.0, lambda: None))

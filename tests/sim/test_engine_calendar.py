@@ -11,6 +11,7 @@ produced it event for event.
 """
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,60 @@ class TestTombstones:
         eng.run()
         assert eng.events_processed == 0
         assert eng.peek() is None
+
+
+class TestHandles:
+    """An event's queue entry is its handle: cancel tombstones it in
+    place and drops the callback and args it would have run with."""
+
+    def test_cancel_after_fire_is_a_no_op(self):
+        eng = Engine()
+        fired = []
+        handle = eng.schedule(5.0, fired.append, "once")
+        eng.schedule(10.0, fired.append, "after")
+        eng.step()
+        eng.cancel(handle)
+        eng.run()
+        assert fired == ["once", "after"]
+        assert eng.events_processed == 2
+
+    def test_cancel_twice_is_a_no_op(self):
+        eng = Engine()
+        fired = []
+        handle = eng.schedule(5.0, fired.append, "doomed")
+        eng.schedule(5.0, fired.append, "kept")
+        eng.cancel(handle)
+        eng.cancel(handle)
+        eng.run()
+        assert fired == ["kept"]
+        assert eng.events_processed == 1
+
+    def test_cancelled_handle_drops_callback_and_args(self):
+        class Payload:
+            pass
+
+        eng = Engine()
+        payload = Payload()
+        ref = weakref.ref(payload)
+        handle = eng.schedule(5.0, lambda p: None, payload)
+        del payload
+        assert ref() is not None        # the pending event holds it
+        eng.cancel(handle)
+        assert ref() is None
+        assert handle[2] is None and handle[3] == ()
+
+    def test_tombstones_do_not_count_as_processed(self):
+        eng = Engine()
+        fired = []
+        handles = [eng.schedule(float(i), fired.append, i)
+                   for i in range(6)]
+        for handle in handles[1::2]:
+            eng.cancel(handle)
+        eng.step_until(2.0)
+        assert eng.events_processed == 2
+        eng.run()
+        assert fired == [0, 2, 4]
+        assert eng.events_processed == 3
 
 
 class TestStepUntil:
