@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,18 +10,16 @@ import numpy as np
 from ...cpu.system import System
 from ...errors import WorkloadError
 from ...sim import Engine, LatencyRecorder
-from ...sim.process import Serve, spawn
 from ...sim.rng import substream
 from ...telemetry import NULL_TELEMETRY, Telemetry
-
-DSB_TRACK = "apps.dsb"
-from .service import StageRuntime
 from .socialnet import (
     MIXED_WORKLOAD,
     PARALLEL_GROUPS,
     RequestType,
     SocialNetwork,
 )
+
+DSB_TRACK = "apps.dsb"
 
 
 @dataclass(frozen=True)
@@ -53,78 +52,128 @@ class DsbRunner:
     def run(self, qps: float, *,
             mix: dict[RequestType, float] | None = None,
             requests: int = 4000) -> DsbResult:
-        """Drive ``requests`` arrivals at ``qps``; measure sojourn p99."""
-        if qps <= 0:
-            raise WorkloadError(f"QPS must be positive: {qps}")
+        """Drive ``requests`` arrivals at ``qps``; measure sojourn p99.
+
+        Each request walks its recipe on engine callbacks: a visit is a
+        :meth:`Server.acquire` grant that samples the service time and
+        schedules the visit's end, and the leg's position rides along
+        as callback arguments.  Compose-post's concurrent stages run as
+        separate legs that count down a per-request join.
+        """
+        if not 0 < qps < math.inf:
+            raise WorkloadError(
+                f"qps must be positive and finite: {qps}")
         if requests <= 0:
-            raise WorkloadError("requests must be positive")
-        mix = mix or MIXED_WORKLOAD
+            raise WorkloadError(f"requests must be positive: {requests}")
+        if mix is None:
+            mix = MIXED_WORKLOAD
+        if not mix:
+            raise WorkloadError("mix must name at least one request type")
+        for request, share in mix.items():
+            if not isinstance(request, RequestType):
+                raise WorkloadError(
+                    f"mix key {request!r} is not a RequestType")
+            if not share >= 0:       # also false for NaN
+                raise WorkloadError(
+                    f"mix[{request.value}] share must be non-negative: "
+                    f"{share}")
         if abs(sum(mix.values()) - 1.0) > 1e-9:
             raise WorkloadError("request mix must sum to 1")
 
         engine = Engine(telemetry=self.telemetry)
+        schedule = engine.schedule
         tracer = self.telemetry.tracer
         traced = tracer.enabled
         rng = substream(f"dsb-{self.seed}", self.seed)
+        random = rng.random
         sojourn = LatencyRecorder("dsb")
+        record = sojourn.record
         completed = [0]
         last_done = [0.0]
         types = list(mix.keys())
         shares = np.array([mix[t] for t in types])
 
-        # Per request type, flatten the recipe once into (fused Serve
-        # command, whole visits, fractional visit) triples — Serve is
-        # immutable and samples at grant time, so one instance per
-        # stage serves every request of the run byte-identically to
-        # the historical acquire/timeout/release triple per visit.
-        plans: dict[RequestType, tuple[list, list]] = {}
+        # Per request type, flatten the recipe once into the serial
+        # chain and the concurrent legs, each a tuple of
+        # (server, sampler, whole visits, fractional visit) steps.
+        serials: dict[RequestType, tuple] = {}
+        forks: dict[RequestType, tuple] = {}
         for request in types:
             group = PARALLEL_GROUPS[request]
             serial: list = []
-            forked: list = []
+            legs: list = []
             for stage, visits in self.network.recipe(request):
-                item = (Serve(stage.server, stage.sample_service_ns, rng),
-                        int(visits), visits - int(visits),
-                        stage.stage.name)
+                whole = int(visits)
+                step = (stage.server, stage.sample_service_ns, whole,
+                        visits - whole)
                 if stage.stage.name in group:
-                    forked.append(item)
+                    legs.append((step,))
                 else:
-                    serial.append(item[:3])
-            plans[request] = (serial, forked)
+                    serial.append(step)
+            serials[request] = tuple(serial)
+            forks[request] = tuple(legs)
 
-        def stage_visits(visit, whole: int, fractional: float):
-            for _ in range(whole):
-                yield visit
-            if fractional > 0 and rng.random() < fractional:
-                yield visit
+        def proceed(steps, index, left, done, state):
+            """Advance a leg to its next visit's acquire, or end it.
 
-        def request_body(request: RequestType, arrival: float):
-            serial, forked = plans[request]
-            for visit, whole, fractional in serial:
-                for _ in range(whole):
-                    yield visit
-                if fractional > 0 and rng.random() < fractional:
-                    yield visit
-            if forked:
-                # Fork the concurrent legs, then join them all — the
-                # compose-post pattern where media/text processing and
-                # the database writes overlap.
-                children = [spawn(engine,
-                                  stage_visits(visit, whole, fractional),
-                                  name=name, immediate=True)
-                            for visit, whole, fractional, name in forked]
-                for child in children:
-                    yield child
-            sojourn.record(engine.now - arrival)
+            ``left`` counts the whole visits still owed at
+            ``steps[index]``; at 0 the stage's fractional-visit coin is
+            due, and -1 moves on to the next stage.
+            """
+            while True:
+                if left > 0:
+                    left -= 1
+                elif (left == 0 and steps[index][3] > 0
+                      and random() < steps[index][3]):
+                    left = -1
+                else:
+                    index += 1
+                    if index == len(steps):
+                        done(state)
+                        return
+                    left = steps[index][2]
+                    continue
+                server = steps[index][0]
+                server.acquire(granted, server, steps, index, left, done,
+                               state)
+                return
+
+        def granted(server, steps, index, left, done, state):
+            # Service time is sampled at grant time.
+            schedule(steps[index][1](rng), finished, server, steps, index,
+                     left, done, state)
+
+        def finished(server, steps, index, left, done, state):
+            # Release first: a freed slot may grant a waiter that
+            # samples before this leg draws its next coin.
+            server.release()
+            proceed(steps, index, left, done, state)
+
+        def complete(state):
+            now = engine.now
+            arrival = state[2]
+            record(now - arrival)
             completed[0] += 1
-            last_done[0] = engine.now
+            last_done[0] = now
             if traced:
-                tracer.complete(DSB_TRACK, request.value, arrival,
-                                engine.now - arrival)
+                tracer.complete(DSB_TRACK, state[1].value, arrival,
+                                now - arrival)
 
-        def start_request(request: RequestType, arrival_time: float):
-            spawn(engine, request_body(request, arrival_time),
-                  name=request.value, immediate=True)
+        def fork(state):
+            # The compose-post pattern: media/text processing and the
+            # database writes overlap, and the reply waits for all.
+            legs = forks[state[1]]
+            if not legs:
+                complete(state)
+                return
+            state[0] = len(legs)
+            for leg in legs:
+                proceed(leg, -1, -1, join, state)
+
+        def join(state):
+            state[0] -= 1
+            if not state[0]:
+                complete(state)
 
         gaps = rng.exponential(1e9 / qps, size=requests)
         # One batched draw consumes the exact word stream of the
@@ -133,8 +182,10 @@ class DsbRunner:
         arrival = 0.0
         for index in range(requests):
             arrival += float(gaps[index])
-            engine.schedule_at(arrival, start_request,
-                               types[int(choices[index])], arrival)
+            request = types[int(choices[index])]
+            # state: [legs left to join, request type, arrival time]
+            engine.schedule_at(arrival, proceed, serials[request], -1, -1,
+                               fork, [0, request, arrival])
         engine.run()
 
         if completed[0] == 0:
@@ -148,11 +199,6 @@ class DsbRunner:
                          p99_ms=sojourn.p99() / 1e6,
                          mean_ms=sojourn.mean() / 1e6,
                          requests=completed[0])
-
-    @staticmethod
-    def _visit(engine: Engine, stage: StageRuntime, rng):
-        """One stage visit as a process command (fused acquire/serve/release)."""
-        yield Serve(stage.server, stage.sample_service_ns, rng)
 
     # -- convenience -----------------------------------------------------------
 

@@ -1,24 +1,22 @@
 """A small discrete-event simulation (DES) kernel.
 
 The engine drives the request-level application studies (Redis-YCSB,
-DeathStarBench) and the DSA offload pipeline, where *tail* latency — not
-just the mean — is the result the paper reports.
+DeathStarBench), where *tail* latency — not just the mean — is the
+result the paper reports, as well as the end-to-end CXL pipelines and
+the cluster pool.
 
 Public surface:
 
 * :class:`~repro.sim.engine.Engine` — the event loop and clock (ns).
-* :class:`~repro.sim.process.Process` and the command objects
-  (:class:`~repro.sim.process.Timeout`, …) — generator-based processes.
-* :class:`~repro.sim.resources.Server`,
-  :class:`~repro.sim.resources.Store` — contention primitives.
+* :class:`~repro.sim.resources.Server` — the capacity-``n`` FIFO
+  station models acquire and release by callback.
 * :class:`~repro.sim.stats.LatencyRecorder`,
   :class:`~repro.sim.stats.RateMeter` — measurement.
 * :func:`~repro.sim.rng.substream` — deterministic named RNG streams.
 """
 
 from .engine import Engine
-from .process import Process, Timeout, Acquire, Release, Serve, Get, Put, WaitEvent, Signal
-from .resources import Server, Store, SimEvent
+from .resources import Server
 from .stats import (
     LatencyRecorder,
     RateMeter,
@@ -30,18 +28,7 @@ from .rng import substream
 
 __all__ = [
     "Engine",
-    "Process",
-    "Timeout",
-    "Acquire",
-    "Release",
-    "Serve",
-    "Get",
-    "Put",
-    "WaitEvent",
-    "Signal",
     "Server",
-    "Store",
-    "SimEvent",
     "LatencyRecorder",
     "RateMeter",
     "percentile",

@@ -6,9 +6,9 @@ Design notes
 * Events scheduled for the same instant fire in scheduling order (a
   monotonically increasing sequence number breaks ties), which makes runs
   fully deterministic for a fixed seed.
-* The engine knows nothing about processes or resources; those layers
-  (:mod:`repro.sim.process`, :mod:`repro.sim.resources`) are built on the
-  two primitives here: :meth:`Engine.schedule` and :meth:`Engine.cancel`.
+* The engine knows nothing about resources or models; they are built on
+  the two primitives here, :meth:`Engine.schedule` and
+  :meth:`Engine.cancel` (:mod:`repro.sim.resources` is one such layer).
 
 Hot-path layout
 ---------------

@@ -1,8 +1,8 @@
-"""Contention primitives for the DES layer.
+"""The contention primitive of the DES layer.
 
-These are deliberately callback-based (the :class:`~repro.sim.process.Process`
-driver adapts them to generators) so that non-process code — e.g. the DSA
-engine model — can also use them directly.
+:class:`Server` is callback-based: a grant calls back with the
+arguments the requester passed, so models keep their per-request state
+in callback arguments instead of a closure or a process.
 """
 
 from __future__ import annotations
@@ -63,57 +63,3 @@ class Server:
             granted(*args)
         else:
             self._busy -= 1
-
-
-class Store:
-    """An unbounded FIFO buffer of items with blocking consumers."""
-
-    def __init__(self, name: str = "store") -> None:
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Callable[[Any], None]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``; wakes the oldest blocked consumer if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter(item)
-        else:
-            self._items.append(item)
-
-    def get(self, consumer: Callable[[Any], None]) -> None:
-        """Hand the oldest item to ``consumer``, blocking if empty."""
-        if self._items:
-            consumer(self._items.popleft())
-        else:
-            self._getters.append(consumer)
-
-
-class SimEvent:
-    """A one-shot broadcast event carrying an optional value."""
-
-    def __init__(self, name: str = "event") -> None:
-        self.name = name
-        self.fired = False
-        self.value: Any = None
-        self._waiters: list[Callable[[Any], None]] = []
-
-    def wait(self, waiter: Callable[[Any], None]) -> None:
-        """Register ``waiter``; fires immediately if already signalled."""
-        if self.fired:
-            waiter(self.value)
-        else:
-            self._waiters.append(waiter)
-
-    def signal(self, value: Any = None) -> None:
-        """Fire the event.  Signalling twice is an error by design."""
-        if self.fired:
-            raise SimulationError(f"event {self.name!r} signalled twice")
-        self.fired = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter(value)

@@ -182,6 +182,31 @@ class TestDesRuns:
         with pytest.raises(WorkloadError):
             runner.run(0.0)
 
+    def test_nan_qps_rejected(self, system):
+        runner = DsbRunner(system, database_node=system.LOCAL_NODE)
+        with pytest.raises(WorkloadError, match="qps"):
+            runner.run(float("nan"))
+
+    def test_empty_mix_rejected(self, system):
+        """Only ``mix=None`` means the mixed workload."""
+        runner = DsbRunner(system, database_node=system.LOCAL_NODE)
+        with pytest.raises(WorkloadError, match="mix"):
+            runner.run(100, mix={})
+
+    @pytest.mark.parametrize("share", [-0.5, float("nan")])
+    def test_negative_or_nan_share_rejected(self, system, share):
+        runner = DsbRunner(system, database_node=system.LOCAL_NODE)
+        mix = {RequestType.COMPOSE_POST: 1.5,
+               RequestType.READ_USER_TIMELINE: share}
+        with pytest.raises(WorkloadError,
+                           match=r"mix\[read-user-timeline\]"):
+            runner.run(100, mix=mix)
+
+    def test_non_request_type_key_rejected(self, system):
+        runner = DsbRunner(system, database_node=system.LOCAL_NODE)
+        with pytest.raises(WorkloadError, match="'compose-post'"):
+            runner.run(100, mix={"compose-post": 1.0})
+
     def test_p99_curve_labels_database_tier(self, system):
         dram = DsbRunner(system, database_node=system.LOCAL_NODE)
         cxl = DsbRunner(system, database_node=system.cxl_node_id)
