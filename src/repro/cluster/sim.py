@@ -32,13 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from ..apps.kvstore.store import (CPU_BASE_NS, CPU_JITTER_SIGMA,
                                   EFFECTIVE_MISSES_MEAN, MISS_JITTER_SIGMA)
 from ..errors import ClusterError
 from ..faults import FaultPlan
 from ..faults.injector import FaultInjector, injector_for
 from ..sim import Engine, LatencyRecorder, Server
-from ..sim.rng import decision_uniform, substream
+from ..sim.rng import decision_uniform, decision_uniforms, substream
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .resilience import (DEADLINE_WAIT, HEDGE_WAIT, RETRY_BACKOFF,
                          SHED_REJECT, SHED_REJECT_NS, ZERO_POLICY,
@@ -181,8 +183,7 @@ class _Attempt:
 
     __slots__ = ("req", "number", "prefix", "issue", "hedge", "target",
                  "reroute", "done", "abandoned", "timer", "fault_parts",
-                 "recoveries", "grant", "cpu", "misses", "mem_ns",
-                 "service")
+                 "recoveries", "grant", "service")
 
     def __init__(self, req: _Request, number: int, prefix: tuple,
                  issue: float, hedge: bool, target: int,
@@ -254,6 +255,32 @@ class ClusterSim:
         return decision_uniform(self.seed, "resident", owner, key) \
             < fraction
 
+    def placement(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Owner and residency of every key in ``keys``, as arrays.
+
+        Element for element ``(topology.shard_of(k), pool_resident(k))``
+        — the same checks and draws — but each distinct key is placed
+        once, and each host's residency draws run as one batch.
+        """
+        topo = self.topology
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        if len(distinct):
+            topo.shard_of(int(distinct[0]))      # the bounds check, on
+            topo.shard_of(int(distinct[-1]))     # both extremes
+        owners = distinct // topo.keys_per_host
+        resident = np.zeros(len(distinct), dtype=bool)
+        # Range partitioning: each host owns one run of the sorted keys.
+        edges = np.searchsorted(
+            distinct, np.arange(topo.num_hosts + 1) * topo.keys_per_host)
+        for host, lo, hi in zip(topo.hosts, edges, edges[1:]):
+            fraction = host.pool_fraction
+            if fraction > 0.0 and hi > lo:
+                draws = decision_uniforms(
+                    self.seed, "resident", host.index,
+                    keys=distinct[lo:hi].tolist())
+                resident[lo:hi] = np.array(draws) < fraction
+        return owners[inverse], resident[inverse]
+
     # -- the run -----------------------------------------------------------
 
     def run(self, qps: float, *, theta: float = 0.99,
@@ -280,6 +307,8 @@ class ClusterSim:
             qps=qps, num_requests=requests, keyspace=topo.total_keys,
             theta=theta, write_fraction=write_fraction, seed=self.seed)
         engine = Engine(telemetry=self.telemetry)
+        schedule, schedule_at = engine.schedule, engine.schedule_at
+        cancel = engine.cancel
         tracer = self.telemetry.tracer
         traced = tracer.enabled
         spans = self.telemetry.spans
@@ -313,14 +342,31 @@ class ClusterSim:
             pool_parts_by_host = [topo.pool_components(host)
                                   for host in range(topo.num_hosts)]
 
-        # Per-request randomness, pre-drawn and indexed by request so
-        # no simulation path can perturb another request's draws.
+        # Per-request placement and service inputs, computed for the
+        # whole trace before the run and indexed by request, so no
+        # simulation path can perturb another request's draws.  Each
+        # element equals the scalar expression in the same operation
+        # order: CPU work, then misses scaled by the write and LLC-hit
+        # factors, then misses times the owner's read path.
         n = requests
+        owners, residents = self.placement(traffic.keys)
         cpu_jitter = substream("cluster/cpu", self.seed).lognormal(
             0.0, CPU_JITTER_SIGMA, size=n)
         miss_jitter = substream("cluster/miss", self.seed).lognormal(
             0.0, MISS_JITTER_SIGMA, size=n)
         cache_u = substream("cluster/cache", self.seed).random(n)
+        misses = EFFECTIVE_MISSES_MEAN * miss_jitter
+        misses = np.where(traffic.writes, misses * WRITE_MISS_FACTOR,
+                          misses)
+        misses = np.where(cache_u < hit_prob,
+                          misses * CACHE_HIT_MISS_FACTOR, misses)
+        path_ns = np.where(residents, np.array(pool_ns_by_host)[owners],
+                           dram_ns)
+        cpu_ns = (CPU_BASE_NS * cpu_jitter).tolist()
+        mem_ns_of = (misses * path_ns).tolist()
+        misses_of = misses.tolist() if spanned else None
+        owners = owners.tolist()
+        residents = residents.tolist()
 
         link_up = [True] * topo.num_hosts
         link_injected = [0] * topo.num_hosts
@@ -333,6 +379,7 @@ class ClusterSim:
         last_completion = [0.0]
 
         budget = RetryBudget(policy.retry_budget)
+        note_admitted = budget.note_admitted
         breaker: CircuitBreaker | None = None
         if policy.breaking:
             # Reference latency: the unloaded mean service of the
@@ -348,30 +395,38 @@ class ClusterSim:
                 self.seed, policy.hedge_quantile,
                 miss_ns=max(pool_ns_by_host))
         deadline = policy.deadline_ns
+        retries = policy.retries
         shed_inflight = policy.shed_inflight
         counts = {"ok": 0, "ok_retried": 0, "ok_hedged": 0,
                   "deadline_exceeded": 0, "rejected": 0,
                   "hedges": 0, "hedge_wins": 0}
         wasted = [0.0]
+        # Sojourns in record order; recorded in one batch after the run.
+        cluster_sojourns: list[float] = []
+        host_sojourns: list[list[float]] = [[] for _ in topo.hosts]
+
+        # One view per host for the whole run, refreshed in place; the
+        # breaker and the exclude mask build their own lists.
+        views = [HostView(i) for i in range(topo.num_hosts)]
 
         def routable(exclude: tuple) -> list[HostView]:
-            views = [HostView(i, up=link_up[i],
-                              in_flight=servers[i].busy
-                              + servers[i].queue_depth)
-                     for i in range(topo.num_hosts)]
+            for view, server, up in zip(views, servers, link_up):
+                view.up = up
+                view.in_flight = server.in_flight
+            shown = views
             if breaker is not None:
-                views = breaker.filter_views(views, engine.now)
+                shown = breaker.filter_views(views, engine.now)
             if exclude:
                 masked = [HostView(view.index,
                                    up=view.up
                                    and view.index not in exclude,
                                    in_flight=view.in_flight)
-                          for view in views]
+                          for view in shown]
                 # Prefer an untried host, but a retry with nowhere new
                 # to go re-queues at a tried one rather than failing.
                 if any(view.up for view in masked):
                     return masked
-            return views
+            return shown
 
         def settle_failure(req: _Request, outcome: str,
                            segments: list) -> None:
@@ -385,7 +440,7 @@ class ClusterSim:
                 # The client *waited* this long for nothing: failures
                 # belong in the sojourn tail.  Rejections don't — the
                 # balancer turned them around in SHED_REJECT_NS.
-                cluster_sojourn.record(engine.now - req.arrival)
+                cluster_sojourns.append(engine.now - req.arrival)
             if spanned:
                 spans.record(req.index, req.arrival, segments,
                              kind="put" if req.is_write else "get")
@@ -402,17 +457,15 @@ class ClusterSim:
                 target = owner       # local DRAM keys never move
                 reroute = False
             server = servers[target]
-            if shed_inflight and server.busy + server.queue_depth \
-                    >= shed_inflight:
+            if shed_inflight and server.in_flight >= shed_inflight:
                 if hedge:
                     return           # the primary attempt carries on
-                engine.schedule(SHED_REJECT_NS, settle_failure, req,
-                                "rejected",
-                                [*prefix, (SHED_REJECT, SHED_REJECT_NS)])
+                schedule(SHED_REJECT_NS, settle_failure, req, "rejected",
+                         [*prefix, (SHED_REJECT, SHED_REJECT_NS)])
                 return
             primary = not (number or hedge)
             if primary:
-                budget.note_admitted()
+                note_admitted()
             req.outstanding += 1
             req.tried += (target,)
             if hedge:
@@ -420,11 +473,11 @@ class ClusterSim:
             att = _Attempt(req, number, prefix, issue, hedge, target,
                            reroute)
             if deadline > 0.0:
-                att.timer = engine.schedule_at(issue + deadline,
-                                               on_deadline, att)
+                att.timer = schedule_at(issue + deadline, on_deadline,
+                                        att)
             server.acquire(start, att)
             if primary and hedge_wait > 0.0 and req.resident:
-                engine.schedule(hedge_wait, maybe_hedge, att)
+                schedule(hedge_wait, maybe_hedge, att)
 
         def on_deadline(att: _Attempt) -> None:
             # The fired timer's args hold ``att``; dropping it breaks
@@ -436,7 +489,7 @@ class ClusterSim:
                 return
             att.abandoned = True
             req.outstanding -= 1
-            if not att.hedge and req.chain < policy.retries \
+            if not att.hedge and req.chain < retries \
                     and budget.allow():
                 req.chain += 1
                 chain = req.chain
@@ -446,9 +499,9 @@ class ClusterSim:
                     * (0.5 + decision_uniform(
                         self.seed, "resil-backoff", req.index, chain))
                 req.pending_retry = True
-                engine.schedule(backoff, relaunch, req, chain,
-                                att.prefix + ((DEADLINE_WAIT, deadline),
-                                              (RETRY_BACKOFF, backoff)))
+                schedule(backoff, relaunch, req, chain,
+                         att.prefix + ((DEADLINE_WAIT, deadline),
+                                       (RETRY_BACKOFF, backoff)))
                 return
             if req.outstanding == 0 and not req.pending_retry:
                 settle_failure(req, "deadline_exceeded",
@@ -481,20 +534,13 @@ class ClusterSim:
                 # recurse through the grant path.
                 att.done = True
                 if att.timer is not None:
-                    engine.cancel(att.timer)
+                    cancel(att.timer)
                 if not att.abandoned:
                     req.outstanding -= 1
-                engine.schedule(0.0, servers[target].release)
+                schedule(0.0, servers[target].release)
                 return
             index = req.index
-            cpu = CPU_BASE_NS * float(cpu_jitter[index])
-            misses = EFFECTIVE_MISSES_MEAN * float(miss_jitter[index])
-            if req.is_write:
-                misses *= WRITE_MISS_FACTOR
-            if float(cache_u[index]) < hit_prob:
-                misses *= CACHE_HIT_MISS_FACTOR
-            mem_ns = misses * (pool_ns_by_host[req.owner]
-                               if req.resident else dram_ns)
+            mem_ns = mem_ns_of[index]
             extra = REROUTE_HOP_NS if att.reroute else 0.0
             injector = injectors.get(target) if req.resident else None
             if injector is not None:
@@ -512,14 +558,11 @@ class ClusterSim:
                     injector.request_extras(*fault_key, reread_ns=mem_ns)
                 for _, part_ns in att.fault_parts:
                     extra += part_ns
-            service = cpu + mem_ns + extra
+            service = cpu_ns[index] + mem_ns + extra
             service_total[0] += service
             att.grant = engine.now
-            att.cpu = cpu
-            att.misses = misses
-            att.mem_ns = mem_ns
             att.service = service
-            engine.schedule(service, finish, att)
+            schedule(service, finish, att)
 
         def finish(att: _Attempt) -> None:
             req = att.req
@@ -527,7 +570,7 @@ class ClusterSim:
             servers[target].release()
             att.done = True
             if att.timer is not None:
-                engine.cancel(att.timer)
+                cancel(att.timer)
             if att.recoveries:
                 injector = injectors[target]
                 for _ in range(att.recoveries):
@@ -552,8 +595,8 @@ class ClusterSim:
             req.settled = req.won = True
             req.outstanding -= 1
             sojourn = now - req.arrival
-            cluster_sojourn.record(sojourn)
-            host_sojourn[target].record(sojourn)
+            cluster_sojourns.append(sojourn)
+            host_sojourns[target].append(sojourn)
             served[target] += 1
             completed[0] += 1
             last_completion[0] = now
@@ -572,36 +615,32 @@ class ClusterSim:
                 return
             # Ordered waterfall; the memory components use a residual
             # on the last entry so their sum closes exactly on mem_ns.
+            index = req.index
             segments = [*att.prefix, ("client.wait", att.grant - att.issue)]
             if att.reroute:
                 segments.append(("route.reroute", REROUTE_HOP_NS))
-            segments.append(("shard.cpu", att.cpu))
+            segments.append(("shard.cpu", cpu_ns[index]))
             parts = pool_parts_by_host[req.owner] if req.resident \
                 else dram_parts
+            mem_ns = mem_ns_of[index]
+            misses = misses_of[index]
             accounted = 0.0
             last = len(parts) - 1
             for pos, (part, per_miss) in enumerate(parts):
                 if pos == last:
-                    dur = att.mem_ns - accounted
+                    dur = mem_ns - accounted
                 else:
-                    dur = att.misses * per_miss
+                    dur = misses * per_miss
                     accounted += dur
                 segments.append((part, dur))
             segments.extend(att.fault_parts)
-            spans.record(req.index, req.arrival, segments,
+            spans.record(index, req.arrival, segments,
                          kind="put" if req.is_write else "get")
-
-        # Owner and residency are pure functions of the key, so each
-        # distinct key pays its shard lookup and blake2b draw once.
-        placement: dict[int, tuple[int, bool]] = {}
 
         def submit(index: int, arrival: float, key: int,
                    is_write: bool) -> None:
-            placed = placement.get(key)
-            if placed is None:
-                placed = placement[key] = (topo.shard_of(key),
-                                           self.pool_resident(key))
-            req = _Request(index, arrival, key, is_write, *placed)
+            req = _Request(index, arrival, key, is_write, owners[index],
+                           residents[index])
             launch(req, 0, (), arrival, False, ())
 
         if self.link_down is not None:
@@ -610,15 +649,16 @@ class ClusterSim:
             def kill_link() -> None:
                 link_up[down.host] = False
 
-            engine.schedule_at(down.at_fraction * traffic.duration_ns,
-                               kill_link)
+            schedule_at(down.at_fraction * traffic.duration_ns, kill_link)
 
         for index, (arrival, key, is_write) in enumerate(zip(
                 traffic.arrival_ns.tolist(), traffic.keys.tolist(),
                 traffic.writes.tolist())):
-            engine.schedule_at(arrival, submit, index, arrival, key,
-                               is_write)
+            schedule_at(arrival, submit, index, arrival, key, is_write)
         engine.run()
+        cluster_sojourn.extend(cluster_sojourns)
+        for recorder, sojourns in zip(host_sojourn, host_sojourns):
+            recorder.extend(sojourns)
 
         if completed[0] != requests:
             raise ClusterError(

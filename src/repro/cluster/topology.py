@@ -22,6 +22,7 @@ pool path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .. import build_system, combined_testbed
 from ..config import SystemConfig
@@ -38,6 +39,12 @@ POOL_HOP_NS = 70.0
 LLC_USABLE_FRACTION = 0.5
 """Share of a host's LLC realistically holding hot records (matches
 :mod:`repro.apps.kvstore.store`)."""
+
+
+def is_count(value: object) -> bool:
+    """True for a positive integer (numpy integers too, never a bool)."""
+    return isinstance(value, Integral) and not isinstance(value, bool) \
+        and value > 0
 
 
 @dataclass(frozen=True)
@@ -97,8 +104,11 @@ class ClusterTopology:
                  pool_bytes: int | None = None,
                  workers: int = 1,
                  testbed: SystemConfig | None = None) -> None:
-        if num_hosts <= 0:
-            raise ClusterError(f"need at least one host: {num_hosts}")
+        if not is_count(num_hosts):
+            raise ClusterError(f"need at least one host: {num_hosts!r}")
+        if not is_count(keys_per_host):
+            raise ClusterError(f"keys_per_host must be a positive "
+                               f"integer: {keys_per_host!r}")
         if not 0.0 <= pool_share <= 1.0:
             raise ClusterError(
                 f"pool_share must be in [0, 1]: {pool_share}")

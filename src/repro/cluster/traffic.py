@@ -17,11 +17,14 @@ cluster runs byte-identical and makes the trace a pure function of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ClusterError
 from ..sim.rng import DEFAULT_SEED, substream
 from ..workloads.distributions import ZipfianKeys
+from .topology import is_count
 
 
 class OpenLoopZipfian:
@@ -37,11 +40,13 @@ class OpenLoopZipfian:
     def __init__(self, *, qps: float, num_requests: int, keyspace: int,
                  theta: float = 0.99, write_fraction: float = 0.05,
                  seed: int = DEFAULT_SEED, stream: str = "cluster") -> None:
-        if qps <= 0:
-            raise ClusterError(f"offered qps must be positive: {qps}")
-        if num_requests <= 0:
+        if not (qps > 0 and math.isfinite(qps)):     # NaN fails both
             raise ClusterError(
-                f"num_requests must be positive: {num_requests}")
+                f"offered qps must be positive and finite: {qps}")
+        if not is_count(num_requests):
+            raise ClusterError(
+                f"num_requests must be a positive integer: "
+                f"{num_requests!r}")
         if not 0.0 <= write_fraction <= 1.0:
             raise ClusterError(
                 f"write_fraction must be in [0, 1]: {write_fraction}")

@@ -41,6 +41,11 @@ class Server:
         """Requests waiting for a slot."""
         return len(self._waiters)
 
+    @property
+    def in_flight(self) -> int:
+        """Requests holding or waiting for a slot (busy + queue depth)."""
+        return self._busy + len(self._waiters)
+
     def acquire(self, granted: Callable[..., None], *args: Any) -> None:
         """Claim a slot; ``granted(*args)`` fires immediately or when one
         frees.  Extra ``args`` ride through the wait queue, so hot

@@ -8,6 +8,7 @@ bandwidth for a fixed interval").  Both measurement styles live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..telemetry.metrics import Histogram, interpolate_percentile
 
@@ -48,6 +49,16 @@ class LatencyRecorder:
                 f"{self.name}: negative or NaN latency recorded: "
                 f"{latency_ns}")
         self._hist.record(latency_ns)
+
+    def extend(self, latencies_ns: Sequence[float]) -> None:
+        """:meth:`record` each sample in order; the batch is checked
+        whole before any sample is added."""
+        for latency_ns in latencies_ns:
+            if not latency_ns >= 0:   # also false for NaN
+                raise ValueError(
+                    f"{self.name}: negative or NaN latency recorded: "
+                    f"{latency_ns}")
+        self._hist.extend(latencies_ns)
 
     def __len__(self) -> int:
         return len(self._hist)

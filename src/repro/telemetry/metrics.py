@@ -19,7 +19,8 @@ here without regressing the hot DES loops.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from typing import Sequence
 
 from ..errors import TelemetryError
 
@@ -152,6 +153,35 @@ class Histogram:
             self._counts[index] += 1
         else:
             self._overflow += 1
+
+    def extend(self, values: Sequence[float]) -> None:
+        """:meth:`record` each value in order, in one call.
+
+        The raw samples, the bucket counts and ``_sum`` end up exactly
+        as after the :meth:`record` loop: the sum is sequential in
+        record order (not the compensated ``sum()``), and each bucket
+        is counted by bisecting the sorted batch.  That sort also
+        seeds the percentile cache of a histogram that was empty.  NaN
+        is refused before anything is added.
+        """
+        total = self._sum
+        for value in values:
+            if value != value:
+                raise TelemetryError(
+                    f"histogram {self.name!r} recorded NaN")
+            total += value
+        if not values:
+            return
+        ordered = sorted(values)
+        below = 0
+        for index, bound in enumerate(self.buckets):
+            upto = bisect_right(ordered, bound)     # values <= bound
+            self._counts[index] += upto - below
+            below = upto
+        self._overflow += len(ordered) - below
+        self._sorted = None if self._samples else ordered
+        self._samples.extend(values)
+        self._sum = total
 
     def __len__(self) -> int:
         return len(self._samples)

@@ -1,8 +1,11 @@
 """ClusterSim end-to-end behavior: topology, faults, and degradation."""
 
+import numpy as np
 import pytest
 
-from repro.cluster import ClusterSim, ClusterTopology, LinkDown
+from repro.cluster import (ClusterSim, ClusterTopology, LinkDown,
+                           OpenLoopZipfian)
+from repro.config import hetero_pooled_testbed
 from repro.errors import ClusterError
 from repro.faults import FaultPlan
 
@@ -120,6 +123,61 @@ class TestLinkDown:
             LinkDown(host=0, at_fraction=0.0)
         with pytest.raises(ClusterError):
             LinkDown(host=0, at_fraction=1.0)
+
+
+class TestPlacement:
+    """The up-front per-trace placement equals the per-key reference."""
+
+    @pytest.mark.parametrize("pool_share,hetero", [
+        (0.0, False), (0.5, False), (1.0, False), (0.5, True)])
+    def test_matches_shard_of_and_pool_resident(self, pool_share, hetero):
+        topo = ClusterTopology(
+            4, keys_per_host=5_000, pool_share=pool_share,
+            testbed=hetero_pooled_testbed(2) if hetero else None)
+        sim = ClusterSim(topo, seed=9)
+        keys = OpenLoopZipfian(qps=1e5, num_requests=3_000,
+                               keyspace=topo.total_keys, theta=0.9,
+                               seed=9).keys
+        owners, residents = sim.placement(keys)
+        assert owners.tolist() == [topo.shard_of(k) for k in keys.tolist()]
+        assert residents.tolist() == [sim.pool_resident(k)
+                                      for k in keys.tolist()]
+        share = residents.mean()
+        if pool_share in (0.0, 1.0):
+            assert share == pool_share
+        else:
+            assert 0.4 < share < 0.6
+
+    def test_keeps_the_keyspace_bounds_check(self):
+        sim = ClusterSim(small_topology(), seed=9)
+        for key in (-1, small_topology().total_keys):
+            with pytest.raises(ClusterError, match="outside keyspace"):
+                sim.placement(np.array([5, key], dtype=np.int64))
+
+
+class TestInputGuards:
+    """Bad run and topology inputs fail up front, naming the field."""
+
+    @pytest.mark.parametrize("qps", [float("nan"), float("inf"), 0.0])
+    def test_qps_must_be_positive_and_finite(self, qps):
+        with pytest.raises(ClusterError, match="qps"):
+            ClusterSim(small_topology(), seed=4).run(qps, requests=100)
+
+    @pytest.mark.parametrize("requests", [2.5, 0, True])
+    def test_requests_must_be_a_positive_integer(self, requests):
+        with pytest.raises(ClusterError, match="requests"):
+            ClusterSim(small_topology(), seed=4).run(1e5,
+                                                     requests=requests)
+
+    @pytest.mark.parametrize("keys", [0, -3, 10_000.0, 2.5])
+    def test_keys_per_host_must_be_a_positive_integer(self, keys):
+        with pytest.raises(ClusterError, match="keys_per_host"):
+            ClusterTopology(3, keys_per_host=keys)
+
+    def test_numpy_integers_are_counts(self):
+        topo = ClusterTopology(np.int64(2), keys_per_host=np.int64(5_000))
+        result = ClusterSim(topo, seed=4).run(1e5, requests=np.int64(50))
+        assert result.requests == 50
 
 
 class TestRouting:

@@ -68,7 +68,10 @@ class TestResourceDirectAPI:
         server.acquire(lambda: None)
         assert server.busy == 1
         assert server.queue_depth == 2
+        assert server.in_flight == 3
         assert server.max_queue_depth == 2
+        server.release()
+        assert server.in_flight == 2
 
     def test_acquire_forwards_args_through_wait_queue(self):
         server = Server(1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import LatencyRecorder, RateMeter, percentile
+from repro.sim.rng import decision_uniform, decision_uniforms
 
 
 class TestPercentile:
@@ -72,6 +73,38 @@ class TestLatencyRecorder:
             rec.record(float("nan"))
         assert rec.samples == [5.0, 1.0]
         assert rec.p50() == 3.0
+
+    def test_extend_equals_a_record_loop(self):
+        values = [float(v) for v in
+                  np.random.default_rng(3).lognormal(8.0, 1.5, 500)]
+        looped = LatencyRecorder("r")
+        for value in values:
+            looped.record(value)
+        batched = LatencyRecorder("r")
+        batched.extend(values[:200])
+        batched.extend(values[200:])
+        assert batched.samples == looped.samples
+        assert batched.histogram._sum == looped.histogram._sum
+        assert batched.histogram.bucket_counts() \
+            == looped.histogram.bucket_counts()
+        assert batched.summary() == looped.summary()
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_extend_rejects_bad_samples_by_name(self, bad):
+        rec = LatencyRecorder("cluster-sojourn")
+        rec.record(2.0)
+        with pytest.raises(ValueError,
+                           match="cluster-sojourn: negative or NaN"):
+            rec.extend([1.0, bad, 3.0])
+        assert rec.samples == [2.0]
+
+    def test_extend_with_nothing_is_a_no_op(self):
+        rec = LatencyRecorder()
+        rec.extend([])
+        assert len(rec) == 0
+        rec.record(7.0)
+        rec.extend([])
+        assert rec.samples == [7.0] and rec.p99() == 7.0
 
     def test_empty_recorder_raises_on_stats(self):
         with pytest.raises(ValueError):
@@ -163,3 +196,15 @@ class TestSubstream:
         from repro.sim import substream
         with pytest.raises(ValueError):
             substream("")
+
+
+class TestDecisionUniforms:
+    def test_batch_equals_one_draw_per_key(self):
+        keys = [0, 1, 7, 123_456, 10**12, -5]
+        for seed, prefix in ((1, ("resident", 0)), (7, ("resident", 3)),
+                             (0x5EED, ("s",))):
+            assert decision_uniforms(seed, *prefix, keys=keys) == [
+                decision_uniform(seed, *prefix, key) for key in keys]
+
+    def test_empty_batch(self):
+        assert decision_uniforms(1, "resident", 0, keys=[]) == []

@@ -1,5 +1,7 @@
 """Counter/gauge/histogram semantics and the registry."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -93,6 +95,74 @@ class TestHistogram:
         assert (hist.min(), hist.p50(), hist.max()) == (1.0, 3.0, 5.0)
         assert hist.bucket_counts() == [(10.0, 3), (100.0, 0),
                                         (float("inf"), 0)]
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
+                              allow_nan=False), max_size=60),
+           st.lists(st.floats(min_value=0.0, max_value=1e6,
+                              allow_nan=False), max_size=60))
+    def test_extend_equals_a_record_loop(self, head, batch):
+        looped = Histogram("h", buckets=(10.0, 1e3, 1e5))
+        batched = Histogram("h", buckets=(10.0, 1e3, 1e5))
+        for value in head:
+            looped.record(value)
+            batched.record(value)
+        if head:
+            batched.p50()          # the extend must drop this cache
+        for value in batch:
+            looped.record(value)
+        batched.extend(batch)
+        assert batched.samples == looped.samples
+        assert batched._sum == looped._sum        # bit-exact, in order
+        assert batched.bucket_counts() == looped.bucket_counts()
+        if looped.count:
+            for pct in (0.0, 50.0, 99.0, 100.0):
+                assert batched.percentile(pct) == looped.percentile(pct)
+            assert batched.mean() == looped.mean()
+
+    def test_extend_sum_is_sequential_not_compensated(self):
+        values = [1.0, 1e16, 1.0, -1e16]
+        looped = Histogram("h")
+        for value in values:
+            looped.record(value)
+        batched = Histogram("h")
+        batched.extend(values)
+        assert batched._sum == looped._sum == 0.0
+        # Compensated summation (math.fsum; sum() from Python 3.12 on)
+        # would give 2.0 here.
+        assert math.fsum(values) == 2.0
+
+    def test_extend_overflow_lands_past_the_last_bound(self):
+        hist = Histogram("h", buckets=(10.0, 100.0))
+        hist.extend([1.0, 10.0, 100.0, 101.0, 1e9])
+        assert hist.bucket_counts() == [(10.0, 2), (100.0, 1),
+                                        (float("inf"), 2)]
+
+    def test_extend_rejects_nan_by_name_before_adding(self):
+        hist = Histogram("kv-sojourn", buckets=(10.0, 100.0))
+        hist.record(5.0)
+        with pytest.raises(TelemetryError, match="kv-sojourn.*NaN"):
+            hist.extend([1.0, float("nan"), 3.0])
+        assert hist.samples == [5.0]
+        assert hist.bucket_counts() == [(10.0, 1), (100.0, 0),
+                                        (float("inf"), 0)]
+
+    def test_percentiles_stay_fresh_across_extend_and_record(self):
+        hist = Histogram("h")
+        hist.extend([30.0, 10.0, 20.0])       # seeds the sorted cache
+        assert (hist.min(), hist.p50(), hist.max()) == (10.0, 20.0, 30.0)
+        hist.record(5.0)
+        assert hist.min() == 5.0
+        hist.extend([40.0, 1.0])
+        assert (hist.min(), hist.max()) == (1.0, 40.0)
+        assert hist.samples == [30.0, 10.0, 20.0, 5.0, 40.0, 1.0]
+
+    def test_extend_with_nothing_is_a_no_op(self):
+        hist = Histogram("h")
+        hist.record(4.0)
+        assert hist.p50() == 4.0
+        hist.extend([])
+        assert hist.samples == [4.0]
+        assert hist.mean() == 4.0 and hist.p50() == 4.0
 
     def test_non_increasing_buckets_rejected(self):
         with pytest.raises(TelemetryError):
