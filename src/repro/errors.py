@@ -60,6 +60,10 @@ class ScenarioError(ReproError):
     """A declarative scenario could not be loaded, validated, or run."""
 
 
+class ResilienceError(ReproError):
+    """A supervision policy or checkpoint journal was misused."""
+
+
 def unknown_option(kind: str, name: object, options) -> str:
     """The uniform message for name-keyed factories: ``unknown <kind>
     <name>; available: [...]``.

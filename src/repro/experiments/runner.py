@@ -14,9 +14,10 @@ Examples::
 Repeated runs are served from the content-addressed result cache under
 ``results/.cache/`` (key: experiment id + parameters + a source-tree
 fingerprint, so any code edit invalidates automatically).  ``--jobs N``
-shards cache-miss experiments across ``N`` worker processes; results
-merge back in id order, so output and ``--save`` files are identical to
-a serial run's.  See docs/PERFORMANCE.md.
+runs cache-miss experiments on one pool of up to ``N`` worker processes
+that lives for the suite; results merge back in id order, so output and
+``--save`` files are identical to a serial run's.  See
+docs/PERFORMANCE.md.
 
 Observability (docs/OBSERVABILITY.md): figures print to **stdout**;
 progress, leveled log events, and errors go to **stderr** only, so
@@ -31,7 +32,8 @@ to ``results/.checkpoint/`` as they land, so SIGINT/SIGTERM drain
 gracefully and print a ``--resume`` hint; ``--resume`` replays the
 journal and runs only the remainder, byte-identical to an
 uninterrupted run.  ``--unit-timeout``/``--retries`` supervise worker
-units (kill+respawn with deterministic backoff); a unit that exhausts
+units (kill the worker, retry on a fresh one with deterministic
+backoff); a unit that exhausts
 its retries is reported per-unit instead of aborting the sweep
 (``--fail-fast`` opts back into aborting).  Corrupt cache entries are
 quarantined and recomputed, never fatal.  Exit codes: 0 = all checks
@@ -81,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write each result to DIR/<id>.txt "
                              "plus a machine-readable DIR/<id>.json")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run experiments across N worker processes "
+                        help="run experiments across up to N worker "
+                             "processes, capped at the usable CPUs "
                              "(default: 1, serial)")
     parser.add_argument("--faults", metavar="SPEC", default=None,
                         help="run under a degraded-mode fault plan, "
@@ -233,14 +236,16 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
              control: _SweepControl | None = None):
     """Run (or cache-load / journal-replay) ``ids`` in order.
 
-    Two-wave scheduling: experiments whose runners shard internally
-    (``accepts_jobs`` — the DES-heavy figures whose single-experiment
-    wall clock would otherwise bound the whole suite) run one at a time
-    in this process with all ``jobs`` workers on their sweep points;
-    everything else fans out one-experiment-per-worker under
-    :class:`~repro.resilience.SupervisedRunner`.  Either way the
-    result list comes back in id order and matches a serial run
-    byte-for-byte.
+    One wave on one worker pool: every cache-miss experiment is one
+    unit under :class:`~repro.resilience.SupervisedRunner`, submitted
+    ``accepts_jobs`` ids first so the long units start early, on a pool
+    of ``min(jobs, effective_cpu_count())`` workers that lives for the
+    whole suite.  Only when the suite has fewer cache-miss units than
+    workers (``--only figC --jobs 2``) and one of them ``accepts_jobs``
+    do the units run here one at a time, each sharding its own sweep
+    points onto that pool — unless ``--unit-timeout`` needs every unit
+    in a killable worker.  Either way the result list comes back in id
+    order and matches a serial run byte-for-byte.
 
     The cache key covers every result-shaping input: ``fast`` and, when
     given, the full fault-plan configuration — so a changed fault plan
@@ -257,7 +262,8 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
     after a graceful drain; ``journal`` is the
     :class:`~repro.resilience.CheckpointJournal` (or ``None``).
     """
-    from ..parallel import ResultCache, result_key
+    from ..parallel import ResultCache, effective_cpu_count, result_key
+    from ..parallel.runner import worker_pool
     from ..parallel.sweeps import run_experiment
     from ..resilience import (
         CheckpointJournal,
@@ -306,9 +312,10 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
             hooks.cache_hit(eid)
     for eid in misses:
         hooks.cache_miss(eid)
-    sharded = [eid for eid in misses
-               if jobs > 1 and REGISTRY[eid].accepts_jobs]
-    pooled = [eid for eid in misses if eid not in sharded]
+    units = sorted(misses, key=lambda eid: not REGISTRY[eid].accepts_jobs)
+    workers = min(jobs, effective_cpu_count()) if jobs > 1 else 1
+    lone = (0 < len(units) < workers and policy.timeout_s is None
+            and REGISTRY[units[0]].accepts_jobs)
     failures: dict[str, UnitFailure] = {}
     interrupted = False
 
@@ -343,13 +350,13 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
                 pass
 
     def on_result(index: int, result: ExperimentResult) -> None:
-        record(pooled[index], result)
+        record(units[index], result)
 
     def on_progress(event: str, index: int, total: int,
                     wall_s: float | None = None,
                     kind: str | None = None,
                     attempt: int | None = None) -> None:
-        eid = pooled[index]
+        eid = units[index]
         if event == "started":
             hooks.unit_started(eid)
         elif event == "finished":
@@ -363,72 +370,32 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
             hooks.reporter.unit_failed(eid, kind=kind or "exception",
                                        attempts=attempt or 1)
 
-    with profiler.collecting():
+    with profiler.collecting(), worker_pool(workers):
         with profiler.phase("pooled-experiments"):
-            runner = SupervisedRunner(jobs, policy=policy,
+            runner = SupervisedRunner(1 if lone else workers,
+                                      policy=policy,
                                       progress=on_progress,
-                                      names=pooled,
+                                      names=units,
                                       on_result=on_result)
             if control is not None:
                 control.attach(runner)
             try:
                 outcomes = runner.map(
                     run_experiment,
-                    [(eid, fast, 1, fault_plan, span_config,
-                      resilience)
-                     for eid in pooled])
+                    [(eid, fast, workers if lone else 1, fault_plan,
+                      span_config, resilience)
+                     for eid in units])
             except KeyboardInterrupt:
                 outcomes = []
                 interrupted = True
-        if runner.drained:
-            interrupted = True
-        for outcome in outcomes:
-            if outcome.ok:
-                continue
-            if outcome.failure.kind == "interrupted":
-                continue           # not poisoned — --resume reruns it
-            eid = pooled[outcome.index]
-            failures[eid] = outcome.failure
-            hooks.unit_failed(eid, outcome.failure, notify=False)
-        for eid in sharded:
-            if interrupted or (control is not None and control.requested):
-                interrupted = True
-                break
-            if policy.fail_fast and failures:
-                break
-            hooks.unit_started(eid)
-            attempt = 0
-            with profiler.phase(f"run:{eid}"):
-                while True:
-                    # Sharded runners execute in this process (their
-                    # sweep points own the worker pool), so supervision
-                    # covers retries but not wall-clock kills here.
-                    try:
-                        record(eid, REGISTRY[eid].run(
-                            fast=fast, jobs=jobs,
-                            fault_plan=fault_plan,
-                            span_config=span_config,
-                            resilience=resilience))
-                        hooks.unit_finished(eid)
-                    except KeyboardInterrupt:
-                        interrupted = True
-                    except Exception as exc:
-                        if attempt < policy.retries:
-                            attempt += 1
-                            hooks.unit_retry(eid, attempt=attempt,
-                                             kind="exception")
-                            time.sleep(policy.backoff_s(
-                                ids.index(eid), attempt))
-                            continue
-                        failure = UnitFailure(
-                            index=ids.index(eid), unit=eid,
-                            kind="exception", attempts=attempt + 1,
-                            message=str(exc))
-                        failures[eid] = failure
-                        hooks.unit_failed(eid, failure)
-                    break
-            if interrupted:
-                break
+    if runner.drained:
+        interrupted = True
+    for outcome in outcomes:
+        if outcome.ok or outcome.failure.kind == "interrupted":
+            continue               # not poisoned — --resume reruns it
+        eid = units[outcome.index]
+        failures[eid] = outcome.failure
+        hooks.unit_failed(eid, outcome.failure, notify=False)
     results = [(eid, cached[eid]) for eid in ids if eid in cached]
     return results, failures, interrupted, journal
 
@@ -605,14 +572,13 @@ def main(argv: list[str] | None = None) -> int:
 
         cpus = effective_cpu_count()
         if args.jobs > cpus:
-            # Oversubscribed pools *slow the suite down* (workers fight
-            # for the same cores); say so up front rather than leaving
-            # a suite.speedup < 1 surprise for repro-report --baseline.
+            # Workers beyond the usable cores would only fight for them,
+            # so _run_ids caps the pool; say so up front.
             runlog.warn("jobs-oversubscribed", jobs=args.jobs,
                         cpus=cpus)
             note = (f"note: --jobs {args.jobs} exceeds the "
                     f"{cpus} CPU(s) available to this process; "
-                    f"expect a slowdown, not a speedup")
+                    f"capping the worker count at {cpus}")
             if reporter is not None:
                 reporter.note(note)
     runlog.info("run-start", ids=" ".join(ids), jobs=args.jobs,

@@ -400,8 +400,9 @@ def main(argv: list[str] | None = None) -> int:
         if jobs > cpus:
             RUNLOG.warn("jobs-oversubscribed", jobs=jobs, cpus=cpus)
             print(f"note: --jobs {jobs} exceeds the {cpus} CPU(s) "
-                  f"available to this process; expect a slowdown, "
-                  f"not a speedup", file=sys.stderr)
+                  f"available to this process; capping the worker "
+                  f"count at {cpus}", file=sys.stderr)
+            args.jobs = cpus
     profiler = Profiler(enabled=bool(args.profile))
     started_at = datetime.now(timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ")

@@ -6,10 +6,12 @@ This package fans those units out across worker processes and folds the
 results (and their telemetry) back together so a parallel run is
 byte-identical to a serial one:
 
-* :class:`ParallelRunner` (:mod:`repro.parallel.runner`) — an ordered
-  ``map`` over a :class:`~concurrent.futures.ProcessPoolExecutor`;
-  ``jobs <= 1`` degenerates to an in-process loop so the serial path
-  stays exactly what it was.
+* :class:`ParallelRunner` (:mod:`repro.parallel.runner`) — the ordered
+  ``map`` of the one executor, on long-lived worker processes that a
+  whole ``repro-experiments`` suite shares
+  (:func:`~repro.parallel.runner.worker_pool`); ``jobs <= 1``
+  degenerates to an in-process loop so the serial path stays exactly
+  what it was.
 * :class:`ResultCache` (:mod:`repro.parallel.cache`) — a
   content-addressed store under ``results/.cache/`` keyed on
   ``(experiment id, config dict, package fingerprint)``; re-running an

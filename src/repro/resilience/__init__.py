@@ -7,10 +7,11 @@ to the harness that produces the figures: a hung worker, a crashed
 process, a corrupted cache entry, or a Ctrl-C must never throw away a
 sweep's completed work.
 
-* :mod:`repro.resilience.supervisor` — :class:`SupervisedRunner`, a
-  supervision layer over process fan-out: per-unit wall-clock timeouts
-  with kill+respawn, bounded retries with deterministic exponential
-  backoff + jitter (seeded via
+* :mod:`repro.resilience.supervisor` — :class:`SupervisedRunner`, the
+  failure-absorbing view of the one executor in
+  :mod:`repro.parallel.runner`: per-unit wall-clock timeouts that kill
+  the unit's worker (the pool forks a replacement), bounded retries
+  with deterministic exponential backoff + jitter (seeded via
   :func:`~repro.parallel.runner.unit_seed`, so serial and ``--jobs N``
   runs retry identically), crash classification (``timeout`` /
   ``exception`` / ``killed``), and a poison-unit policy that records a

@@ -28,8 +28,8 @@ import json
 import os
 from pathlib import Path
 
+from ..errors import ResilienceError
 from ..parallel.cache import package_fingerprint
-from .supervisor import ResilienceError
 
 DEFAULT_CHECKPOINT_DIR = Path("results") / ".checkpoint"
 CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"

@@ -1,475 +1,43 @@
 """Supervised fan-out: timeouts, retries, crash classification.
 
-:class:`~repro.parallel.runner.ParallelRunner` assumes every unit
-returns; one hung worker stalls the sweep forever and one crashed
-worker aborts it.  :class:`SupervisedRunner` is the supervision layer
-the experiment CLIs put between themselves and the pool:
-
-* **Per-unit wall-clock timeout** — a unit that exceeds
-  ``SupervisionPolicy.timeout_s`` is killed (SIGTERM, then SIGKILL)
-  and respawned if retries remain.
-* **Bounded retries** — exponential backoff with deterministic jitter.
-  The jitter stream is seeded via
-  :func:`~repro.parallel.runner.unit_seed` from ``(policy.seed, unit
-  index, attempt)`` and never touches the unit's own random stream, so
-  retried runs stay byte-identical to first-try runs and serial ≡
-  ``--jobs N`` is preserved.
-* **Crash classification** — every failure is one of
-  :data:`FAILURE_KINDS`: ``timeout`` (deadline exceeded), ``exception``
-  (the unit raised), ``killed`` (the worker process died without
-  reporting — OOM killer, SIGKILL, segfault), ``interrupted`` (a
-  graceful drain stopped it), or ``cancelled`` (``fail_fast`` stopped
-  scheduling after an earlier poison unit).
-* **Poison-unit policy** — a unit that exhausts its retries becomes a
-  structured :class:`UnitFailure` in the outcome list; the sweep keeps
-  going (unless ``fail_fast``) and the caller decides how to report.
-
-Execution modes
----------------
-``jobs <= 1`` with no timeout runs units inline — the exact serial
-code path, with retries wrapped around the call.  Any other
-configuration runs each unit in its **own** worker process (not a
-shared pool): killing one misbehaving unit then never poisons its
-siblings, and the parent classifies each death precisely from the
-child's exit status.  Units must be picklable module-level callables
-either way, exactly as :class:`ParallelRunner` requires.
+:class:`SupervisedRunner` is the failure-absorbing view of the one
+executor in :mod:`repro.parallel.runner`.  A unit past
+``SupervisionPolicy.timeout_s`` has its worker killed, and the pool
+forks a replacement for the next unit; a failed attempt is retried
+after a deterministic backoff; a unit that exhausts its retries
+becomes a structured :class:`UnitFailure` and the sweep keeps going
+unless ``fail_fast``.  ``jobs <= 1`` with no timeout runs units inline
+— the serial code path, with retries wrapped around the call.
 """
 
 from __future__ import annotations
 
-import signal
-import time
-import traceback
-from collections import deque
-from dataclasses import dataclass, field
-from random import Random
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
-from ..errors import ReproError
-from ..parallel.runner import unit_seed
+from ..errors import ResilienceError
+from ..parallel.runner import (
+    FAILURE_KINDS,
+    Executor,
+    SupervisionPolicy,
+    UnitFailure,
+    UnitOutcome,
+)
 
-FAILURE_KINDS = ("timeout", "exception", "killed", "interrupted",
-                 "cancelled")
-
-_POLL_INTERVAL_S = 0.2
-"""Upper bound on one supervision-loop wait, so drain requests and
-deadline checks stay responsive even while every worker is busy."""
+__all__ = ["FAILURE_KINDS", "ResilienceError", "SupervisedRunner",
+           "SupervisionPolicy", "UnitFailure", "UnitOutcome"]
 
 
-class ResilienceError(ReproError):
-    """A supervision policy or checkpoint journal was misused."""
-
-
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """How hard to try before declaring a unit poisoned.
-
-    The default policy is inert (no timeout, no retries) — exceptions
-    are still captured as failures instead of propagating, but nothing
-    is killed or re-run.
-    """
-
-    timeout_s: float | None = None     # per-unit wall clock (None: off)
-    retries: int = 0                   # respawns after the first attempt
-    backoff_base_s: float = 0.05       # first-retry delay
-    backoff_cap_s: float = 2.0         # delay ceiling
-    jitter: float = 0.25               # +/- fraction of the delay
-    seed: int = 0                      # jitter stream base seed
-    fail_fast: bool = False            # stop the sweep on first poison
-
-    def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ResilienceError(
-                f"timeout_s must be positive, got {self.timeout_s}")
-        if self.retries < 0:
-            raise ResilienceError(
-                f"retries must be >= 0, got {self.retries}")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ResilienceError("backoff must be >= 0")
-        if not 0 <= self.jitter <= 1:
-            raise ResilienceError(
-                f"jitter must be in [0, 1], got {self.jitter}")
-
-    def backoff_s(self, index: int, attempt: int) -> float:
-        """Delay before retry ``attempt`` (1-based) of unit ``index``.
-
-        Deterministic: depends only on ``(seed, index, attempt)``, so a
-        resumed or re-sharded sweep waits out the same schedule.
-        """
-        if attempt < 1:
-            raise ResilienceError(
-                f"retry attempt must be >= 1, got {attempt}")
-        base = min(self.backoff_base_s * (2 ** (attempt - 1)),
-                   self.backoff_cap_s)
-        rng = Random(unit_seed(self.seed, index) + attempt)
-        return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
-
-
-@dataclass(frozen=True)
-class UnitFailure:
-    """One poisoned unit, as structured data the ledger can carry."""
-
-    index: int
-    unit: str                          # display id (caller-provided)
-    kind: str                          # one of FAILURE_KINDS
-    attempts: int                      # tries actually made
-    message: str = ""
-    exit_code: int | None = None       # child exit status when it died
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAILURE_KINDS:
-            raise ResilienceError(
-                f"unknown failure kind {self.kind!r}; "
-                f"choose from {FAILURE_KINDS}")
-
-    def to_dict(self) -> dict:
-        return {"index": self.index, "unit": self.unit,
-                "kind": self.kind, "attempts": self.attempts,
-                "message": self.message, "exit_code": self.exit_code}
-
-    def __str__(self) -> str:
-        tail = f" (exit {self.exit_code})" \
-            if self.exit_code is not None else ""
-        detail = f": {self.message}" if self.message else ""
-        return (f"{self.unit}: {self.kind} after {self.attempts} "
-                f"attempt(s){tail}{detail}")
-
-
-@dataclass
-class UnitOutcome:
-    """What one unit produced: a value, or a :class:`UnitFailure`."""
-
-    index: int
-    value: Any = None
-    failure: UnitFailure | None = None
-    attempts: int = 1
-    retried: int = 0                   # attempts beyond the first
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-
-@dataclass
-class _Flight:
-    """One in-flight worker process (subprocess mode bookkeeping)."""
-
-    index: int
-    attempt: int                       # 0-based
-    proc: Any
-    conn: Any
-    deadline: float | None
-    started: float
-
-
-def _subprocess_unit(fn, item, conn):               # pragma: no cover
-    """Child entry point: run one unit, report over the pipe.
-
-    Children ignore SIGINT — the terminal delivers Ctrl-C to the whole
-    foreground process group, and unit lifetime must stay under the
-    supervisor's control (drain terminates them explicitly).
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):
-        pass
-    try:
-        result = fn(item)
-    except BaseException as exc:
-        try:
-            conn.send(("error", type(exc).__name__, str(exc),
-                       traceback.format_exc()))
-        except Exception:
-            pass
-    else:
-        conn.send(("ok", result))
-    finally:
-        conn.close()
-
-
-class SupervisedRunner:
+class SupervisedRunner(Executor):
     """An ordered, failure-absorbing ``map`` with kill+respawn.
 
-    ``progress`` (optional) is called as ``progress(event, index,
-    total, wall_s=None, kind=None, attempt=None)`` with ``event`` one
-    of ``"started"`` / ``"finished"`` / ``"retry"`` / ``"failed"`` —
-    a superset of the :class:`ParallelRunner` protocol.  It runs in
-    the parent only and must not touch the results.
-
-    ``on_result(index, value)`` (optional) fires in the parent as each
-    unit's value lands, in **completion** order — the checkpoint hook:
-    callers journal results immediately so an interrupt (or even a
-    SIGKILL of the parent) keeps everything already finished.  It must
-    be order-independent; the ordered outcome list from :meth:`map` is
-    still the only sequencing contract.
-
-    :meth:`request_drain` (signal-handler safe: it only sets a flag)
-    makes :meth:`map` stop launching units, terminate whatever is in
-    flight, and return promptly with the completed prefix intact —
-    the graceful half of checkpoint/resume.
+    ``progress(event, index, total, wall_s=None, kind=None,
+    attempt=None)`` sees ``"started"`` / ``"finished"`` / ``"retry"`` /
+    ``"failed"``.
     """
-
-    def __init__(self, jobs: int = 1,
-                 policy: SupervisionPolicy | None = None,
-                 progress: Callable[..., None] | None = None,
-                 names: Sequence[str] | None = None,
-                 on_result: Callable[[int, Any], None] | None = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
-        if jobs < 1:
-            raise ResilienceError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.policy = policy if policy is not None else SupervisionPolicy()
-        self.progress = progress
-        self.names = list(names) if names is not None else None
-        self.on_result = on_result
-        self.clock = clock
-        self.sleep = sleep
-        self._drain = False
-
-    @property
-    def drained(self) -> bool:
-        """True once a drain was requested (and honored by ``map``)."""
-        return self._drain
-
-    def request_drain(self) -> None:
-        """Ask the running ``map`` to wind down; safe from handlers."""
-        self._drain = True
-
-    # -- shared helpers ------------------------------------------------
-
-    def _name(self, index: int) -> str:
-        if self.names is not None and index < len(self.names):
-            return self.names[index]
-        return f"unit-{index}"
-
-    def _notify(self, event: str, index: int, total: int,
-                wall_s: float | None = None, kind: str | None = None,
-                attempt: int | None = None) -> None:
-        if self.progress is not None:
-            self.progress(event, index, total, wall_s=wall_s,
-                          kind=kind, attempt=attempt)
-
-    def _failure(self, index: int, kind: str, attempts: int,
-                 message: str = "",
-                 exit_code: int | None = None) -> UnitOutcome:
-        failure = UnitFailure(index=index, unit=self._name(index),
-                              kind=kind, attempts=attempts,
-                              message=message, exit_code=exit_code)
-        return UnitOutcome(index=index, failure=failure,
-                           attempts=attempts,
-                           retried=max(attempts - 1, 0))
-
-    # -- inline mode ---------------------------------------------------
-
-    def _map_inline(self, fn: Callable[[Any], Any],
-                    items: Sequence[Any]) -> list[UnitOutcome]:
-        total = len(items)
-        outcomes: list[UnitOutcome] = []
-        for index, item in enumerate(items):
-            if self._drain:
-                outcomes.append(self._failure(index, "interrupted", 0))
-                continue
-            attempt = 0
-            self._notify("started", index, total)
-            while True:
-                start = self.clock()
-                try:
-                    value = fn(item)
-                except KeyboardInterrupt:
-                    raise              # the caller's drain path owns it
-                except Exception as exc:
-                    if attempt < self.policy.retries and not self._drain:
-                        attempt += 1
-                        self._notify("retry", index, total,
-                                     kind="exception", attempt=attempt)
-                        self.sleep(self.policy.backoff_s(index, attempt))
-                        continue
-                    outcomes.append(self._failure(
-                        index, "exception", attempt + 1, str(exc)))
-                    self._notify("failed", index, total,
-                                 kind="exception", attempt=attempt + 1)
-                    break
-                else:
-                    outcomes.append(UnitOutcome(
-                        index=index, value=value, attempts=attempt + 1,
-                        retried=attempt))
-                    if self.on_result is not None:
-                        self.on_result(index, value)
-                    self._notify("finished", index, total,
-                                 wall_s=self.clock() - start)
-                    break
-            if self.policy.fail_fast and not outcomes[-1].ok:
-                for rest in range(index + 1, total):
-                    outcomes.append(self._failure(rest, "cancelled", 0))
-                break
-        return outcomes
-
-    # -- subprocess mode -----------------------------------------------
-
-    def _launch(self, fn, items, index: int, attempt: int,
-                running: dict) -> None:
-        import multiprocessing as mp
-        from multiprocessing import connection  # noqa: F401
-
-        ctx = mp.get_context()
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_subprocess_unit,
-                           args=(fn, items[index], send), daemon=True)
-        proc.start()
-        send.close()
-        now = self.clock()
-        deadline = now + self.policy.timeout_s \
-            if self.policy.timeout_s is not None else None
-        running[recv] = _Flight(index=index, attempt=attempt,
-                                proc=proc, conn=recv,
-                                deadline=deadline, started=now)
-
-    @staticmethod
-    def _reap(flight: _Flight) -> None:
-        """Kill one in-flight worker (SIGTERM, then SIGKILL) and reap."""
-        proc = flight.proc
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(0.5)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        else:
-            proc.join()
-        flight.conn.close()
-
-    def _map_subprocess(self, fn: Callable[[Any], Any],
-                        items: Sequence[Any]) -> list[UnitOutcome]:
-        from multiprocessing.connection import wait as conn_wait
-
-        total = len(items)
-        outcomes: list[UnitOutcome | None] = [None] * total
-        pending: deque[int] = deque(range(total))
-        retries: list[tuple[float, int, int]] = []   # (ready, idx, att)
-        running: dict[Any, _Flight] = {}
-        cancelled_kind: str | None = None
-
-        def settle(outcome: UnitOutcome) -> None:
-            outcomes[outcome.index] = outcome
-
-        def fail(flight: _Flight, kind: str, message: str = "",
-                 exit_code: int | None = None) -> None:
-            """Route one attempt's failure: retry it or poison it."""
-            nonlocal cancelled_kind
-            attempts = flight.attempt + 1
-            if flight.attempt < self.policy.retries \
-                    and not self._drain and cancelled_kind is None:
-                self._notify("retry", flight.index, total, kind=kind,
-                             attempt=attempts)
-                ready = self.clock() + self.policy.backoff_s(
-                    flight.index, attempts)
-                retries.append((ready, flight.index, attempts))
-                return
-            settle(self._failure(flight.index, kind, attempts,
-                                 message, exit_code))
-            self._notify("failed", flight.index, total, kind=kind,
-                         attempt=attempts)
-            if self.policy.fail_fast and cancelled_kind is None:
-                cancelled_kind = "cancelled"
-
-        while pending or retries or running:
-            now = self.clock()
-            if self._drain and cancelled_kind is None:
-                cancelled_kind = "interrupted"
-            if cancelled_kind is not None:
-                for index in pending:
-                    settle(self._failure(index, cancelled_kind, 0))
-                pending.clear()
-                for _, index, attempts in retries:
-                    settle(self._failure(index, cancelled_kind,
-                                         attempts))
-                retries.clear()
-                for flight in list(running.values()):
-                    self._reap(flight)
-                    settle(self._failure(flight.index, cancelled_kind,
-                                         flight.attempt + 1))
-                running.clear()
-                break
-            # Launch due retries first (they hold the oldest indices),
-            # then fresh units, up to the worker budget.
-            retries.sort()
-            while retries and retries[0][0] <= now \
-                    and len(running) < self.jobs:
-                _, index, attempt = retries.pop(0)
-                self._launch(fn, items, index, attempt, running)
-            while pending and len(running) < self.jobs:
-                index = pending.popleft()
-                self._notify("started", index, total)
-                self._launch(fn, items, index, 0, running)
-            if not running and not retries:
-                continue
-            # One bounded wait: the nearest deadline, retry-ready time,
-            # or the poll interval, whichever is soonest.
-            timeout = _POLL_INTERVAL_S
-            for flight in running.values():
-                if flight.deadline is not None:
-                    timeout = min(timeout, flight.deadline - now)
-            if retries:
-                timeout = min(timeout, retries[0][0] - now)
-            if running:
-                ready = conn_wait(list(running),
-                                  timeout=max(timeout, 0.0))
-            else:
-                # Only backoff waits remain: sleep them out instead of
-                # spinning (the bound keeps drain requests responsive).
-                self.sleep(min(max(timeout, 0.0), _POLL_INTERVAL_S))
-                ready = []
-            for conn in ready:
-                flight = running.pop(conn)
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                flight.proc.join()
-                conn.close()
-                if message is None:
-                    fail(flight, "killed",
-                         "worker died without reporting",
-                         exit_code=flight.proc.exitcode)
-                elif message[0] == "ok":
-                    settle(UnitOutcome(index=flight.index,
-                                       value=message[1],
-                                       attempts=flight.attempt + 1,
-                                       retried=flight.attempt))
-                    if self.on_result is not None:
-                        self.on_result(flight.index, message[1])
-                    self._notify("finished", flight.index, total,
-                                 wall_s=self.clock() - flight.started)
-                else:
-                    _, name, text, _trace = message
-                    fail(flight, "exception", f"{name}: {text}")
-            now = self.clock()
-            for conn, flight in list(running.items()):
-                if flight.deadline is not None and now >= flight.deadline:
-                    del running[conn]
-                    self._reap(flight)
-                    fail(flight, "timeout",
-                         f"exceeded {self.policy.timeout_s:g}s")
-        # Every index is settled exactly once: it sits in exactly one
-        # of pending / retries / running until its outcome lands, and
-        # the drain/fail-fast sweep settles all three collections.
-        return outcomes  # type: ignore[return-value]
-
-    # -- entry point ---------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any],
             specs: Iterable[Any]) -> list[UnitOutcome]:
-        """Run every spec under supervision; outcomes in spec order.
-
-        Never raises for a unit's own failure — poisoned units come
-        back as :class:`UnitFailure` outcomes.  After a drain request,
-        completed units keep their values and everything else is marked
-        ``interrupted``.
-        """
-        items: Sequence[Any] = list(specs)
-        if not items:
-            return []
-        if self.jobs <= 1 and self.policy.timeout_s is None:
-            return self._map_inline(fn, items)
-        return self._map_subprocess(fn, items)
+        """One outcome per spec, in spec order; never raises for a
+        unit's own failure.  After a drain, completed units keep their
+        values and the rest are marked ``interrupted``."""
+        return self.outcomes(fn, list(specs))

@@ -11,6 +11,9 @@ overrides them explicitly.
 
 import os
 import tempfile
+from multiprocessing.process import BaseProcess
+
+import pytest
 
 
 def pytest_configure(config):
@@ -24,3 +27,17 @@ def pytest_configure(config):
     os.environ.setdefault(
         "REPRO_CHECKPOINT_DIR",
         tempfile.mkdtemp(prefix="repro-test-checkpoint-"))
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The processes started from this process while the test runs."""
+    started = []
+    original = BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(BaseProcess, "start", start)
+    return started

@@ -1,9 +1,9 @@
-"""``effective_cpu_count`` and the ``--jobs`` oversubscription warning.
+"""``effective_cpu_count`` and the ``--jobs`` oversubscription note.
 
 Containers routinely report the machine's core count while pinning the
-process to fewer; ``--jobs`` above the usable count makes the suite
-*slower* (BENCH history: suite speedup 0.835 at ``--jobs 4`` on one
-CPU), so both CLIs warn up front.
+process to fewer; workers above the usable count would only fight for
+the same cores (BENCH history: suite speedup 0.835 at ``--jobs 4`` on
+one CPU), so both CLIs cap the worker count and say so up front.
 """
 
 import pytest
@@ -48,6 +48,21 @@ class TestExperimentsCliWarning:
         assert "jobs-oversubscribed" not in err
 
 
+class TestOneCpuRunsInline:
+    def test_jobs_2_starts_no_worker_and_matches_serial(
+            self, monkeypatch, capsys, starts):
+        from repro.experiments.runner import main
+
+        argv = ["fig2", "fig3", "scn-steady-baseline", "--no-cache",
+                "--no-ledger", "--no-checkpoint", "--no-progress"]
+        monkeypatch.setenv("REPRO_EFFECTIVE_CPUS", "1")
+        assert main(argv + ["--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert starts == []
+        assert main(argv) == 0
+        assert capsys.readouterr().out == parallel
+
+
 class TestMemoCliWarning:
     def test_oversubscribed_jobs_warns(self, monkeypatch, capsys):
         from repro.memo.cli import main
@@ -57,7 +72,7 @@ class TestMemoCliWarning:
                      "--no-ledger"]) == 0
         err = capsys.readouterr().err
         assert "jobs-oversubscribed" in err
-        assert "expect a slowdown" in err
+        assert "capping the worker count at 1" in err
 
 
 class TestProgressNote:

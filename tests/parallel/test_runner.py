@@ -1,12 +1,15 @@
 """ParallelRunner: ordered fan-out, serial degeneration, unit seeds."""
 
+import concurrent.futures
 import multiprocessing
+import os
 import time
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.parallel import ParallelRunner, unit_seed
+from repro.parallel.runner import worker_pool
 
 
 def _square(n):
@@ -15,6 +18,10 @@ def _square(n):
 
 def _blow_up(n):
     raise ValueError(f"unit {n} exploded")
+
+
+def _pid(n):
+    return os.getpid()
 
 
 def _crash_first_or_sleep(n):
@@ -74,6 +81,60 @@ class TestParallelRunner:
                                   list(range(12)))
         assert time.monotonic() - start < 2.0
         assert multiprocessing.active_children() == []
+
+
+class TestSuitePool:
+    """One pool per suite: maps reuse its workers, none builds its own."""
+
+    ARGV = ["--no-cache", "--no-ledger", "--no-checkpoint",
+            "--no-progress"]
+
+    @pytest.fixture
+    def no_executor(self, monkeypatch):
+        built = []
+        init = concurrent.futures.ProcessPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor,
+                            "__init__", counting_init)
+        monkeypatch.setenv("REPRO_EFFECTIVE_CPUS", "2")
+        return built
+
+    def test_maps_inside_a_pool_reuse_its_workers(self, starts):
+        with worker_pool(2):
+            first = ParallelRunner(2).map(_pid, range(6))
+            second = ParallelRunner(2).map(_pid, range(6))
+        assert len(starts) == 2
+        assert set(first) | set(second) <= {p.pid for p in starts}
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_2_suite_starts_two_workers(self, starts, no_executor,
+                                             capsys):
+        from repro.experiments.runner import main
+
+        ids = ["fig2", "fig3", "scn-steady-baseline"]
+        assert main(ids + self.ARGV + ["--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert len(starts) == 2
+        assert no_executor == []
+        assert multiprocessing.active_children() == []
+        assert main(ids + self.ARGV) == 0
+        assert capsys.readouterr().out == parallel
+
+    def test_lone_experiment_shards_onto_the_suite_pool(
+            self, starts, no_executor, capsys):
+        from repro.experiments.runner import main
+
+        assert main(["scn-steady-baseline", "--jobs", "2"]
+                    + self.ARGV) == 0
+        parallel = capsys.readouterr().out
+        assert len(starts) == 2
+        assert no_executor == []
+        assert main(["scn-steady-baseline"] + self.ARGV) == 0
+        assert capsys.readouterr().out == parallel
 
 
 class TestUnitSeed:

@@ -29,7 +29,10 @@ SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
 @pytest.fixture
 def sandbox(tmp_path, monkeypatch):
-    """Isolated cache / ledger / checkpoint roots for one test."""
+    """Isolated cache / ledger / checkpoint roots for one test, and two
+    usable CPUs, so ``--jobs 2`` supervises units in worker processes
+    on any host (one CPU would run them inline)."""
+    monkeypatch.setenv("REPRO_EFFECTIVE_CPUS", "2")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_LEDGER_PATH",
                        str(tmp_path / "runs.jsonl"))
@@ -49,6 +52,19 @@ class TestExperimentsFailures:
         assert "table1: exception" in out
         assert "injected crash" in out
         # The healthy sibling still rendered.
+        assert "[PASS]" in out
+
+    def test_sharding_experiment_crash_is_supervised(self, sandbox,
+                                                     monkeypatch,
+                                                     capsys):
+        # degraded-cxl accepts jobs; in a multi-id --jobs suite it is
+        # one supervised unit like any other, so the hook fires.
+        monkeypatch.setenv("REPRO_TEST_UNIT_CRASH", "degraded-cxl")
+        rc = experiments_main(["--no-cache", "--jobs", "2",
+                               "degraded-cxl", "fig3", "--no-progress"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "degraded-cxl: exception" in out
         assert "[PASS]" in out
 
     def test_failure_recorded_in_ledger(self, sandbox, monkeypatch,

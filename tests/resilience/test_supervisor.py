@@ -1,11 +1,14 @@
 """SupervisedRunner: timeouts, retries, crash classification, drain."""
 
+import multiprocessing
 import os
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.parallel import ParallelRunner
+from repro.parallel.sweeps import KILL_ENV, _apply_test_faults
 from repro.resilience import (
     FAILURE_KINDS,
     SupervisedRunner,
@@ -36,6 +39,17 @@ def _die_silently(n):
 def _hang(n):
     time.sleep(60)
     return n
+
+
+def _pid_or_hang(name):
+    if name == "hang":
+        time.sleep(60)
+    return os.getpid()
+
+
+def _faulted_pid(name):
+    _apply_test_faults(name)
+    return os.getpid()
 
 
 def _flaky_marker(marker):
@@ -279,3 +293,53 @@ class TestSubprocess:
             2, on_result=lambda i, v: landed.append((i, v))).map(
             _square, [2, 3])
         assert sorted(landed) == [(0, 4), (1, 9)]
+
+
+class TestPersistentWorkers:
+    """Workers outlive units; a killed worker is replaced on demand."""
+
+    def test_hung_worker_killed_while_sibling_finishes(self, starts):
+        policy = SupervisionPolicy(timeout_s=1.0)
+        outcomes = SupervisedRunner(2, policy=policy).map(
+            _pid_or_hang, ["hang", "a", "b", "c"])
+        assert [o.index for o in outcomes] == [0, 1, 2, 3]
+        assert outcomes[0].failure.kind == "timeout"
+        assert all(o.ok for o in outcomes[1:])
+        # One long-lived sibling served every other unit.
+        assert len({o.value for o in outcomes[1:]}) == 1
+        assert len(starts) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_timed_out_worker_replaced_for_next_units(self, starts):
+        policy = SupervisionPolicy(timeout_s=0.5)
+        outcomes = SupervisedRunner(1, policy=policy).map(
+            _pid_or_hang, ["hang", "a", "b"])
+        assert [o.failure.kind for o in outcomes[:1]] == ["timeout"]
+        assert outcomes[1].value == outcomes[2].value
+        assert len(starts) == 2
+
+    def test_killed_worker_replaced_for_next_unit(self, starts,
+                                                  monkeypatch):
+        monkeypatch.setenv(KILL_ENV, "victim")
+        policy = SupervisionPolicy(timeout_s=30)
+        outcomes = SupervisedRunner(1, policy=policy).map(
+            _faulted_pid, ["victim", "a", "b"])
+        assert outcomes[0].failure.kind == "killed"
+        assert outcomes[0].failure.exit_code == 137
+        assert outcomes[1].ok and outcomes[1].value == outcomes[2].value
+        assert outcomes[1].value != os.getpid()
+        assert len(starts) == 2
+
+    def test_finished_wall_is_the_units_own_run_time(self):
+        walls = {}
+
+        def progress(event, index, total, wall_s=None, **kwargs):
+            if event == "finished":
+                walls[index] = wall_s
+
+        ParallelRunner(2, progress=progress).map(time.sleep,
+                                                 [0.4, 0.4, 0.0])
+        assert 0.4 <= walls[0] < 1.0 and 0.4 <= walls[1] < 1.0
+        # The third unit queued behind the first two: its wall time
+        # excludes that wait.
+        assert walls[2] < 0.2
