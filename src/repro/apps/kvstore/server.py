@@ -9,13 +9,14 @@ sojourn time (queue wait + service) is what the p99 curves plot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ...errors import WorkloadError
 from ...sim import Engine, LatencyRecorder, Server
 from ...sim.rng import substream
 from ...telemetry import NULL_TELEMETRY, Telemetry
-from ...workloads.ycsb import Operation
+from ...units import is_count
 from .store import KvStore
 
 KVSTORE_TRACK = "apps.kvstore"
@@ -66,10 +67,12 @@ class KvServer:
 
     def run(self, target_qps: float, *, requests: int = 20_000) -> RunResult:
         """Simulate ``requests`` queries at ``target_qps`` offered load."""
-        if target_qps <= 0:
-            raise WorkloadError(f"QPS must be positive: {target_qps}")
-        if requests <= 0:
-            raise WorkloadError(f"requests must be positive: {requests}")
+        if not 0 < target_qps < math.inf:
+            raise WorkloadError(
+                f"target_qps must be positive and finite: {target_qps}")
+        if not is_count(requests):
+            raise WorkloadError(
+                f"requests must be a positive integer: {requests!r}")
         if (self.workers == 1 and not self.telemetry.enabled
                 and not self.telemetry.spans.enabled):
             # A capacity-1 FIFO station needs no event queue: the
@@ -83,7 +86,11 @@ class KvServer:
 
         Runs whenever workers contend, or a tracer or span recorder
         needs real event interleaving; it is also the reference the
-        fast path is tested against.  Request state rides through
+        fast path is tested against.  The requests are drawn up front
+        with :meth:`KvStore.sample_requests`: the FIFO :class:`Server`
+        grants in arrival order, which is the order the trace is drawn
+        in, so request ``index`` reads entry ``index``.  Only the
+        request index, arrival time and grant time ride through
         :meth:`Server.acquire` and :meth:`Engine.schedule` as callback
         arguments, so no closure is allocated per request.
         """
@@ -104,51 +111,49 @@ class KvServer:
         mean_gap_ns = 1e9 / target_qps
 
         def start(index: int, arrival_time: float) -> None:
-            op = store.workload.next_operation(arrivals)
-            if op is Operation.INSERT:
-                # Workload D: new records append and become the
-                # "latest" keys subsequent reads favor.
-                key = store.insert_record()
-            else:
-                key = store.chooser.next_key(arrivals)
-            cpu, misses, miss_ns = store.sample_service_parts(op, key)
-            service = cpu + misses * miss_ns
+            service = services[index]
             service_total[0] += service
-            engine.schedule(service, finish, index, arrival_time, op,
-                            key, cpu, misses, miss_ns, engine.now)
+            engine.schedule(service, finish, index, arrival_time,
+                            engine.now)
 
-        def finish(index: int, arrival_time: float, op: Operation,
-                   key: int, cpu: float, misses: float, miss_ns: float,
-                   grant: float) -> None:
+        def finish(index: int, arrival_time: float, grant: float) -> None:
             server.release()
             now = engine.now
             sojourn.record(now - arrival_time)
             completed[0] += 1
             last_completion[0] = now
             if traced:
-                tracer.complete(KVSTORE_TRACK, op.value, arrival_time,
-                                now - arrival_time, request=index)
+                tracer.complete(KVSTORE_TRACK, ops[index].value,
+                                arrival_time, now - arrival_time,
+                                request=index)
             if not spanned:
                 return
             # The memory part splits by the kind of node backing the
             # record's lines; the second entry is a residual so the
             # pair closes exactly on misses * miss_ns.
-            mem_total = misses * miss_ns
-            dram_share, cxl_share = store.miss_node_split(key)
+            count = misses[index]
+            mem_total = count * miss_ns[index]
+            dram_share, cxl_share = store.miss_node_split(keys[index])
             segments = [("client.wait", grant - arrival_time),
-                        ("kv.cpu", cpu)]
+                        ("kv.cpu", cpu[index])]
             if cxl_share == 0.0:
                 segments.append(("mem.dram", mem_total))
             elif dram_share == 0.0:
                 segments.append(("mem.cxl", mem_total))
             else:
-                dram_part = misses * dram_share
+                dram_part = count * dram_share
                 segments.append(("mem.dram", dram_part))
                 segments.append(("mem.cxl", mem_total - dram_part))
-            spans.record(index, arrival_time, segments, kind=op.value)
+            spans.record(index, arrival_time, segments,
+                         kind=ops[index].value)
 
-        # Pre-draw all arrival times (exponential gaps).
+        # Pre-draw all arrival times (exponential gaps), then the trace.
         gaps = arrivals.exponential(mean_gap_ns, size=requests)
+        ops, keys, cpu, misses, miss_ns = store.sample_requests(
+            requests, arrivals)
+        services = (cpu + misses * miss_ns).tolist()
+        keys, cpu = keys.tolist(), cpu.tolist()
+        misses, miss_ns = misses.tolist(), miss_ns.tolist()
         arrival_time = 0.0
         for index in range(requests):
             arrival_time += float(gaps[index])
@@ -174,44 +179,42 @@ class KvServer:
     def _run_fast(self, target_qps: float, requests: int) -> RunResult:
         """The ``workers == 1`` analytic fast path (no event queue).
 
-        With a single FIFO slot the DES collapses to the Lindley
-        recursion ``start_i = max(arrival_i, finish_{i-1})``,
-        ``finish_i = start_i + service_i``: arrival events carry the
-        lowest sequence numbers, so grants — and with them every RNG
-        draw (operation, key, service) — happen in arrival-index order
-        exactly as the engine replays them, and the float arithmetic
-        here is the same adds/compares the event loop performs.  The
-        result is byte-identical to :meth:`_run_des`
-        (``tests/apps/test_kv_fastpath.py`` pins the equivalence).
-        Tracing runs keep the DES path so per-request trace events and
-        engine trace spans still appear.
+        Two phases.  First the draws: the arrival gaps, then the whole
+        request trace from :meth:`KvStore.sample_requests`, folded once
+        into service times ``cpu + misses * miss_ns``.  Then the
+        Lindley recursion over plain floats: with a single FIFO slot
+        the DES collapses to ``start_i = max(arrival_i, finish_{i-1})``,
+        ``finish_i = start_i + service_i``.  Arrival events carry the
+        lowest sequence numbers, so the DES grants — and draws — in
+        arrival-index order too, and the adds and compares here are the
+        ones its event loop performs; the sojourns are recorded in one
+        :meth:`LatencyRecorder.extend` and ``service_total`` is summed
+        in request order.  The result is byte-identical to
+        :meth:`_run_des` (``tests/apps/test_kv_fastpath.py`` and
+        ``tests/apps/test_kv_pinned.py`` pin it).  Tracing runs keep
+        the DES path so per-request trace events and engine trace spans
+        still appear.
         """
         store = self.store
         arrivals = substream(f"arrivals-{self.seed}", self.seed)
-        sojourn = LatencyRecorder("sojourn")
-        next_operation = store.workload.next_operation
-        insert_record = store.insert_record
-        chooser = store.chooser
-        sample_service_ns = store.sample_service_ns
-        record = sojourn.record
-        insert = Operation.INSERT
-
         gaps = arrivals.exponential(1e9 / target_qps, size=requests)
+        _, _, cpu, misses, miss_ns = store.sample_requests(requests,
+                                                            arrivals)
+        services = (cpu + misses * miss_ns).tolist()
+
+        sojourns = []
+        record = sojourns.append
         arrival = 0.0
         finish = 0.0
         service_total = 0.0
-        for index in range(requests):
-            arrival += float(gaps[index])
-            op = next_operation(arrivals)
-            if op is insert:
-                key = insert_record()
-            else:
-                key = chooser.next_key(arrivals)
-            service = sample_service_ns(op, key)
+        for gap, service in zip(gaps.tolist(), services):
+            arrival += gap
             service_total += service
             start = arrival if arrival >= finish else finish
             finish = start + service
             record(finish - arrival)
+        sojourn = LatencyRecorder("sojourn")
+        sojourn.extend(sojourns)
 
         if finish <= 0:
             raise WorkloadError("no requests completed")

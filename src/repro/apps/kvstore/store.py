@@ -28,7 +28,7 @@ from ...cpu.system import System
 from ...errors import WorkloadError
 from ...topology.interleave import PlacementPolicy
 from ...topology.pages import Allocation
-from ...units import CACHELINE
+from ...units import CACHELINE, is_count
 from ...workloads.ycsb import Operation, YcsbWorkload
 
 CPU_BASE_NS = 10_400.0
@@ -80,8 +80,6 @@ class KvStore:
             + system.backend_for_node(node.node_id).idle_read_ns()
             for node in system.topology.nodes}
         self._cache_hit_prob = self._estimate_cache_hit_prob()
-        # Per-key (miss_ns, dram_ns, cxl_ns), filled as keys are touched.
-        self._miss_memo: dict[int, tuple[float, float, float]] = {}
 
     def free(self) -> None:
         """Return the store's pages to the allocator (sweep hygiene)."""
@@ -149,16 +147,13 @@ class KvStore:
     # -- service times ---------------------------------------------------------
 
     def _miss_parts(self, key: int) -> tuple[float, float, float]:
-        """Memoized ``(miss_ns, dram_ns, cxl_ns)`` of one record.
+        """``(miss_ns, dram_ns, cxl_ns)`` of one record.
 
         ``miss_ns`` is the line-weighted per-miss latency, summed in
         ascending node-id order; the other two split the same products
-        by node kind.  Computed on first touch, so a store's setup cost
-        follows the keys a run draws, not its keyspace.
+        by node kind.  The per-key reference for
+        :meth:`miss_latencies_ns`.
         """
-        parts = self._miss_memo.get(key)
-        if parts is not None:
-            return parts
         topology = self.system.topology
         miss_ns = 0.0
         dram = 0.0
@@ -170,38 +165,103 @@ class KvStore:
                 cxl += part
             else:
                 dram += part
-        parts = self._miss_memo[key] = (miss_ns, dram, cxl)
-        return parts
+        return miss_ns, dram, cxl
 
     def average_miss_latency_ns(self, key: int) -> float:
         """Expected per-miss latency given the record's node mix."""
         return self._miss_parts(key)[0]
 
-    def sample_service_parts(self, op: Operation, key: int
-                             ) -> tuple[float, float, float]:
-        """One query's sampled ``(cpu_ns, misses, per_miss_ns)``.
+    def miss_latencies_ns(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`average_miss_latency_ns` of each key, as float64.
 
-        The span layer records the parts separately;
-        :meth:`sample_service_ns` folds them into the scalar service
-        time.  Draw order is fixed (CPU jitter, miss jitter, cache
-        draw) so sampling parts or the scalar consumes the RNG stream
-        identically.
+        The batch form the request sampler uses: each record's lines
+        are counted per node over the pages it spans, then
+        ``0.0 + share * read_ns`` is summed in ascending node-id order —
+        the scalar path's floats, since a node the record does not
+        touch adds an exact ``0.0``.  Costs O(len(keys)), never
+        O(keyspace).
         """
-        rng = self._rng
-        cpu = CPU_BASE_NS * rng.lognormal(0.0, CPU_JITTER_SIGMA)
-        misses = EFFECTIVE_MISSES_MEAN * rng.lognormal(0.0, MISS_JITTER_SIGMA)
-        if op in (Operation.UPDATE, Operation.READ_MODIFY_WRITE,
-                  Operation.INSERT):
-            # Mutations rewrite the value: extra dirty-line traffic.
-            misses *= 1.15
-        if rng.random() < self._cache_hit_prob:
-            misses *= 0.1        # hot record: index + value mostly cached
-        return cpu, misses, self.average_miss_latency_ns(key)
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size and (keys.min() < 0 or keys.max() >= self.num_keys):
+            bad = keys[(keys < 0) | (keys >= self.num_keys)][0]
+            raise WorkloadError(f"key {bad} outside keyspace")
+        page = self.allocation.page_bytes
+        page_nodes = self.allocation.page_nodes
+        record = self.record_bytes
+        start = keys * record
+        end = start + record
+        first = start // page
+        last_page = len(page_nodes) - 1
+        node_ids = sorted(self._node_read_ns)
+        lines = np.zeros((keys.size, node_ids[-1] + 1), dtype=np.int64)
+        rows = np.arange(keys.size)
+        # A record spans at most ceil(record / page) + 1 pages.
+        for span in range(-(-record // page) + 1):
+            index = first + span
+            begin = np.maximum(start, index * page)
+            stop = np.minimum((index + 1) * page, end)
+            nodes = page_nodes[np.minimum(index, last_page)]
+            lines[rows, nodes] += np.maximum(stop - begin, 0) // CACHELINE
+        total = record // CACHELINE
+        miss_ns = np.zeros(keys.size)
+        for node in node_ids:
+            miss_ns += lines[:, node] / total * self._node_read_ns[node]
+        return miss_ns
 
-    def sample_service_ns(self, op: Operation, key: int) -> float:
-        """One query's service time (CPU + memory), sampled."""
-        cpu, misses, miss_ns = self.sample_service_parts(op, key)
-        return cpu + misses * miss_ns
+    def sample_requests(self, n: int, key_rng: np.random.Generator, *,
+                        grow: bool = True
+                        ) -> tuple[list[Operation], np.ndarray, np.ndarray,
+                                   np.ndarray, np.ndarray]:
+        """``n`` queries' ``(ops, keys, cpu_ns, misses, miss_ns)``.
+
+        Per query, in order: the operation and key on ``key_rng`` (with
+        ``grow``, an INSERT appends a record instead of drawing a key),
+        then the CPU jitter, the miss jitter and the cache draw on the
+        store's own stream.  The loop only draws; the products, the
+        mutation and cache-hit factors and the per-key miss latency are
+        numpy passes over the trace, the same IEEE operations a
+        per-query sampler performs.  A query's service time is
+        ``cpu_ns + misses * miss_ns``.
+        """
+        next_operation = self.workload.next_operation
+        next_key = self.chooser.next_key
+        insert_record = self.insert_record
+        lognormal = self._rng.lognormal
+        uniform = self._rng.random
+        insert = Operation.INSERT if grow else None
+        ops: list[Operation] = []
+        keys: list[int] = []
+        cpu_draws: list[float] = []
+        miss_draws: list[float] = []
+        coin_draws: list[float] = []
+        add_op, add_key = ops.append, keys.append
+        add_cpu, add_miss, add_coin = (cpu_draws.append, miss_draws.append,
+                                       coin_draws.append)
+        for _ in range(n):
+            op = next_operation(key_rng)
+            add_op(op)
+            add_key(insert_record() if op is insert else next_key(key_rng))
+            add_cpu(lognormal(0.0, CPU_JITTER_SIGMA))
+            add_miss(lognormal(0.0, MISS_JITTER_SIGMA))
+            add_coin(uniform())
+        cpu = CPU_BASE_NS * np.array(cpu_draws)
+        misses = EFFECTIVE_MISSES_MEAN * np.array(miss_draws)
+        coins = np.array(coin_draws)
+        keys_array = np.array(keys, dtype=np.int64)
+        # Free the per-request Python floats and ints before the numpy
+        # passes allocate, so their peaks do not add up.
+        del cpu_draws, miss_draws, coin_draws, keys
+        # Mutations rewrite the value: extra dirty-line traffic.
+        kinds = np.array(ops, dtype=object)
+        mutates = ((kinds == Operation.UPDATE)
+                   | (kinds == Operation.READ_MODIFY_WRITE)
+                   | (kinds == Operation.INSERT))
+        misses = np.where(mutates, misses * 1.15, misses)
+        # Hot record: index + value mostly cached.
+        misses = np.where(coins < self._cache_hit_prob, misses * 0.1,
+                          misses)
+        return (ops, keys_array, cpu, misses,
+                self.miss_latencies_ns(keys_array))
 
     def miss_node_split(self, key: int) -> tuple[float, float]:
         """``(dram_share_ns, cxl_share_ns)`` of the per-miss latency.
@@ -214,14 +274,22 @@ class KvStore:
         return dram, cxl
 
     def mean_service_ns(self, samples: int = 2000) -> float:
-        """Monte-Carlo mean service time under the workload."""
-        if samples <= 0:
-            raise WorkloadError("samples must be positive")
+        """Monte-Carlo mean service time under the workload.
+
+        One :meth:`sample_requests` batch with ``key_rng`` set to the
+        store's own stream, so operation, key and service draws
+        interleave on one generator; INSERTs draw an existing key, and
+        the store is left as it was.  The service times are summed in
+        draw order.
+        """
+        if not is_count(samples):
+            raise WorkloadError(
+                f"samples must be a positive integer: {samples!r}")
+        _, _, cpu, misses, miss_ns = self.sample_requests(
+            samples, self._rng, grow=False)
         total = 0.0
-        for _ in range(samples):
-            op = self.workload.next_operation(self._rng)
-            key = self.chooser.next_key(self._rng)
-            total += self.sample_service_ns(op, key)
+        for service in (cpu + misses * miss_ns).tolist():
+            total += service
         return total / samples
 
 

@@ -11,8 +11,8 @@ The cache model serves three roles in the reproduction:
   ``clwb`` with inclusive levels.
 * **WSS staircase** — pointer chasing latency versus working-set size
   crosses L1/L2/LLC capacities (Fig. 2 right);
-  :meth:`~repro.cache.hierarchy.CacheHierarchy.hit_fractions` provides
-  the analytic hit distribution behind that curve.
+  :func:`~repro.cache.hierarchy.hit_fractions` provides the analytic
+  hit distribution behind that curve, from the cache config alone.
 """
 
 from .cacheline import CacheLine, MesiState

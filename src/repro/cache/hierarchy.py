@@ -6,15 +6,18 @@ Two complementary interfaces:
   :meth:`nt_store` / :meth:`clflush` / :meth:`clwb` simulate real line
   movement and report which level hit and what memory traffic resulted.
   MEMO's latency probes run on this.
-* **Analytic** — :meth:`hit_fractions` estimates, for a working set
+* **Analytic** — :func:`hit_fractions` estimates, for a working set
   chased uniformly, what fraction of accesses each level serves.  The
   pointer-chase-vs-WSS staircase (Fig. 2 right) is computed from this
-  rather than simulating millions of accesses.
+  rather than simulating millions of accesses.  Both analytic functions
+  read only the :class:`CacheConfig`, so the staircase needs no
+  hierarchy; :class:`CacheHierarchy` exposes them as methods too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..config import CacheConfig
 from ..errors import CacheError
@@ -34,6 +37,65 @@ class AccessResult:
     memory_writes: int = 0      # 64 B writebacks / nt-stores sent below
 
 
+def hit_fractions(config: CacheConfig,
+                  working_set_bytes: int) -> dict[str, float]:
+    """Steady-state hit distribution for a uniform chase over a WSS.
+
+    Each level of capacity ``C`` captures ``min(1, C/WSS)`` of
+    accesses not already captured above it — the standard stacked-
+    capacity approximation.  Returns fractions for "L1d"/"L2"/"LLC"/
+    "memory" summing to 1.
+    """
+    if working_set_bytes <= 0:
+        raise CacheError(
+            f"working set must be positive: {working_set_bytes}")
+    remaining = 1.0
+    fractions: dict[str, float] = {}
+    for level in config.levels:
+        capture = min(1.0, level.capacity_bytes / working_set_bytes)
+        fractions[level.name] = remaining * capture
+        remaining *= 1.0 - capture
+    fractions["memory"] = remaining
+    return fractions
+
+
+def expected_latency_ns(config: CacheConfig, working_set_bytes: int,
+                        memory_latency_ns: float) -> float:
+    """Average dependent-access latency for a WSS (the Fig-2 staircase).
+
+    A hit at level i pays the traversal up to that level; a miss pays
+    the full hierarchy traversal plus ``memory_latency_ns``.
+    """
+    fractions = hit_fractions(config, working_set_bytes)
+    total = 0.0
+    traversal = 0.0
+    for level in config.levels:
+        traversal += level.latency_ns
+        total += fractions[level.name] * traversal
+    total += fractions["memory"] * (traversal + memory_latency_ns)
+    return total
+
+
+class _MemoryWritebacks:
+    """The LLC's eviction sink: counts dirty lines written to memory.
+
+    Holding the count here rather than on the hierarchy keeps the
+    levels free of references back to it, so a dropped hierarchy is
+    freed at once instead of by the cycle collector.
+    """
+
+    __slots__ = ("count", "_registry")
+
+    def __init__(self, registry) -> None:
+        self.count = 0
+        self._registry = registry
+
+    def __call__(self, address: int) -> None:
+        del address
+        self.count += 1
+        self._registry.counter("cache.memory_writebacks").inc()
+
+
 class CacheHierarchy:
     """L1d + L2 + inclusive LLC of one core's view of one socket."""
 
@@ -47,23 +109,19 @@ class CacheHierarchy:
         self.l2 = SetAssociativeCache(config.l2)
         self.llc = SetAssociativeCache(config.llc)
         self.levels = [self.l1, self.l2, self.llc]
-        # Dirty evictions cascade down; only the LLC's reach memory.
-        self.memory_writebacks = 0
-        self.l1.eviction_sink = lambda addr: self._absorb_dirty(
-            self.l2, addr)
-        self.l2.eviction_sink = lambda addr: self._absorb_dirty(
-            self.llc, addr)
-        self.llc.eviction_sink = self._count_memory_writeback
+        # Dirty evictions cascade down, landing MODIFIED in the level
+        # below; only the LLC's reach memory.
+        self.l1.eviction_sink = partial(self.l2.install,
+                                        state=MesiState.MODIFIED)
+        self.l2.eviction_sink = partial(self.llc.install,
+                                        state=MesiState.MODIFIED)
+        self._memory_writebacks = _MemoryWritebacks(self._registry)
+        self.llc.eviction_sink = self._memory_writebacks
 
-    def _absorb_dirty(self, cache: SetAssociativeCache,
-                      address: int) -> None:
-        """A dirty line evicted above lands MODIFIED in ``cache``."""
-        cache.install(address, MesiState.MODIFIED)
-
-    def _count_memory_writeback(self, address: int) -> None:
-        del address
-        self.memory_writebacks += 1
-        self._registry.counter("cache.memory_writebacks").inc()
+    @property
+    def memory_writebacks(self) -> int:
+        """Dirty lines the LLC has evicted to memory."""
+        return self._memory_writebacks.count
 
     def _count(self, result: AccessResult) -> AccessResult:
         """Mirror one functional access into the telemetry registry."""
@@ -171,38 +229,11 @@ class CacheHierarchy:
     # -- analytic interface ----------------------------------------------
 
     def hit_fractions(self, working_set_bytes: int) -> dict[str, float]:
-        """Steady-state hit distribution for a uniform chase over a WSS.
-
-        Each level of capacity ``C`` captures ``min(1, C/WSS)`` of
-        accesses not already captured above it — the standard stacked-
-        capacity approximation.  Returns fractions for "L1d"/"L2"/"LLC"/
-        "memory" summing to 1.
-        """
-        if working_set_bytes <= 0:
-            raise CacheError(
-                f"working set must be positive: {working_set_bytes}")
-        remaining = 1.0
-        fractions: dict[str, float] = {}
-        for cache in self.levels:
-            capture = min(1.0, cache.config.capacity_bytes
-                          / working_set_bytes)
-            fractions[cache.name] = remaining * capture
-            remaining *= 1.0 - capture
-        fractions["memory"] = remaining
-        return fractions
+        """:func:`hit_fractions` of this hierarchy's config."""
+        return hit_fractions(self.config, working_set_bytes)
 
     def expected_latency_ns(self, working_set_bytes: int,
                             memory_latency_ns: float) -> float:
-        """Average dependent-access latency for a WSS (the Fig-2 staircase).
-
-        A hit at level i pays the traversal up to that level; a miss pays
-        the full hierarchy traversal plus ``memory_latency_ns``.
-        """
-        fractions = self.hit_fractions(working_set_bytes)
-        total = 0.0
-        traversal = 0.0
-        for cache in self.levels:
-            traversal += cache.config.latency_ns
-            total += fractions[cache.name] * traversal
-        total += fractions["memory"] * (traversal + memory_latency_ns)
-        return total
+        """:func:`expected_latency_ns` of this hierarchy's config."""
+        return expected_latency_ns(self.config, working_set_bytes,
+                                   memory_latency_ns)

@@ -22,11 +22,11 @@ pool path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 from .. import build_system, combined_testbed
 from ..config import SystemConfig
 from ..errors import ClusterError
+from ..units import is_count
 from ..workloads.distributions import ZipfianKeys
 from .pool import PoolAllocator, PoolSlice, SpillPlan, plan_spill
 
@@ -39,12 +39,6 @@ POOL_HOP_NS = 70.0
 LLC_USABLE_FRACTION = 0.5
 """Share of a host's LLC realistically holding hot records (matches
 :mod:`repro.apps.kvstore.store`)."""
-
-
-def is_count(value: object) -> bool:
-    """True for a positive integer (numpy integers too, never a bool)."""
-    return isinstance(value, Integral) and not isinstance(value, bool) \
-        and value > 0
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ import numpy as np
 
 from ..errors import ClusterError
 from ..sim.rng import DEFAULT_SEED, substream
+from ..units import is_count
 from ..workloads.distributions import ZipfianKeys
-from .topology import is_count
 
 
 class OpenLoopZipfian:

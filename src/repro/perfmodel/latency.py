@@ -17,6 +17,7 @@ composes those pieces into the probes MEMO times:
 
 from __future__ import annotations
 
+from ..cache.hierarchy import expected_latency_ns
 from ..cache.prefetcher import StreamPrefetcher
 from ..cpu.isa import FENCE_NS, AccessKind
 from ..cpu.system import MemoryScheme, System
@@ -124,11 +125,15 @@ class LatencyModel:
 
         With no ``working_set_bytes`` the chase misses every level
         (MEMO's 1 GiB default); with one, the analytic WSS staircase of
-        Fig. 2 (right) applies.  Prefetchers are disabled in this test
-        and would not help a dependent chain anyway.
+        Fig. 2 (right) applies, computed straight from the socket's
+        :class:`~repro.config.CacheConfig` by
+        :func:`~repro.cache.hierarchy.expected_latency_ns` — the same
+        floats as :meth:`CacheHierarchy.expected_latency_ns`, without
+        building the functional caches.  Prefetchers are disabled in
+        this test and would not help a dependent chain anyway.
         """
         if working_set_bytes is None:
             return self.read_path_ns(scheme)
-        hierarchy = self.system.socket.new_hierarchy()
-        return hierarchy.expected_latency_ns(working_set_bytes,
-                                             self.memory_side_ns(scheme))
+        return expected_latency_ns(self.system.socket.config.cache,
+                                   working_set_bytes,
+                                   self.memory_side_ns(scheme))

@@ -16,6 +16,8 @@ between GiB and GB when calibrating against the paper's numbers.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 # --- time ------------------------------------------------------------------
 
 NS = 1.0
@@ -147,3 +149,12 @@ def format_ns(ns_value: float) -> str:
     if ns_value < SEC:
         return f"{ns_value / MS:.2f}ms"
     return f"{ns_value / SEC:.3f}s"
+
+
+# --- counts ------------------------------------------------------------------
+
+
+def is_count(value: object) -> bool:
+    """True for a positive integer (numpy integers too, never a bool)."""
+    return isinstance(value, Integral) and not isinstance(value, bool) \
+        and value > 0

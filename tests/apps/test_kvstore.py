@@ -96,6 +96,25 @@ class TestMissLatencyPinned:
         finally:
             store.free()
 
+    @pytest.mark.parametrize("fraction", sorted(MISS_LATENCY_SHA256))
+    def test_batched_values_match_the_pinned_table(self, system, study,
+                                                   fraction):
+        capacity = int(study.num_keys * 1.1)
+        store = KvStore(system, study.policy_for_fraction(fraction),
+                        workload=WORKLOADS["A"], num_keys=capacity,
+                        capacity_keys=capacity)
+        try:
+            keys = np.arange(capacity)
+            assert _sha256(store.miss_latencies_ns(keys)) == \
+                MISS_LATENCY_SHA256[fraction][0]
+            # Shuffled, repeated keys come back in request order.
+            shuffled = np.random.default_rng(3).integers(0, capacity, 5000)
+            assert store.miss_latencies_ns(shuffled).tolist() == [
+                store.average_miss_latency_ns(int(key))
+                for key in shuffled]
+        finally:
+            store.free()
+
     def test_split_sums_to_the_miss_latency(self, study):
         store = study.build_store(WORKLOADS["A"], 0.5)
         try:
@@ -112,6 +131,9 @@ class TestMissLatencyPinned:
                 store.average_miss_latency_ns(study.num_keys)
             with pytest.raises(WorkloadError):
                 store.miss_node_split(-1)
+            for bad in (study.num_keys, -1):
+                with pytest.raises(WorkloadError, match=f"key {bad} "):
+                    store.miss_latencies_ns(np.array([0, 5, bad, 7]))
         finally:
             store.free()
 
@@ -131,10 +153,16 @@ class TestServiceModel:
     def test_updates_cost_more_than_reads(self, system):
         store = KvStore(system, Membind(0), workload=WORKLOADS["A"],
                         num_keys=10_000, rng=np.random.default_rng(0))
-        reads = np.mean([store.sample_service_ns(Operation.READ, 5)
-                         for _ in range(500)])
-        updates = np.mean([store.sample_service_ns(Operation.UPDATE, 5)
-                           for _ in range(500)])
+        try:
+            ops, _, cpu, misses, miss_ns = store.sample_requests(
+                1000, np.random.default_rng(1))
+        finally:
+            store.free()
+        service = cpu + misses * miss_ns
+        update = np.array([op is Operation.UPDATE for op in ops])
+        assert 0 < update.sum() < len(ops)
+        reads = service[~update].mean()
+        updates = service[update].mean()
         assert updates > reads
 
     def test_latest_distribution_caches_better(self, study):
@@ -149,6 +177,77 @@ class TestServiceModel:
         store = study.build_store(WORKLOADS["A"], 0.0)
         with pytest.raises(WorkloadError):
             store.record_offset(10**9)
+
+
+class TestBatchedSampler:
+    def test_inserts_grow_the_keyspace_only_when_asked(self, system):
+        for grow, added in ((True, True), (False, False)):
+            store = KvStore(system, Membind(0), workload=WORKLOADS["D"],
+                            num_keys=1000, capacity_keys=1200,
+                            rng=np.random.default_rng(0))
+            try:
+                ops, keys, *_ = store.sample_requests(
+                    400, np.random.default_rng(1), grow=grow)
+                inserts = [key for op, key in zip(ops, keys.tolist())
+                           if op is Operation.INSERT]
+                assert inserts
+                assert (store.num_keys > 1000) is added
+                if grow:
+                    # Each insert appends the next record's key.
+                    assert inserts == list(range(1000, store.num_keys))
+            finally:
+                store.free()
+
+    def test_hit_and_mutation_factors(self, system):
+        """Every sampled miss count is the miss jitter times the
+        mutation factor times the cache-hit factor, in that order."""
+        store = KvStore(system, Membind(0), workload=WORKLOADS["F"],
+                        num_keys=10_000, rng=np.random.default_rng(0))
+        try:
+            ops, _, _, misses, _ = store.sample_requests(
+                2000, np.random.default_rng(1))
+        finally:
+            store.free()
+        rng = np.random.default_rng(0)
+        for op, sampled in zip(ops, misses.tolist()):
+            rng.lognormal(0.0, 0.12)
+            expected = 20.0 * rng.lognormal(0.0, 0.5)
+            if op is Operation.READ_MODIFY_WRITE:
+                expected *= 1.15
+            if rng.random() < store.cache_hit_prob:
+                expected *= 0.1
+            assert sampled == expected
+
+
+class TestInputChecks:
+    """Bad run and sampling inputs fail up front, naming the field."""
+
+    @pytest.fixture
+    def server(self, system):
+        store = KvStore(system, Membind(0), workload=WORKLOADS["A"],
+                        num_keys=1000, rng=np.random.default_rng(0))
+        yield KvServer(store)
+        store.free()
+
+    @pytest.mark.parametrize("qps", [float("nan"), float("inf"), 0.0,
+                                     -5.0])
+    def test_bad_qps_rejected(self, server, qps):
+        with pytest.raises(WorkloadError, match="target_qps"):
+            server.run(qps, requests=100)
+
+    @pytest.mark.parametrize("requests", [2.5, True, 0, -3, 100.0])
+    def test_bad_request_count_rejected(self, server, requests):
+        with pytest.raises(WorkloadError, match="requests"):
+            server.run(1e5, requests=requests)
+
+    @pytest.mark.parametrize("samples", [2.5, True, 0, float("nan")])
+    def test_bad_sample_count_rejected(self, server, samples):
+        with pytest.raises(WorkloadError, match="samples"):
+            server.store.mean_service_ns(samples)
+
+    def test_numpy_integer_counts_accepted(self, server):
+        assert server.run(1e4, requests=np.int64(50)).requests == 50
+        assert server.store.mean_service_ns(np.int32(10)) > 0
 
 
 class TestMaxQps:

@@ -1,12 +1,16 @@
 """Cache hierarchy: functional semantics and the analytic WSS staircase."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import units
+from repro import build_system, units
 from repro.config import CacheConfig, CacheLevelConfig, single_socket_testbed
 from repro.errors import CacheError
 from repro.cache import CacheHierarchy, StreamPrefetcher
+from repro.telemetry import Telemetry
 
 
 def small_hierarchy() -> CacheHierarchy:
@@ -164,6 +168,43 @@ class TestWssStaircase:
         assert hierarchy.expected_latency_ns(small_wss, 100.0) == \
             pytest.approx(hierarchy.expected_latency_ns(small_wss, 800.0),
                           rel=0.05)
+
+
+class TestLifetime:
+    """Levels hold no reference back to their hierarchy, so a dropped
+    hierarchy is freed by reference counting alone."""
+
+    @pytest.fixture
+    def no_cycle_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    def test_dropped_hierarchy_is_freed(self, no_cycle_collector):
+        system = build_system(single_socket_testbed())
+        ref = weakref.ref(system.socket.new_hierarchy())
+        assert ref() is None
+
+    def test_freed_after_dirty_evictions(self, no_cycle_collector):
+        """Lines written back through every level, then dropped."""
+        hierarchy = small_hierarchy()
+        for address in range(0, 64 * 1024, 64):
+            hierarchy.store(address)
+        assert hierarchy.memory_writebacks > 0
+        ref = weakref.ref(hierarchy)
+        del hierarchy
+        assert ref() is None
+
+    def test_writebacks_counted_in_the_registry(self):
+        telemetry = Telemetry.metrics_only()
+        hierarchy = CacheHierarchy(small_hierarchy().config,
+                                   telemetry=telemetry)
+        for address in range(0, 64 * 1024, 64):
+            hierarchy.store(address)
+        assert telemetry.registry.counter(
+            "cache.memory_writebacks").value == hierarchy.memory_writebacks
 
 
 class TestPrefetcher:

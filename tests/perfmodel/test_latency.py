@@ -3,6 +3,7 @@
 import pytest
 
 from repro import build_system, combined_testbed, units
+from repro.cache import SetAssociativeCache
 from repro.cpu import AccessKind, MemoryScheme
 from repro.errors import ConfigError
 from repro.perfmodel import LatencyModel
@@ -140,3 +141,39 @@ class TestWssStaircase:
         l8 = model.pointer_chase_ns(MemoryScheme.DDR5_L8, beyond)
         cxl = model.pointer_chase_ns(MemoryScheme.CXL, beyond)
         assert cxl > 2.5 * l8
+
+
+FIG2_WSS_POINTS = {
+    "fast": [64 * units.KIB, 1 * units.MIB, 16 * units.MIB,
+             128 * units.MIB, 1024 * units.MIB],
+    "full": [2 ** e * units.KIB for e in range(4, 21)],
+}
+
+
+class TestStaircaseFromConfig:
+    """``pointer_chase_ns`` computes the staircase from the cache config:
+    the functional hierarchy's floats, without building one."""
+
+    @pytest.mark.parametrize("mode", sorted(FIG2_WSS_POINTS))
+    def test_equals_the_hierarchy_and_builds_no_cache(self, model, mode,
+                                                      monkeypatch):
+        points = FIG2_WSS_POINTS[mode]
+        hierarchy = model.system.socket.new_hierarchy()
+        expected = {
+            (scheme, wss): hierarchy.expected_latency_ns(
+                wss, model.memory_side_ns(scheme))
+            for scheme in model.system.available_schemes()
+            for wss in points}
+
+        built = []
+        init = SetAssociativeCache.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SetAssociativeCache, "__init__", counted)
+        for (scheme, wss), value in expected.items():
+            assert model.pointer_chase_ns(scheme, wss) == value
+        assert built == []
+        assert len(expected) == 3 * len(points)
