@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ...errors import WorkloadError
 from ...sim import Engine, LatencyRecorder, Server
 from ...sim.rng import substream
@@ -41,6 +43,24 @@ class RunResult:
     @property
     def p99_us(self) -> float:
         return self.p99_ns / 1000.0
+
+
+def _waterfall_columns(store: KvStore, waits: list, cpu: np.ndarray,
+                       misses: np.ndarray, miss_ns: np.ndarray,
+                       keys: np.ndarray) -> list[tuple]:
+    """Span columns of the recorded requests, in waterfall order.
+
+    The memory part splits by the kind of node backing the record's
+    lines.  ``mem.cxl`` is the residual, so the pair closes exactly on
+    ``misses * miss_ns``; it is an exact zero for an all-DRAM record,
+    and an all-CXL record's ``mem.dram`` is ``misses * 0.0``.
+    """
+    mem_total = misses * miss_ns
+    split = np.array([store.miss_node_split(key) for key in keys.tolist()]
+                     ).reshape(-1, 2)
+    dram = np.where(split[:, 1] == 0.0, mem_total, misses * split[:, 0])
+    return [("client.wait", np.array(waits)), ("kv.cpu", cpu),
+            ("mem.dram", dram), ("mem.cxl", mem_total - dram)]
 
 
 class KvServer:
@@ -92,7 +112,10 @@ class KvServer:
         in, so request ``index`` reads entry ``index``.  Only the
         request index, arrival time and grant time ride through
         :meth:`Server.acquire` and :meth:`Engine.schedule` as callback
-        arguments, so no closure is allocated per request.
+        arguments, so no closure is allocated per request.  With spans
+        on, a finish only notes the request and its queue wait; the
+        waterfalls are built from the trace arrays after the run and
+        recorded in one :meth:`SpanRecorder.record_batch`.
         """
         engine = Engine(telemetry=self.telemetry)
         tracer = self.telemetry.tracer
@@ -109,6 +132,9 @@ class KvServer:
         completed = [0]
         last_completion = [0.0]
         mean_gap_ns = 1e9 / target_qps
+        # Span rows in completion order: the request and its queue wait.
+        span_index: list[int] = []
+        span_wait: list[float] = []
 
         def start(index: int, arrival_time: float) -> None:
             service = services[index]
@@ -126,40 +152,29 @@ class KvServer:
                 tracer.complete(KVSTORE_TRACK, ops[index].value,
                                 arrival_time, now - arrival_time,
                                 request=index)
-            if not spanned:
-                return
-            # The memory part splits by the kind of node backing the
-            # record's lines; the second entry is a residual so the
-            # pair closes exactly on misses * miss_ns.
-            count = misses[index]
-            mem_total = count * miss_ns[index]
-            dram_share, cxl_share = store.miss_node_split(keys[index])
-            segments = [("client.wait", grant - arrival_time),
-                        ("kv.cpu", cpu[index])]
-            if cxl_share == 0.0:
-                segments.append(("mem.dram", mem_total))
-            elif dram_share == 0.0:
-                segments.append(("mem.cxl", mem_total))
-            else:
-                dram_part = count * dram_share
-                segments.append(("mem.dram", dram_part))
-                segments.append(("mem.cxl", mem_total - dram_part))
-            spans.record(index, arrival_time, segments,
-                         kind=ops[index].value)
+            if spanned:
+                span_index.append(index)
+                span_wait.append(grant - arrival_time)
 
         # Pre-draw all arrival times (exponential gaps), then the trace.
         gaps = arrivals.exponential(mean_gap_ns, size=requests)
         ops, keys, cpu, misses, miss_ns = store.sample_requests(
             requests, arrivals)
         services = (cpu + misses * miss_ns).tolist()
-        keys, cpu = keys.tolist(), cpu.tolist()
-        misses, miss_ns = misses.tolist(), miss_ns.tolist()
         arrival_time = 0.0
         for index in range(requests):
             arrival_time += float(gaps[index])
             engine.schedule_at(arrival_time, server.acquire, start, index,
                                arrival_time)
         engine.run()
+        if spanned:
+            rows = np.array(span_index, dtype=np.int64)
+            # The running sum of the gaps: the loop's arrival times.
+            spans.record_batch(
+                rows, np.add.accumulate(gaps)[rows],
+                [ops[row].value for row in span_index],
+                _waterfall_columns(store, span_wait, cpu[rows], misses[rows],
+                                   miss_ns[rows], keys[rows]))
 
         elapsed = last_completion[0]
         if elapsed <= 0:

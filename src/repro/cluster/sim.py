@@ -202,6 +202,84 @@ class _Attempt:
         self.recoveries = 0
 
 
+def _fixed_columns(topo: ClusterTopology, rows: np.ndarray, waits: list,
+                   reroutes: list, failed: list, cpu: np.ndarray,
+                   mem: np.ndarray, misses: np.ndarray, owners: np.ndarray,
+                   residents: np.ndarray) -> list[tuple]:
+    """The span columns every served request has, in waterfall order.
+
+    ``rows`` are the recorded requests in record order; the ``failed``
+    positions among them get zeros here (their waterfall is sparse).
+    Each read path's parts are ``misses * per_miss``, with a residual
+    on the path's last part so the parts close exactly on ``mem_ns``.
+    """
+    served = np.ones(len(rows), dtype=bool)
+    served[failed] = False
+    columns = [("client.wait", np.array(waits)),
+               ("route.reroute", np.where(reroutes, REROUTE_HOP_NS, 0.0)),
+               ("shard.cpu", np.where(served, cpu[rows], 0.0))]
+    owner, resident = owners[rows], residents[rows]
+    # A pooled record reads through its owner's device.
+    paths = {topo.dram_components(): served & ~resident}
+    for host in range(topo.num_hosts):
+        parts = topo.pool_components(host)
+        on_host = served & resident & (owner == host)
+        paths[parts] = paths[parts] | on_host if parts in paths else on_host
+    count, mem_ns = misses[rows], mem[rows]
+    for parts, on_path in paths.items():
+        if not on_path.any():
+            continue
+        accounted = np.zeros(len(rows))
+        for part, per_miss in parts[:-1]:
+            dur = count * per_miss
+            accounted += dur
+            columns.append((part, np.where(on_path, dur, 0.0)))
+        columns.append((parts[-1][0], np.where(on_path, mem_ns - accounted,
+                                               0.0)))
+    return columns
+
+
+def _sparse_columns(count: int, failed: Mapping[int, list],
+                    extras: Mapping[int, tuple]
+                    ) -> tuple[list[tuple], list[tuple]]:
+    """Zero-padded span columns before and after the fixed ones.
+
+    Before: a failed request's whole waterfall, or a served request's
+    policy prefix; after: a served request's fault parts.
+    """
+    heads = dict(failed)
+    tails = {}
+    for row, (prefix, fault_parts) in extras.items():
+        if prefix:
+            heads[row] = prefix
+        if fault_parts:
+            tails[row] = fault_parts
+    return _padded(count, heads), _padded(count, tails)
+
+
+def _padded(count: int, segments_by_row: Mapping[int, tuple]) -> list[tuple]:
+    """One zero-padded column per (position, component) that occurs.
+
+    A request has one segment per position, so the columns of one
+    position never overlap and each request keeps its segment order.
+    """
+    cells: dict[tuple[int, str], tuple[list, list]] = {}
+    for row, segments in segments_by_row.items():
+        for pos, (name, dur) in enumerate(segments):
+            cell = cells.get((pos, name))
+            if cell is None:
+                cell = cells[pos, name] = ([], [])
+            cell[0].append(row)
+            cell[1].append(dur)
+    columns = []
+    for (_, name), (rows, durs) in sorted(cells.items(),
+                                          key=lambda item: item[0][0]):
+        values = np.zeros(count)
+        values[rows] = durs
+        columns.append((name, values))
+    return columns
+
+
 class ClusterSim:
     """Drives a :class:`ClusterTopology` under open-loop zipfian load."""
 
@@ -335,13 +413,6 @@ class ClusterSim:
                            for host in range(topo.num_hosts)]
         hit_prob = topo.cache_hit_prob(theta)
 
-        # Per-miss span decomposition of the two read paths; only built
-        # (and only consulted) when span recording is on.
-        if spanned:
-            dram_parts = topo.dram_components()
-            pool_parts_by_host = [topo.pool_components(host)
-                                  for host in range(topo.num_hosts)]
-
         # Per-request placement and service inputs, computed for the
         # whole trace before the run and indexed by request, so no
         # simulation path can perturb another request's draws.  Each
@@ -349,7 +420,7 @@ class ClusterSim:
         # order: CPU work, then misses scaled by the write and LLC-hit
         # factors, then misses times the owner's read path.
         n = requests
-        owners, residents = self.placement(traffic.keys)
+        owner_of, resident_of = self.placement(traffic.keys)
         cpu_jitter = substream("cluster/cpu", self.seed).lognormal(
             0.0, CPU_JITTER_SIGMA, size=n)
         miss_jitter = substream("cluster/miss", self.seed).lognormal(
@@ -360,13 +431,14 @@ class ClusterSim:
                           misses)
         misses = np.where(cache_u < hit_prob,
                           misses * CACHE_HIT_MISS_FACTOR, misses)
-        path_ns = np.where(residents, np.array(pool_ns_by_host)[owners],
-                           dram_ns)
-        cpu_ns = (CPU_BASE_NS * cpu_jitter).tolist()
-        mem_ns_of = (misses * path_ns).tolist()
-        misses_of = misses.tolist() if spanned else None
-        owners = owners.tolist()
-        residents = residents.tolist()
+        path_ns = np.where(resident_of,
+                           np.array(pool_ns_by_host)[owner_of], dram_ns)
+        cpu_of = CPU_BASE_NS * cpu_jitter
+        mem_of = misses * path_ns
+        cpu_ns = cpu_of.tolist()
+        mem_ns_of = mem_of.tolist()
+        owners = owner_of.tolist()
+        residents = resident_of.tolist()
 
         link_up = [True] * topo.num_hosts
         link_injected = [0] * topo.num_hosts
@@ -404,6 +476,16 @@ class ClusterSim:
         # Sojourns in record order; recorded in one batch after the run.
         cluster_sojourns: list[float] = []
         host_sojourns: list[list[float]] = [[] for _ in topo.hosts]
+        # Span rows in record order: the request, its queue wait and
+        # reroute flag.  The rare policy prefix and fault parts of a
+        # served request, and a failed request's whole waterfall, are
+        # kept by row; the rest of every waterfall follows from the
+        # trace arrays and is built after the run.
+        span_index: list[int] = []
+        span_wait: list[float] = []
+        span_reroute: list[bool] = []
+        span_extras: dict[int, tuple] = {}
+        span_failed: dict[int, list] = {}
 
         # One view per host for the whole run, refreshed in place; the
         # breaker and the exclude mask build their own lists.
@@ -442,8 +524,10 @@ class ClusterSim:
                 # balancer turned them around in SHED_REJECT_NS.
                 cluster_sojourns.append(engine.now - req.arrival)
             if spanned:
-                spans.record(req.index, req.arrival, segments,
-                             kind="put" if req.is_write else "get")
+                span_failed[len(span_index)] = segments
+                span_index.append(req.index)
+                span_wait.append(0.0)
+                span_reroute.append(False)
 
         def launch(req: _Request, number: int, prefix: tuple,
                    issue: float, hedge: bool, exclude: tuple) -> None:
@@ -461,7 +545,8 @@ class ClusterSim:
                 if hedge:
                     return           # the primary attempt carries on
                 schedule(SHED_REJECT_NS, settle_failure, req, "rejected",
-                         [*prefix, (SHED_REJECT, SHED_REJECT_NS)])
+                         [*prefix, (SHED_REJECT, SHED_REJECT_NS)]
+                         if spanned else None)
                 return
             primary = not (number or hedge)
             if primary:
@@ -501,11 +586,13 @@ class ClusterSim:
                 req.pending_retry = True
                 schedule(backoff, relaunch, req, chain,
                          att.prefix + ((DEADLINE_WAIT, deadline),
-                                       (RETRY_BACKOFF, backoff)))
+                                       (RETRY_BACKOFF, backoff))
+                         if spanned else ())
                 return
             if req.outstanding == 0 and not req.pending_retry:
                 settle_failure(req, "deadline_exceeded",
-                               [*att.prefix, (DEADLINE_WAIT, deadline)])
+                               [*att.prefix, (DEADLINE_WAIT, deadline)]
+                               if spanned else None)
 
         def relaunch(req: _Request, chain: int, prefix: tuple) -> None:
             req.pending_retry = False
@@ -520,8 +607,8 @@ class ClusterSim:
             if not any(view.up and view.index != att.target
                        for view in routable(exclude)):
                 return               # nowhere distinct to hedge to
-            launch(req, 0, att.prefix + ((HEDGE_WAIT, hedge_wait),),
-                   engine.now, True, exclude)
+            launch(req, 0, att.prefix + ((HEDGE_WAIT, hedge_wait),)
+                   if spanned else (), engine.now, True, exclude)
 
         def start(att: _Attempt) -> None:
             req = att.req
@@ -611,31 +698,13 @@ class ClusterSim:
                 tracer.complete(f"{CLUSTER_TRACK}.host{target}",
                                 "put" if req.is_write else "get",
                                 req.arrival, sojourn, request=req.index)
-            if not spanned:
-                return
-            # Ordered waterfall; the memory components use a residual
-            # on the last entry so their sum closes exactly on mem_ns.
-            index = req.index
-            segments = [*att.prefix, ("client.wait", att.grant - att.issue)]
-            if att.reroute:
-                segments.append(("route.reroute", REROUTE_HOP_NS))
-            segments.append(("shard.cpu", cpu_ns[index]))
-            parts = pool_parts_by_host[req.owner] if req.resident \
-                else dram_parts
-            mem_ns = mem_ns_of[index]
-            misses = misses_of[index]
-            accounted = 0.0
-            last = len(parts) - 1
-            for pos, (part, per_miss) in enumerate(parts):
-                if pos == last:
-                    dur = mem_ns - accounted
-                else:
-                    dur = misses * per_miss
-                    accounted += dur
-                segments.append((part, dur))
-            segments.extend(att.fault_parts)
-            spans.record(index, req.arrival, segments,
-                         kind="put" if req.is_write else "get")
+            if spanned:
+                if att.prefix or att.fault_parts:
+                    span_extras[len(span_index)] = (att.prefix,
+                                                    att.fault_parts)
+                span_index.append(req.index)
+                span_wait.append(att.grant - att.issue)
+                span_reroute.append(att.reroute)
 
         def submit(index: int, arrival: float, key: int,
                    is_write: bool) -> None:
@@ -656,7 +725,22 @@ class ClusterSim:
                 traffic.writes.tolist())):
             schedule_at(arrival, submit, index, arrival, key, is_write)
         engine.run()
+        # launch closes over relaunch (through on_deadline) and
+        # maybe_hedge, which close over launch.  Emptying their cells
+        # breaks that cycle, so the run's trace arrays and span rows
+        # are freed when run() returns, not at the next full collection.
+        del relaunch, maybe_hedge
         cluster_sojourn.extend(cluster_sojourns)
+        if spanned:
+            rows = np.array(span_index, dtype=np.int64)
+            head, tail = _sparse_columns(
+                len(rows), span_failed, span_extras)
+            spans.record_batch(
+                rows, traffic.arrival_ns[rows],
+                np.where(traffic.writes[rows], "put", "get").tolist(),
+                head + _fixed_columns(
+                    topo, rows, span_wait, span_reroute, list(span_failed),
+                    cpu_of, mem_of, misses, owner_of, resident_of) + tail)
         for recorder, sojourns in zip(host_sojourn, host_sojourns):
             recorder.extend(sojourns)
 

@@ -33,6 +33,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .metrics import interpolate_percentile
 
 TAIL_PCT = 99.0
@@ -112,6 +114,9 @@ class NullSpanRecorder:
                kind: str = "request") -> None:
         pass
 
+    def record_batch(self, index, start_ns, kinds, columns) -> None:
+        pass
+
     def absorb(self, export: Mapping | None) -> None:
         pass
 
@@ -126,28 +131,94 @@ NULL_SPANS = NullSpanRecorder()
 class SpanRecorder:
     """Collects request segment waterfalls and aggregates them.
 
-    ``record`` is called once per finished request with the request's
-    ordered ``(component, duration_ns)`` segments; durations are sim-time
-    floats, so aggregation is deterministic regardless of worker count
-    or wall-clock scheduling.
+    The store is columnar: per request its index, start, kind code and
+    total; per nonzero segment its request row, component code and
+    duration, kept in record order and, within a request, in waterfall
+    order.  :meth:`record_batch` appends many requests from per-segment
+    columns in one numpy pass; :meth:`record` appends one.  Durations
+    are sim-time floats, so aggregation is deterministic regardless of
+    worker count or wall-clock scheduling.
+
+    Every float in the export is a left fold in record order (never a
+    pairwise ``np.sum``), so it does not depend on how the requests
+    were split into batches.
     """
 
     enabled = True
 
     def __init__(self, config: SpanConfig | None = None) -> None:
         self.config = config if config is not None else SpanConfig()
-        # (total_ns, index, kind, start_ns, segments)
-        self._requests: list[tuple[float, int, str, float, tuple]] = []
+        self._components: dict[str, int] = {}   # name -> code
+        self._kinds: dict[str, int] = {}
+        # One entry per batch: (index, start, kind, total,
+        # segment row, segment component, segment duration).
+        self._chunks: list[tuple[np.ndarray, ...]] = []
         self._absorbed: list[dict] = []
 
     def record(self, index: int, start_ns: float,
                segments: Sequence[tuple[str, float]], *,
                kind: str = "request") -> None:
-        kept = tuple((name, float(dur)) for name, dur in segments if dur != 0.0)
-        total = 0.0
-        for _, dur in kept:
-            total += dur
-        self._requests.append((total, int(index), kind, float(start_ns), kept))
+        """Record one request's ordered ``(component, ns)`` segments."""
+        self.record_batch((index,), (start_ns,), kind,
+                          [(name, (dur,)) for name, dur in segments])
+
+    def record_batch(self, index, start_ns, kinds,
+                     columns: Sequence[tuple[str, object]]) -> None:
+        """Record ``len(index)`` requests, in order, from columns.
+
+        ``kinds`` is one kind for every request or one per request.
+        ``columns`` holds ``(component, durations)`` pairs in waterfall
+        order, with one duration per request.  Zero durations are
+        dropped, as in :meth:`record`, so a request that lacks a
+        segment pads its column with ``0.0``, and segments whose
+        component varies by request go in one column per component.
+        A non-finite duration or start raises :class:`SpanError` before
+        anything is stored.
+        """
+        index = np.asarray(index, dtype=np.int64)
+        start = np.asarray(start_ns, dtype=np.float64)
+        count = len(index)
+        if start.shape != (count,):
+            raise SpanError(f"{start.size} starts for {count} requests")
+        durs = np.zeros((len(columns), count))
+        for col, (_, values) in enumerate(columns):
+            durs[col] = values
+        bad = ~np.isfinite(durs)
+        if bad.any():
+            row, col = np.argwhere(bad.T)[0].tolist()
+            raise SpanError(f"non-finite duration {float(durs[col, row])} "
+                            f"for component {columns[col][0]!r} of request "
+                            f"{index[row]}")
+        bad = ~np.isfinite(start)
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            raise SpanError(f"non-finite start {float(start[row])} of "
+                            f"request {index[row]}")
+        if not count:
+            return
+        # A request's total is the left fold of its segments in order;
+        # an exact 0.0 for a dropped segment leaves the fold unchanged.
+        total = np.zeros(count)
+        for values in durs:
+            total += values
+        codes = _encode(self._components, [name for name, _ in columns])
+        # Row-major over (request, column): record, then waterfall order.
+        rows, cols = np.nonzero(durs.T)
+        kind = _encode(self._kinds, (kinds,) * count
+                       if isinstance(kinds, str) else kinds)
+        self._chunks.append((index, start, kind, total, rows.astype(np.int32),
+                             codes[cols], durs[cols, rows]))
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The store as one chunk (compacted in place)."""
+        if len(self._chunks) > 1:
+            offset = 0
+            for chunk in self._chunks:
+                chunk[4][:] += offset       # batch-local -> global rows
+                offset += len(chunk[0])
+            self._chunks = [tuple(np.concatenate(parts)
+                                  for parts in zip(*self._chunks))]
+        return self._chunks[0]
 
     # -- merging ------------------------------------------------------------
 
@@ -166,7 +237,7 @@ class SpanRecorder:
 
     def export(self) -> dict | None:
         """The aggregate payload for this recorder, or ``None`` if empty."""
-        own = self._aggregate() if self._requests else None
+        own = self._aggregate() if self._chunks else None
         parts = list(self._absorbed)
         if own is not None:
             parts.append(own)
@@ -177,56 +248,67 @@ class SpanRecorder:
         return combine_aggregates(parts)
 
     def _aggregate(self) -> dict:
-        requests = self._requests
-        totals = sorted(total for total, *_ in requests)
-        components = _component_sums(seg for *_, seg in requests)
-        threshold = interpolate_percentile(totals, TAIL_PCT)
-        tail = [req for req in requests if req[0] >= threshold]
+        columns = self._columns()
+        total, seg_row, seg_code, seg_dur = columns[3:]
+        names = list(self._components)
+        ordered = np.sort(total)
+        threshold = interpolate_percentile(ordered.tolist(), TAIL_PCT)
+        tail = total >= threshold
+        tail_segs = tail[seg_row]
         agg = {
-            "requests": len(requests),
-            "total_ns": _float_sum(totals),
-            "components": components,
+            "requests": len(total),
+            "total_ns": _fold(ordered),
+            "components": _component_folds(seg_code, seg_dur, names),
             "tail": {
                 "threshold_ns": threshold,
-                "requests": len(tail),
-                "total_ns": _float_sum(req[0] for req in tail),
-                "components": _component_sums(seg for *_, seg in tail),
+                "requests": int(np.count_nonzero(tail)),
+                "total_ns": _fold(total[tail]),
+                "components": _component_folds(
+                    seg_code[tail_segs], seg_dur[tail_segs], names),
             },
-            "exemplars": self._exemplars(),
+            "exemplars": self._exemplars(columns, names),
         }
         if self.config.windows > 0:
-            agg["windows"] = self._windows()
+            agg["windows"] = self._windows(columns, names)
         return agg
 
-    def _exemplars(self) -> list[dict]:
+    def _exemplars(self, columns: tuple[np.ndarray, ...],
+                   names: list[str]) -> list[dict]:
+        index, start, kind, total, seg_row, seg_code, seg_dur = columns
+        kinds = list(self._kinds)
         # Slowest first; ties break on the deterministic request index,
         # never on insertion order, so the pick is schedule-independent.
-        ranked = sorted(self._requests, key=lambda r: (-r[0], r[1]))
-        keep = ranked[: self.config.exemplars]
-        return [
-            {
-                "index": index,
-                "kind": kind,
-                "start_ns": start,
-                "total_ns": total,
-                "segments": [[name, dur] for name, dur in segments],
-            }
-            for total, index, kind, start, segments in keep
-        ]
+        keep = np.lexsort((index, -total))[: self.config.exemplars]
+        bounds = np.searchsorted(seg_row, np.stack([keep, keep + 1]))
+        exemplars = []
+        for row, lo, hi in zip(keep.tolist(), *bounds.tolist()):
+            exemplars.append({
+                "index": int(index[row]),
+                "kind": kinds[kind[row]],
+                "start_ns": float(start[row]),
+                "total_ns": float(total[row]),
+                "segments": [[names[code], dur] for code, dur in zip(
+                    seg_code[lo:hi].tolist(), seg_dur[lo:hi].tolist())],
+            })
+        return exemplars
 
-    def _windows(self) -> list[dict]:
+    def _windows(self, columns: tuple[np.ndarray, ...],
+                 names: list[str]) -> list[dict]:
         # Lazy import: repro.sim pulls repro.telemetry at package init,
         # and this module *is* part of that init.
         from ..sim.stats import RateMeter, window_slot, window_width
 
+        _, start, _, total, seg_row, seg_code, seg_dur = columns
         count = self.config.windows
-        end = 0.0
-        for total, _, _, start, _ in self._requests:
-            end = max(end, start + total)
-        width = window_width(end, count)
-        buckets: list[list[tuple]] = [[] for _ in range(count)]
-        for req in self._requests:
-            buckets[window_slot(req[3], width, count)].append(req)
+        latest = float((start + total).max())
+        width = window_width(latest if latest > 0.0 else 0.0, count)
+        buckets: list[list[int]] = [[] for _ in range(count)]
+        for row, start_ns in enumerate(start.tolist()):
+            buckets[window_slot(start_ns, width, count)].append(row)
+        slot_of = np.empty(len(total), dtype=np.int64)
+        for slot, bucket in enumerate(buckets):
+            slot_of[bucket] = slot
+        seg_slot = slot_of[seg_row]
         windows = []
         for slot, bucket in enumerate(buckets):
             start_ns = slot * width
@@ -236,30 +318,42 @@ class SpanRecorder:
                 "requests": len(bucket),
             }
             if bucket:
-                totals = sorted(total for total, *_ in bucket)
                 meter = RateMeter(name=f"window-{slot}",
                                   window_start_ns=start_ns)
                 meter.add(0.0, len(bucket))
-                window["p99_ns"] = interpolate_percentile(totals, TAIL_PCT)
+                window["p99_ns"] = interpolate_percentile(
+                    np.sort(total[bucket]).tolist(), TAIL_PCT)
                 window["throughput_rps"] = meter.throughput(
                     start_ns + width)
-                window["components"] = _component_sums(
-                    seg for *_, seg in bucket)
+                here = seg_slot == slot
+                window["components"] = _component_folds(
+                    seg_code[here], seg_dur[here], names)
             windows.append(window)
         return windows
 
 
-def _component_sums(segment_lists: Iterable[Sequence[tuple[str, float]]]
-                    ) -> dict:
-    sums: dict[str, dict] = {}
-    for segments in segment_lists:
-        for name, dur in segments:
-            slot = sums.get(name)
-            if slot is None:
-                sums[name] = {"count": 1, "total_ns": dur}
-            else:
-                slot["count"] += 1
-                slot["total_ns"] += dur
+def _encode(table: dict[str, int], names: Sequence[str]) -> np.ndarray:
+    """The codes of ``names`` in ``table``, adding any new name."""
+    return np.array([table.setdefault(name, len(table)) for name in names],
+                    dtype=np.int32)
+
+
+def _fold(values: np.ndarray) -> float:
+    """The left fold ``v0 + v1 + ...`` (not numpy's pairwise sum).
+
+    Stored durations are nonzero and totals start from ``+0.0``, so no
+    value here is ``-0.0`` and the fold equals ``0.0 + v0 + v1 + ...``.
+    """
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
+def _component_folds(codes: np.ndarray, durs: np.ndarray,
+                     names: list[str]) -> dict:
+    """Per-component count and left-folded total, keyed by sorted name."""
+    sums = {}
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
+        mine = durs[codes == code]
+        sums[names[code]] = {"count": len(mine), "total_ns": _fold(mine)}
     return {name: sums[name] for name in sorted(sums)}
 
 

@@ -2,11 +2,13 @@
 
 Each case hashes ``repr`` of the :class:`ClusterResult` a run returns,
 the snapshot of the ``cluster.*`` metrics it records and, with spans
-on, the raw ``SpanRecorder.record`` calls in call order plus the
-Chrome-trace JSON.  The hashes were recorded before the per-request
-host cost of ``ClusterSim.run`` was cut; any change to event order,
-float expression order, placement, routing or fault decisions moves at
-least one of them.
+on, the span export plus the Chrome-trace JSON.  The span recorder
+keeps every request as an exemplar and slices the run into windows,
+so the export pins each request's nonzero segment waterfall, the
+record-order component folds and the per-window breakdown.  The hashes
+were recorded before the per-request host cost of ``ClusterSim.run``
+was cut; any change to event order, float expression order, placement,
+routing or fault decisions moves at least one of them.
 
 The matrix crosses both routers, the no-policy run and every policy
 preset (deadline, retry storms with and without a budget, shedding,
@@ -46,16 +48,8 @@ REQUESTS = 1_200
 SEED = 11
 
 
-class _CallLog(SpanRecorder):
-    """A span recorder that also keeps every ``record`` call verbatim."""
-
-    def __init__(self) -> None:
-        super().__init__(SpanConfig())
-        self.calls: list = []
-
-    def record(self, index, start_ns, segments, *, kind="request"):
-        self.calls.append((index, start_ns, tuple(segments), kind))
-        super().record(index, start_ns, segments, kind=kind)
+SPAN_CONFIG = SpanConfig(exemplars=REQUESTS, windows=4)
+"""Every request is an exemplar, so the export carries all waterfalls."""
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +76,7 @@ def _run_case(name: str) -> dict[str, str]:
     """Run one pinned case; returns its result, metric and span hashes."""
     pool, router, policy, faults, spans = name.split("/")
     topo = _topology(pool)
-    recorder = _CallLog() if spans == "on" else None
+    recorder = SpanRecorder(SPAN_CONFIG) if spans == "on" else None
     telemetry = Telemetry(
         registry=Registry(),
         tracer=Tracer(process_name="pin") if recorder else None,
@@ -101,7 +95,8 @@ def _run_case(name: str) -> dict[str, str]:
             sort_keys=True, separators=(",", ":"))),
     }
     if recorder is not None:
-        digests["spans"] = _sha(repr(recorder.calls))
+        digests["spans"] = _sha(json.dumps(
+            recorder.export(), sort_keys=True, separators=(",", ":")))
         digests["trace"] = _sha(telemetry.tracer.to_json())
     return digests
 
@@ -124,7 +119,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "b095754bde687a86074f9948b75617bd8db96df40ec7af2bbfb07c71461f6635",
         "spans":
-            "72c54884b67b6b98daec37cedb412308bcfd9ae9ca8a332a549295e725d9a2af",
+            "a711d127e175ab38c445b0849168a151d96688e047bbd1ac530ebe556e0ebf11",
         "trace":
             "d4c0a43bfe8d37920e27542a9f219ef39fad2dab2f84ccace1acb96e663ee634",
     },
@@ -140,7 +135,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "fc632157fd2d29fa2b68bd1df5f8893a3ca99f38f78ca6a01930494270fc25be",
         "spans":
-            "8645dee9ba19fdd1e75fc0f4499e756a6aa51b189a2d97097f23d4d163ee2b09",
+            "d34898f6d86a13ef86077e9c183251130048cd1df2f4555055dd582af0bc65f1",
         "trace":
             "9017e52fd10ee7b652984a15023d58cb5fc3eae6267087167fcbbcca448ce3b9",
     },
@@ -156,7 +151,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "61bd6192899c1dcec117cb259fea84697669a931ce9c068910323c6bf8e9654a",
         "spans":
-            "0cf4a7dac4949ee5c3ca0b57368b1cc7c9946bd15961f8c51473bf7d9d63b8d2",
+            "353afb884647ae60c5f9e6e16cf69e494a44ad2d04dc2d9583723278659403dc",
         "trace":
             "898e1bcc3198f94a5ce7eca082c996f2a2135ab8356d11a1de30ee25218943ec",
     },
@@ -172,7 +167,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "d1b3f7beeb922ffb0be73533762e0a988b3dc38dd31fa8a8cb16edd9d2e4af47",
         "spans":
-            "d98c7977fbcbddb02f7ea0a05b485cbaf58b19369efaab53c2584f5a851ed0eb",
+            "6eac8c88c751bd9fc9a90d1f18ac9620c131c7caf397f4e981ba46a6a4371d8a",
         "trace":
             "c92757b29c668ec35970b9c482b14d093f0f54a21de64adba90812723f988507",
     },
@@ -188,7 +183,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "1fdb56d721e9b1fc50474c1c61da38e03f05b650c41c05a94d5b1fc84f195cdc",
         "spans":
-            "a14253bc37add75dcbe187acd3df06a625ba7634e2d08367a375a1f214de2b2e",
+            "efa7cdd8d5ff7def4e4563e0ccdd73b75813e0a6a50bcf0b6d981a8fd947c51c",
         "trace":
             "36779a4bb21c346c8045f3de335162dedb9034b8fae85c088b4ab2259ed92400",
     },
@@ -204,7 +199,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "6d8748d1a4f72934dc8d100b65984bc6b95d534c021cf4b9d2db68a4de5e5f52",
         "spans":
-            "39986e216be2256c2c1d3ca0c7e0081e4b2b5416608ac79de6b0b621e490bacf",
+            "e998a499f73cbee946760c3b2ba42b5a9d5d8eb993798e3a7a9097a31e6b6c17",
         "trace":
             "c71302ce93f87f667da58a737ff906c0510034b7d19d65cbff086acf5094f23d",
     },
@@ -220,7 +215,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "6ae758b13354f0b9d0892070f87b8c302a8e9f47d5f5f825ae4903d6bb30bc14",
         "spans":
-            "040fce6522d3cac7bafaf808d781db447ad247c191d6bff22c6fd15fb0b09f4e",
+            "68988d2366d5d7d5b50ffb7fcfc0f69bbd9aa33ed4748565d34811b57faf67e1",
         "trace":
             "64d6307cf9164c5598f5901ebaf44d915aeae4a7d4055f443a743af4a250de29",
     },
@@ -236,7 +231,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "bd432ecde21dbd02256cc7f4322f93fc9990feb3a0ddb087b041ed05495e3b38",
         "spans":
-            "300d13566ac5f4aa5f1ef398784fc681721c0afdb352cc4021c8587490c446aa",
+            "d7543cfa99a66d44ff11c764bc4d517cca28d45673a43e42b5dab5673885f98d",
         "trace":
             "2bc064585eeaa8b5c5b88ec312c87b470c90baacef29adc4b3eb1f053810f1bc",
     },
@@ -252,7 +247,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "1fdb56d721e9b1fc50474c1c61da38e03f05b650c41c05a94d5b1fc84f195cdc",
         "spans":
-            "a14253bc37add75dcbe187acd3df06a625ba7634e2d08367a375a1f214de2b2e",
+            "efa7cdd8d5ff7def4e4563e0ccdd73b75813e0a6a50bcf0b6d981a8fd947c51c",
         "trace":
             "36779a4bb21c346c8045f3de335162dedb9034b8fae85c088b4ab2259ed92400",
     },
@@ -268,7 +263,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "9ed6b192c87dc6641574c30f87b7abdf37f3c34ce5d95fe923d8a1ec9e9148ee",
         "spans":
-            "fc0661917d7d503fa532310aea0b15f403db317ca6ed7572cc5783b0b8a0dd95",
+            "bc01eab37146729e7c9d6b75af0148fc85df2019bdb3ab2262e8a6300abec711",
         "trace":
             "7e4fd1689e14c38e5b4f00562ca624955a3f8cfb3465bf6daf71024c0cb3bb95",
     },
@@ -284,7 +279,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "e86ee8109aacae5677de0085d0513b5784d0e719164652e6743a48018efaee36",
         "spans":
-            "0541741a75537205a74e32913405f521ba79482e4442663dd0a31adc025e632e",
+            "3726dfe57fa7948c58fcd9e923dbc0ac486ddda1c50e5df9ab2a88749f7127f5",
         "trace":
             "71882151f0ee3d89ec7401a29dfba1279901d0a1da82046b56bfb7e8f3d9b547",
     },
@@ -300,7 +295,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "d698bdf4ea053352c38ef005243b8a46c1242f68cd9cb144d3b11369471e3bff",
         "spans":
-            "83a189ce9ac4fb3e5cedf842cb23d4a85e393b9ab3fb65e6ce0663b0b6d54422",
+            "d07cc17f98f488fe13044c1186f1f3d01ee79c3c6fb7280d3561bed05abad49a",
         "trace":
             "3c9dd9cc270a212c65f6030bf2a6ab50720610cf2060513a64072326238ac7e7",
     },
@@ -316,7 +311,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "2b349bcf1c50e7ff67909d5b70b072bed740a0d8b7e71802376efe63cbce2542",
         "spans":
-            "0541741a75537205a74e32913405f521ba79482e4442663dd0a31adc025e632e",
+            "3726dfe57fa7948c58fcd9e923dbc0ac486ddda1c50e5df9ab2a88749f7127f5",
         "trace":
             "71882151f0ee3d89ec7401a29dfba1279901d0a1da82046b56bfb7e8f3d9b547",
     },
@@ -332,7 +327,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "b3cecf99e0769db92ec799793ce258114921ca86b9aa537d26f59e01c331596a",
         "spans":
-            "868b14caa5c814380f4661445e6d67cd40fc14fd381017a434efb468ba037024",
+            "90f6a851214ace02eb4f521355b4ec6cc0c98ecf191208749bacacd25984bd64",
         "trace":
             "1561c0334aed1ac714569e5ced621cc1f7f096033d5aa6f39c964c74ad106018",
     },
@@ -348,7 +343,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "2b349bcf1c50e7ff67909d5b70b072bed740a0d8b7e71802376efe63cbce2542",
         "spans":
-            "0541741a75537205a74e32913405f521ba79482e4442663dd0a31adc025e632e",
+            "3726dfe57fa7948c58fcd9e923dbc0ac486ddda1c50e5df9ab2a88749f7127f5",
         "trace":
             "71882151f0ee3d89ec7401a29dfba1279901d0a1da82046b56bfb7e8f3d9b547",
     },
@@ -364,7 +359,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "296be08bb3cb739efa904e2684f2c2991c6c36491b6c26296be5e31247f22251",
         "spans":
-            "93e2a89e447983b1b02a5bdbee0508f02fffcd468688fb6438c5325f90ebdb60",
+            "fa935ae2289e6fc561819d44c024d93702cdf44264a56df4d2d61821367db614",
         "trace":
             "409ae966e6d9571785d54934253a1928ed2c75bc7166e5a1d678033e89d3b032",
     },
@@ -380,7 +375,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "fa585a9ef18441e7687f7ea6f005574142443e99b8cb02ea1f69ecad34b94dcb",
         "spans":
-            "934c95f88c637c35e284a3480ae81824f287edbfdf1b3f342406a42465ab8cfa",
+            "3aeadf0a4a02c23bb633aefbe2e6b861513f7e512569c9e46f59ce5040deeae9",
         "trace":
             "7274de8e4f45d0175347ef7595c395c778a8908c2c90f07967426fa8cfdad9a5",
     },
@@ -396,7 +391,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "bd7a60b3dee679849cccc25f87b9f6f9dc5a354348e77204ed06bad9bbef350b",
         "spans":
-            "d89279823dab698b3a85201ee01f094ff2700fc3dda62a5c4f17fd872e612314",
+            "8b8b303acca5c44a06594cc59287bca1cc5055ca32fd4a96928209dbc9a1ed02",
         "trace":
             "86ea288ebbb4578c53020ff16335ec13bd227184f65b788132cc0c497979ad90",
     },
@@ -412,7 +407,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "2b349bcf1c50e7ff67909d5b70b072bed740a0d8b7e71802376efe63cbce2542",
         "spans":
-            "0541741a75537205a74e32913405f521ba79482e4442663dd0a31adc025e632e",
+            "3726dfe57fa7948c58fcd9e923dbc0ac486ddda1c50e5df9ab2a88749f7127f5",
         "trace":
             "71882151f0ee3d89ec7401a29dfba1279901d0a1da82046b56bfb7e8f3d9b547",
     },
@@ -428,7 +423,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "9966e3570e06d0f27400041fcdfe059e70585fa6a0eba74c8467ec3931f24577",
         "spans":
-            "49d083789394f31d6cd4949130f81d26036c2d4427896fc63aa215b543dc7352",
+            "fec0bc4199069db8b468b755eee73513c61e0cbb6b5c6d1fd647b12ea9efde69",
         "trace":
             "023b8d6e36ab313d348861f078bc061c559b1ca48d12e668865b6368399626f7",
     },
@@ -438,7 +433,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "27f755de9e41e77b1fcc26cd3db8db5ef7d4b405ad03bfc388d3f4fa2a259d2b",
         "spans":
-            "e01f1e29c74d451cb2c4b6fc2747bf4d039f265ac18350ef282484c014f23aa4",
+            "edc630cadd112188521caa8c43a6f627d8f59035fd043d2d636140377ad25fc1",
         "trace":
             "567e4893970fd0fd5d013912b6ffbffd0a827cfc36f6b8de59a90f0658a65521",
     },
@@ -448,7 +443,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "3abc9291fe1791ee267276e71b1f35df65a446d31b9706ee291d0c21c19a5785",
         "spans":
-            "44b45fd4214d791168a7f282ed1afda7f3d460f89ee0eee511f3f7a3f901569c",
+            "ce6364aa19f7d9e6b04253f4bc117d0df5f1e6986d2f7fa311de9b218ef87b7c",
         "trace":
             "372697b276305800e8820176e185d7c07329cb9feed962978273c4c19a3ca032",
     },
@@ -458,7 +453,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "963f1097a2842441f6b41e5adedfdeb689437401fa6cb03a5f279ae9143a15a7",
         "spans":
-            "860730f9829be6b75badc0f19d56735ceacec389b13999a3ac03de9ac2c8f084",
+            "c2491a3561f0ceb72a35196a52b2185ff0b24a37bd4383bfa1e4b63f17e31892",
         "trace":
             "c8caff0e0c97c9d4c4f4af7f14465620f39edc671362f1cddc452640b1c215a6",
     },
@@ -468,7 +463,7 @@ PINNED: dict[str, dict[str, str]] = {
         "metrics":
             "a7fd1e97e3fa85daa1589d82a74147c6f34ad72ceb02f26593bf443f5acbaf2b",
         "spans":
-            "5bf8a09729966ed4ee822efb9645d4abdd4479d879c7ee0ad69327b8af7d3e5f",
+            "5002246f0ab8bb7faa43be5bfba516e428f5f27b8d46195b348adfa0e6821b52",
         "trace":
             "a5178b9fbab39703cadd87286db222206a9d9b003a16e4480a09053f8c591140",
     },

@@ -123,6 +123,57 @@ class TestRecorder:
         assert SpanRecorder().export() is None
 
 
+class TestRecordBatch:
+    def test_batch_matches_one_record_per_request(self):
+        single, batched = SpanRecorder(), SpanRecorder()
+        _record_some(single)
+        batched.record_batch(
+            range(10), [i * 1000.0 for i in range(10)], "request",
+            [("wait", [100.0 * (i + 1) for i in range(10)]),
+             ("cpu", [50.0] * 10), ("mem", [25.0] * 10)])
+        assert batched.export() == single.export()
+
+    def test_zero_padding_and_per_request_kinds(self):
+        recorder = SpanRecorder(SpanConfig(exemplars=2))
+        recorder.record_batch([0, 1], [0.0, 5.0], ["get", "put"],
+                              [("retry", [7.0, 0.0]),
+                               ("cpu", [1.0, 2.0])])
+        exemplars = recorder.export()["exemplars"]
+        assert [ex["segments"] for ex in exemplars] == \
+            [[["retry", 7.0], ["cpu", 1.0]], [["cpu", 2.0]]]
+        assert [ex["kind"] for ex in exemplars] == ["get", "put"]
+
+
+class TestNonFinite:
+    """A NaN or infinite duration is rejected, not folded into totals."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_record_rejects(self, bad):
+        recorder = SpanRecorder()
+        recorder.record(0, 0.0, [("a", 1.0)])
+        with pytest.raises(SpanError, match=r"'mem' of request 49"):
+            recorder.record(49, 0.0, [("cpu", 2.0), ("mem", bad)])
+        assert recorder.export()["requests"] == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_record_batch_rejects(self, bad):
+        recorder = SpanRecorder()
+        cpu = [float(i + 2) for i in range(200)]
+        mem = [3.0] * 200
+        mem[49] = bad
+        with pytest.raises(SpanError, match=r"'mem' of request 49"):
+            recorder.record_batch(range(200), [0.0] * 200, "get",
+                                  [("cpu", cpu), ("mem", mem)])
+        assert recorder.export() is None
+
+    def test_record_batch_rejects_non_finite_start(self):
+        with pytest.raises(SpanError, match="start nan of request 3"):
+            SpanRecorder().record_batch([2, 3], [0.0, float("nan")], "get",
+                                        [("cpu", [1.0, 1.0])])
+
+
 class TestCombine:
     def test_single_passthrough(self):
         recorder = SpanRecorder()
