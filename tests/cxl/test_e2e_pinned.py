@@ -1,14 +1,26 @@
 """Byte-identity pins for the end-to-end CXL read and nt-store DES.
 
-Each case hashes the ``dataclasses.asdict`` of every :class:`E2eResult`
-a run or sweep returns, plus the snapshot of the ``cxl.e2e.*``,
-``faults.*`` and ``sim.engine.*`` metrics it records (the last pins
-the executed event count).  The hashes were recorded before the
-pipeline callbacks were restructured for speed; any change to event
-order, float expression order, bank state or fault decisions moves at
-least one of them.  Fault-plan runs cover the degraded-mode branches (CRC resends,
+Each case pins four things separately, so a change that only reshapes
+the event schedule can be told apart from one that changes the model:
+
+* ``results`` hashes the ``dataclasses.asdict`` of every
+  :class:`E2eResult` a run or sweep returns;
+* ``metrics`` hashes the snapshot of the ``cxl.e2e.*`` and ``faults.*``
+  metrics it records;
+* ``events`` lists ``sim.engine.events_processed`` per run, as plain
+  integers;
+* traced cases pin the trace twice: ``trace`` hashes the Chrome JSON
+  in emission order, and ``trace_content`` hashes its events sorted,
+  without the ``sim.engine`` run slice's ``events`` argument, so it
+  holds as long as the same slices, instants and counters are
+  recorded, whatever order they are recorded in.
+
+The ``results`` and ``metrics`` hashes were recorded before the
+pipeline callbacks were restructured for speed; any change to float
+expression order, bank state or fault decisions moves at least one of
+them.  Fault-plan runs cover the degraded-mode branches (CRC resends,
 timeouts, poison, stalls, a slowed link); traced runs cover the tracer
-branches, whose Chrome-trace JSON is pinned too.
+branches.
 
 Regenerate after an *intentional* model change with::
 
@@ -32,7 +44,7 @@ WRITE_THREADS = [1, 2, 4, 8, 16]
 READ_LINES = 200
 WRITE_LINES = 200
 
-PINNED_METRICS = ("cxl.e2e.", "faults.", "sim.engine.")
+PINNED_METRICS = ("cxl.e2e.", "faults.")
 
 FAULTS = FaultPlan(crc_rate=0.02, poison_rate=0.01, timeout_rate=0.01,
                    stall_rate=0.02, link_width_fraction=0.5, seed=7)
@@ -43,96 +55,127 @@ def _digest(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _run_case(name: str) -> dict[str, str]:
-    """Run one pinned case; returns its result, metric and trace hashes."""
+def _trace_content(tracer) -> str:
+    """Hash of the trace's events as a sorted multiset.
+
+    The ``sim.engine`` run slice's ``events`` argument is left out: it
+    is the executed event count, pinned on its own.
+    """
+    lines = []
+    for event in tracer.chrome_trace()["traceEvents"]:
+        if event.get("cat") == "sim.engine" and event["name"] == "run":
+            event = dict(event, args={key: value for key, value
+                                      in event["args"].items()
+                                      if key != "events"})
+        lines.append(json.dumps(event, sort_keys=True,
+                                separators=(",", ":")))
+    return _digest(sorted(lines))
+
+
+def _case(name: str):
+    """The simulator, thread counts and lines per thread of a case."""
+    if name == "read-open":
+        return CxlEndToEndSim(), READ_THREADS, READ_LINES
+    if name == "read-closed":
+        return CxlEndToEndSim(closed_page=True), READ_THREADS, READ_LINES
+    if name == "write":
+        return CxlWriteEndToEndSim(), WRITE_THREADS, WRITE_LINES
+    if name == "read-faults":
+        return CxlEndToEndSim(fault_plan=FAULTS), [8], READ_LINES
+    if name == "write-faults":
+        return CxlWriteEndToEndSim(fault_plan=FAULTS), [8], WRITE_LINES
+    if name == "traced-read-faults":
+        return CxlEndToEndSim(fault_plan=FAULTS), [4], 60
+    if name == "traced-write-faults":
+        return CxlWriteEndToEndSim(fault_plan=FAULTS), [4], 60
+    raise KeyError(name)
+
+
+def _run_case(name: str) -> dict:
+    """Run one pinned case; returns its result, metric and trace hashes
+    plus the per-run event counts."""
     traced = name.startswith("traced")
     telemetry = Telemetry.on() if traced else Telemetry.metrics_only()
-    if name == "read-open":
-        results = CxlEndToEndSim(telemetry=telemetry).sweep(
-            READ_THREADS, lines_per_thread=READ_LINES)
-    elif name == "read-closed":
-        results = CxlEndToEndSim(closed_page=True, telemetry=telemetry) \
-            .sweep(READ_THREADS, lines_per_thread=READ_LINES)
-    elif name == "write":
-        results = CxlWriteEndToEndSim(telemetry=telemetry).sweep(
-            WRITE_THREADS, lines_per_thread=WRITE_LINES)
-    elif name == "read-faults":
-        results = {8: CxlEndToEndSim(fault_plan=FAULTS,
-                                     telemetry=telemetry)
-                   .run(threads=8, lines_per_thread=READ_LINES)}
-    elif name == "write-faults":
-        results = {8: CxlWriteEndToEndSim(fault_plan=FAULTS,
-                                          telemetry=telemetry)
-                   .run(threads=8, lines_per_thread=WRITE_LINES)}
-    elif name == "traced-read-faults":
-        results = {4: CxlEndToEndSim(fault_plan=FAULTS,
-                                     telemetry=telemetry)
-                   .run(threads=4, lines_per_thread=60)}
-    elif name == "traced-write-faults":
-        results = {4: CxlWriteEndToEndSim(fault_plan=FAULTS,
-                                          telemetry=telemetry)
-                   .run(threads=4, lines_per_thread=60)}
-    else:
-        raise KeyError(name)
+    sim, thread_counts, lines = _case(name)
+    sim.telemetry = telemetry
+    results = {}
+    events = []
+    for threads in thread_counts:
+        results[threads] = sim.run(threads=threads, lines_per_thread=lines)
+        events.append(int(telemetry.registry.snapshot()
+                          ["sim.engine.events_processed"]["value"]))
     snapshot = telemetry.registry.snapshot()
     digests = {
         "results": _digest({str(threads): dataclasses.asdict(result)
                             for threads, result in results.items()}),
         "metrics": _digest({key: value for key, value in snapshot.items()
                             if key.startswith(PINNED_METRICS)}),
+        "events": events,
     }
     if traced:
         digests["trace"] = hashlib.sha256(
             telemetry.tracer.to_json().encode()).hexdigest()
+        digests["trace_content"] = _trace_content(telemetry.tracer)
     return digests
 
 
-PINNED: dict[str, dict[str, str]] = {
+PINNED: dict[str, dict] = {
     "read-open": {
         "results":
             "934330979172e5a02963a6f5015926a48109c82211d62c332fbde4bb960d6abb",
         "metrics":
-            "0d9e15ddd726d5cff3d85b4c3421bac357e17ab61322952815770969acdb7387",
+            "95f4ec241c79fd567abd2f2e0526bcb6d8a43d1f61d68eea7d81344a07f5fac2",
+        "events": [600, 1200, 2400, 4800, 7200, 9600, 19200],
     },
     "read-closed": {
         "results":
             "47cb99f4f2d88210aceb703109a7722c4923687d9c4fc18c8a52663d41c1c80a",
         "metrics":
-            "b21cb625d1ad1310ae0253553c9017e351c23995db0d88c6c79c6a6272bf9a69",
+            "68f2891891bcd121a7daaba8d098547773197f19e60362ae8c1364a4d00210a3",
+        "events": [600, 1200, 2400, 4800, 7200, 9600, 19200],
     },
     "write": {
         "results":
             "e58b114dc0c59b3060c37e2e5e6db3e2f2a5491cfe477e309da507e44415f7cc",
         "metrics":
-            "a76c45ef2efd183166338e65a56b2a0dadbdcb3d7a08f9f80fb70f84caaa394a",
+            "8604aff1db72fdf76d5c66ce6351d374d9714be4fed75ed53a59b87a88d70a22",
+        "events": [601, 1202, 2404, 4808, 9616],
     },
     "read-faults": {
         "results":
             "2d0ba442ee7ca87226d5b7381a29c7491c489a55c8bc3917a20b03a17794bf22",
         "metrics":
-            "89fddfc6ece64426751bbc09eb20a998a7a7367f879f7a6546fade58cb06d447",
+            "cc2ad25441e3702292dd3c9d1d0ddf89ea8969a250371f88783061a124d74d4b",
+        "events": [4882],
     },
     "write-faults": {
         "results":
             "0ab8ef136e0b0af35a52af8037564d1320c8fcc5da81258a040aa33a63754046",
         "metrics":
-            "3c3f1d53154786bca0bb2546d7441de5de3298a9769f371c33d4e41ee9c9199a",
+            "f2eb7e1f67e9252a790056f216c065226165812a001a62eb41d1a642ff24cce6",
+        "events": [4808],
     },
     "traced-read-faults": {
         "results":
             "62b7e83404f0005323e6ce7b69f2080713518d4fa877cd9d772babe5021d29d2",
         "metrics":
-            "4be1ca2ade2fcbb86e83af46a20475b3b1df486c760e3788de594f05c95cd74d",
+            "fc79f2eba45e4ac57bb1dad86ec302fad84d845023dc2bac8412ef67487460b6",
+        "events": [728],
         "trace":
             "e4ae9e2d08b9cf8bb9a8a3fced9183b8840edd71d41d160d4199bbfec09c67de",
+        "trace_content":
+            "4e1c0d201fa69436126a04cae66b724ff2347ee5f8144843045419cacf52e4c5",
     },
     "traced-write-faults": {
         "results":
             "4a688c8b43f44d421002b18eb0e8cd1c15e41ac059a07b9918327742f0d5fbda",
         "metrics":
-            "5ec9505f6d70a3f49f2b934479f0b871b6918ab0eb60d7ec4c382d46a0957b0e",
+            "9b2659603f3c1f13702c2c2ad1966f72ffe9165d7d87881915a01fa209b03e68",
+        "events": [724],
         "trace":
             "ef13ba31ceecfc6317d42e5d9df5bda89b0aed7ea82cdce14e8f7ce8d7408277",
+        "trace_content":
+            "7f729cc176aeb505b2800a5b2105e0e7d56148f756caf32a2de951c1d70c5277",
     },
 }
 
