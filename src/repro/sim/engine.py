@@ -112,8 +112,23 @@ class Engine:
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any) -> list:
-        """Run ``callback(*args)`` at absolute time ``time``."""
-        return self.schedule(time - self._now, callback, *args)
+        """Run ``callback(*args)`` at absolute time ``time``.
+
+        The event is queued at exactly ``time``: going through a delay,
+        ``now + (time - now)``, can round to a neighbouring float.
+        """
+        if time < self._now:
+            raise SimulationError(f"cannot schedule into the past: "
+                                  f"time={time} < now={self._now}")
+        if callback is None:
+            raise SimulationError("schedule_at() needs a callback, got "
+                                  "callback=None")
+        entry = [time, next(self._seq), callback, args]
+        if time > self._run_max:
+            self._future.append(entry)
+        else:
+            insort(self._run_list, entry, self._pos)
+        return entry
 
     def cancel(self, handle: list) -> None:
         """Cancel a previously scheduled callback.

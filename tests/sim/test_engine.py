@@ -54,6 +54,29 @@ class TestScheduling:
         eng.run()
         assert eng.now == 25.0
 
+    def test_schedule_at_fires_at_exactly_the_given_time(self):
+        # 1024 + ulp(1024) seen from now = ulp(1024) / 2: the delay
+        # ``t - now`` and the sum ``now + delay`` both round half to
+        # even, landing on 1024.0 instead of ``t``.
+        now = 2.0 ** -43
+        t = 1024.0 + 2.0 ** -42
+        assert now + (t - now) != t
+        eng = Engine()
+        fired = []
+        eng.schedule(now, lambda: eng.schedule_at(
+            t, lambda: fired.append(eng.now)))
+        eng.run()
+        assert fired == [t]
+
+    def test_schedule_at_rejects_the_past(self):
+        eng = Engine()
+        eng.schedule(10.0, lambda: None)
+        eng.run()
+        with pytest.raises(SimulationError, match="past"):
+            eng.schedule_at(9.5, lambda: None)
+        eng.schedule_at(10.0, lambda: None)     # now itself is allowed
+        assert eng.peek() == 10.0
+
     def test_nested_scheduling_from_callback(self):
         eng = Engine()
         order = []
