@@ -129,7 +129,7 @@ class CxlEndToEndSim:
             raise SimulationError(
                 "threads and lines_per_thread must be positive")
         engine = Engine(telemetry=self.telemetry)
-        schedule = engine.schedule
+        schedule, schedule_at = engine.schedule, engine.schedule_at
         tracer = self.telemetry.tracer
         traced = tracer.enabled
         latency_hist = self.telemetry.registry.histogram(
@@ -161,13 +161,14 @@ class CxlEndToEndSim:
         latencies: list[float] = []
         activate_times: deque[float] = deque(maxlen=4)
 
-        # Hot path: per-request arguments ride through the event
-        # (schedule(delay, fn, *args)) instead of a fresh closure per
-        # request, and the pipeline state lives in closure cells — see
-        # docs/PERFORMANCE.md.  ``attempt`` numbers the send for one
-        # line (1 = first issue); fault draws are keyed on (line,
-        # attempt) so retries re-roll while replays of the same
-        # decision never do.
+        # One event per read attempt (``complete``), plus one per fault
+        # retry: the device and S2M stages run inside ``send``, each on
+        # the clock its own event used to carry, because both see
+        # their requests in ``send``-call order (argued at each stage).
+        # ``attempt`` numbers the send for one line (1 = first issue);
+        # fault draws are keyed on (line, attempt), not on call order,
+        # so retries re-roll while replays of the same decision never
+        # do.
         def launch(thread: int, now: float) -> None:
             index = next_line[thread]
             if index >= lines_per_thread:
@@ -177,7 +178,7 @@ class CxlEndToEndSim:
 
         def send(thread: int, line: int, issued_at: float,
                  attempt: int) -> None:
-            nonlocal m2s_free_at
+            nonlocal m2s_free_at, dram_bus_free_at, s2m_free_at
             now = engine.now
             sends = REQUEST_FLITS if injector is None \
                 else injector.crc_transmissions(REQUEST_FLITS,
@@ -187,14 +188,11 @@ class CxlEndToEndSim:
             if traced:
                 tracer.complete(TRACK_PORT, "m2s.memrd", start,
                                 sends * flit_ns, thread=thread)
-            arrive = m2s_free_at + hop_ns
-            schedule(arrive - now, device_handle, thread, line, issued_at,
-                     attempt)
-
-        def device_handle(thread: int, line: int, issued_at: float,
-                          attempt: int) -> None:
-            nonlocal dram_bus_free_at
-            now = engine.now
+            # Device stage.  Every send adds at least one flit_ns to
+            # m2s_free_at, so arrivals strictly increase in send-call
+            # order: the device sees requests in exactly this order,
+            # and only this stage touches the banks and the DRAM bus.
+            now = now + (m2s_free_at + hop_ns - now)
             if injector is not None \
                     and attempt <= injector.plan.max_retries \
                     and injector.timeout(line, attempt):
@@ -205,8 +203,8 @@ class CxlEndToEndSim:
                 if traced:
                     tracer.instant(TRACK_WBUF, "fault-timeout",
                                    now, thread=thread)
-                schedule(injector.plan.timeout_ns,
-                         send, thread, line, issued_at, attempt + 1)
+                schedule_at(now + injector.plan.timeout_ns,
+                            send, thread, line, issued_at, attempt + 1)
                 return
             row_index = line // row_lines
             bank_index = row_index % nbanks
@@ -234,13 +232,10 @@ class CxlEndToEndSim:
             if traced:
                 tracer.complete(TRACK_DRAM, "burst", burst_start,
                                 burst_ns, bank=bank_index, hit=hit)
-            schedule(dram_bus_free_at - now,
-                     respond, thread, line, issued_at, attempt)
-
-        def respond(thread: int, line: int, issued_at: float,
-                    attempt: int) -> None:
-            nonlocal s2m_free_at
-            now = engine.now
+            # S2M stage.  Each burst adds burst_ns to dram_bus_free_at
+            # (a timeout returns before touching the bus), so responses
+            # reach the wire in device order, which is send-call order.
+            now = now + (dram_bus_free_at - now)
             sends = RESPONSE_FLITS if injector is None \
                 else injector.crc_transmissions(RESPONSE_FLITS,
                                                 "s2m", line, attempt)
@@ -250,8 +245,8 @@ class CxlEndToEndSim:
                 tracer.complete(TRACK_PORT, "s2m.drs", start,
                                 sends * flit_ns, thread=thread)
             done_at = s2m_free_at + hop_ns + pack_ns
-            schedule(done_at - now,
-                     complete, thread, line, issued_at, attempt)
+            schedule_at(now + (done_at - now),
+                        complete, thread, line, issued_at, attempt)
 
         def complete(thread: int, line: int, issued_at: float,
                      attempt: int) -> None:
@@ -377,7 +372,7 @@ class CxlWriteEndToEndSim:
             raise SimulationError(
                 "threads and lines_per_thread must be positive")
         engine = Engine(telemetry=self.telemetry)
-        schedule = engine.schedule
+        schedule, schedule_at = engine.schedule, engine.schedule_at
         tracer = self.telemetry.tracer
         traced = tracer.enabled
         injector = injector_for(self.fault_plan, stream="e2e-write",
@@ -439,7 +434,7 @@ class CxlWriteEndToEndSim:
                 stalled_threads.append(thread)
 
         def send(thread: int, line: int) -> None:
-            nonlocal m2s_free_at
+            nonlocal m2s_free_at, dram_bus_free_at
             now = engine.now
             sends = request_flits if injector is None \
                 else injector.crc_transmissions(request_flits, "m2s", line)
@@ -448,14 +443,13 @@ class CxlWriteEndToEndSim:
             if traced:
                 tracer.complete(TRACK_PORT, "m2s.rwd", start,
                                 sends * flit_ns, thread=thread)
-            arrive = m2s_free_at + hop_ns
-            schedule(arrive - now, buffer_arrival, line)
-
-        def buffer_arrival(line: int) -> None:
-            nonlocal dram_bus_free_at
-            now = engine.now
-            # The controller is a pipeline stage (latency, not
-            # occupancy); banks and the shared data bus serialize.
+            # Buffer arrival.  Every send adds at least one flit_ns to
+            # m2s_free_at, so lines reach the buffer in send-call order
+            # and drain in that order; only this stage touches the
+            # banks and the DRAM bus.  The controller is a pipeline
+            # stage (latency, not occupancy); banks and the shared
+            # data bus serialize.
+            now = now + (m2s_free_at + hop_ns - now)
             latency = controller_ns
             if injector is not None:
                 stall = injector.stall_ns("drain", line)
@@ -471,7 +465,9 @@ class CxlWriteEndToEndSim:
             if traced:
                 tracer.complete(TRACK_DRAM, "drain-burst", burst_start,
                                 burst_ns, bank=bank.index, hit=hit)
-            schedule(dram_bus_free_at - now, drained)
+            # ``drained`` stays an event: it returns the credit that
+            # ``thread_tick`` reads.
+            schedule_at(now + (dram_bus_free_at - now), drained)
 
         def drained() -> None:
             nonlocal completed, last_done, credits

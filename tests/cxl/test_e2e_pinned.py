@@ -22,6 +22,17 @@ them.  Fault-plan runs cover the degraded-mode branches (CRC resends,
 timeouts, poison, stalls, a slowed link); traced runs cover the tracer
 branches.
 
+The ``events`` counts and the emission-order ``trace`` hashes were
+re-pinned when the read pipeline's device and S2M stages and the
+nt-store pipeline's buffer-arrival stage were folded into ``send``,
+each on the clock its own event used to carry.  A read attempt is now
+one event (``complete``) plus one per fault retry, and an nt-store line
+two (``thread_tick`` and ``drained``), plus one closing tick per
+writer.  The folded stages record their slices and instants when the
+send runs rather than when their old event fired, so only the
+emission order moved: ``results``, ``metrics`` and ``trace_content``
+kept the values recorded before the fold.
+
 Regenerate after an *intentional* model change with::
 
     PYTHONPATH=src python tests/cxl/test_e2e_pinned.py
@@ -125,44 +136,44 @@ PINNED: dict[str, dict] = {
             "934330979172e5a02963a6f5015926a48109c82211d62c332fbde4bb960d6abb",
         "metrics":
             "95f4ec241c79fd567abd2f2e0526bcb6d8a43d1f61d68eea7d81344a07f5fac2",
-        "events": [600, 1200, 2400, 4800, 7200, 9600, 19200],
+        "events": [200, 400, 800, 1600, 2400, 3200, 6400],
     },
     "read-closed": {
         "results":
             "47cb99f4f2d88210aceb703109a7722c4923687d9c4fc18c8a52663d41c1c80a",
         "metrics":
             "68f2891891bcd121a7daaba8d098547773197f19e60362ae8c1364a4d00210a3",
-        "events": [600, 1200, 2400, 4800, 7200, 9600, 19200],
+        "events": [200, 400, 800, 1600, 2400, 3200, 6400],
     },
     "write": {
         "results":
             "e58b114dc0c59b3060c37e2e5e6db3e2f2a5491cfe477e309da507e44415f7cc",
         "metrics":
             "8604aff1db72fdf76d5c66ce6351d374d9714be4fed75ed53a59b87a88d70a22",
-        "events": [601, 1202, 2404, 4808, 9616],
+        "events": [401, 802, 1604, 3208, 6416],
     },
     "read-faults": {
         "results":
             "2d0ba442ee7ca87226d5b7381a29c7491c489a55c8bc3917a20b03a17794bf22",
         "metrics":
             "cc2ad25441e3702292dd3c9d1d0ddf89ea8969a250371f88783061a124d74d4b",
-        "events": [4882],
+        "events": [1641],
     },
     "write-faults": {
         "results":
             "0ab8ef136e0b0af35a52af8037564d1320c8fcc5da81258a040aa33a63754046",
         "metrics":
             "f2eb7e1f67e9252a790056f216c065226165812a001a62eb41d1a642ff24cce6",
-        "events": [4808],
+        "events": [3208],
     },
     "traced-read-faults": {
         "results":
             "62b7e83404f0005323e6ce7b69f2080713518d4fa877cd9d772babe5021d29d2",
         "metrics":
             "fc79f2eba45e4ac57bb1dad86ec302fad84d845023dc2bac8412ef67487460b6",
-        "events": [728],
+        "events": [244],
         "trace":
-            "e4ae9e2d08b9cf8bb9a8a3fced9183b8840edd71d41d160d4199bbfec09c67de",
+            "f791366d67686235c907568fc5af2717627d8a8a4b0e7250a9faf19716974395",
         "trace_content":
             "4e1c0d201fa69436126a04cae66b724ff2347ee5f8144843045419cacf52e4c5",
     },
@@ -171,9 +182,9 @@ PINNED: dict[str, dict] = {
             "4a688c8b43f44d421002b18eb0e8cd1c15e41ac059a07b9918327742f0d5fbda",
         "metrics":
             "9b2659603f3c1f13702c2c2ad1966f72ffe9165d7d87881915a01fa209b03e68",
-        "events": [724],
+        "events": [484],
         "trace":
-            "ef13ba31ceecfc6317d42e5d9df5bda89b0aed7ea82cdce14e8f7ce8d7408277",
+            "10c4e6c27da19062363d427dc403a1b2f7d6223bcde756923a95ac0bc1777f81",
         "trace_content":
             "7f729cc176aeb505b2800a5b2105e0e7d56148f756caf32a2de951c1d70c5277",
     },
