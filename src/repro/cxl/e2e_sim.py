@@ -162,9 +162,15 @@ class CxlEndToEndSim:
         activate_times: deque[float] = deque(maxlen=4)
 
         # One event per read attempt (``complete``), plus one per fault
-        # retry: the device and S2M stages run inside ``send``, each on
-        # the clock its own event used to carry, because both see
-        # their requests in ``send``-call order (argued at each stage).
+        # retry: the device and S2M stages run inside ``send``, because
+        # both see their requests in ``send``-call order (argued at
+        # each stage).  Each stage's clock is the sum the engine forms
+        # for an event of its own, ``now + (t - now)``, which is not
+        # always ``t``.  Events due at exactly one instant fire in the
+        # order they were scheduled, and ``complete`` and a timeout
+        # retry are scheduled here, so such a tie between different
+        # requests' events can resolve in another order than with a
+        # stage event each (tests/cxl/test_e2e_fusion.py).
         # ``attempt`` numbers the send for one line (1 = first issue);
         # fault draws are keyed on (line, attempt), not on call order,
         # so retries re-roll while replays of the same decision never
@@ -466,7 +472,9 @@ class CxlWriteEndToEndSim:
                 tracer.complete(TRACK_DRAM, "drain-burst", burst_start,
                                 burst_ns, bank=bank.index, hit=hit)
             # ``drained`` stays an event: it returns the credit that
-            # ``thread_tick`` reads.
+            # ``thread_tick`` reads.  Scheduled here, it can resolve an
+            # exact tie with a ``thread_tick`` in another order than
+            # with a stage event of its own.
             schedule_at(now + (dram_bus_free_at - now), drained)
 
         def drained() -> None:

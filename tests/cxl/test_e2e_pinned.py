@@ -83,22 +83,28 @@ def _trace_content(tracer) -> str:
     return _digest(sorted(lines))
 
 
-def _case(name: str):
+def _case(name: str, telemetry: Telemetry):
     """The simulator, thread counts and lines per thread of a case."""
     if name == "read-open":
-        return CxlEndToEndSim(), READ_THREADS, READ_LINES
+        return CxlEndToEndSim(telemetry=telemetry), READ_THREADS, READ_LINES
     if name == "read-closed":
-        return CxlEndToEndSim(closed_page=True), READ_THREADS, READ_LINES
+        return (CxlEndToEndSim(closed_page=True, telemetry=telemetry),
+                READ_THREADS, READ_LINES)
     if name == "write":
-        return CxlWriteEndToEndSim(), WRITE_THREADS, WRITE_LINES
+        return (CxlWriteEndToEndSim(telemetry=telemetry), WRITE_THREADS,
+                WRITE_LINES)
     if name == "read-faults":
-        return CxlEndToEndSim(fault_plan=FAULTS), [8], READ_LINES
+        return (CxlEndToEndSim(fault_plan=FAULTS, telemetry=telemetry),
+                [8], READ_LINES)
     if name == "write-faults":
-        return CxlWriteEndToEndSim(fault_plan=FAULTS), [8], WRITE_LINES
+        return (CxlWriteEndToEndSim(fault_plan=FAULTS, telemetry=telemetry),
+                [8], WRITE_LINES)
     if name == "traced-read-faults":
-        return CxlEndToEndSim(fault_plan=FAULTS), [4], 60
+        return (CxlEndToEndSim(fault_plan=FAULTS, telemetry=telemetry),
+                [4], 60)
     if name == "traced-write-faults":
-        return CxlWriteEndToEndSim(fault_plan=FAULTS), [4], 60
+        return (CxlWriteEndToEndSim(fault_plan=FAULTS, telemetry=telemetry),
+                [4], 60)
     raise KeyError(name)
 
 
@@ -107,8 +113,7 @@ def _run_case(name: str) -> dict:
     plus the per-run event counts."""
     traced = name.startswith("traced")
     telemetry = Telemetry.on() if traced else Telemetry.metrics_only()
-    sim, thread_counts, lines = _case(name)
-    sim.telemetry = telemetry
+    sim, thread_counts, lines = _case(name, telemetry)
     results = {}
     events = []
     for threads in thread_counts:
