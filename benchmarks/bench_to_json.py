@@ -165,8 +165,8 @@ def main(argv: list[str] | None = None) -> int:
     # the serial figure loop has bloated the parent heap overstates
     # the wall time vs what `repro-experiments --jobs N` (a fresh
     # process) actually costs.  Same scheduling as
-    # `repro-experiments --jobs N --no-cache`: internally-sharded
-    # heavies + one-experiment-per-worker rest.
+    # `repro-experiments --jobs N --no-cache`: one unit per sweep
+    # point of the point experiments, one per experiment for the rest.
     parallel_total = _best_of(
         lambda: _run_ids(ids, fast=fast, jobs=args.jobs,
                          use_cache=False),
@@ -180,9 +180,10 @@ def main(argv: list[str] | None = None) -> int:
                            args.repeats)
         figures[eid] = {"serial_s": round(seconds, 4)}
         line = f"{eid:20s} serial {seconds:7.3f}s"
-        if REGISTRY[eid].accepts_jobs and args.jobs > 1:
+        if REGISTRY[eid].points and args.jobs > 1:
             jobs_seconds = _best_of(
-                lambda: REGISTRY[eid].run(fast=fast, jobs=args.jobs),
+                lambda: _run_ids([eid], fast=fast, jobs=args.jobs,
+                                 use_cache=False),
                 args.repeats)
             figures[eid]["jobs_s"] = round(jobs_seconds, 4)
             line += f"  --jobs {args.jobs} {jobs_seconds:7.3f}s"

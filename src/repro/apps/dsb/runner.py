@@ -202,102 +202,52 @@ class DsbRunner:
 
     # -- convenience -----------------------------------------------------------
 
-    def _init_kwargs(self) -> dict:
-        """Constructor state minus telemetry — the picklable spec a
-        worker process needs to rebuild an equivalent runner."""
-        return {"system": self.system,
-                "database_node": self.network.database_node,
-                "seed": self.seed}
+    def point_spec(self, qps: float, *,
+                   request_type: RequestType | None = None,
+                   requests: int = 4000) -> tuple:
+        """The picklable :func:`~repro.parallel.sweeps.run_sim_point`
+        spec of one :meth:`p99_curve` point: a fresh runner with this
+        one's system, database node and seed (telemetry stays off)."""
+        return (DsbRunner,
+                {"system": self.system,
+                 "database_node": self.network.database_node,
+                 "seed": self.seed},
+                {"qps": qps, "mix": _mix(request_type),
+                 "requests": requests})
 
     def p99_curve(self, qps_points: list[float], *,
                   request_type: RequestType | None = None,
-                  requests: int = 4000, jobs: int = 1):
+                  requests: int = 4000):
         """p99 (ms) vs QPS for one request type (or the mixed workload).
 
-        Points are independent runs, so ``jobs > 1`` shards them across
-        worker processes; results and telemetry merge back in QPS order,
-        identical to the serial loop.
+        Points are independent runs; Fig 10 runs each as its own unit
+        (:meth:`point_spec`) and builds the same series with
+        :meth:`p99_series`.
         """
-        from ...analysis.series import Series
-        mix = (MIXED_WORKLOAD if request_type is None
-               else {request_type: 1.0})
+        return self.p99_series(
+            qps_points, [self.run(qps, mix=_mix(request_type),
+                                  requests=requests)
+                         for qps in qps_points],
+            request_type=request_type)
+
+    def curve_name(self, request_type: RequestType | None = None) -> str:
+        """``<request type>@<database tier>``, e.g. ``mixed@cxl``."""
         label = request_type.value if request_type else "mixed"
         node = self.network.database_node
-        kind = self.system.topology.node(node).kind.value
-        series = Series(f"{label}@{kind}", x_label="QPS",
+        return f"{label}@{self.system.topology.node(node).kind.value}"
+
+    def p99_series(self, qps_points: list[float], results: list[DsbResult],
+                   *, request_type: RequestType | None = None):
+        """The p99 curve of ``request_type`` on this runner's database
+        tier, from its points' results."""
+        from ...analysis.series import Series
+        series = Series(self.curve_name(request_type), x_label="QPS",
                         y_label="p99 (ms)")
-        if jobs > 1 and len(qps_points) > 1:
-            from ...parallel import (
-                ParallelRunner,
-                merge_all,
-                telemetry_spec,
-            )
-            from ...parallel.sweeps import run_sim_point
-            spec = telemetry_spec(self.telemetry)
-            units = [(DsbRunner, self._init_kwargs(),
-                      {"qps": qps, "mix": mix, "requests": requests},
-                      spec)
-                     for qps in qps_points]
-            outputs = ParallelRunner(jobs).map(run_sim_point, units)
-            merge_all(self.telemetry,
-                      (export for _, export in outputs))
-            for qps, (result, _) in zip(qps_points, outputs):
-                series.append(qps, result.p99_ms)
-        else:
-            for qps in qps_points:
-                series.append(qps, self.run(qps, mix=mix,
-                                            requests=requests).p99_ms)
+        for qps, result in zip(qps_points, results):
+            series.append(qps, result.p99_ms)
         return series
 
 
-def p99_curves(combos: list[tuple["DsbRunner", RequestType | None]],
-               qps_points: list[float], *, requests: int = 4000,
-               jobs: int = 1):
-    """Every Fig-10 curve in one flat (combo × QPS) sweep.
-
-    ``combos`` pairs a runner (DRAM- or CXL-backed database) with a
-    request type (``None`` = the mixed workload).  With ``jobs > 1``
-    each *(combo, qps)* point is its own worker unit — the whole
-    figure shards at once instead of curve-at-a-time, so workers stay
-    busy across panel boundaries.  Results reassemble combo-major,
-    QPS-minor; telemetry merges into the first runner's session in
-    unit order.  Byte-identical to the serial loop either way.
-    """
-    from ...analysis.series import Series
-    if jobs > 1 and len(combos) * len(qps_points) > 1:
-        from ...parallel import ParallelRunner, merge_all, telemetry_spec
-        from ...parallel.sweeps import run_sim_point
-        spec = telemetry_spec(combos[0][0].telemetry)
-        units = []
-        names = []
-        for runner, request_type in combos:
-            mix = (MIXED_WORKLOAD if request_type is None
-                   else {request_type: 1.0})
-            label = request_type.value if request_type else "mixed"
-            node = runner.network.database_node
-            kind = runner.system.topology.node(node).kind.value
-            for qps in qps_points:
-                units.append((DsbRunner, runner._init_kwargs(),
-                              {"qps": qps, "mix": mix,
-                               "requests": requests}, spec))
-                names.append(f"fig10[{label}@{kind},qps={qps:g}]")
-        outputs = ParallelRunner(jobs, names=names).map(
-            run_sim_point, units)
-        merge_all(combos[0][0].telemetry,
-                  (export for _, export in outputs))
-        curves = []
-        for index, (runner, request_type) in enumerate(combos):
-            label = request_type.value if request_type else "mixed"
-            node = runner.network.database_node
-            kind = runner.system.topology.node(node).kind.value
-            series = Series(f"{label}@{kind}", x_label="QPS",
-                            y_label="p99 (ms)")
-            offset = index * len(qps_points)
-            for qps, (result, _) in zip(
-                    qps_points, outputs[offset:offset + len(qps_points)]):
-                series.append(qps, result.p99_ms)
-            curves.append(series)
-        return curves
-    return [runner.p99_curve(qps_points, request_type=request_type,
-                             requests=requests)
-            for runner, request_type in combos]
+def _mix(request_type: RequestType | None) -> dict[RequestType, float]:
+    """One request type alone, or the mixed workload for ``None``."""
+    return MIXED_WORKLOAD if request_type is None else {request_type: 1.0}

@@ -67,73 +67,27 @@ class RedisYcsbStudy:
         finally:
             store.free()
 
+    def point_spec(self, workload: YcsbWorkload, cxl_fraction: float,
+                   qps: float, *, requests: int = 15_000) -> tuple:
+        """The picklable :func:`~repro.parallel.sweeps.run_kv_p99_point`
+        spec of :meth:`p99_point`."""
+        return (self.system, self.num_keys, self.seed, workload,
+                cxl_fraction, qps, requests)
+
     def p99_curve(self, workload: YcsbWorkload, cxl_fraction: float,
-                  qps_points: list[float], *, requests: int = 15_000,
-                  jobs: int = 1) -> Series:
+                  qps_points: list[float], *,
+                  requests: int = 15_000) -> Series:
         """One Fig-6 curve: p99 sojourn (µs) versus offered QPS.
 
         Each point builds its own store from the same seed, so points
-        are independent: ``jobs > 1`` fans them across worker processes
-        and reassembles the series in QPS order, bit-identical to the
-        serial loop.
+        are independent; Fig 6 runs each as its own unit
+        (:func:`~repro.parallel.sweeps.run_kv_p99_point`) and builds the
+        same series with :func:`p99_series`.
         """
-        label = f"{int(cxl_fraction * 100)}%-CXL"
-        series = Series(label, x_label="QPS", y_label="p99 (us)")
-        if jobs > 1 and len(qps_points) > 1:
-            from ...parallel import ParallelRunner
-            from ...parallel.sweeps import run_kv_p99_point
-            specs = [(self.system, self.num_keys, self.seed, workload,
-                      cxl_fraction, qps, requests) for qps in qps_points]
-            names = [f"fig6[{label},qps={qps:g}]" for qps in qps_points]
-            results = ParallelRunner(jobs, names=names).map(
-                run_kv_p99_point, specs)
-        else:
-            results = [self.p99_point(workload, cxl_fraction, qps,
-                                      requests=requests)
-                       for qps in qps_points]
-        for qps, result in zip(qps_points, results):
-            series.append(qps, result.p99_us)
-        return series
-
-    def p99_curves(self, workload: YcsbWorkload,
-                   cxl_fractions: list[float],
-                   qps_points: list[float], *, requests: int = 15_000,
-                   jobs: int = 1) -> list[Series]:
-        """Every Fig-6 curve in one flat (fraction × QPS) sweep.
-
-        With ``jobs > 1`` each *(fraction, qps)* pair is its own worker
-        unit — finer sharding than one-curve-at-a-time, so a handful of
-        workers keeps busy across the whole figure instead of stalling
-        at each curve boundary.  Results reassemble fraction-major,
-        QPS-minor, byte-identical to the serial nested loop.
-        """
-        if jobs > 1 and len(cxl_fractions) * len(qps_points) > 1:
-            from ...parallel import ParallelRunner
-            from ...parallel.sweeps import run_kv_p99_point
-            specs = []
-            names = []
-            for fraction in cxl_fractions:
-                label = f"{int(fraction * 100)}%-CXL"
-                for qps in qps_points:
-                    specs.append((self.system, self.num_keys, self.seed,
-                                  workload, fraction, qps, requests))
-                    names.append(f"fig6[{label},qps={qps:g}]")
-            results = ParallelRunner(jobs, names=names).map(
-                run_kv_p99_point, specs)
-            curves = []
-            for index, fraction in enumerate(cxl_fractions):
-                label = f"{int(fraction * 100)}%-CXL"
-                series = Series(label, x_label="QPS", y_label="p99 (us)")
-                offset = index * len(qps_points)
-                for qps, result in zip(
-                        qps_points,
-                        results[offset:offset + len(qps_points)]):
-                    series.append(qps, result.p99_us)
-                curves.append(series)
-            return curves
-        return [self.p99_curve(workload, fraction, qps_points,
-                               requests=requests)
-                for fraction in cxl_fractions]
+        return p99_series(cxl_fraction, qps_points,
+                          [self.p99_point(workload, cxl_fraction, qps,
+                                          requests=requests)
+                           for qps in qps_points])
 
     # -- Fig 7: max sustainable QPS -------------------------------------------
 
@@ -183,3 +137,13 @@ class RedisYcsbStudy:
             else:
                 variants.append((name, workload))
         return variants
+
+
+def p99_series(cxl_fraction: float, qps_points: list[float],
+               results: list[RunResult]) -> Series:
+    """The Fig-6 curve of one placement from its points' results."""
+    series = Series(f"{int(cxl_fraction * 100)}%-CXL", x_label="QPS",
+                    y_label="p99 (us)")
+    for qps, result in zip(qps_points, results):
+        series.append(qps, result.p99_us)
+    return series

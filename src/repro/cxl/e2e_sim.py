@@ -306,28 +306,9 @@ class CxlEndToEndSim:
             faults_injected=injector.injected if injector else 0,
             faults_recovered=injector.recovered if injector else 0)
 
-    def _init_kwargs(self) -> dict:
-        """Constructor state (minus telemetry) for worker re-creation."""
-        return {"port": self.port, "timings": self.timings,
-                "controller_ns": self.controller_ns,
-                "mlp_per_thread": self.mlp_per_thread,
-                "region_lines": self.region_lines,
-                "closed_page": self.closed_page,
-                "fault_plan": self.fault_plan}
-
     def sweep(self, thread_counts: list[int], *,
-              lines_per_thread: int = 1500,
-              jobs: int = 1) -> dict[int, E2eResult]:
-        """Fig-3b-style thread sweep.
-
-        ``jobs > 1`` fans the independent points out across processes
-        (results and telemetry merge back in thread-count order, so the
-        outcome is identical to a serial sweep).
-        """
-        if jobs > 1:
-            return _parallel_sweep(self, thread_counts,
-                                   lines_per_thread=lines_per_thread,
-                                   jobs=jobs)
+              lines_per_thread: int = 1500) -> dict[int, E2eResult]:
+        """Fig-3b-style thread sweep."""
         return {threads: self.run(threads=threads,
                                   lines_per_thread=lines_per_thread)
                 for threads in thread_counts}
@@ -513,48 +494,10 @@ class CxlWriteEndToEndSim:
             faults_injected=injector.injected if injector else 0,
             faults_recovered=injector.recovered if injector else 0)
 
-    def _init_kwargs(self) -> dict:
-        """Constructor state (minus telemetry) for worker re-creation."""
-        return {"port": self.port, "timings": self.timings,
-                "controller_ns": self.controller_ns,
-                "buffer_entries": self.buffer_entries,
-                "issue_gap_ns": self.issue_gap_ns,
-                "region_lines": self.region_lines,
-                "fault_plan": self.fault_plan}
-
     def sweep(self, thread_counts: list[int], *,
-              lines_per_thread: int = 1200,
-              jobs: int = 1) -> dict[int, E2eResult]:
-        """nt-store thread sweep, optionally process-parallel."""
-        if jobs > 1:
-            return _parallel_sweep(self, thread_counts,
-                                   lines_per_thread=lines_per_thread,
-                                   jobs=jobs)
+              lines_per_thread: int = 1200) -> dict[int, E2eResult]:
+        """nt-store thread sweep."""
         return {threads: self.run(threads=threads,
                                   lines_per_thread=lines_per_thread)
                 for threads in thread_counts}
 
-
-def _parallel_sweep(sim, thread_counts: list[int], *,
-                    lines_per_thread: int,
-                    jobs: int) -> dict[int, E2eResult]:
-    """Fan sweep points across processes, merge in thread-count order.
-
-    Each point runs against a fresh worker-side telemetry session
-    shaped like ``sim.telemetry``; exports fold back into the parent in
-    submission order, so event sequences, track creation order, and
-    metric values are identical to a serial sweep's.
-    """
-    from ..parallel import ParallelRunner, merge_all, telemetry_spec
-    from ..parallel.sweeps import run_sim_point
-
-    spec = telemetry_spec(sim.telemetry)
-    init_kwargs = sim._init_kwargs()
-    units = [(type(sim), init_kwargs,
-              {"threads": threads, "lines_per_thread": lines_per_thread},
-              spec)
-             for threads in thread_counts]
-    outputs = ParallelRunner(jobs).map(run_sim_point, units)
-    merge_all(sim.telemetry, (export for _, export in outputs))
-    return {threads: result
-            for threads, (result, _) in zip(thread_counts, outputs)}

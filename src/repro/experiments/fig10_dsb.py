@@ -6,14 +6,17 @@ from .. import build_system, combined_testbed
 from ..analysis.compare import ShapeCheck, check_ratio
 from ..analysis.tables import format_table, series_table
 from ..apps.dsb import DsbRunner, RequestType, memory_breakdown
-from ..apps.dsb.runner import p99_curves
 from ..apps.dsb.socialnet import MIXED_WORKLOAD, SocialNetwork
-from .registry import ExperimentResult, register, series_payload
+from ..parallel.sweeps import run_sim_point
+from .registry import ExperimentResult, PointPlan, register, series_payload
+
+REQUEST_TYPES = (RequestType.COMPOSE_POST, RequestType.READ_USER_TIMELINE,
+                 None)
 
 
 @register("fig10", "DeathStarBench p99 latency and memory breakdown",
-          "Fig. 10, §5.3")
-def run(fast: bool, jobs: int = 1) -> ExperimentResult:
+          "Fig. 10, §5.3", points=True)
+def run(fast: bool) -> PointPlan:
     system = build_system(combined_testbed())
     dram = DsbRunner(system, database_node=system.LOCAL_NODE)
     cxl = DsbRunner(system, database_node=system.cxl_node_id)
@@ -22,19 +25,34 @@ def run(fast: bool, jobs: int = 1) -> ExperimentResult:
                                                       1600.0]
     requests = 1500 if fast else 5000
 
-    request_types = (RequestType.COMPOSE_POST,
-                     RequestType.READ_USER_TIMELINE, None)
-    # One flat (type × backend × QPS) sweep: with --jobs every point is
-    # its own worker unit instead of sharding one curve at a time.
+    # One unit per (type, backend, QPS) point, in that nesting order.
     combos = [(runner, request_type)
-              for request_type in request_types
+              for request_type in REQUEST_TYPES
               for runner in (dram, cxl)]
-    all_curves = p99_curves(combos, qps_points, requests=requests,
-                            jobs=jobs)
+    specs, labels = [], []
+    for runner, request_type in combos:
+        for qps in qps_points:
+            specs.append(runner.point_spec(qps, request_type=request_type,
+                                           requests=requests))
+            labels.append(f"fig10[{runner.curve_name(request_type)},"
+                          f"qps={qps:g}]")
 
+    def combine(values: list) -> ExperimentResult:
+        count = len(qps_points)
+        all_curves = [
+            runner.p99_series(qps_points,
+                              values[index * count:(index + 1) * count],
+                              request_type=request_type)
+            for index, (runner, request_type) in enumerate(combos)]
+        return _result(system, qps_points, all_curves)
+
+    return PointPlan(run_sim_point, specs, labels, combine)
+
+
+def _result(system, qps_points, all_curves) -> ExperimentResult:
     panels = []
     per_type_curves = {}
-    for index, request_type in enumerate(request_types):
+    for index, request_type in enumerate(REQUEST_TYPES):
         name = request_type.value if request_type else "mixed"
         curves = all_curves[2 * index:2 * index + 2]
         per_type_curves[name] = curves

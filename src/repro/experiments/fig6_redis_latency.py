@@ -6,12 +6,17 @@ from .. import build_system, combined_testbed
 from ..analysis.compare import ShapeCheck, check_ratio
 from ..analysis.tables import series_table
 from ..apps.kvstore import RedisYcsbStudy
+from ..apps.kvstore.ycsb_runner import p99_series
+from ..parallel.sweeps import run_kv_p99_point
 from ..workloads import WORKLOADS
-from .registry import ExperimentResult, register
+from .registry import ExperimentResult, PointPlan, register
+
+FRACTIONS = (0.0, 0.5, 1.0)
 
 
-@register("fig6", "Redis p99 latency (YCSB-A)", "Fig. 6, §5.1")
-def run(fast: bool, jobs: int = 1) -> ExperimentResult:
+@register("fig6", "Redis p99 latency (YCSB-A)", "Fig. 6, §5.1",
+          points=True)
+def run(fast: bool) -> PointPlan:
     system = build_system(combined_testbed())
     study = RedisYcsbStudy(system, num_keys=200_000)
     workload = WORKLOADS["A"]
@@ -19,8 +24,23 @@ def run(fast: bool, jobs: int = 1) -> ExperimentResult:
                   [10_000.0, 20_000.0, 30_000.0, 40_000.0, 50_000.0,
                    55_000.0, 60_000.0, 65_000.0, 70_000.0, 80_000.0])
     requests = 6_000 if fast else 20_000
-    curves = study.p99_curves(workload, [0.0, 0.5, 1.0], qps_points,
-                              requests=requests, jobs=jobs)
+    # One unit per (placement, QPS) point, placement-major.
+    specs = [study.point_spec(workload, fraction, qps, requests=requests)
+             for fraction in FRACTIONS for qps in qps_points]
+    labels = [f"fig6[{int(fraction * 100)}%-CXL,qps={qps:g}]"
+              for fraction in FRACTIONS for qps in qps_points]
+
+    def combine(values: list) -> ExperimentResult:
+        count = len(qps_points)
+        curves = [p99_series(fraction, qps_points,
+                             values[index * count:(index + 1) * count])
+                  for index, fraction in enumerate(FRACTIONS)]
+        return _result(curves, qps_points)
+
+    return PointPlan(run_kv_p99_point, specs, labels, combine)
+
+
+def _result(curves, qps_points) -> ExperimentResult:
     rendered = series_table(curves,
                             title="Fig 6: Redis p99 (us) vs QPS, YCSB-A")
 

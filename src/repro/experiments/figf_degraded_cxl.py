@@ -6,8 +6,8 @@ exercises.  We sweep a severity multiplier over a baseline
 :class:`~repro.faults.FaultPlan` (CRC errors, poisoned reads, transient
 timeouts, device stalls) and drive the mechanism-level end-to-end read
 simulator under each plan.  Faults are injected with counter-based
-draws (docs/FAULTS.md), so the sweep is deterministic, identical under
-``--jobs``, and fault sets *nest* as severity grows — which is why the
+draws (docs/FAULTS.md), so the sweep is deterministic wherever its
+points run, and fault sets *nest* as severity grows — which is why the
 reported tail inflation is monotone rather than merely trending up.
 
 Registered as ``degraded-cxl`` (alias ``figF``).
@@ -18,9 +18,10 @@ from __future__ import annotations
 from ..analysis.compare import ShapeCheck, check_monotone
 from ..analysis.series import Series
 from ..analysis.tables import series_table
-from ..cxl.e2e_sim import CxlEndToEndSim, E2eResult
+from ..cxl.e2e_sim import CxlEndToEndSim
 from ..faults import ZERO_FAULTS, FaultPlan
-from .registry import ExperimentResult, register, series_payload
+from ..parallel.sweeps import run_sim_point
+from .registry import ExperimentResult, PointPlan, register, series_payload
 
 # The 1x plan: roughly one CRC-failed flit per hundred, one poisoned
 # read per five hundred, rare transient timeouts, and occasional 400 ns
@@ -31,42 +32,30 @@ BASE_PLAN = FaultPlan(crc_rate=0.01, poison_rate=0.002,
 THREADS = 4
 
 
-def _run_points(plans: list[FaultPlan | None],
-                severities: list[float], lines: int,
-                jobs: int) -> list[E2eResult]:
-    """One sim run per plan, optionally sharded across processes."""
-    run_kwargs = {"threads": THREADS, "lines_per_thread": lines}
-    if jobs > 1:
-        from ..parallel import ParallelRunner
-        from ..parallel.sweeps import run_sim_point
-
-        units = [(CxlEndToEndSim, {"fault_plan": plan}, run_kwargs, None)
-                 for plan in plans]
-        names = [f"figF[severity={severity:g}x]"
-                 for severity in severities]
-        return [result for result, _export
-                in ParallelRunner(jobs, names=names).map(run_sim_point,
-                                                         units)]
-    return [CxlEndToEndSim(fault_plan=plan).run(**run_kwargs)
-            for plan in plans]
-
-
 @register("degraded-cxl", "Degraded-mode CXL tail latency",
-          "extension of §2.1 (RAS) + §4.3.1")
-def run(fast: bool, jobs: int = 1,
-        fault_plan: FaultPlan | None = None) -> ExperimentResult:
+          "extension of §2.1 (RAS) + §4.3.1", points=True)
+def run(fast: bool, fault_plan: FaultPlan | None = None) -> PointPlan:
     base = fault_plan if fault_plan is not None else BASE_PLAN
     severities = [0.0, 0.25, 1.0, 4.0] if fast \
         else [0.0, 0.25, 1.0, 2.0, 4.0, 8.0]
     lines = 600 if fast else 2000
+    # One point per severity, then the zero-plan twin: the zero-plan
+    # fast path must be byte-identical to an explicit all-zero-rates
+    # plan (the "faults off means OFF" contract).
     plans = [base.scaled(severity) if severity > 0 else None
-             for severity in severities]
-    results = _run_points(plans, severities, lines, jobs)
-    # The zero-plan fast path must be byte-identical to an explicit
-    # all-zero-rates plan (the "faults off means OFF" contract).
-    zero_plan_result = CxlEndToEndSim(fault_plan=ZERO_FAULTS).run(
-        threads=THREADS, lines_per_thread=lines)
+             for severity in severities] + [ZERO_FAULTS]
+    run_kwargs = {"threads": THREADS, "lines_per_thread": lines}
+    specs = [(CxlEndToEndSim, {"fault_plan": plan}, run_kwargs)
+             for plan in plans]
+    labels = [f"figF[severity={severity:g}x]" for severity in severities]
+    labels.append("figF[zero-plan]")
+    return PointPlan(run_sim_point, specs, labels,
+                     lambda values: _result(severities, lines, values[:-1],
+                                            values[-1]))
 
+
+def _result(severities: list[float], lines: int, results: list,
+            zero_plan_result) -> ExperimentResult:
     baseline = results[0]
     x_kw = {"x_label": "severity"}
     p50 = Series("p50-ns", list(severities),

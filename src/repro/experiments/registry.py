@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from ..analysis.compare import ShapeCheck
 from ..errors import ExperimentError
@@ -100,16 +100,33 @@ def series_payload(report) -> dict:
 
 
 @dataclass(frozen=True)
+class PointPlan:
+    """An experiment's independent sweep points and how to combine them.
+
+    ``fn(spec)`` runs one point: a module-level function of one
+    picklable spec, so a point can run in a worker process.
+    ``combine(values)`` takes the point values in spec order and builds
+    the result; it runs in the calling process and simulates nothing.
+    ``labels`` name the points (``figC[qps=60k,skew=0.7,pool=25%]``).
+    """
+
+    fn: Callable[[Any], Any]
+    specs: list
+    labels: list[str]
+    combine: Callable[[list], ExperimentResult]
+
+
+@dataclass(frozen=True)
 class Experiment:
     """A registered experiment: metadata plus a runner callable."""
 
     experiment_id: str
     title: str
     paper_ref: str                       # e.g. "Fig. 3, §4.3.1"
-    runner: Callable[..., ExperimentResult]
-    accepts_jobs: bool = False
-    # True when the runner takes a ``jobs`` keyword — its sweep points
-    # shard across worker processes (the DES-heavy figures).
+    runner: Callable[..., ExperimentResult | PointPlan]
+    points: bool = False
+    # True when the runner returns a PointPlan instead of a result:
+    # repro-experiments runs each of its points as one unit.
     accepts_faults: bool = False
     # True when the runner takes a ``fault_plan`` keyword — it can run
     # its simulations under a degraded-mode FaultPlan (docs/FAULTS.md).
@@ -126,14 +143,23 @@ class Experiment:
     # *.py, so without this an edited scenario file would silently hit
     # a stale cached result.
 
-    def run(self, *, fast: bool = True, jobs: int = 1,
-            fault_plan=None, span_config=None,
-            resilience=None) -> ExperimentResult:
-        """Execute; ``fast`` trims sweep sizes for CI-speed runs.
+    def plan(self, *, fast: bool = True, fault_plan=None,
+             span_config=None, resilience=None) -> PointPlan:
+        """The :class:`PointPlan` of a point experiment (``points``);
+        takes the same keywords as :meth:`run`."""
+        if not self.points:
+            raise ExperimentError(
+                f"experiment {self.experiment_id!r} has no sweep points")
+        return self.runner(fast, **self._kwargs(fault_plan, span_config,
+                                                resilience))
 
-        ``jobs > 1`` shards the experiment's own sweep points when the
-        runner supports it; otherwise it is ignored (the result is
-        identical either way).  ``fault_plan`` overrides the baseline
+    def run(self, *, fast: bool = True, fault_plan=None,
+            span_config=None, resilience=None) -> ExperimentResult:
+        """Execute in this process; ``fast`` trims sweep sizes for
+        CI-speed runs.
+
+        A point experiment runs its points one after another and
+        combines them.  ``fault_plan`` overrides the baseline
         fault configuration for experiments that accept one; passing a
         plan to one that does not is an error (silently dropping a
         fault request would misreport healthy numbers as degraded).
@@ -144,9 +170,14 @@ class Experiment:
         cluster experiments that take one — a silently dropped policy
         would report unprotected numbers as protected.
         """
+        out = self.runner(fast, **self._kwargs(fault_plan, span_config,
+                                               resilience))
+        if not self.points:
+            return out
+        return out.combine([out.fn(spec) for spec in out.specs])
+
+    def _kwargs(self, fault_plan, span_config, resilience) -> dict:
         kwargs: dict = {}
-        if self.accepts_jobs:
-            kwargs["jobs"] = jobs
         if fault_plan is not None:
             if not self.accepts_faults:
                 raise ExperimentError(
@@ -165,7 +196,7 @@ class Experiment:
                     f"experiment {self.experiment_id!r} does not accept "
                     f"a resilience policy")
             kwargs["resilience"] = resilience
-        return self.runner(fast, **kwargs)
+        return kwargs
 
 
 REGISTRY: dict[str, Experiment] = {}
@@ -181,8 +212,9 @@ ALIASES: dict[str, str] = {"figF": "degraded-cxl",
 
 
 def register(experiment_id: str, title: str, paper_ref: str, *,
-             extra_config: dict | None = None):
-    """Decorator registering ``runner(fast) -> ExperimentResult``."""
+             points: bool = False, extra_config: dict | None = None):
+    """Decorator registering ``runner(fast) -> ExperimentResult``, or
+    with ``points=True`` a ``runner(fast) -> PointPlan``."""
 
     def wrap(runner: Callable[..., ExperimentResult]) -> Callable:
         if experiment_id in REGISTRY:
@@ -191,7 +223,7 @@ def register(experiment_id: str, title: str, paper_ref: str, *,
         params = inspect.signature(runner).parameters
         REGISTRY[experiment_id] = Experiment(
             experiment_id, title, paper_ref, runner,
-            accepts_jobs="jobs" in params,
+            points=points,
             accepts_faults="fault_plan" in params,
             accepts_spans="span_config" in params,
             accepts_resilience="resilience" in params,

@@ -6,7 +6,7 @@ Examples::
     repro-experiments fig3 fig5       # selected figures
     repro-experiments --only figC     # same selection, flag form
     repro-experiments --full fig6     # full-resolution sweep
-    repro-experiments --jobs 4        # fan experiments across processes
+    repro-experiments --jobs 4        # fan sweep points across processes
     repro-experiments --no-cache fig3 # force re-simulation
     repro-experiments --profile prof  # wall-clock profiles under prof/
     repro-experiments --list
@@ -14,8 +14,10 @@ Examples::
 Repeated runs are served from the content-addressed result cache under
 ``results/.cache/`` (key: experiment id + parameters + a source-tree
 fingerprint, so any code edit invalidates automatically).  ``--jobs N``
-runs cache-miss experiments on one pool of up to ``N`` worker processes
-that lives for the suite; results merge back in id order, so output and
+runs the cache-miss work on one pool of up to ``N`` worker processes
+that lives for the suite, one unit per sweep point of an experiment
+that declares its points and one unit per other experiment.  Points
+combine in order and results come back in id order, so output and
 ``--save`` files are identical to a serial run's.  See
 docs/PERFORMANCE.md.
 
@@ -33,8 +35,8 @@ gracefully and print a ``--resume`` hint; ``--resume`` replays the
 journal and runs only the remainder, byte-identical to an
 uninterrupted run.  ``--unit-timeout``/``--retries`` supervise worker
 units (kill the worker, retry on a fresh one with deterministic
-backoff); a unit that exhausts
-its retries is reported per-unit instead of aborting the sweep
+backoff); a unit that exhausts its retries fails its experiment, which
+is reported per experiment instead of aborting the sweep
 (``--fail-fast`` opts back into aborting).  Corrupt cache entries are
 quarantined and recomputed, never fatal.  Exit codes: 0 = all checks
 passed, 1 = a shape check failed or a unit failed to produce a result,
@@ -51,7 +53,8 @@ from datetime import datetime, timezone
 
 from ..obs import Profiler, ProgressReporter, RunHooks, RunLog
 from ..obs.runlog import EXIT_FAILED_CHECKS, EXIT_INTERRUPTED, EXIT_OK
-from .registry import ALIASES, REGISTRY, ExperimentResult, resolve_id
+from .registry import (ALIASES, REGISTRY, ExperimentResult, PointPlan,
+                       resolve_id)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write each result to DIR/<id>.txt "
                              "plus a machine-readable DIR/<id>.json")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run experiments across up to N worker "
-                             "processes, capped at the usable CPUs "
-                             "(default: 1, serial)")
+                        help="run experiments and their sweep points "
+                             "across up to N worker processes, capped "
+                             "at the usable CPUs (default: 1, serial)")
     parser.add_argument("--faults", metavar="SPEC", default=None,
                         help="run under a degraded-mode fault plan, "
                              "e.g. 'crc=0.01,poison=0.002,seed=7' "
@@ -236,35 +239,38 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
              control: _SweepControl | None = None):
     """Run (or cache-load / journal-replay) ``ids`` in order.
 
-    One wave on one worker pool: every cache-miss experiment is one
-    unit under :class:`~repro.resilience.SupervisedRunner`, submitted
-    ``accepts_jobs`` ids first so the long units start early, on a pool
-    of ``min(jobs, effective_cpu_count())`` workers that lives for the
-    whole suite.  Only when the suite has fewer cache-miss units than
-    workers (``--only figC --jobs 2``) and one of them ``accepts_jobs``
-    do the units run here one at a time, each sharding its own sweep
-    points onto that pool — unless ``--unit-timeout`` needs every unit
-    in a killable worker.  Either way the result list comes back in id
-    order and matches a serial run byte-for-byte.
+    One wave on one worker pool of ``min(jobs, effective_cpu_count())``
+    workers that lives for the whole suite.  A cache-miss experiment
+    that declares sweep points (``points``) expands into one unit per
+    point; every other one is a single unit.  Every unit goes through
+    one :class:`~repro.resilience.SupervisedRunner` map, the point
+    units first so the long experiments start early, each group in id
+    order.  When the last point of an experiment lands, its plan's
+    ``combine`` builds the result in this process, in point order, so
+    output matches a serial run byte-for-byte.  One failed point fails
+    its experiment, and nothing partial is combined, cached or
+    journaled.
 
     The cache key covers every result-shaping input: ``fast`` and, when
     given, the full fault-plan configuration — so a changed fault plan
     is a cache miss, never a stale healthy (or degraded) result.  The
     checkpoint journal is addressed by the same material plus the id
     list (:func:`~repro.resilience.suite_hash`), and every completed
-    unit is journaled **as it lands**, so an interrupt at any point
-    keeps the finished prefix.
+    experiment is journaled **as it lands**, so an interrupt at any
+    point keeps the finished prefix.
 
     Returns ``(results, failures, interrupted, journal)``: ``results``
-    is ``[(eid, ExperimentResult)]`` in id order for units that have
-    one; ``failures`` maps poisoned unit ids to
+    is ``[(eid, ExperimentResult)]`` in id order for experiments that
+    have one; ``failures`` maps poisoned experiment ids to
     :class:`~repro.resilience.UnitFailure`; ``interrupted`` is True
     after a graceful drain; ``journal`` is the
     :class:`~repro.resilience.CheckpointJournal` (or ``None``).
     """
+    from dataclasses import replace
+
     from ..parallel import ResultCache, effective_cpu_count, result_key
     from ..parallel.runner import worker_pool
-    from ..parallel.sweeps import run_experiment
+    from ..parallel.sweeps import run_experiment, run_unit
     from ..resilience import (
         CheckpointJournal,
         SupervisedRunner,
@@ -312,19 +318,44 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
             hooks.cache_hit(eid)
     for eid in misses:
         hooks.cache_miss(eid)
-    units = sorted(misses, key=lambda eid: not REGISTRY[eid].accepts_jobs)
+    plans = {}
+    for eid in misses:
+        if REGISTRY[eid].points:
+            plans[eid] = REGISTRY[eid].plan(
+                fast=fast, fault_plan=fault_plan, span_config=span_config,
+                resilience=resilience)
+        else:                      # one point: the whole experiment
+            plans[eid] = PointPlan(
+                run_experiment,
+                [(eid, fast, fault_plan, span_config, resilience)], [eid],
+                lambda values: values[0])
+    experiments = sorted(misses, key=lambda eid: not REGISTRY[eid].points)
+    # One entry per unit: its experiment, its label, and the spec of
+    # the dispatcher unit run_unit.
+    owners: list[str] = []
+    names: list[str] = []
+    units: list[tuple] = []
+    first: dict[str, int] = {}
+    for eid in experiments:
+        plan = plans[eid]
+        first[eid] = len(units)
+        owners += [eid] * len(plan.specs)
+        names += plan.labels
+        units += [(eid, plan.fn, spec) for spec in plan.specs]
+    pending = {eid: len(plans[eid].specs) for eid in experiments}
+    values: dict[int, object] = {}
+    wall = dict.fromkeys(experiments, 0.0)
+    shown_failed: set[str] = set()
     workers = min(jobs, effective_cpu_count()) if jobs > 1 else 1
-    lone = (0 < len(units) < workers and policy.timeout_s is None
-            and REGISTRY[units[0]].accepts_jobs)
     failures: dict[str, UnitFailure] = {}
     interrupted = False
 
     def record(eid: str, result: ExperimentResult) -> None:
         """Land one result: memory, result cache, checkpoint journal.
 
-        Called as each unit completes (not after the sweep), so the
-        journal always holds the finished prefix.  Cache/journal I/O
-        trouble degrades to a recompute later, never a failed run.
+        Called as each experiment completes (not after the sweep), so
+        the journal always holds the finished prefix.  Cache/journal
+        I/O trouble degrades to a recompute later, never a failed run.
         """
         cached[eid] = result
         try:
@@ -349,42 +380,58 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
             except OSError:
                 pass
 
-    def on_result(index: int, result: ExperimentResult) -> None:
-        record(units[index], result)
+    def on_result(index: int, value) -> None:
+        values[index] = value
 
     def on_progress(event: str, index: int, total: int,
                     wall_s: float | None = None,
                     kind: str | None = None,
                     attempt: int | None = None) -> None:
-        eid = units[index]
+        eid = owners[index]
         if event == "started":
-            hooks.unit_started(eid)
+            if index == first[eid]:    # units start in submission order
+                hooks.unit_started(eid)
         elif event == "finished":
-            hooks.unit_finished(eid, wall_s=wall_s)
+            wall[eid] += wall_s
+            pending[eid] -= 1
+            if pending[eid]:
+                return
+            # The experiment's last unit landed, so all of them have:
+            # combine them in point order.
+            plan, start = plans[eid], first[eid]
+            try:
+                result = plan.combine(
+                    [values.pop(i)
+                     for i in range(start, start + len(plan.specs))])
+            except Exception as exc:
+                failures[eid] = UnitFailure(
+                    index=index, unit=eid, kind="exception", attempts=1,
+                    message=f"combine: {type(exc).__name__}: {exc}")
+                hooks.unit_failed(eid, failures[eid])
+                return
+            record(eid, result)
+            hooks.unit_finished(eid, wall_s=wall[eid])
         elif event == "retry":
             hooks.unit_retry(eid, attempt=attempt or 1,
                              kind=kind or "exception")
-        elif event == "failed" and hooks.reporter is not None:
+        elif event == "failed" and hooks.reporter is not None \
+                and eid not in shown_failed:
             # Live display only; the structured failure is collected
             # from the outcome list after the map returns.
+            shown_failed.add(eid)
             hooks.reporter.unit_failed(eid, kind=kind or "exception",
                                        attempts=attempt or 1)
 
     with profiler.collecting(), worker_pool(workers):
         with profiler.phase("pooled-experiments"):
-            runner = SupervisedRunner(1 if lone else workers,
-                                      policy=policy,
+            runner = SupervisedRunner(workers, policy=policy,
                                       progress=on_progress,
-                                      names=units,
+                                      names=names,
                                       on_result=on_result)
             if control is not None:
                 control.attach(runner)
             try:
-                outcomes = runner.map(
-                    run_experiment,
-                    [(eid, fast, workers if lone else 1, fault_plan,
-                      span_config, resilience)
-                     for eid in units])
+                outcomes = runner.map(run_unit, units)
             except KeyboardInterrupt:
                 outcomes = []
                 interrupted = True
@@ -393,9 +440,16 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
     for outcome in outcomes:
         if outcome.ok or outcome.failure.kind == "interrupted":
             continue               # not poisoned — --resume reruns it
-        eid = units[outcome.index]
-        failures[eid] = outcome.failure
-        hooks.unit_failed(eid, outcome.failure, notify=False)
+        eid = owners[outcome.index]
+        if eid in failures:
+            continue               # an earlier point already failed it
+        failure = outcome.failure
+        if failure.unit != eid:    # a point: name it, report its owner
+            failure = replace(failure, unit=eid,
+                              message=f"{failure.unit}: "
+                                      f"{failure.message}")
+        failures[eid] = failure
+        hooks.unit_failed(eid, failure, notify=False)
     results = [(eid, cached[eid]) for eid in ids if eid in cached]
     return results, failures, interrupted, journal
 

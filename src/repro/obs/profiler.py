@@ -68,10 +68,8 @@ class Profiler:
     def collecting(self):
         """Enable the optional cProfile collection around a run.
 
-        Reentrant-safe (nested ``collecting`` blocks no-op) because the
-        experiment runner wraps both the suite and, via
-        :func:`repro.parallel.sweeps.run_experiment`, individual
-        experiments.
+        Reentrant-safe: nested ``collecting`` blocks no-op, so a caller
+        may wrap both a suite and the runs inside it.
         """
         if not self.enabled or not self.cprofile_top:
             yield

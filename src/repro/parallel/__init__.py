@@ -2,8 +2,8 @@
 
 The paper's figures are built from sweeps — thread counts, block sizes,
 QPS points, DLRM configs — whose points are independent of each other.
-This package fans those units out across worker processes and folds the
-results (and their telemetry) back together so a parallel run is
+This package fans those units out across worker processes and hands
+the results back in submission order, so a parallel run is
 byte-identical to a serial one:
 
 * :class:`ParallelRunner` (:mod:`repro.parallel.runner`) — the ordered
@@ -17,11 +17,11 @@ byte-identical to a serial one:
   ``(experiment id, config dict, package fingerprint)``; re-running an
   unchanged figure becomes a file read.
 * :mod:`repro.parallel.merge` — serialize a worker's
-  :class:`~repro.telemetry.Telemetry` and replay it into the parent
+  :class:`~repro.telemetry.Telemetry` and replay it into a parent
   session in unit order, preserving track creation order and event
-  sequence.
+  sequence (no sweep records worker telemetry any more).
 * :mod:`repro.parallel.sweeps` — the picklable module-level unit
-  functions shipped to workers (simulator sweep points, whole
+  functions shipped to workers (experiment sweep points, whole
   experiments, analytic bench series).
 
 See docs/PERFORMANCE.md for the sharding and cache-key contract.

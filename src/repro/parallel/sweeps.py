@@ -1,35 +1,27 @@
 """Picklable work-unit functions shipped to worker processes.
 
 Everything here is a module-level function taking one picklable spec —
-the form :class:`~repro.parallel.runner.ParallelRunner` requires.
-Three unit shapes cover the repo's sweeps:
+the form the executor in :mod:`repro.parallel.runner` requires.
+``repro-experiments`` sends every unit through :func:`run_unit`, which
+applies the test fault hooks and calls the unit's own function:
 
-* :func:`run_sim_point` — one DES configuration (a
-  :class:`~repro.cxl.e2e_sim.CxlEndToEndSim` /
-  :class:`~repro.cxl.e2e_sim.CxlWriteEndToEndSim` sweep point), with
-  the worker's telemetry exported for in-order merging;
-* :func:`run_experiment` — one whole registered experiment (the
-  ``repro-experiments --jobs`` unit);
-* :func:`run_kv_p99_point` — one (workload, placement, QPS) point of a
-  Redis-YCSB p99 curve (Fig 6's inner shard);
-* :func:`run_cluster_point` — one (QPS, skew, pool-share) point of the
-  figC cluster-pooling sweep: builds the topology *inside* the worker
-  (pool carving is per-point state) and runs the cluster DES;
+* :func:`run_experiment` — one whole registered experiment;
+* :func:`run_sim_point` — one DES configuration: a
+  :class:`~repro.cxl.e2e_sim.CxlEndToEndSim` severity point (figF) or
+  a :class:`~repro.apps.dsb.runner.DsbRunner` p99 point (Fig 10);
+* :func:`run_kv_p99_point` — one (placement, QPS) point of a
+  Redis-YCSB p99 curve (Fig 6);
+* :func:`run_cluster_point` — one cluster sweep point (figC, figR and
+  the scenarios): builds the topology *inside* the worker (pool
+  carving is per-point state) and runs the cluster DES;
 * :func:`run_model_series` — one analytic series of the MEMO
   bandwidth/random benches (a batch of closed-form model evaluations).
-
-The DSB p99 curves (Fig 10) shard through :func:`run_sim_point`
-directly — :class:`~repro.apps.dsb.runner.DsbRunner` has the same
-``(telemetry=..., **init_kwargs)`` / ``run(**run_kwargs)`` shape as the
-e2e simulators.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Any
-
-from .merge import TelemetrySpec, export_telemetry, fresh_telemetry
 
 CRASH_ENV = "REPRO_TEST_UNIT_CRASH"
 KILL_ENV = "REPRO_TEST_UNIT_KILL"
@@ -83,50 +75,38 @@ def _apply_test_faults(experiment_id: str) -> None:
                         f"{experiment_id} ({FLAKY_ENV})")
 
 
-def run_sim_point(spec: tuple) -> tuple[Any, dict | None]:
-    """Run one simulator configuration in this process.
-
-    ``spec`` is ``(sim_class, init_kwargs, run_kwargs, telemetry_spec)``
-    where ``init_kwargs`` excludes ``telemetry`` (the worker builds its
-    own session from the spec).  Returns ``(result, telemetry_export)``.
-    """
-    sim_class, init_kwargs, run_kwargs, tspec = spec
-    telemetry = fresh_telemetry(tspec) if isinstance(
-        tspec, TelemetrySpec) else None
-    sim = sim_class(telemetry=telemetry, **init_kwargs)
-    result = sim.run(**run_kwargs)
-    export = export_telemetry(telemetry) \
-        if telemetry is not None else None
-    return result, export
+def run_unit(spec: tuple) -> Any:
+    """One ``repro-experiments`` unit: ``spec = (experiment_id, fn,
+    fn_spec)``.  Applies the test fault hooks of ``experiment_id``, so
+    they act in every unit of a point experiment, then returns
+    ``fn(fn_spec)``."""
+    experiment_id, fn, fn_spec = spec
+    _apply_test_faults(experiment_id)
+    return fn(fn_spec)
 
 
 def run_experiment(spec: tuple) -> Any:
-    """Run one registered experiment: ``spec = (experiment_id, fast)``,
-    ``(experiment_id, fast, jobs)`` to shard the experiment's own sweep
-    points (experiments that don't accept ``jobs`` ignore it),
-    ``(experiment_id, fast, jobs, fault_plan)`` to run it under a
-    degraded-mode :class:`~repro.faults.FaultPlan`,
-    ``(experiment_id, fast, jobs, fault_plan, span_config)`` to record
-    per-request spans (:mod:`repro.telemetry.spans`), or
-    ``(experiment_id, fast, jobs, fault_plan, span_config,
-    resilience)`` to run cluster simulations under a
-    :class:`~repro.cluster.resilience.ResiliencePolicy`.
+    """Run one registered experiment: ``spec = (experiment_id, fast,
+    fault_plan, span_config, resilience)``, each of the last three
+    ``None`` when unused.
 
     Importing :mod:`repro.experiments` populates the registry in the
     worker (fresh interpreters under spawn; a no-op under fork).
     """
-    experiment_id, fast, *rest = spec
-    jobs = rest[0] if rest else 1
-    fault_plan = rest[1] if len(rest) > 1 else None
-    span_config = rest[2] if len(rest) > 2 else None
-    resilience = rest[3] if len(rest) > 3 else None
-    _apply_test_faults(experiment_id)
+    experiment_id, fast, fault_plan, span_config, resilience = spec
     from ..experiments import get
 
-    return get(experiment_id).run(fast=fast, jobs=jobs,
-                                  fault_plan=fault_plan,
+    return get(experiment_id).run(fast=fast, fault_plan=fault_plan,
                                   span_config=span_config,
                                   resilience=resilience)
+
+
+def run_sim_point(spec: tuple) -> Any:
+    """Run one simulator configuration: ``spec = (sim_class,
+    init_kwargs, run_kwargs)``; returns ``sim_class(**init_kwargs)
+    .run(**run_kwargs)``."""
+    sim_class, init_kwargs, run_kwargs = spec
+    return sim_class(**init_kwargs).run(**run_kwargs)
 
 
 def run_kv_p99_point(spec: tuple) -> Any:
@@ -148,26 +128,28 @@ def run_kv_p99_point(spec: tuple) -> Any:
 def run_cluster_point(spec: tuple) -> tuple[Any, dict | None]:
     """One cluster sweep point: topology + sim + open-loop run.
 
-    ``spec`` is ``(topo_kwargs, sim_kwargs, run_kwargs,
-    telemetry_spec)``.  The worker rebuilds the
-    :class:`~repro.cluster.ClusterTopology` from scratch — carving the
-    pool is part of the point, so serial and sharded runs construct
-    identical fleets — and every random draw inside
+    ``spec`` is ``(topo_kwargs, sim_kwargs, run_kwargs, span_config)``
+    with ``span_config`` ``None`` for a run without spans.  The worker
+    rebuilds the :class:`~repro.cluster.ClusterTopology` from scratch —
+    carving the pool is part of the point, so every process constructs
+    an identical fleet — and every random draw inside
     :class:`~repro.cluster.ClusterSim` is counter-based or
-    request-indexed, which is what makes the merge byte-identical.
-    Returns ``(ClusterResult, telemetry_export)``.
+    request-indexed, so a point's result does not depend on where it
+    runs.  Returns ``(ClusterResult, span aggregate or None)``.
     """
-    topo_kwargs, sim_kwargs, run_kwargs, tspec = spec
+    topo_kwargs, sim_kwargs, run_kwargs, span_config = spec
     from ..cluster import ClusterSim, ClusterTopology
+    from ..telemetry import NullRegistry, SpanRecorder, Telemetry
 
-    telemetry = fresh_telemetry(tspec) if isinstance(
-        tspec, TelemetrySpec) else None
+    telemetry = None
+    if span_config is not None:
+        telemetry = Telemetry(registry=NullRegistry(),
+                              spans=SpanRecorder(span_config))
     topology = ClusterTopology(**topo_kwargs)
     sim = ClusterSim(topology, telemetry=telemetry, **sim_kwargs)
     result = sim.run(**run_kwargs)
-    export = export_telemetry(telemetry) \
+    return result, telemetry.spans.export() \
         if telemetry is not None else None
-    return result, export
 
 
 def run_series_supervised(specs: list, *, jobs: int, policy,

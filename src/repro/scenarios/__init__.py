@@ -4,7 +4,7 @@ Scenario diversity as data, not code: a JSON/YAML document describes a
 cluster-scale CXL experiment (topology + device profile, workload mix,
 traffic shape, fault plan, sweep axes, acceptance checks), and the
 generic adapter registers it in :mod:`repro.experiments.registry` so it
-flows through the existing ``--jobs``/cache/checkpoint/resume/faults
+flows through the existing worker-pool/cache/checkpoint/resume/faults
 machinery unchanged.  See docs/SCENARIOS.md for the format reference
 and the shipped-pack catalog.
 """

@@ -6,12 +6,11 @@ registered experiment (id ``scn-<name>``) whose runner:
 1. expands the sweep axes into the deterministic point grid;
 2. splits each point into its traffic segments (bursty/diurnal arrival
    windows);
-3. ships every (point, segment) as an independent
-   :func:`~repro.parallel.sweeps.run_cluster_point` unit through
-   :class:`~repro.parallel.ParallelRunner` — which is what makes
-   ``--jobs N`` byte-identical to serial, exactly like the hand-written
-   cluster experiments;
-4. aggregates segments back into per-point metrics and evaluates the
+3. declares every (point, segment) as an independent
+   :func:`~repro.parallel.sweeps.run_cluster_point` unit of a
+   :class:`~repro.experiments.registry.PointPlan`, exactly like the
+   hand-written cluster experiments;
+4. combines the segments into per-point metrics and evaluates the
    scenario's declarative acceptance checks into
    :class:`~repro.analysis.compare.ShapeCheck` verdicts.
 
@@ -29,7 +28,6 @@ from ..analysis.series import Series
 from ..analysis.tables import format_table
 from ..config import SystemConfig
 from ..faults import FaultPlan
-from ..parallel import ParallelRunner
 from ..parallel.sweeps import run_cluster_point
 from .profiles import build_testbed
 from .spec import METRICS, CheckSpec, Scenario, point_grid
@@ -68,7 +66,8 @@ def _point_testbed(scenario: Scenario, point: dict) -> SystemConfig:
 
 def _point_units(scenario: Scenario, point: dict, *, fast: bool,
                  fault_plan: FaultPlan | None,
-                 resilience=None, tspec=None) -> tuple[list, list]:
+                 resilience=None,
+                 span_config=None) -> tuple[list, list]:
     """The (specs, segment_labels) for one sweep point.
 
     ``resilience`` is the CLI ``--resilience`` override; when given it
@@ -114,7 +113,7 @@ def _point_units(scenario: Scenario, point: dict, *, fast: bool,
         run_kwargs = {"qps": segment_qps, "theta": theta,
                       "requests": segment_requests,
                       "write_fraction": write_fraction}
-        specs.append((topo_kwargs, sim_kwargs, run_kwargs, tspec))
+        specs.append((topo_kwargs, sim_kwargs, run_kwargs, span_config))
         labels.append(label)
     return specs, labels
 
@@ -318,25 +317,23 @@ def _metric_series(points: list[dict],
 
 
 def scenario_runner(scenario: Scenario):
-    """Build the ``runner(fast, jobs=1, fault_plan=None,
-    span_config=None, resilience=None)`` callable the registry drives
-    — the generic ScenarioExperiment."""
+    """Build the ``runner(fast, fault_plan=None, span_config=None,
+    resilience=None) -> PointPlan`` callable the registry drives — the
+    generic ScenarioExperiment."""
 
-    def run(fast: bool, jobs: int = 1, fault_plan: FaultPlan | None = None,
+    def run(fast: bool, fault_plan: FaultPlan | None = None,
             span_config=None, resilience=None):
-        from ..experiments.figc_cluster import (_span_tspec,
-                                                _spans_checks_and_render,
+        from ..experiments.figc_cluster import (_spans_checks_and_render,
                                                 _spans_payload)
-        from ..experiments.registry import (ExperimentResult,
+        from ..experiments.registry import (ExperimentResult, PointPlan,
                                             series_payload)
 
-        tspec = _span_tspec(span_config)
         points = point_grid(scenario, fast=fast)
         units, names, slices = [], [], []
         for point in points:
             specs, segment_labels = _point_units(
                 scenario, point, fast=fast, fault_plan=fault_plan,
-                resilience=resilience, tspec=tspec)
+                resilience=resilience, span_config=span_config)
             label = point_label(scenario, point)
             start = len(units)
             units.extend(specs)
@@ -344,34 +341,33 @@ def scenario_runner(scenario: Scenario):
                          for segment in segment_labels)
             slices.append((start, len(units)))
 
-        runner = ParallelRunner(jobs, names=names)
-        pairs = runner.map(run_cluster_point, units)
-        results = [result for result, _export in pairs]
-        exports = [export for _result, export in pairs]
+        def combine(values: list) -> ExperimentResult:
+            segments = [[result for result, _spans in values[start:stop]]
+                        for start, stop in slices]
+            metrics = [_aggregate(point_segments)
+                       for point_segments in segments]
+            expected = scenario.workload.requests_for(fast)
+            checks = _evaluate_checks(scenario, points, metrics, segments,
+                                      expected)
+            rendered = _render_points(scenario, points, metrics)
+            spans_payload: dict = {}
+            if span_config is not None:
+                # Each (point, traffic segment) unit keeps its own
+                # aggregate: a burst window's tail is conditioned
+                # against that window, which is the "when and why" the
+                # scenario packs ask.
+                spans_payload = _spans_payload(span_config, names, values)
+                span_checks, span_section = \
+                    _spans_checks_and_render(spans_payload)
+                checks += span_checks
+                rendered += "\n\n" + span_section
+            return ExperimentResult(
+                scenario.experiment_id, scenario.title, rendered, checks,
+                series=series_payload(
+                    {"points": _metric_series(points, metrics)}),
+                spans=spans_payload)
 
-        segments = [results[start:stop] for start, stop in slices]
-        metrics = [_aggregate(point_segments)
-                   for point_segments in segments]
-        expected = scenario.workload.requests_for(fast)
-        checks = _evaluate_checks(scenario, points, metrics, segments,
-                                  expected)
-        rendered = _render_points(scenario, points, metrics)
-        spans_payload: dict = {}
-        if span_config is not None:
-            # Each (point, traffic segment) unit keeps its own
-            # aggregate: a burst window's tail is conditioned against
-            # that window, which is the "when and why" the scenario
-            # packs ask.
-            spans_payload = _spans_payload(span_config, names, exports)
-            span_checks, span_section = \
-                _spans_checks_and_render(spans_payload)
-            checks += span_checks
-            rendered += "\n\n" + span_section
-        return ExperimentResult(
-            scenario.experiment_id, scenario.title, rendered, checks,
-            series=series_payload(
-                {"points": _metric_series(points, metrics)}),
-            spans=spans_payload)
+        return PointPlan(run_cluster_point, units, names, combine)
 
     run.__name__ = f"run_{scenario.name.replace('-', '_')}"
     run.__doc__ = scenario.description or scenario.title
@@ -388,6 +384,6 @@ def register_scenario(scenario: Scenario) -> None:
     from ..experiments.registry import register
 
     register(scenario.experiment_id, scenario.title,
-             scenario.paper_ref,
+             scenario.paper_ref, points=True,
              extra_config={"scenario_sha": scenario.content_hash()})(
         scenario_runner(scenario))

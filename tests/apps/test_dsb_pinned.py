@@ -25,7 +25,8 @@ import pytest
 
 from repro import build_system, combined_testbed
 from repro.apps.dsb import DsbRunner, RequestType
-from repro.apps.dsb.runner import p99_curves
+from repro.parallel import ParallelRunner
+from repro.parallel.sweeps import run_sim_point
 from repro.telemetry import Telemetry
 
 QPS_POINTS = [200.0, 1200.0, 20000.0]
@@ -179,11 +180,24 @@ def test_events_equal_arrivals_plus_stage_visits(system, backend):
             assert events == result.requests + visits[0], (label, qps)
 
 
-def _curves(system, jobs: int):
+def _curves(system, parallel: bool):
+    """Every (backend, mix) p99 curve, serially or from point units run
+    on a two-worker pool (as Fig 10 runs them)."""
+    qps = QPS_POINTS[:2]
     combos = [(_runner(system, backend),
                None if label == "mixed" else RequestType(label))
               for backend in BACKENDS for label in MIXES]
-    return p99_curves(combos, QPS_POINTS[:2], requests=400, jobs=jobs)
+    if not parallel:
+        return [runner.p99_curve(qps, request_type=request_type,
+                                 requests=400)
+                for runner, request_type in combos]
+    specs = [runner.point_spec(point, request_type=request_type,
+                               requests=400)
+             for runner, request_type in combos for point in qps]
+    results = ParallelRunner(2).map(run_sim_point, specs)
+    return [runner.p99_series(qps, results[i * len(qps):(i + 1) * len(qps)],
+                              request_type=request_type)
+            for i, (runner, request_type) in enumerate(combos)]
 
 
 def _curves_digest(curves) -> str:
@@ -195,8 +209,8 @@ PINNED_CURVES = \
 
 
 def test_parallel_curves_equal_serial(system):
-    serial = _curves(system, jobs=1)
-    assert _curves(system, jobs=2) == serial
+    serial = _curves(system, parallel=False)
+    assert _curves(system, parallel=True) == serial
     assert _curves_digest(serial) == PINNED_CURVES
 
 
@@ -204,4 +218,4 @@ if __name__ == "__main__":
     pinned_system = _system()
     print(json.dumps({name: _run_case(pinned_system, name)
                       for name in CASES}, indent=4))
-    print("curves:", _curves_digest(_curves(pinned_system, jobs=1)))
+    print("curves:", _curves_digest(_curves(pinned_system, parallel=False)))

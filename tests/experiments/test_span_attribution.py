@@ -12,14 +12,22 @@ import json
 import pytest
 
 from repro.experiments.registry import REGISTRY
+from repro.experiments.runner import _run_ids
 from repro.telemetry.spans import SpanConfig
 
 SPAN_CONFIG = SpanConfig(exemplars=3)
 
 
 def _payload(eid, jobs, span_config=SPAN_CONFIG):
-    result = REGISTRY[eid].run(fast=True, jobs=jobs,
-                               span_config=span_config)
+    """A spanned fast run: in process, or through the suite runner's
+    point units on a pool of ``jobs`` workers."""
+    if jobs == 1:
+        return REGISTRY[eid].run(fast=True, span_config=span_config)
+    results, failures, _, _ = _run_ids(
+        [eid], fast=True, jobs=jobs, use_cache=False, checkpoint=False,
+        span_config=span_config)
+    assert failures == {}
+    (_, result), = results
     return result
 
 

@@ -1,17 +1,18 @@
 """Fault injection is deterministic: serial ≡ parallel, run ≡ re-run.
 
 Mirrors tests/parallel/test_determinism.py, with an active FaultPlan in
-every run — the draws are counter-based (docs/FAULTS.md), so sharding a
-faulty sweep across processes must not move a single fault.
+every run — the draws are counter-based (docs/FAULTS.md), so running a
+faulty sweep's points in other processes must not move a single fault.
 """
 
 import pytest
 
 from repro.cxl.e2e_sim import CxlEndToEndSim, CxlWriteEndToEndSim
 from repro.experiments import get
-from repro.experiments.runner import main
+from repro.experiments.runner import _run_ids, main
 from repro.faults import FaultPlan
-from repro.telemetry import Telemetry
+from repro.parallel import ParallelRunner
+from repro.parallel.sweeps import run_sim_point
 
 PLAN = FaultPlan(crc_rate=0.02, poison_rate=0.005, timeout_rate=0.002,
                  stall_rate=0.02, seed=11)
@@ -19,34 +20,31 @@ THREADS = [1, 2, 4]
 LINES = 200
 
 
+def sweep_on_pool(sim_class, threads, lines, **init_kwargs):
+    """A thread sweep whose points run as run_sim_point units on a
+    two-worker pool."""
+    specs = [(sim_class, init_kwargs,
+              {"threads": count, "lines_per_thread": lines})
+             for count in threads]
+    return dict(zip(threads, ParallelRunner(2).map(run_sim_point, specs)))
+
+
 class TestFaultySweepDeterminism:
     def test_read_sweep_parallel_equals_serial(self):
         serial = CxlEndToEndSim(fault_plan=PLAN).sweep(
             THREADS, lines_per_thread=LINES)
-        parallel = CxlEndToEndSim(fault_plan=PLAN).sweep(
-            THREADS, lines_per_thread=LINES, jobs=2)
+        parallel = sweep_on_pool(CxlEndToEndSim, THREADS, LINES,
+                                 fault_plan=PLAN)
         assert parallel == serial
         assert any(r.faults_injected > 0 for r in serial.values())
 
     def test_write_sweep_parallel_equals_serial(self):
         serial = CxlWriteEndToEndSim(fault_plan=PLAN).sweep(
             THREADS, lines_per_thread=LINES)
-        parallel = CxlWriteEndToEndSim(fault_plan=PLAN).sweep(
-            THREADS, lines_per_thread=LINES, jobs=2)
+        parallel = sweep_on_pool(CxlWriteEndToEndSim, THREADS, LINES,
+                                 fault_plan=PLAN)
         assert parallel == serial
         assert any(r.faults_injected > 0 for r in serial.values())
-
-    def test_faulty_telemetry_merges_to_serial_session(self):
-        serial = Telemetry.on()
-        CxlEndToEndSim(fault_plan=PLAN, telemetry=serial).sweep(
-            THREADS, lines_per_thread=LINES)
-        merged = Telemetry.on()
-        CxlEndToEndSim(fault_plan=PLAN, telemetry=merged).sweep(
-            THREADS, lines_per_thread=LINES, jobs=2)
-        assert [e.key() for e in merged.tracer.events] \
-            == [e.key() for e in serial.tracer.events]
-        assert merged.registry.snapshot() == serial.registry.snapshot()
-        assert merged.registry.counter("faults.recoveries").value > 0
 
     def test_same_seed_same_results_across_fresh_sims(self):
         first = CxlEndToEndSim(fault_plan=PLAN).run(
@@ -67,7 +65,11 @@ class TestFaultySweepDeterminism:
 class TestDegradedExperimentDeterminism:
     def test_experiment_jobs_equals_serial(self):
         serial = get("degraded-cxl").run(fast=True)
-        sharded = get("degraded-cxl").run(fast=True, jobs=2)
+        results, failures, _, _ = _run_ids(
+            ["degraded-cxl"], fast=True, jobs=2, use_cache=False,
+            checkpoint=False)
+        assert failures == {}
+        (_, sharded), = results
         assert sharded.render() == serial.render()
         assert sharded.series == serial.series
 

@@ -7,100 +7,98 @@ import pytest
 from repro import build_system, combined_testbed
 from repro.apps.dsb import DsbRunner
 from repro.apps.kvstore import RedisYcsbStudy
+from repro.apps.kvstore.ycsb_runner import p99_series
 from repro.cxl.e2e_sim import CxlEndToEndSim, CxlWriteEndToEndSim
 from repro.experiments import REGISTRY, get
 from repro.experiments.registry import ExperimentResult
 from repro.experiments.runner import main
-from repro.parallel import ResultCache, result_key
-from repro.telemetry import Telemetry
+from repro.parallel import ParallelRunner, ResultCache, result_key
+from repro.parallel.sweeps import run_kv_p99_point, run_sim_point
 from repro.workloads import WORKLOADS
 
 THREADS = [1, 2, 4]
 LINES = 200
 
 
+def sweep_on_pool(sim_class, threads, lines, **init_kwargs):
+    """A thread sweep whose points run as run_sim_point units on a
+    two-worker pool."""
+    specs = [(sim_class, init_kwargs,
+              {"threads": count, "lines_per_thread": lines})
+             for count in threads]
+    return dict(zip(threads, ParallelRunner(2).map(run_sim_point, specs)))
+
+
 class TestSweepDeterminism:
     def test_read_sweep_parallel_equals_serial(self):
         serial = CxlEndToEndSim().sweep(THREADS, lines_per_thread=LINES)
-        parallel = CxlEndToEndSim().sweep(THREADS,
-                                          lines_per_thread=LINES,
-                                          jobs=2)
+        parallel = sweep_on_pool(CxlEndToEndSim, THREADS, LINES)
         assert parallel == serial        # E2eResult is a frozen dataclass
 
     def test_write_sweep_parallel_equals_serial(self):
         serial = CxlWriteEndToEndSim().sweep(THREADS,
                                              lines_per_thread=LINES)
-        parallel = CxlWriteEndToEndSim().sweep(THREADS,
-                                               lines_per_thread=LINES,
-                                               jobs=2)
+        parallel = sweep_on_pool(CxlWriteEndToEndSim, THREADS, LINES)
         assert parallel == serial
-
-    def test_sweep_telemetry_merges_to_serial_session(self):
-        serial = Telemetry.on()
-        CxlEndToEndSim(telemetry=serial).sweep(THREADS,
-                                               lines_per_thread=LINES)
-        merged = Telemetry.on()
-        CxlEndToEndSim(telemetry=merged).sweep(THREADS,
-                                               lines_per_thread=LINES,
-                                               jobs=2)
-        assert [e.key() for e in merged.tracer.events] \
-            == [e.key() for e in serial.tracer.events]
-        assert merged.tracer.tracks == serial.tracer.tracks
-        assert merged.registry.snapshot() == serial.registry.snapshot()
 
 
 class TestCurveSharding:
-    """Fig 6/10 p99 curves shard per point — same series either way."""
+    """Fig 6/10 p99 points run as separate units — same series either
+    way."""
 
     @pytest.fixture(scope="class")
     def system(self):
         return build_system(combined_testbed())
 
+    def kv_curves_on_pool(self, study, fractions, qps, requests):
+        specs = [study.point_spec(WORKLOADS["A"], fraction, point,
+                                  requests=requests)
+                 for fraction in fractions for point in qps]
+        results = ParallelRunner(2).map(run_kv_p99_point, specs)
+        return [p99_series(fraction, qps,
+                           results[i * len(qps):(i + 1) * len(qps)])
+                for i, fraction in enumerate(fractions)]
+
+    def dsb_curves_on_pool(self, combos, qps, requests):
+        specs = [runner.point_spec(point, request_type=request_type,
+                                   requests=requests)
+                 for runner, request_type in combos for point in qps]
+        results = ParallelRunner(2).map(run_sim_point, specs)
+        return [runner.p99_series(qps,
+                                  results[i * len(qps):(i + 1) * len(qps)],
+                                  request_type=request_type)
+                for i, (runner, request_type) in enumerate(combos)]
+
     def test_kv_p99_curve_parallel_equals_serial(self, system):
         study = RedisYcsbStudy(system, num_keys=5_000)
         qps = [10_000.0, 30_000.0, 50_000.0]
         serial = study.p99_curve(WORKLOADS["A"], 0.5, qps, requests=400)
-        parallel = study.p99_curve(WORKLOADS["A"], 0.5, qps,
-                                   requests=400, jobs=2)
+        parallel, = self.kv_curves_on_pool(study, [0.5], qps, 400)
         assert parallel == serial        # Series is a dataclass
 
     def test_dsb_p99_curve_parallel_equals_serial(self, system):
         qps = [200.0, 600.0]
-        serial = DsbRunner(system, database_node=system.LOCAL_NODE) \
-            .p99_curve(qps, requests=300)
-        parallel = DsbRunner(system, database_node=system.LOCAL_NODE) \
-            .p99_curve(qps, requests=300, jobs=2)
+        runner = DsbRunner(system, database_node=system.LOCAL_NODE)
+        serial = runner.p99_curve(qps, requests=300)
+        parallel, = self.dsb_curves_on_pool([(runner, None)], qps, 300)
         assert parallel == serial
 
-    def test_dsb_curve_telemetry_merges_to_serial_session(self, system):
-        qps = [200.0, 600.0]
-        serial = Telemetry.on()
-        DsbRunner(system, database_node=system.LOCAL_NODE,
-                  telemetry=serial).p99_curve(qps, requests=300)
-        merged = Telemetry.on()
-        DsbRunner(system, database_node=system.LOCAL_NODE,
-                  telemetry=merged).p99_curve(qps, requests=300, jobs=2)
-        assert [e.key() for e in merged.tracer.events] \
-            == [e.key() for e in serial.tracer.events]
-        assert merged.registry.snapshot() == serial.registry.snapshot()
-
     def test_kv_p99_curves_flat_shard_equals_serial(self, system):
-        # The fig6 whole-figure sweep: every (fraction, qps) pair is
-        # its own worker unit, reassembled fraction-major.
+        # The fig6 grid: every (fraction, qps) pair is its own unit,
+        # reassembled fraction-major.
         study = RedisYcsbStudy(system, num_keys=5_000)
         qps = [10_000.0, 30_000.0]
         fractions = [0.0, 0.5, 1.0]
-        serial = study.p99_curves(WORKLOADS["A"], fractions, qps,
+        serial = [study.p99_curve(WORKLOADS["A"], fraction, qps,
                                   requests=400)
-        parallel = study.p99_curves(WORKLOADS["A"], fractions, qps,
-                                    requests=400, jobs=2)
-        assert parallel == serial
+                  for fraction in fractions]
+        assert self.kv_curves_on_pool(study, fractions, qps, 400) \
+            == serial
 
     def test_dsb_p99_curves_flat_shard_equals_serial(self, system):
-        # The fig10 whole-figure sweep: (runner, request-type) combos
-        # crossed with QPS points, one unit each.
+        # The fig10 grid: (runner, request-type) combos crossed with
+        # QPS points, one unit each.
         from repro.apps.dsb import RequestType
-        from repro.apps.dsb.runner import p99_curves
 
         dram = DsbRunner(system, database_node=system.LOCAL_NODE)
         cxl = DsbRunner(system, database_node=system.cxl_node_id)
@@ -108,20 +106,16 @@ class TestCurveSharding:
                   for request_type in (RequestType.COMPOSE_POST, None)
                   for runner in (dram, cxl)]
         qps = [200.0, 600.0]
-        serial = p99_curves(combos, qps, requests=300)
-        parallel = p99_curves(combos, qps, requests=300, jobs=2)
-        assert parallel == serial
+        serial = [runner.p99_curve(qps, request_type=request_type,
+                                   requests=300)
+                  for runner, request_type in combos]
+        assert self.dsb_curves_on_pool(combos, qps, 300) == serial
 
     def test_only_des_heavy_experiments_shard_internally(self):
-        assert REGISTRY["fig6"].accepts_jobs
-        assert REGISTRY["fig10"].accepts_jobs
-        assert not REGISTRY["fig3"].accepts_jobs
-        assert not REGISTRY["table1"].accepts_jobs
-
-    def test_experiment_run_ignores_jobs_when_unsupported(self):
-        serial = get("fig3").run(fast=True)
-        sharded = get("fig3").run(fast=True, jobs=4)
-        assert sharded.render() == serial.render()
+        assert REGISTRY["fig6"].points
+        assert REGISTRY["fig10"].points
+        assert not REGISTRY["fig3"].points
+        assert not REGISTRY["table1"].points
 
 
 @pytest.fixture

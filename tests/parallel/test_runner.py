@@ -126,8 +126,13 @@ class TestSuitePool:
 
     def test_lone_experiment_shards_onto_the_suite_pool(
             self, starts, no_executor, capsys):
+        # Its two sweep points are two units: the pool forks a worker
+        # for each, and the parent only combines them.
+        from repro.experiments import REGISTRY
         from repro.experiments.runner import main
 
+        plan = REGISTRY["scn-steady-baseline"].plan(fast=True)
+        assert len(plan.specs) == 2
         assert main(["scn-steady-baseline", "--jobs", "2"]
                     + self.ARGV) == 0
         parallel = capsys.readouterr().out

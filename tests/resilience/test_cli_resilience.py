@@ -67,6 +67,30 @@ class TestExperimentsFailures:
         assert "degraded-cxl: exception" in out
         assert "[PASS]" in out
 
+    def test_failed_point_fails_its_experiment(self, sandbox,
+                                              monkeypatch, capsys):
+        # cluster-degraded runs as one unit per sweep point; the hook
+        # crashes every one of them, and the failure is reported once,
+        # under the experiment id, while fig3 still lands.
+        monkeypatch.setenv("REPRO_TEST_UNIT_CRASH", "cluster-degraded")
+        save = sandbox / "save"
+        rc = experiments_main(["figC-deg", "fig3", "--jobs", "2",
+                               "--no-cache", "--no-progress",
+                               "--save", str(save)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "cluster-degraded: exception" in out
+        assert "1 experiment(s) failed to produce a result" in out
+        failed = json.loads(
+            (save / "cluster-degraded.failed.json").read_text())
+        assert failed["unit"] == "cluster-degraded"
+        assert failed["kind"] == "exception"
+        assert not (save / "cluster-degraded.txt").exists()
+        assert (save / "fig3.txt").exists()
+        (record,) = read_ledger()
+        assert list(record["resilience"]["failures"]) \
+            == ["cluster-degraded"]
+
     def test_failure_recorded_in_ledger(self, sandbox, monkeypatch,
                                         capsys):
         monkeypatch.setenv("REPRO_TEST_UNIT_CRASH", "table1")

@@ -4,32 +4,39 @@ fault-plan scaling, cache-key folding, and device profiles."""
 import pytest
 
 from repro.experiments import REGISTRY
-from repro.experiments.runner import (_suite_config, config_for,
-                                      run_config)
+from repro.experiments.runner import (_run_ids, _suite_config,
+                                      config_for, run_config)
 from repro.scenarios import build_testbed, load_pack, parse_scenario
-from repro.scenarios.adapter import (_point_units, point_label,
-                                     scenario_runner)
+from repro.scenarios.adapter import _point_units, point_label
 from repro.scenarios.spec import DeviceProfile
 
 SCN = {scenario.name: scenario for scenario in load_pack()}
+
+
+def run(name: str):
+    """One in-process fast run of a shipped scenario."""
+    return REGISTRY[SCN[name].experiment_id].run(fast=True)
 
 
 class TestParallelIdentity:
     def test_serial_and_jobs2_are_byte_identical(self):
         # bursty-traffic: multiple segments per point AND a sweep axis,
         # so the unit list genuinely shards.
-        run = scenario_runner(SCN["bursty-traffic"])
-        serial = run(True)
-        sharded = run(True, jobs=2)
+        serial = run("bursty-traffic")
+        results, failures, _, _ = _run_ids(
+            ["scn-bursty-traffic"], fast=True, jobs=2, use_cache=False,
+            checkpoint=False)
+        assert failures == {}
+        (_, sharded), = results
         assert serial.render() == sharded.render()
         assert serial.to_dict() == sharded.to_dict()
 
     def test_two_runs_are_deterministic(self):
-        run = scenario_runner(SCN["steady-baseline"])
-        assert run(True).render() == run(True).render()
+        assert run("steady-baseline").render() \
+            == run("steady-baseline").render()
 
     def test_result_carries_series_and_checks(self):
-        result = scenario_runner(SCN["steady-baseline"])(True)
+        result = run("steady-baseline")
         assert result.experiment_id == "scn-steady-baseline"
         assert result.checks
         assert "points" in result.series
@@ -65,7 +72,7 @@ class TestFaultScaling:
         assert sim_kwargs["fault_plans"][0].stall_rate == 0.5
 
     def test_fault_monotone_scenario_passes(self):
-        result = scenario_runner(SCN["fault-severity"])(True)
+        result = run("fault-severity")
         assert result.passed, [str(c) for c in result.checks
                                if not c.passed]
         assert any("fault severity" in check.claim
