@@ -1,141 +1,136 @@
-"""Record wall-clock timings for the experiment suite as BENCH_<label>.json.
+"""Convert a perfbench ``results.json`` into a ``BENCH_<label>.json`` entry.
 
-Gives perf PRs a written trajectory: each run captures per-figure serial
-seconds (plus ``--jobs N`` seconds for internally-sharded figures), the
-whole-suite serial vs ``--jobs N`` wall clock, the effective CPU count
-(the one ``--jobs`` uses) beside the cgroup CPU quota, so recorded
-speedups carry honest context, and the DES engine microbenchmarks —
-including raw scheduler throughput (``engine.events_per_sec``) — the
-hot-path optimizations target.
+perfbench (``perfbench/run.py``) is the repository's one timer; this
+script only reshapes what it measured, so ``repro-report`` can plot the
+trend and gate on it (docs/PERFORMANCE.md, docs/OBSERVABILITY.md).
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_to_json.py --label local --jobs 4
-    PYTHONPATH=src python benchmarks/bench_to_json.py --label ci \
-        --jobs 2 --ids fig3 fig5 --repeats 1 --append
+    python3 perfbench/run.py --out /tmp/bench
+    python3 benchmarks/bench_to_json.py --results /tmp/bench/results.json \\
+        --label local --append
 
-The output lands next to the repo's other ``BENCH_*.json`` files (repo
-root by default); compare fields across commits to see the trend.  See
-docs/PERFORMANCE.md.
+The file is ``{"label": ..., "history": [entry, ...]}``, newest entry
+last.  One entry holds ``label``, ``recorded_at``, perfbench's ``host``
+and ``seed``, and ``workloads: {name: {metric: {median, q1, q3, n}}}``
+copied from each workload's ``metrics`` (the end-to-end metrics plus
+the raw ``host_*`` times and ``host_speed``).  ``--append`` adds the
+entry to the existing history and keeps the last ``--history-limit``
+entries; without it the file is rewritten with this entry alone.
 
-``--append`` keeps a bounded history instead of overwriting: the file
-becomes ``{"label": ..., "history": [entry, ...]}`` with the newest
-entry last and at most ``--history-limit`` entries retained.  An
-existing single-entry file (the pre-history shape) migrates
-transparently — it becomes the first history entry — so
-``repro-report`` gets a real trajectory to plot either way
-(docs/OBSERVABILITY.md).
+Exit codes: 0 written; 1 a workload failed an operation (the run
+measured a different program, so nothing is written); 2 bad input,
+naming the offending field (a ``--smoke`` result is bad input: its
+sizes are not comparable with a bench run's).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
-import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-
-def _time_once(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+SUMMARY_KEYS = ("median", "q1", "q3", "n")
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Best-of-N wall clock (minimum is the least noisy estimator)."""
-    return min(_time_once(fn) for _ in range(max(1, repeats)))
+class BadInput(ValueError):
+    """The input or the existing output cannot be used; names why."""
 
 
-def cgroup_cpus() -> float | None:
-    """The cgroup-v2 CPU quota (``cpu.max``), or ``None`` when unset."""
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def load_results(path: Path) -> dict:
+    """perfbench's ``results.json``, checked down to every quartile."""
     try:
-        quota, period = Path("/sys/fs/cgroup/cpu.max").read_text().split()
-        return None if quota == "max" else int(quota) / int(period)
-    except (OSError, ValueError):
-        return None
+        results = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise BadInput(f"{path}: no such file") from None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise BadInput(f"{path}: not JSON: {exc}") from None
+    if not isinstance(results, dict):
+        raise BadInput(f"{path}: not a JSON object")
+    for key in ("host", "seed", "smoke", "workloads"):
+        if key not in results:
+            raise BadInput(f"{path}: missing field {key!r}")
+    if results["smoke"]:
+        raise BadInput(f"{path}: a --smoke result; its sizes are not "
+                       f"comparable with a bench run's")
+    if not isinstance(results["workloads"], dict) \
+            or not results["workloads"]:
+        raise BadInput(f"{path}: field 'workloads' is empty or not an "
+                       f"object")
+    for name, workload in results["workloads"].items():
+        where = f"workloads.{name}"
+        if not isinstance(workload, dict):
+            raise BadInput(f"{path}: field {where!r} is not an object")
+        if not _number(workload.get("failed")):
+            raise BadInput(f"{path}: field {where}.failed missing or "
+                           f"not a number")
+        metrics = workload.get("metrics")
+        if not isinstance(metrics, dict) or not metrics:
+            raise BadInput(f"{path}: field {where}.metrics missing or "
+                           f"empty")
+        for metric, summary in metrics.items():
+            for key in SUMMARY_KEYS:
+                if not isinstance(summary, dict) \
+                        or not _number(summary.get(key)):
+                    raise BadInput(f"{path}: field {where}.metrics."
+                                   f"{metric}.{key} missing or not a "
+                                   f"number")
+    return results
 
 
-def _load_sibling(name: str):
-    """Import a benchmarks/ sibling by path (works however this file
-    was loaded — ``python benchmarks/bench_to_json.py`` or an importlib
-    spec, neither of which guarantees benchmarks/ on sys.path)."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        name, Path(__file__).resolve().parent / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def engine_microbench(repeats: int) -> dict:
-    """The DES hot paths: raw event throughput + the e2e sims."""
-    from repro.cxl.e2e_sim import CxlEndToEndSim, CxlWriteEndToEndSim
-
-    rate = _load_sibling("engine_events_per_sec").events_per_sec(
-        repeats=repeats)
-    read_sweep_s = _best_of(
-        lambda: CxlEndToEndSim().sweep([1, 2, 4, 8, 12, 16, 32],
-                                       lines_per_thread=1000),
-        repeats)
-    write_run_s = _best_of(
-        lambda: CxlWriteEndToEndSim().run(threads=8,
-                                          lines_per_thread=1000),
-        repeats)
-    return {"events_per_sec": round(rate),
-            "e2e_read_sweep_s": round(read_sweep_s, 4),
-            "e2e_write_run_s": round(write_run_s, 4)}
+def make_entry(results: dict, label: str) -> dict:
+    """One history entry from a checked ``results.json``."""
+    return {
+        "label": label,
+        "recorded_at": datetime.now(timezone.utc)
+        .strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "host": results["host"],
+        "seed": results["seed"],
+        "workloads": {
+            name: {metric: {key: summary[key] for key in SUMMARY_KEYS}
+                   for metric, summary in workload["metrics"].items()}
+            for name, workload in results["workloads"].items()},
+    }
 
 
 def append_history(path: Path, entry: dict, *, limit: int) -> dict:
-    """Fold ``entry`` into ``path``'s bounded history (newest last).
-
-    Reads the existing file if any: a history-shaped file gains one
-    entry; a legacy single-entry file (the pre-``--append`` shape, with
-    its measurements at top level) is migrated in place — it becomes
-    the first history entry; an unreadable file starts a fresh history.
-    Only the last ``limit`` entries are kept.
-    """
-    history: list[dict] = []
-    try:
-        existing = json.loads(path.read_text())
-    except (FileNotFoundError, json.JSONDecodeError, OSError):
-        existing = None
-    if isinstance(existing, dict):
-        if isinstance(existing.get("history"), list):
-            history = [item for item in existing["history"]
-                       if isinstance(item, dict)]
-        elif "suite" in existing or "figures" in existing:
-            history = [existing]
+    """``path``'s history plus ``entry`` (newest last), last ``limit``
+    entries kept.  A missing file starts a new history; a file that is
+    not a history raises :class:`BadInput` rather than being dropped."""
+    history: list = []
+    if path.exists():
+        try:
+            existing = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise BadInput(f"{path}: not JSON: {exc}") from None
+        if not isinstance(existing, dict) \
+                or not isinstance(existing.get("history"), list):
+            raise BadInput(f"{path}: missing field 'history'")
+        history = existing["history"]
     history.append(entry)
     return {"label": entry["label"], "history": history[-limit:]}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time the experiment suite, write BENCH_<label>.json")
+        description="Convert perfbench's results.json into a "
+                    "BENCH_<label>.json history entry")
+    parser.add_argument("--results", required=True, type=Path,
+                        metavar="PATH",
+                        help="perfbench's results.json")
     parser.add_argument("--label", required=True,
                         help="suffix for BENCH_<label>.json")
-    parser.add_argument("--jobs", type=int, default=4, metavar="N",
-                        help="worker count for the parallel pass "
-                             "(default: 4)")
-    parser.add_argument("--ids", nargs="*", default=None,
-                        help="experiment ids or aliases, e.g. figC "
-                             "(default: all)")
-    parser.add_argument("--full", action="store_true",
-                        help="time full-resolution sweeps")
-    parser.add_argument("--repeats", type=int, default=2,
-                        help="repetitions per measurement, best-of "
-                             "(default: 2)")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", default=None, type=Path,
                         help="output path (default: "
                              "<repo>/BENCH_<label>.json)")
     parser.add_argument("--append", action="store_true",
-                        help="append to a bounded dated history in the "
-                             "output file instead of overwriting "
-                             "(migrates a single-entry file in place)")
+                        help="append to the output file's history "
+                             "instead of overwriting it")
     parser.add_argument("--history-limit", type=int, default=20,
                         metavar="N",
                         help="entries retained with --append "
@@ -144,88 +139,25 @@ def main(argv: list[str] | None = None) -> int:
     if args.history_limit < 1:
         print("error: --history-limit must be >= 1", file=sys.stderr)
         return 2
-
-    import repro
-    from repro.experiments import REGISTRY
-    from repro.experiments.registry import resolve_id
-    from repro.experiments.runner import _run_ids
-    from repro.parallel import effective_cpu_count
-
-    ids = [resolve_id(eid) for eid in args.ids] if args.ids \
-        else sorted(REGISTRY)
-    unknown = [eid for eid in ids if eid not in REGISTRY]
-    if unknown:
-        print(f"error: unknown experiment id(s): {unknown}",
-              file=sys.stderr)
-        return 2
-    fast = not args.full
-
-    # Measure the parallel pass FIRST, while this process is still
-    # lean: the suite schedule forks worker pools, and forking after
-    # the serial figure loop has bloated the parent heap overstates
-    # the wall time vs what `repro-experiments --jobs N` (a fresh
-    # process) actually costs.  Same scheduling as
-    # `repro-experiments --jobs N --no-cache`: one unit per sweep
-    # point of the point experiments, one per experiment for the rest.
-    parallel_total = _best_of(
-        lambda: _run_ids(ids, fast=fast, jobs=args.jobs,
-                         use_cache=False),
-        args.repeats)
-    print(f"{'suite':20s} --jobs {args.jobs} {parallel_total:7.3f}s",
-          flush=True)
-
-    figures = {}
-    for eid in ids:
-        seconds = _best_of(lambda: REGISTRY[eid].run(fast=fast),
-                           args.repeats)
-        figures[eid] = {"serial_s": round(seconds, 4)}
-        line = f"{eid:20s} serial {seconds:7.3f}s"
-        if REGISTRY[eid].points and args.jobs > 1:
-            jobs_seconds = _best_of(
-                lambda: _run_ids([eid], fast=fast, jobs=args.jobs,
-                                 use_cache=False),
-                args.repeats)
-            figures[eid]["jobs_s"] = round(jobs_seconds, 4)
-            line += f"  --jobs {args.jobs} {jobs_seconds:7.3f}s"
-        print(line, flush=True)
-
-    serial_total = sum(entry["serial_s"] for entry in figures.values())
-    speedup = serial_total / parallel_total if parallel_total else 0.0
-    print(f"{'suite':20s} serial {serial_total:7.3f}s  "
-          f"--jobs {args.jobs} {parallel_total:7.3f}s  "
-          f"(x{speedup:.2f})", flush=True)
-
-    engine = engine_microbench(args.repeats)
-    print(f"{'engine':20s} {engine['events_per_sec']:,} events/s  "
-          f"read-sweep {engine['e2e_read_sweep_s']}s  "
-          f"write-run {engine['e2e_write_run_s']}s")
-
-    payload = {
-        "label": args.label,
-        "recorded_at": datetime.now(timezone.utc)
-        .strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "version": repro.__version__,
-        "python": platform.python_version(),
-        "cpus": effective_cpu_count(),
-        "cgroup_cpus": cgroup_cpus(),
-        "mode": "full" if args.full else "fast",
-        "jobs": args.jobs,
-        "figures": figures,
-        "suite": {
-            "serial_s": round(serial_total, 4),
-            "parallel_s": round(parallel_total, 4),
-            "speedup": round(speedup, 3),
-        },
-        "engine": engine,
-    }
-    out = Path(args.out) if args.out \
-        else Path(__file__).resolve().parent.parent \
+    out = args.out or Path(__file__).resolve().parent.parent \
         / f"BENCH_{args.label}.json"
-    if args.append:
-        payload = append_history(out, payload,
-                                 limit=args.history_limit)
+    try:
+        results = load_results(args.results)
+        failed = [name for name, workload in results["workloads"].items()
+                  if workload["failed"] > 0]
+        if failed:
+            print(f"error: {args.results}: workload(s) {', '.join(failed)} "
+                  f"failed operations; nothing written", file=sys.stderr)
+            return 1
+        entry = make_entry(results, args.label)
+        payload = append_history(out, entry, limit=args.history_limit) \
+            if args.append else {"label": args.label, "history": [entry]}
+    except BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+    print(f"wrote {out} ({len(payload['history'])} entries)")
     return 0
 
 

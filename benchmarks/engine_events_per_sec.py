@@ -16,9 +16,8 @@ Run standalone::
     PYTHONPATH=src python benchmarks/engine_events_per_sec.py \
         --events 500000
 
-or let ``bench_to_json.py`` fold the number into the
-``engine.events_per_sec`` field of BENCH_<label>.json (see
-docs/PERFORMANCE.md).
+or through perfbench, whose traced pass reports it as
+``sim.sched_events_per_s`` (perfbench/README.md).
 """
 
 from __future__ import annotations

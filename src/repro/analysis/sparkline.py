@@ -42,7 +42,7 @@ def trend(values: list[float], *, width: int = 24) -> str:
 
     The ``repro-report`` trend-cell renderer: an empty history renders
     as a placeholder dot rather than raising, and a single point (a
-    fresh ledger, a just-migrated ``BENCH_*.json``) renders as one
+    fresh ledger, a one-entry ``BENCH_*.json``) renders as one
     mid-height bar — the table column stays well-formed while history
     accumulates.
     """

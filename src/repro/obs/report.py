@@ -10,8 +10,9 @@ Aggregates four result streams into a single deterministic Markdown
   slowest-request waterfalls (docs/TELEMETRY.md);
 * the run ledger (``results/runs.jsonl``, docs/OBSERVABILITY.md) —
   per-figure wall-clock trend lines;
-* ``BENCH_*.json`` wall-clock trajectories (``bench_to_json.py``,
-  history-aware via ``--append``).
+* ``BENCH_*.json`` histories: one entry per perfbench run, each
+  metric as its median and quartiles (``benchmarks/bench_to_json.py``
+  converts perfbench's ``results.json``).
 
 Determinism contract: the same inputs render byte-identical output.
 Every timestamp in the report comes from the ledger records; the
@@ -20,11 +21,12 @@ report itself never reads a clock.  Tables iterate sorted keys only.
 ``--baseline baseline.json`` (written by ``--write-baseline``) turns
 the report into a regression gate: the process exits non-zero when a
 previously-passing shape check flips to failing or a bench metric
-regresses beyond ``--threshold`` percent (seconds-like metrics are
-lower-is-better; ``speedup`` is higher-is-better).  A ``suite.speedup``
-below 1.0 is reported as a non-failing *advisory* — parallel slower
-than serial means the run was oversubscribed (``--jobs`` above the
-available CPUs), not that the code regressed.
+regresses.  A bench metric (``<label>.<workload>.<metric>``, every one
+lower-is-better) regresses when its latest median exceeds the baseline
+median by more than ``--threshold`` percent *and* its latest first
+quartile lies above the baseline's third quartile, so a shift inside
+the run-to-run spread does not fail the gate.  The raw host times and
+the host speed (``host_*``) are recorded and rendered, never gated.
 
 Examples::
 
@@ -46,10 +48,10 @@ from ..analysis.sparkline import trend
 from .ledger import figure_wall_history, read_ledger
 from .runlog import EXIT_FAILED_CHECKS, EXIT_OK, RunLog
 
-BASELINE_SCHEMA_VERSION = 1
+BASELINE_SCHEMA_VERSION = 2
 
-HIGHER_IS_BETTER_METRICS = ("speedup",)
-"""Flattened bench metric leaf names where bigger means faster."""
+QUARTILES = ("median", "q1", "q3")
+"""The summary fields of a bench metric that the baseline stores."""
 
 
 # --------------------------------------------------------------------------
@@ -114,20 +116,12 @@ def load_metrics_snapshots(results_dir: Path) -> dict[str, dict]:
     return snapshots
 
 
-def bench_entries(obj: dict) -> list[dict]:
-    """History entries of one ``BENCH_*.json`` (both file shapes).
-
-    ``--append`` files hold ``{"label": ..., "history": [entry, ...]}``;
-    legacy files *are* the single entry.
-    """
-    if isinstance(obj.get("history"), list):
-        return [entry for entry in obj["history"]
-                if isinstance(entry, dict)]
-    return [obj]
-
-
 def load_bench_histories(bench_dir: Path) -> dict[str, list[dict]]:
-    """``{label: [entry, ...]}`` for every ``BENCH_<label>.json``."""
+    """``{label: [entry, ...]}`` for every ``BENCH_<label>.json``.
+
+    A file holds ``{"label": ..., "history": [entry, ...]}``, oldest
+    entry first (``benchmarks/bench_to_json.py``).
+    """
     histories: dict[str, list[dict]] = {}
     if not bench_dir.is_dir():
         return histories
@@ -136,44 +130,41 @@ def load_bench_histories(bench_dir: Path) -> dict[str, list[dict]]:
             obj = json.loads(path.read_text())
         except (json.JSONDecodeError, OSError):
             continue
-        if isinstance(obj, dict):
-            label = path.stem[len("BENCH_"):]
-            histories[label] = bench_entries(obj)
+        if isinstance(obj, dict) and isinstance(obj.get("history"), list):
+            histories[path.stem[len("BENCH_"):]] = [
+                entry for entry in obj["history"] if isinstance(entry, dict)]
     return histories
 
 
 def bench_metric_trends(histories: dict[str, list[dict]]) \
-        -> dict[str, list[float]]:
-    """Flatten histories to ``{label.group.metric: [values...]}``.
+        -> dict[str, list[dict]]:
+    """Flatten histories to ``{label.workload.metric: [summary, ...]}``.
 
-    Covers the numeric leaves under ``figures`` (per-figure serial
-    seconds), ``suite``, and ``engine`` — the comparable, trend-able
-    wall-clock metrics; host metadata (cpus, python, …) is excluded.
+    A summary is one entry's ``{median, q1, q3, n}`` for the metric,
+    oldest first; the metric's trend is the list of their medians.
     """
-    trends: dict[str, list[float]] = {}
-
-    def add(metric: str, entry_values: float) -> None:
-        trends.setdefault(metric, []).append(float(entry_values))
-
+    trends: dict[str, list[dict]] = {}
     for label in sorted(histories):
         for entry in histories[label]:
-            for fig in sorted(entry.get("figures", {})):
-                for key, value in sorted(
-                        entry["figures"][fig].items()):
-                    if isinstance(value, (int, float)):
-                        add(f"{label}.figures.{fig}.{key}", value)
-            for group in ("suite", "engine"):
-                for key, value in sorted(entry.get(group, {}).items()):
-                    if isinstance(value, (int, float)):
-                        add(f"{label}.{group}.{key}", value)
+            workloads = entry.get("workloads", {})
+            for workload in sorted(workloads):
+                for metric, summary in sorted(workloads[workload].items()):
+                    trends.setdefault(f"{label}.{workload}.{metric}",
+                                      []).append(summary)
     return trends
+
+
+def _gated(metric: str) -> bool:
+    """Raw host times and the host speed describe the host, not the
+    program, so the gate never reads them."""
+    return not metric.rsplit(".", 1)[-1].startswith("host_")
 
 
 # --------------------------------------------------------------------------
 # baseline
 
 def build_baseline(experiments: dict[str, dict],
-                   bench_trends: dict[str, list[float]]) -> dict:
+                   bench_trends: dict[str, list[dict]]) -> dict:
     """Current state as a committed-baseline JSON object."""
     return {
         "schema": BASELINE_SCHEMA_VERSION,
@@ -183,34 +174,42 @@ def build_baseline(experiments: dict[str, dict],
                              for check in data.get("checks", [])}}
             for eid, data in sorted(experiments.items())
         },
-        "bench": {metric: values[-1]
+        "bench": {metric: {key: values[-1][key] for key in QUARTILES}
                   for metric, values in sorted(bench_trends.items())
-                  if values},
+                  if values and _gated(metric)},
     }
 
 
-def _is_higher_better(metric: str) -> bool:
-    return metric.rsplit(".", 1)[-1] in HIGHER_IS_BETTER_METRICS
+def baseline_problem(baseline: object) -> str | None:
+    """Why ``baseline`` is not a usable schema-2 baseline, or ``None``."""
+    if not isinstance(baseline, dict):
+        return "is not a JSON object"
+    if baseline.get("schema") != BASELINE_SCHEMA_VERSION:
+        return (f"has schema {baseline.get('schema')!r}; this "
+                f"repro-report reads schema {BASELINE_SCHEMA_VERSION} "
+                f"(regenerate it with --write-baseline)")
+    bench = baseline.get("bench", {})
+    if not isinstance(bench, dict):
+        return "field bench is not a JSON object"
+    for metric, summary in bench.items():
+        if not isinstance(summary, dict) or not all(
+                isinstance(summary.get(key), (int, float))
+                for key in QUARTILES):
+            return f"bench.{metric} needs numeric {', '.join(QUARTILES)}"
+    return None
 
 
 def find_regressions(experiments: dict[str, dict],
-                     bench_trends: dict[str, list[float]],
+                     bench_trends: dict[str, list[dict]],
                      baseline: dict, *,
-                     threshold_pct: float,
-                     advisories: list[str] | None = None) -> list[str]:
+                     threshold_pct: float) -> list[str]:
     """Deterministic list of regression descriptions (empty = clean).
 
     Only inputs present on *both* sides are compared: a baseline
     experiment or metric missing from the current inputs is skipped
     (CI sweeps cover a subset of the full suite), and anything new has
-    no baseline to regress against.
-
-    When ``advisories`` is passed (the CLI path), a ``suite.speedup``
-    drop *below 1.0* is appended there instead of to the returned
-    regressions: parallel-slower-than-serial is the signature of an
-    oversubscribed ``--jobs`` run (more workers than
-    :func:`repro.parallel.effective_cpu_count` CPUs), an environment
-    problem the gate should flag without failing the build over.
+    no baseline to regress against.  A bench metric is compared by its
+    latest summary (see the module docstring for the rule).
     """
     regressions: list[str] = []
     for eid in sorted(baseline.get("experiments", {})):
@@ -231,28 +230,17 @@ def find_regressions(experiments: dict[str, dict],
     factor = threshold_pct / 100.0
     for metric in sorted(baseline.get("bench", {})):
         values = bench_trends.get(metric)
-        if not values:
+        base = baseline["bench"][metric]
+        if not values or not _gated(metric) or base["median"] <= 0:
             continue
-        base_value, value = float(baseline["bench"][metric]), values[-1]
-        if base_value <= 0:
-            continue
-        change = (value - base_value) / base_value
-        regressed = change < -factor if _is_higher_better(metric) \
-            else change > factor
-        if not regressed:
-            continue
-        if advisories is not None \
-                and metric.endswith(".suite.speedup") and value < 1.0:
-            advisories.append(
-                f"bench {metric}: {value:g} < 1 — the parallel suite "
-                f"ran slower than serial, the signature of an "
-                f"oversubscribed --jobs run (more workers than "
-                f"available CPUs), not a code regression")
-            continue
-        regressions.append(
-            f"bench {metric}: {base_value:g} -> {value:g} "
-            f"({change * 100.0:+.1f}% past {threshold_pct:g}% "
-            f"threshold)")
+        now = values[-1]
+        change = (now["median"] - base["median"]) / base["median"]
+        if change > factor and now["q1"] > base["q3"]:
+            regressions.append(
+                f"bench {metric}: median {base['median']:g} -> "
+                f"{now['median']:g} ({change * 100.0:+.1f}% past "
+                f"{threshold_pct:g}% threshold; q1 {now['q1']:g} above "
+                f"baseline q3 {base['q3']:g})")
     return regressions
 
 
@@ -269,12 +257,11 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
 def build_report(*, experiments: dict[str, dict],
                  metrics: dict[str, dict],
                  ledger: list[dict],
-                 bench_trends: dict[str, list[float]],
+                 bench_trends: dict[str, list[dict]],
                  regressions: list[str] | None = None,
                  baseline_name: str | None = None,
                  last: int = 10,
                  spans: dict[str, dict] | None = None,
-                 advisories: list[str] | None = None,
                  waterfalls: int = 2) -> str:
     """The full Markdown dashboard (pure function of its inputs)."""
     lines: list[str] = ["# repro observability report", ""]
@@ -336,11 +323,13 @@ def build_report(*, experiments: dict[str, dict],
 
     lines += ["## Bench trends", ""]
     if bench_trends:
-        rows = [[metric, f"{values[-1]:g}", f"`{trend(values)}`",
+        rows = [[metric, f"{values[-1]['median']:g}",
+                 f"{values[-1]['q1']:g}–{values[-1]['q3']:g}",
+                 f"`{trend([summary['median'] for summary in values])}`",
                  str(len(values))]
                 for metric, values in sorted(bench_trends.items())]
-        lines += _md_table(["metric", "latest", "trend", "points"],
-                           rows)
+        lines += _md_table(["metric", "median", "q1–q3", "trend",
+                            "points"], rows)
     else:
         lines += ["No BENCH_*.json files found."]
     lines += [""]
@@ -379,10 +368,6 @@ def build_report(*, experiments: dict[str, dict],
             lines += [f"- REGRESSION: {item}" for item in regressions]
         else:
             lines += ["No regressions against the baseline."]
-        if advisories:
-            lines += ["", f"{len(advisories)} advisory(ies) "
-                          f"(non-failing):", ""]
-            lines += [f"- ADVISORY: {item}" for item in advisories]
         lines += [""]
 
     return "\n".join(lines).rstrip() + "\n"
@@ -493,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "JSON and exit")
     parser.add_argument("--threshold", type=float, default=10.0,
                         metavar="PCT",
-                        help="bench regression threshold in percent "
-                             "(default: 10)")
+                        help="bench regression threshold on the "
+                             "median, in percent (default: 10)")
     parser.add_argument("--last", type=int, default=10, metavar="N",
                         help="ledger rows shown (default: 10)")
     return parser
@@ -531,7 +516,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     regressions: list[str] | None = None
-    advisories: list[str] = []
     baseline_name: str | None = None
     if args.baseline:
         baseline_path = Path(args.baseline)
@@ -542,23 +526,19 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             return runlog.error(
                 f"baseline is not valid JSON: {baseline_path}: {exc}")
-        if baseline.get("schema") != BASELINE_SCHEMA_VERSION:
-            return runlog.error(
-                f"baseline {baseline_path} has unsupported schema "
-                f"{baseline.get('schema')!r}")
+        problem = baseline_problem(baseline)
+        if problem:
+            return runlog.error(f"baseline {baseline_path} {problem}")
         baseline_name = baseline_path.name
         regressions = find_regressions(experiments, bench_trends,
                                        baseline,
-                                       threshold_pct=args.threshold,
-                                       advisories=advisories)
-        if advisories:
-            runlog.warn("baseline-advisories", count=len(advisories))
+                                       threshold_pct=args.threshold)
 
     report = build_report(experiments=experiments, metrics=metrics,
                           ledger=ledger, bench_trends=bench_trends,
                           regressions=regressions,
                           baseline_name=baseline_name, last=args.last,
-                          spans=spans, advisories=advisories)
+                          spans=spans)
     if args.out == "-":
         sys.stdout.write(report)
     else:

@@ -16,10 +16,6 @@ byte-identical to a serial one:
   content-addressed store under ``results/.cache/`` keyed on
   ``(experiment id, config dict, package fingerprint)``; re-running an
   unchanged figure becomes a file read.
-* :mod:`repro.parallel.merge` — serialize a worker's
-  :class:`~repro.telemetry.Telemetry` and replay it into a parent
-  session in unit order, preserving track creation order and event
-  sequence (no sweep records worker telemetry any more).
 * :mod:`repro.parallel.sweeps` — the picklable module-level unit
   functions shipped to workers (experiment sweep points, whole
   experiments, analytic bench series).
@@ -36,29 +32,15 @@ from .cache import (
     payload_checksum,
     result_key,
 )
-from .merge import (
-    TelemetrySpec,
-    export_telemetry,
-    fresh_telemetry,
-    merge_all,
-    merge_telemetry,
-    telemetry_spec,
-)
 from .runner import ParallelRunner, effective_cpu_count, unit_seed
 
 __all__ = [
     "ParallelRunner",
     "QUARANTINE_DIR_NAME",
     "ResultCache",
-    "TelemetrySpec",
     "effective_cpu_count",
-    "export_telemetry",
-    "fresh_telemetry",
-    "merge_all",
-    "merge_telemetry",
     "package_fingerprint",
     "payload_checksum",
     "result_key",
-    "telemetry_spec",
     "unit_seed",
 ]

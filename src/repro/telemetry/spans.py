@@ -117,9 +117,6 @@ class NullSpanRecorder:
     def record_batch(self, index, start_ns, kinds, columns) -> None:
         pass
 
-    def absorb(self, export: Mapping | None) -> None:
-        pass
-
     def export(self) -> dict | None:
         return None
 
@@ -153,7 +150,6 @@ class SpanRecorder:
         # One entry per batch: (index, start, kind, total,
         # segment row, segment component, segment duration).
         self._chunks: list[tuple[np.ndarray, ...]] = []
-        self._absorbed: list[dict] = []
 
     def record(self, index: int, start_ns: float,
                segments: Sequence[tuple[str, float]], *,
@@ -220,32 +216,11 @@ class SpanRecorder:
                                   for parts in zip(*self._chunks))]
         return self._chunks[0]
 
-    # -- merging ------------------------------------------------------------
-
-    def absorb(self, export: Mapping | None) -> None:
-        """Fold a worker's exported aggregate into this recorder.
-
-        Workers ship finished aggregates (not raw requests); the parent
-        absorbs them in sweep-unit order, which keeps the merged result
-        byte-identical to a serial run recording into one recorder per
-        unit.
-        """
-        if export:
-            self._absorbed.append(dict(export))
-
     # -- export -------------------------------------------------------------
 
     def export(self) -> dict | None:
         """The aggregate payload for this recorder, or ``None`` if empty."""
-        own = self._aggregate() if self._chunks else None
-        parts = list(self._absorbed)
-        if own is not None:
-            parts.append(own)
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        return combine_aggregates(parts)
+        return self._aggregate() if self._chunks else None
 
     def _aggregate(self) -> dict:
         columns = self._columns()

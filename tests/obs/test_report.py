@@ -6,13 +6,15 @@ Two acceptance criteria from the PR are pinned here:
   inputs (``test_report_byte_identical_across_runs``);
 * ``--baseline`` exits non-zero when a bench metric regresses past the
   threshold (``test_baseline_gate_exits_nonzero_on_bench_regression``).
+
+Bench fixtures have the shape ``benchmarks/bench_to_json.py`` writes
+from perfbench's ``results.json``.
 """
 
 import json
 
 from repro.obs import EXIT_FAILED_CHECKS, EXIT_OK, append_record, run_record
 from repro.obs.report import (
-    bench_entries,
     bench_metric_trends,
     build_baseline,
     build_report,
@@ -40,17 +42,39 @@ def write_results(tmp_path, experiments):
     return results
 
 
-def write_bench(tmp_path, label="local", serial_s=5.0, speedup=2.0,
-                history=None):
-    entry = {"label": label,
-             "figures": {"fig3": {"serial_s": serial_s}},
-             "suite": {"serial_s": serial_s, "parallel_s": serial_s / 2,
-                       "speedup": speedup},
-             "engine": {"e2e_read_sweep_s": 0.5}}
-    payload = {"label": label, "history": history} if history is not None \
-        else entry
-    (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(payload))
-    return entry
+def summary(median, spread=0.02):
+    """A perfbench metric summary with quartiles ``spread`` around it."""
+    return {"median": median, "q1": median * (1 - spread),
+            "q3": median * (1 + spread), "n": 5}
+
+
+def bench_entry(label="local", wall_s=5.0, spread=0.02, host_wall_s=7.0):
+    return {"label": label, "recorded_at": "2026-10-01T00:00:00Z",
+            "host": {"cpus": 2}, "seed": 7,
+            "workloads": {"paper-figs": {
+                "wall_s": summary(wall_s, spread),
+                "peak_rss_mb": summary(48.0, 0.001),
+                "host_wall_s": summary(host_wall_s, spread)}}}
+
+
+def write_bench(tmp_path, label="local", wall_s=5.0, history=None,
+                **kwargs):
+    if history is None:
+        history = [bench_entry(label, wall_s, **kwargs)]
+    (tmp_path / f"BENCH_{label}.json").write_text(
+        json.dumps({"label": label, "history": history}))
+    return history[-1]
+
+
+def trends(*wall_summaries):
+    return {"local.paper-figs.wall_s": list(wall_summaries)}
+
+
+def baseline_of(**bench):
+    return {"schema": 2, "experiments": {},
+            "bench": {metric: {key: value[key]
+                               for key in ("median", "q1", "q3")}
+                      for metric, value in bench.items()}}
 
 
 def write_ledger(tmp_path):
@@ -74,21 +98,23 @@ class TestLoading:
         (results / "other.json").write_text('{"random": true}')
         assert list(load_experiments(results)) == ["fig3"]
 
-    def test_bench_entries_handles_both_shapes(self):
-        legacy = {"label": "x", "suite": {"serial_s": 1.0}}
-        assert bench_entries(legacy) == [legacy]
-        wrapped = {"label": "x", "history": [legacy, legacy]}
-        assert bench_entries(wrapped) == [legacy, legacy]
+    def test_only_history_files_load(self, tmp_path):
+        write_bench(tmp_path, label="kept")
+        (tmp_path / "BENCH_flat.json").write_text(
+            json.dumps(bench_entry("flat")))
+        (tmp_path / "BENCH_junk.json").write_text("{nope")
+        assert list(load_bench_histories(tmp_path)) == ["kept"]
 
     def test_bench_trends_flatten_history_in_order(self, tmp_path):
-        old = write_bench(tmp_path, serial_s=6.0)
-        new = dict(old, suite={"serial_s": 4.0, "parallel_s": 2.0,
-                               "speedup": 2.0})
-        write_bench(tmp_path, history=[old, new])
-        trends = bench_metric_trends(load_bench_histories(tmp_path))
-        assert trends["local.suite.serial_s"] == [6.0, 4.0]
-        assert trends["local.figures.fig3.serial_s"] == [6.0, 6.0]
-        assert "local.cpus" not in trends      # host metadata excluded
+        write_bench(tmp_path, history=[bench_entry(wall_s=6.0),
+                                       bench_entry(wall_s=4.0)])
+        got = bench_metric_trends(load_bench_histories(tmp_path))
+        assert [s["median"] for s in got["local.paper-figs.wall_s"]] \
+            == [6.0, 4.0]
+        assert got["local.paper-figs.wall_s"][-1] == summary(4.0)
+        assert sorted(got) == ["local.paper-figs.host_wall_s",
+                               "local.paper-figs.peak_rss_mb",
+                               "local.paper-figs.wall_s"]
 
 
 class TestDeterminism:
@@ -120,13 +146,14 @@ class TestDeterminism:
             metrics={"fig3": {"m": 1}},
             ledger=[json.loads(line) for line
                     in write_ledger(tmp_path).read_text().splitlines()],
-            bench_trends={"local.suite.serial_s": [6.0, 4.0]})
+            bench_trends=trends(summary(6.0), summary(4.0)))
         for heading in ("# repro observability report", "## Experiments",
                         "## Run ledger", "## Bench trends",
                         "## Metrics snapshots"):
             assert heading in report
         assert "PASS" in report
         assert "2026-08-06T00:00:00Z" in report
+        assert "| local.paper-figs.wall_s | 4 | 3.92–4.08 |" in report
 
     def test_failing_checks_listed(self):
         report = build_report(
@@ -140,7 +167,7 @@ class TestDeterminism:
 class TestBaseline:
     def test_write_baseline_round_trips(self, tmp_path, capsys):
         write_results(tmp_path, [experiment_json()])
-        write_bench(tmp_path, serial_s=5.0)
+        write_bench(tmp_path, wall_s=5.0)
         target = tmp_path / "baseline.json"
         assert main(["--results", str(tmp_path / "results"),
                      "--bench", str(tmp_path),
@@ -148,15 +175,18 @@ class TestBaseline:
                      "--write-baseline", str(target)]) == EXIT_OK
         capsys.readouterr()
         baseline = json.loads(target.read_text())
-        assert baseline["schema"] == 1
+        assert baseline["schema"] == 2
         assert baseline["experiments"]["fig3"]["passed"] is True
-        assert baseline["bench"]["local.suite.serial_s"] == 5.0
+        assert baseline["bench"]["local.paper-figs.wall_s"] \
+            == {"median": 5.0, "q1": 4.9, "q3": 5.1}
+        # host_* is recorded in BENCH_*.json but never gated
+        assert "local.paper-figs.host_wall_s" not in baseline["bench"]
 
     def test_baseline_gate_exits_nonzero_on_bench_regression(
             self, tmp_path, capsys):
-        """Acceptance: injected bench regression => exit 1."""
+        """Acceptance: a 30 % slowdown with tight quartiles => exit 1."""
         results = write_results(tmp_path, [experiment_json()])
-        write_bench(tmp_path, serial_s=5.0)
+        write_bench(tmp_path, wall_s=5.0)
         target = tmp_path / "baseline.json"
         common = ["--results", str(results), "--bench", str(tmp_path),
                   "--ledger", str(tmp_path / "none.jsonl")]
@@ -164,14 +194,44 @@ class TestBaseline:
         # clean comparison first
         assert main(common + ["--baseline", str(target),
                               "--out", str(tmp_path / "r.md")]) == EXIT_OK
-        # inject: serial seconds double (past the 10% default threshold)
-        write_bench(tmp_path, serial_s=10.0)
+        # inject: wall seconds 30 % slower, default 10 % threshold
+        write_bench(tmp_path, wall_s=6.5)
         code = main(common + ["--baseline", str(target),
                               "--out", str(tmp_path / "r.md")])
         capsys.readouterr()
         assert code == EXIT_FAILED_CHECKS
-        assert "REGRESSION: bench local.suite.serial_s" \
+        assert "REGRESSION: bench local.paper-figs.wall_s: median 5 -> 6.5" \
             in (tmp_path / "r.md").read_text()
+
+    def test_median_shift_inside_the_spread_passes(self):
+        # +15 % on the median, past the threshold, but the current q1
+        # is not above the baseline q3: the runs overlap.
+        baseline = baseline_of(**{"local.paper-figs.wall_s":
+                                  summary(5.0, 0.1)})
+        now = {"median": 5.75, "q1": 5.5, "q3": 6.0}
+        assert now["q1"] <= baseline["bench"]["local.paper-figs.wall_s"][
+            "q3"]
+        assert find_regressions({}, trends(now), baseline,
+                                threshold_pct=10.0) == []
+
+    def test_single_sample_reduces_to_the_median_test(self):
+        one = {"median": 5.0, "q1": 5.0, "q3": 5.0, "n": 1}
+        baseline = baseline_of(**{"local.paper-figs.wall_s": one})
+        slower = {"median": 5.6, "q1": 5.6, "q3": 5.6, "n": 1}
+        assert len(find_regressions({}, trends(slower), baseline,
+                                    threshold_pct=10.0)) == 1
+        assert find_regressions({}, trends(slower), baseline,
+                                threshold_pct=15.0) == []
+
+    def test_host_metrics_are_never_gated(self):
+        baseline = baseline_of(**{"local.paper-figs.host_wall_s":
+                                  summary(5.0),
+                                  "local.paper-figs.host_speed":
+                                  summary(0.7)})
+        got = {"local.paper-figs.host_wall_s": [summary(50.0)],
+               "local.paper-figs.host_speed": [summary(7.0)]}
+        assert find_regressions({}, got, baseline,
+                                threshold_pct=10.0) == []
 
     def test_check_flip_is_a_regression(self, tmp_path, capsys):
         results = write_results(tmp_path, [experiment_json(passed=True)])
@@ -187,51 +247,55 @@ class TestBaseline:
         assert code == EXIT_FAILED_CHECKS
         assert "regression" in err
 
-    def test_speedup_is_higher_is_better(self):
-        baseline = {"schema": 1, "experiments": {},
-                    "bench": {"local.suite.speedup": 2.0,
-                              "local.suite.serial_s": 5.0}}
-        # speedup halves (bad), serial_s halves (good)
-        regressions = find_regressions(
-            {}, {"local.suite.speedup": [1.0],
-                 "local.suite.serial_s": [2.5]},
-            baseline, threshold_pct=10.0)
-        assert len(regressions) == 1
-        assert "speedup" in regressions[0]
-
     def test_missing_metric_or_experiment_skipped(self):
-        baseline = {"schema": 1,
-                    "experiments": {"fig9": {"passed": True,
-                                             "checks": {}}},
-                    "bench": {"local.suite.serial_s": 5.0}}
+        baseline = baseline_of(**{"local.paper-figs.wall_s":
+                                  summary(5.0)})
+        baseline["experiments"] = {"fig9": {"passed": True, "checks": {}}}
         assert find_regressions({}, {}, baseline,
                                 threshold_pct=10.0) == []
 
     def test_within_threshold_is_clean(self):
-        baseline = {"schema": 1, "experiments": {},
-                    "bench": {"local.suite.serial_s": 5.0}}
-        assert find_regressions(
-            {}, {"local.suite.serial_s": [5.4]}, baseline,
-            threshold_pct=10.0) == []
+        baseline = baseline_of(**{"local.paper-figs.wall_s":
+                                  summary(5.0)})
+        assert find_regressions({}, trends(summary(5.4)), baseline,
+                                threshold_pct=10.0) == []
 
     def test_bad_baseline_is_exit_2(self, tmp_path, capsys):
-        assert main(["--results", str(tmp_path),
-                     "--ledger", str(tmp_path / "none.jsonl"),
-                     "--bench", str(tmp_path),
-                     "--baseline", str(tmp_path / "missing.json")]) == 2
+        common = ["--results", str(tmp_path),
+                  "--ledger", str(tmp_path / "none.jsonl"),
+                  "--bench", str(tmp_path)]
+        assert main(common + ["--baseline",
+                              str(tmp_path / "missing.json")]) == 2
         (tmp_path / "bad.json").write_text('{"schema": 99}')
+        assert main(common + ["--baseline", str(tmp_path / "bad.json")]) \
+            == 2
+        (tmp_path / "flat.json").write_text(json.dumps(
+            {"schema": 2, "experiments": {},
+             "bench": {"local.paper-figs.wall_s": 5.0}}))
+        assert main(common + ["--baseline", str(tmp_path / "flat.json")]) \
+            == 2
+        assert "bench.local.paper-figs.wall_s" in capsys.readouterr().err
+
+    def test_schema_1_baseline_is_rejected_naming_the_schema(
+            self, tmp_path, capsys):
+        (tmp_path / "old.json").write_text(json.dumps(
+            {"schema": 1, "experiments": {},
+             "bench": {"local.suite.serial_s": 5.0}}))
         assert main(["--results", str(tmp_path),
                      "--ledger", str(tmp_path / "none.jsonl"),
                      "--bench", str(tmp_path),
-                     "--baseline", str(tmp_path / "bad.json")]) == 2
-        capsys.readouterr()
+                     "--baseline", str(tmp_path / "old.json")]) == 2
+        err = capsys.readouterr().err
+        assert "schema 1" in err
+        assert "schema 2" in err
 
     def test_baseline_round_trip_with_build_baseline(self):
         experiments = {"fig3": experiment_json()}
-        trends = {"local.suite.serial_s": [6.0, 5.0]}
-        baseline = build_baseline(experiments, trends)
-        assert baseline["bench"]["local.suite.serial_s"] == 5.0
-        assert find_regressions(experiments, trends, baseline,
+        current = trends(summary(6.0), summary(5.0))
+        baseline = build_baseline(experiments, current)
+        assert baseline["bench"]["local.paper-figs.wall_s"]["median"] \
+            == 5.0
+        assert find_regressions(experiments, current, baseline,
                                 threshold_pct=10.0) == []
 
 

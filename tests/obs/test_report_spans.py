@@ -1,13 +1,10 @@
-"""Report-side span handling: loading, rendering, and the
-oversubscription advisory (docs/OBSERVABILITY.md)."""
+"""Report-side span handling: loading and rendering
+(docs/OBSERVABILITY.md)."""
 
 import json
 
-import pytest
-
 from repro.obs.report import (
     build_report,
-    find_regressions,
     load_experiments,
     load_spans,
     markdown_to_html,
@@ -67,75 +64,3 @@ class TestTailAttributionSection:
         html = markdown_to_html(self._report({"figX": _span_payload()}))
         assert "<pre>" in html
         assert "```" not in html
-
-
-class TestOversubscriptionAdvisory:
-    BASELINE = {"schema": 1, "experiments": {},
-                "bench": {"host.suite.speedup": 1.8,
-                          "host.suite.serial_s": 10.0}}
-
-    def test_speedup_below_one_becomes_advisory(self):
-        advisories: list = []
-        regressions = find_regressions(
-            {}, {"host.suite.speedup": [0.8],
-                 "host.suite.serial_s": [10.0]},
-            self.BASELINE, threshold_pct=10.0, advisories=advisories)
-        assert regressions == []
-        assert len(advisories) == 1
-        assert "oversubscribed" in advisories[0]
-
-    def test_speedup_drop_above_one_still_regresses(self):
-        advisories: list = []
-        regressions = find_regressions(
-            {}, {"host.suite.speedup": [1.2]}, self.BASELINE,
-            threshold_pct=10.0, advisories=advisories)
-        assert advisories == []
-        assert len(regressions) == 1
-
-    def test_without_advisories_list_behavior_unchanged(self):
-        regressions = find_regressions(
-            {}, {"host.suite.speedup": [0.8]}, self.BASELINE,
-            threshold_pct=10.0)
-        assert len(regressions) == 1
-
-    def test_non_suite_speedup_is_not_reclassified(self):
-        baseline = {"schema": 1, "experiments": {},
-                    "bench": {"host.engine.speedup": 1.8}}
-        advisories: list = []
-        regressions = find_regressions(
-            {}, {"host.engine.speedup": [0.8]}, baseline,
-            threshold_pct=10.0, advisories=advisories)
-        assert advisories == []
-        assert len(regressions) == 1
-
-    def test_report_renders_advisories_as_non_failing(self):
-        report = build_report(
-            experiments={}, metrics={}, ledger=[], bench_trends={},
-            regressions=[], baseline_name="base.json",
-            advisories=["bench host.suite.speedup: 0.8 < 1 — "
-                        "oversubscribed"])
-        assert "ADVISORY" in report
-        assert "No regressions against the baseline." in report
-
-
-class TestCliGate:
-    def test_advisory_does_not_fail_the_gate(self, tmp_path, capsys,
-                                             monkeypatch):
-        from repro.obs.report import main
-
-        monkeypatch.setenv("REPRO_LEDGER_PATH",
-                           str(tmp_path / "runs.jsonl"))
-        bench = {"label": "host", "history": [
-            {"suite": {"speedup": 0.8, "serial_s": 10.0}}]}
-        (tmp_path / "BENCH_host.json").write_text(json.dumps(bench))
-        baseline = {"schema": 1, "experiments": {},
-                    "bench": {"host.suite.speedup": 1.8,
-                              "host.suite.serial_s": 10.0}}
-        (tmp_path / "base.json").write_text(json.dumps(baseline))
-        code = main(["--results", str(tmp_path / "results"),
-                     "--bench", str(tmp_path),
-                     "--baseline", str(tmp_path / "base.json")])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "ADVISORY" in out
-        assert "REGRESSION" not in out

@@ -32,6 +32,34 @@ class TestCounter:
             Counter("c").inc(-1)
 
 
+class TestCounterExactness:
+    def test_sum_beyond_float53_stays_exact(self):
+        # 2**53 is where float64 stops representing every integer.
+        # Counters carry Python ints, so sums stay exact well past it.
+        big = 2 ** 62
+        counter = Counter("unit.ops")
+        for _ in range(3):
+            counter.inc(big)
+            counter.inc(1)
+        assert counter.value == 3 * big + 3
+        assert isinstance(counter.value, int)
+
+    def test_unit_increments_never_rounded_away(self):
+        # The classic float failure: huge + 1 == huge. Int accumulation
+        # must see every one of the small increments.
+        counter = Counter("unit.ops")
+        counter.inc(2 ** 53)
+        for _ in range(10):
+            counter.inc(1)
+        assert counter.value == 2 ** 53 + 10
+
+    def test_float_amounts_still_supported(self):
+        counter = Counter("unit.bytes")
+        counter.inc(0.5)
+        counter.inc(2)
+        assert counter.value == 2.5
+
+
 class TestGauge:
     def test_set_and_add(self):
         gauge = Gauge("g")

@@ -53,7 +53,6 @@ class TestNullRecorder:
     def test_disabled_and_inert(self):
         assert not NULL_SPANS.enabled
         NULL_SPANS.record(0, 0.0, [("a", 1.0)])
-        NULL_SPANS.absorb({"requests": 1})
         assert NULL_SPANS.export() is None
 
 
@@ -190,18 +189,6 @@ class TestCombine:
         assert combined["requests"] == 3
         assert combined["components"]["a"]["count"] == 3
         assert combined["exemplars"][0]["total_ns"] == 900.0
-
-    def test_absorb_matches_serial_combination(self):
-        """Parent absorb() of worker exports == combining by hand."""
-        parts = []
-        for unit in range(3):
-            recorder = SpanRecorder()
-            _record_some(recorder, n=5 + unit)
-            parts.append(recorder.export())
-        parent = SpanRecorder()
-        for part in parts:
-            parent.absorb(part)
-        assert parent.export() == combine_aggregates(parts)
 
     def test_combine_empty_raises(self):
         with pytest.raises(SpanError):
