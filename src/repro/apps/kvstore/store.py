@@ -26,6 +26,7 @@ import numpy as np
 
 from ...cpu.system import System
 from ...errors import WorkloadError
+from ...sim.rng import generator_key, recall, remember
 from ...topology.interleave import PlacementPolicy
 from ...topology.pages import Allocation
 from ...units import CACHELINE, is_count
@@ -210,8 +211,8 @@ class KvStore:
 
     def sample_requests(self, n: int, key_rng: np.random.Generator, *,
                         grow: bool = True
-                        ) -> tuple[list[Operation], np.ndarray, np.ndarray,
-                                   np.ndarray, np.ndarray]:
+                        ) -> tuple[tuple[Operation, ...], np.ndarray,
+                                   np.ndarray, np.ndarray, np.ndarray]:
         """``n`` queries' ``(ops, keys, cpu_ns, misses, miss_ns)``.
 
         Per query, in order: the operation and key on ``key_rng`` (with
@@ -222,7 +223,38 @@ class KvStore:
         numpy passes over the trace, the same IEEE operations a
         per-query sampler performs.  A query's service time is
         ``cpu_ns + misses * miss_ns``.
+
+        The first four values are drawn once per process for each set
+        of inputs (:func:`repro.sim.rng.recall`) and come back frozen:
+        a Fig-6 sweep redraws the same trace at every QPS.  The memo key
+        holds everything the draws read, both generators' states among
+        them; a hit leaves both generators in the states a fresh draw
+        leaves them in and replays its inserts.  ``miss_ns`` depends on
+        the placement and is computed on every call.
         """
+        own = self._rng
+        key = ("kv-requests", self.workload, self.chooser.memo_key(),
+               self.num_keys, self.capacity_keys, self._cache_hit_prob,
+               n, grow, key_rng is own, generator_key(key_rng),
+               generator_key(own))
+        trace = recall(key)
+        if trace is None:
+            trace = remember(key, self._draw_requests(n, key_rng, grow)
+                             + (key_rng.bit_generator.state,
+                                own.bit_generator.state))
+        else:
+            key_rng.bit_generator.state = trace[4]
+            own.bit_generator.state = trace[5]
+            if grow:
+                for _ in range(trace[0].count(Operation.INSERT)):
+                    self.insert_record()
+        ops, keys, cpu, misses = trace[:4]
+        return ops, keys, cpu, misses, self.miss_latencies_ns(keys)
+
+    def _draw_requests(self, n: int, key_rng: np.random.Generator,
+                       grow: bool) -> tuple:
+        """The draws of :meth:`sample_requests`: ``(ops, keys, cpu_ns,
+        misses)``."""
         next_operation = self.workload.next_operation
         next_key = self.chooser.next_key
         insert_record = self.insert_record
@@ -260,8 +292,7 @@ class KvStore:
         # Hot record: index + value mostly cached.
         misses = np.where(coins < self._cache_hit_prob, misses * 0.1,
                           misses)
-        return (ops, keys_array, cpu, misses,
-                self.miss_latencies_ns(keys_array))
+        return ops, keys_array, cpu, misses
 
     def miss_node_split(self, key: int) -> tuple[float, float]:
         """``(dram_share_ns, cxl_share_ns)`` of the per-miss latency.

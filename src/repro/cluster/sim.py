@@ -40,7 +40,8 @@ from ..errors import ClusterError
 from ..faults import FaultPlan
 from ..faults.injector import FaultInjector, injector_for
 from ..sim import Engine, LatencyRecorder, Server
-from ..sim.rng import decision_uniform, decision_uniforms, substream
+from ..sim.rng import (decision_uniform, decision_uniforms, recall,
+                       remember, substream)
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .resilience import (DEADLINE_WAIT, HEDGE_WAIT, RETRY_BACKOFF,
                          SHED_REJECT, SHED_REJECT_NS, ZERO_POLICY,
@@ -338,9 +339,19 @@ class ClusterSim:
 
         Element for element ``(topology.shard_of(k), pool_resident(k))``
         — the same checks and draws — but each distinct key is placed
-        once, and each host's residency draws run as one batch.
+        once, and each host's residency draws run as one batch.  The
+        arrays are read-only: a process places each key trace once per
+        seed, partition and set of pool fractions
+        (:func:`repro.sim.rng.recall`).
         """
         topo = self.topology
+        keys = np.asarray(keys)
+        memo_key = ("cluster-placement", self.seed, topo.keys_per_host,
+                    tuple(host.pool_fraction for host in topo.hosts),
+                    keys.dtype.str, keys.shape, keys.tobytes())
+        placed = recall(memo_key)
+        if placed is not None:
+            return placed
         distinct, inverse = np.unique(keys, return_inverse=True)
         if len(distinct):
             topo.shard_of(int(distinct[0]))      # the bounds check, on
@@ -357,7 +368,7 @@ class ClusterSim:
                     self.seed, "resident", host.index,
                     keys=distinct[lo:hi].tolist())
                 resident[lo:hi] = np.array(draws) < fraction
-        return owners[inverse], resident[inverse]
+        return remember(memo_key, (owners[inverse], resident[inverse]))
 
     # -- the run -----------------------------------------------------------
 

@@ -12,7 +12,8 @@ key ranks, and write flags each come from their own stream (keys in
 one batch, equal to drawing them one by one).  Simulation order can
 never perturb the draws, which is what makes serial and ``--jobs N``
 cluster runs byte-identical and makes the trace a pure function of
-``(seed, stream, parameters)``.
+``(seed, stream, parameters)``.  The key and write arrays are
+read-only: a process draws each such pair once and shares it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from ..errors import ClusterError
-from ..sim.rng import DEFAULT_SEED, substream
+from ..sim.rng import DEFAULT_SEED, recall, remember, substream
 from ..units import is_count
 from ..workloads.distributions import ZipfianKeys
 
@@ -62,11 +63,15 @@ class OpenLoopZipfian:
             1e9 / qps, size=num_requests)
         self.arrival_ns = np.cumsum(gaps)
 
-        self.keys = ZipfianKeys(keyspace, theta).next_keys(
-            substream(f"{stream}/keys", seed), num_requests)
-
-        self.writes = substream(f"{stream}/writes", seed).random(
-            num_requests) < write_fraction
+        # Keys and writes do not depend on the rate: a QPS sweep draws
+        # them once per process (frozen, see repro.sim.rng.recall).
+        key = ("cluster-requests", stream, seed, num_requests, keyspace,
+               theta, write_fraction)
+        self.keys, self.writes = recall(key) or remember(key, (
+            ZipfianKeys(keyspace, theta).next_keys(
+                substream(f"{stream}/keys", seed), num_requests),
+            substream(f"{stream}/writes", seed).random(num_requests)
+            < write_fraction))
 
     @property
     def duration_ns(self) -> float:

@@ -116,11 +116,18 @@ def load_metrics_snapshots(results_dir: Path) -> dict[str, dict]:
     return snapshots
 
 
+class BenchHistoryError(ValueError):
+    """A ``BENCH_*.json`` that is not a well-formed bench history."""
+
+
 def load_bench_histories(bench_dir: Path) -> dict[str, list[dict]]:
     """``{label: [entry, ...]}`` for every ``BENCH_<label>.json``.
 
     A file holds ``{"label": ..., "history": [entry, ...]}``, oldest
-    entry first (``benchmarks/bench_to_json.py``).
+    entry first (``benchmarks/bench_to_json.py``).  A file that is not
+    JSON, or not of that shape down to each metric's numeric
+    quartiles, raises :class:`BenchHistoryError` naming the file and
+    the field: skipping it would let the bench gate pass on no data.
     """
     histories: dict[str, list[dict]] = {}
     if not bench_dir.is_dir():
@@ -128,12 +135,37 @@ def load_bench_histories(bench_dir: Path) -> dict[str, list[dict]]:
     for path in sorted(bench_dir.glob("BENCH_*.json")):
         try:
             obj = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            continue
-        if isinstance(obj, dict) and isinstance(obj.get("history"), list):
-            histories[path.stem[len("BENCH_"):]] = [
-                entry for entry in obj["history"] if isinstance(entry, dict)]
+        except (json.JSONDecodeError, OSError) as exc:
+            raise BenchHistoryError(
+                f"{path}: not readable JSON: {exc}") from None
+        problem = _bench_history_problem(obj)
+        if problem:
+            raise BenchHistoryError(f"{path}: {problem}")
+        histories[path.stem[len("BENCH_"):]] = obj["history"]
     return histories
+
+
+def _bench_history_problem(obj: object) -> str | None:
+    """Why ``obj`` is not a bench history, or ``None``."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("history"),
+                                                   list):
+        return "has no history list"
+    for index, entry in enumerate(obj["history"]):
+        where = f"history[{index}]"
+        workloads = entry.get("workloads") if isinstance(entry, dict) \
+            else None
+        if not isinstance(workloads, dict):
+            return f"{where} has no workloads object"
+        for workload, metrics in workloads.items():
+            if not isinstance(metrics, dict):
+                return f"{where}.workloads.{workload} is not an object"
+            for metric, summary in metrics.items():
+                if not isinstance(summary, dict) or not all(
+                        isinstance(summary.get(key), (int, float))
+                        for key in QUARTILES):
+                    return (f"{where}.workloads.{workload}.{metric} needs "
+                            f"numeric {', '.join(QUARTILES)}")
+    return None
 
 
 def bench_metric_trends(histories: dict[str, list[dict]]) \
@@ -497,8 +529,11 @@ def main(argv: list[str] | None = None) -> int:
     metrics = load_metrics_snapshots(Path(args.results))
     spans = load_spans(Path(args.results))
     ledger = read_ledger(args.ledger)
-    bench_trends = bench_metric_trends(
-        load_bench_histories(Path(args.bench)))
+    try:
+        bench_trends = bench_metric_trends(
+            load_bench_histories(Path(args.bench)))
+    except BenchHistoryError as exc:
+        return runlog.error(f"bad bench history: {exc}")
     runlog.debug("inputs", experiments=len(experiments),
                  snapshots=len(metrics), spans=len(spans),
                  ledger_records=len(ledger),

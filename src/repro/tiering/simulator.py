@@ -73,12 +73,10 @@ class TieringSimulator:
 
     # -- workload ----------------------------------------------------------
 
-    def _epoch_pages(self, epoch: int,
-                     rng: np.random.Generator) -> np.ndarray:
+    def _epoch_pages(self, epoch: int, rng: np.random.Generator,
+                     zipf: ZipfianKeys) -> np.ndarray:
         """Zipfian page stream, rotated by the current hot-set shift."""
-        zipf = ZipfianKeys(self.num_pages)
-        ranks = np.array([zipf.next_rank(rng)
-                          for _ in range(self.accesses_per_epoch)])
+        ranks = zipf.ranks(rng.random(self.accesses_per_epoch))
         ranks = np.minimum(ranks, self.num_pages - 1)
         shift = (epoch // self.shift_every) * (self.num_pages // 7)
         return (ranks + shift) % self.num_pages
@@ -104,9 +102,10 @@ class TieringSimulator:
         rng = substream(f"tiering-{self.seed}", self.seed)
         tracker = HotnessTracker(self.num_pages)
         on_dram = self.initial_placement()
+        zipf = ZipfianKeys(self.num_pages)
         stats: list[EpochStats] = []
         for epoch in range(epochs):
-            pages = self._epoch_pages(epoch, rng)
+            pages = self._epoch_pages(epoch, rng, zipf)
             hits = on_dram[pages]
             avg_ns = float(np.where(hits, self._dram_ns,
                                     self._cxl_ns).mean())

@@ -20,6 +20,10 @@ from ..errors import WorkloadError
 
 ZIPFIAN_CONSTANT = 0.99
 
+RANK_GUARD = 1e-9
+"""Relative distance from a rank boundary inside which
+:meth:`ZipfianKeys.ranks` recomputes a row in Python floats."""
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -78,6 +82,10 @@ class KeyChooser:
             raise WorkloadError("keyspace cannot shrink")
         self.keyspace = new_keyspace
 
+    def memo_key(self) -> tuple:
+        """Everything besides the generator that the draws depend on."""
+        return (type(self), self.keyspace)
+
     def hot_mass(self, hot_keys: int) -> float:
         """Request mass landing on the ``hot_keys`` most popular keys.
 
@@ -133,11 +141,15 @@ class ZipfianKeys(KeyChooser):
         tail = (n ** (1 - theta) - cutoff ** (1 - theta)) / (1 - theta)
         return head + tail
 
+    def memo_key(self) -> tuple:
+        return super().memo_key() + (self.theta,)
+
     def _rank(self, u: float) -> int:
         """Gray et al.'s rank of the uniform draw ``u``.
 
         Python float math on purpose: a vectorized ``pow`` may differ in
-        the last ulp and flip the ``int()`` truncation.
+        the last ulp and flip the ``int()`` truncation (:meth:`ranks`
+        guards against that).
         """
         uz = u * self._zetan
         if uz < 1.0:
@@ -146,6 +158,33 @@ class ZipfianKeys(KeyChooser):
             return 1
         return int(self.keyspace
                    * (self._eta * u - self._eta + 1) ** self._alpha)
+
+    def ranks(self, u: np.ndarray) -> np.ndarray:
+        """``[_rank(x) for x in u]`` as int64, computed in numpy.
+
+        The products, sums and comparisons are the IEEE operations
+        :meth:`_rank` performs; only the vectorized ``pow`` may land an
+        ulp away from Python's.  That can change a rank only where the
+        truncated value, or ``u * zetan`` against the two thresholds,
+        sits next to a boundary, so every row within a relative
+        ``RANK_GUARD`` of one is redone by :meth:`_rank`.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        uz = u * self._zetan
+        second = 1.0 + 0.5 ** self.theta
+        ranks = (uz >= 1.0).astype(np.int64)
+        tail = np.flatnonzero(uz >= second)
+        value = self.keyspace * np.power(
+            self._eta * u[tail] - self._eta + 1, self._alpha)
+        ranks[tail] = np.floor(value)
+        near = np.concatenate((
+            tail[np.abs(value - np.rint(value)) <= RANK_GUARD * value],
+            np.flatnonzero((np.abs(uz - 1.0) <= RANK_GUARD)
+                           | (np.abs(uz - second) <= RANK_GUARD * second))))
+        rank = self._rank
+        for row in near.tolist():
+            ranks[row] = rank(float(u[row]))
+        return ranks
 
     def next_rank(self, rng: np.random.Generator) -> int:
         """Popularity rank (0 = hottest), Gray et al.'s method."""
@@ -159,16 +198,12 @@ class ZipfianKeys(KeyChooser):
         """``n`` keys from one batch of uniforms, as int64.
 
         Equal to ``[next_key(rng) for _ in range(n)]``: ``rng.random(n)``
-        yields the same uniforms as ``n`` scalar draws, each goes
-        through :meth:`_rank`, and the scramble is
+        yields the same uniforms as ``n`` scalar draws, :meth:`ranks`
+        gives :meth:`_rank` of each, and the scramble is
         :func:`fnv1a_64_array`.
         """
-        rank = self._rank
-        last = self.keyspace - 1
-        ranks = np.fromiter((min(rank(u), last)
-                             for u in rng.random(n).tolist()),
-                            dtype=np.uint64, count=n)
-        return (fnv1a_64_array(ranks)
+        ranks = np.minimum(self.ranks(rng.random(n)), self.keyspace - 1)
+        return (fnv1a_64_array(ranks.astype(np.uint64))
                 % np.uint64(self.keyspace)).astype(np.int64)
 
     def grow(self, new_keyspace: int) -> None:
@@ -193,6 +228,9 @@ class LatestKeys(KeyChooser):
                  theta: float = ZIPFIAN_CONSTANT) -> None:
         super().__init__(keyspace)
         self._zipf = ZipfianKeys(keyspace, theta)
+
+    def memo_key(self) -> tuple:
+        return super().memo_key() + (self._zipf.theta,)
 
     def next_key(self, rng: np.random.Generator) -> int:
         rank = min(self._zipf.next_rank(rng), self.keyspace - 1)

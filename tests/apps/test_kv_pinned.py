@@ -26,6 +26,7 @@ import pytest
 
 from repro import build_system, combined_testbed
 from repro.apps.kvstore import KvServer, RedisYcsbStudy
+from repro.sim.rng import forget
 from repro.telemetry import SpanRecorder, Telemetry
 from repro.workloads import WORKLOADS
 
@@ -205,18 +206,22 @@ class TestMeanServicePinned:
 
     @pytest.mark.parametrize("name", sorted(MEAN_SERVICE_NS))
     def test_every_fig7_fraction_matches(self, fig7_study, name):
-        workload = dict(fig7_study._fig7_variants(None))[name]
-        values = []
-        for fraction in FIG7_FRACTIONS:
-            store = fig7_study.build_store(workload, fraction)
-            try:
-                values.append(store.mean_service_ns())
-            finally:
-                store.free()
-        assert tuple(values) == MEAN_SERVICE_NS[name]
+        assert _mean_services(fig7_study, name) == MEAN_SERVICE_NS[name]
 
 
-def test_spanned_des_export_matches_the_pin(study):
+def _mean_services(fig7_study, name):
+    workload = dict(fig7_study._fig7_variants(None))[name]
+    values = []
+    for fraction in FIG7_FRACTIONS:
+        store = fig7_study.build_store(workload, fraction)
+        try:
+            values.append(store.mean_service_ns())
+        finally:
+            store.free()
+    return tuple(values)
+
+
+def _spans_digest(study):
     telemetry = Telemetry(spans=SpanRecorder())
     store = study.build_store(WORKLOADS["D"], 0.1)
     try:
@@ -227,4 +232,28 @@ def test_spanned_des_export_matches_the_pin(study):
         store.free()
     blob = json.dumps(telemetry.spans.export(), sort_keys=True,
                       separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == SPANS_SHA256
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_spanned_des_export_matches_the_pin(study):
+    assert _spans_digest(study) == SPANS_SHA256
+
+
+def test_every_pin_holds_twice_in_one_process(study):
+    """The draw memo (``repro.sim.rng.recall``) keeps each trace a
+    process draws: from an empty memo, every case runs twice, so the
+    second run of each reads back what the first drew."""
+    forget()
+    fig7_study = RedisYcsbStudy(build_system(combined_testbed()),
+                                num_keys=200_000)
+    for _ in range(2):
+        for name, fraction, workers in sorted(RUN_SHA256):
+            pin = RUN_SHA256[name, fraction, workers]
+            assert _digest(study, name, fraction, workers,
+                           fastpath=False) == pin
+            if workers == 1:
+                assert _digest(study, name, fraction, 1,
+                               fastpath=True) == pin
+        for name in sorted(MEAN_SERVICE_NS):
+            assert _mean_services(fig7_study, name) == MEAN_SERVICE_NS[name]
+        assert _spans_digest(study) == SPANS_SHA256

@@ -35,6 +35,7 @@ from repro.cluster import ClusterSim, ClusterTopology, LinkDown
 from repro.cluster.resilience import PRESETS
 from repro.config import hetero_pooled_testbed
 from repro.faults import FaultPlan
+from repro.sim.rng import forget
 from repro.telemetry import (Registry, SpanConfig, SpanRecorder, Telemetry,
                              Tracer)
 
@@ -473,6 +474,16 @@ PINNED: dict[str, dict[str, str]] = {
 @pytest.mark.parametrize("name", CASES)
 def test_cluster_outputs_match_pins(name):
     assert _run_case(name) == PINNED[name]
+
+
+def test_every_pin_holds_twice_in_one_process():
+    """The draw memo (``repro.sim.rng.recall``) keeps each trace and
+    placement a process draws: from an empty memo, every case runs
+    twice, so the second run of each reads back what the first drew."""
+    forget()
+    for _ in range(2):
+        for name in CASES:
+            assert _run_case(name) == PINNED[name], name
 
 
 def test_faulted_cases_exercise_every_policy_branch():

@@ -13,8 +13,11 @@ from perfbench's ``results.json``.
 
 import json
 
+import pytest
+
 from repro.obs import EXIT_FAILED_CHECKS, EXIT_OK, append_record, run_record
 from repro.obs.report import (
+    BenchHistoryError,
     bench_metric_trends,
     build_baseline,
     build_report,
@@ -98,12 +101,18 @@ class TestLoading:
         (results / "other.json").write_text('{"random": true}')
         assert list(load_experiments(results)) == ["fig3"]
 
-    def test_only_history_files_load(self, tmp_path):
+    @pytest.mark.parametrize("name, text, problem", [
+        ("BENCH_junk.json", "{nope", "not readable JSON"),
+        ("BENCH_flat.json", json.dumps(bench_entry("flat")),
+         "has no history list"),
+    ], ids=["not-json", "no-history"])
+    def test_a_file_that_is_not_a_history_is_refused(self, tmp_path, name,
+                                                     text, problem):
         write_bench(tmp_path, label="kept")
-        (tmp_path / "BENCH_flat.json").write_text(
-            json.dumps(bench_entry("flat")))
-        (tmp_path / "BENCH_junk.json").write_text("{nope")
-        assert list(load_bench_histories(tmp_path)) == ["kept"]
+        (tmp_path / name).write_text(text)
+        with pytest.raises(BenchHistoryError, match=problem) as info:
+            load_bench_histories(tmp_path)
+        assert name in str(info.value)
 
     def test_bench_trends_flatten_history_in_order(self, tmp_path):
         write_bench(tmp_path, history=[bench_entry(wall_s=6.0),
@@ -324,6 +333,38 @@ class TestCliArgs:
         assert main(["--results", str(tmp_path), "--last", "0",
                      "--ledger", str(tmp_path / "n.jsonl")]) == 2
         capsys.readouterr()
+
+    def test_corrupt_bench_file_is_exit_2_naming_it(self, tmp_path, capsys):
+        """A corrupt history must not turn the gate into a silent pass."""
+        (tmp_path / "BENCH_local.json").write_text("{nope")
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(baseline_of(
+            **{"local.paper-figs.wall_s": summary(5.0)})))
+        assert main(["--results", str(tmp_path / "nope"),
+                     "--ledger", str(tmp_path / "none.jsonl"),
+                     "--bench", str(tmp_path), "--baseline",
+                     str(baseline)]) == 2
+        captured = capsys.readouterr()
+        assert "BENCH_local.json" in captured.err
+        assert "not readable JSON" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("summary_value", [
+        {"median": 5.0, "q1": 4.9},                  # a quartile missing
+        {"median": "5", "q1": 4.9, "q3": 5.1},       # not a number
+        5.0,                                         # not an object
+    ], ids=["missing-quartile", "string-median", "not-an-object"])
+    def test_malformed_summary_is_exit_2_not_a_traceback(
+            self, tmp_path, capsys, summary_value):
+        history = [bench_entry(wall_s=5.0), bench_entry(wall_s=5.0)]
+        history[1]["workloads"]["paper-figs"]["wall_s"] = summary_value
+        write_bench(tmp_path, history=history)
+        assert main(["--results", str(tmp_path / "nope"),
+                     "--ledger", str(tmp_path / "none.jsonl"),
+                     "--bench", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "BENCH_local.json" in err
+        assert "history[1].workloads.paper-figs.wall_s needs numeric" in err
 
     def test_empty_inputs_still_render(self, tmp_path, capsys):
         assert main(["--results", str(tmp_path / "nope"),

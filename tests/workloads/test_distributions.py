@@ -99,6 +99,26 @@ def reference_zeta(n, theta):
     return head + (n ** (1 - theta) - cutoff ** (1 - theta)) / (1 - theta)
 
 
+def boundary_uniforms(zipf, targets):
+    """Uniforms in ``[0, 1)`` at which :meth:`ZipfianKeys._rank` changes
+    value, each with its neighbours one ulp below and above.
+
+    ``targets`` in ``[0, 1]`` pick ranks ``2 .. keyspace``; each rank
+    ``r`` is inverted through ``keyspace * (eta*u - eta + 1)**alpha =
+    r``.  The two threshold uniforms ``1 / zetan`` and
+    ``(1 + 0.5**theta) / zetan`` are always included.
+    """
+    ranks = 2 + np.floor(np.asarray(targets) * (zipf.keyspace - 2))
+    with np.errstate(all="ignore"):
+        base = (ranks / zipf.keyspace) ** (1.0 / zipf._alpha)
+        inverted = (base - 1.0 + zipf._eta) / zipf._eta
+    thresholds = np.array([1.0, 1.0 + 0.5 ** zipf.theta]) / zipf._zetan
+    centre = np.concatenate((inverted, thresholds))
+    u = np.concatenate((np.nextafter(centre, -np.inf), centre,
+                        np.nextafter(centre, np.inf)))
+    return u[np.isfinite(u) & (u >= 0.0) & (u < 1.0)]
+
+
 class TestZipfianBatch:
     @settings(max_examples=60, deadline=None)
     @given(keyspace=st.integers(min_value=1, max_value=10**7),
@@ -116,6 +136,41 @@ class TestZipfianBatch:
                                   for _ in range(n)]
         # Both paths leave the generator at the same point.
         assert batch_rng.random() == scalar_rng.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(keyspace=st.integers(min_value=1, max_value=10**7),
+           theta=st.floats(min_value=0.01, max_value=0.999),
+           targets=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                            min_size=1, max_size=50))
+    def test_ranks_equal_scalar_ranks_on_boundaries(self, keyspace, theta,
+                                                    targets):
+        """Uniforms built to land on the two thresholds and on integer
+        values of the rank formula, plus their neighbours one ulp away:
+        exactly where a vectorized ``pow`` could flip a truncation."""
+        zipf = ZipfianKeys(keyspace, theta)
+        u = boundary_uniforms(zipf, targets)
+        assert zipf.ranks(u).tolist() == [zipf._rank(x) for x in u.tolist()]
+
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf])
+    def test_ranks_survive_a_pow_one_ulp_off(self, monkeypatch, direction):
+        """With numpy's ``pow`` pushed one ulp away from Python's, the
+        unguarded numpy ranks differ from the scalar ones on some
+        boundary rows; the guarded :meth:`ranks` still agrees."""
+        zipf = ZipfianKeys(100_000, 0.99)
+        u = boundary_uniforms(zipf, np.linspace(0.0, 1.0, 2000))
+        scalar = [zipf._rank(x) for x in u.tolist()]
+        power = np.power
+        monkeypatch.setattr(
+            np, "power", lambda base, exponent:
+            np.nextafter(power(base, exponent), direction))
+        uz = u * zipf._zetan
+        unguarded = np.where(
+            uz < 1.0, 0, np.where(
+                uz < 1.0 + 0.5 ** zipf.theta, 1,
+                np.floor(zipf.keyspace * np.power(
+                    zipf._eta * u - zipf._eta + 1, zipf._alpha))))
+        assert unguarded.astype(np.int64).tolist() != scalar
+        assert zipf.ranks(u).tolist() == scalar
 
     def test_memoized_zeta_matches_the_plain_sum(self):
         for theta in (0.3, 0.99):
