@@ -79,10 +79,6 @@ class MappedDevice:
     dvsec: DeviceDvsec
     hpa_base: int
 
-    @property
-    def hpa_end(self) -> int:
-        return self.hpa_base + self.dvsec.memory_capacity_bytes
-
 
 def dvsec_for(config: CxlDeviceConfig, serial: str) -> DeviceDvsec:
     """The DVSEC an Agilex-I-like Type-3 expander presents."""

@@ -43,11 +43,6 @@ class DdrTimings:
         return 8 / self.transfer_mt_s * 1e3
 
     @property
-    def row_miss_penalty_ns(self) -> float:
-        """Extra time a closed-row access pays: precharge + activate."""
-        return self.trp_ns + self.trcd_ns
-
-    @property
     def peak_bandwidth(self) -> float:
         """Pin-rate peak of one channel, B/s."""
         return self.transfer_mt_s * 1e6 * 8

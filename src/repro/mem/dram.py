@@ -15,10 +15,6 @@ class AccessPattern(enum.Enum):
     RANDOM_BLOCK = "random-block"
     POINTER_CHASE = "pointer-chase"
 
-    @property
-    def is_random(self) -> bool:
-        return self is not AccessPattern.SEQUENTIAL
-
 
 class DramDevice:
     """One DRAM subsystem behind a memory controller.

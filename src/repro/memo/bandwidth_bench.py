@@ -27,8 +27,7 @@ class SequentialBandwidthBench:
 
     def __init__(self, system: System, *,
                  thread_counts: list[int] | None = None,
-                 schemes: list[MemoryScheme] | None = None,
-                 jobs: int = 1, policy=None) -> None:
+                 schemes: list[MemoryScheme] | None = None) -> None:
         self.system = system
         if thread_counts is None:
             thread_counts = [n for n in DEFAULT_THREADS
@@ -38,50 +37,17 @@ class SequentialBandwidthBench:
         self.thread_counts = thread_counts
         self.schemes = schemes or system.available_schemes()
         self.model = ThroughputModel(system)
-        self.jobs = jobs
-        self.policy = policy
-        # When a SupervisionPolicy is given, curve units run under
-        # repro.resilience supervision (timeouts/retries) whatever
-        # ``jobs`` says; with policy=None behavior is unchanged.
 
     def run(self) -> BenchReport:
         report = BenchReport(title="MEMO sequential bandwidth")
-        units = [(scheme, kind) for scheme in self.schemes
-                 for kind in SWEEP_KINDS]
-        if self.policy is not None:
-            from ..parallel.sweeps import run_series_supervised
-
-            specs = [(self.system, scheme, kind, None,
-                      [{"threads": threads}
-                       for threads in self.thread_counts])
-                     for scheme, kind in units]
-            curves = run_series_supervised(
-                specs, jobs=self.jobs, policy=self.policy,
-                names=[f"{scheme.label}-{kind.value}"
-                       for scheme, kind in units])
-        elif self.jobs > 1:
-            # One worker unit per (scheme, kind) curve; merged back in
-            # sweep order so the report is identical to a serial run's.
-            from ..parallel import ParallelRunner
-            from ..parallel.sweeps import run_model_series
-
-            specs = [(self.system, scheme, kind, None,
-                      [{"threads": threads}
-                       for threads in self.thread_counts])
-                     for scheme, kind in units]
-            curves = ParallelRunner(self.jobs).map(run_model_series,
-                                                   specs)
-        else:
-            curves = [[self.model.bandwidth(scheme, kind,
-                                            threads=threads).gb_per_s
-                       for threads in self.thread_counts]
-                      for scheme, kind in units]
-        for (scheme, kind), values in zip(units, curves):
-            series = Series(kind.value, x_label="threads",
-                            y_label="GB/s")
-            for threads, gb_per_s in zip(self.thread_counts, values):
-                series.append(float(threads), gb_per_s)
-            report.add_series(f"fig3-{scheme.label}", series)
+        for scheme in self.schemes:
+            for kind in SWEEP_KINDS:
+                series = Series(kind.value, x_label="threads",
+                                y_label="GB/s")
+                for threads in self.thread_counts:
+                    series.append(float(threads), self.model.bandwidth(
+                        scheme, kind, threads=threads).gb_per_s)
+                report.add_series(f"fig3-{scheme.label}", series)
         if MemoryScheme.CXL in self.schemes:
             # The grey dashed line in Fig 3b.
             theoretical = ddr_peak_bandwidth(

@@ -19,15 +19,7 @@ appends a record to the run ledger (``results/runs.jsonl``,
 ``--no-ledger`` to opt out), and ``--profile [DIR]`` writes a
 wall-clock phase profile to ``DIR/memo-<bench>.profile.json``.
 
-Resilience (docs/RESILIENCE.md): the sharded benches (``bw`` /
-``random``) accept ``--unit-timeout`` / ``--retries`` /
-``--fail-fast``; a unit still poisoned after its retries turns into
-exit code 1 with a one-line summary, never a traceback.  ``memo`` has
-no ``--resume`` — bench curves are cheap closed forms, so there is no
-checkpoint journal to replay (that lives in ``repro-experiments``).
-
-Exit codes: 0 = ok, 1 = bench unit failed under supervision,
-2 = bad arguments.
+Exit codes: 0 = ok, 2 = bad arguments.
 """
 
 from __future__ import annotations
@@ -39,8 +31,7 @@ from datetime import datetime, timezone
 
 from .. import build_system, combined_testbed
 from ..cpu.system import MemoryScheme
-from ..errors import ExperimentError
-from ..obs import EXIT_FAILED_CHECKS, Profiler, RunLog
+from ..obs import Profiler, RunLog
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .bandwidth_bench import SequentialBandwidthBench
 from .dsa_bench import DsaBench
@@ -105,24 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(cpu.stall / link / ctrl / media shares) and record a "
              "spans digest in the run ledger; see docs/TELEMETRY.md")
 
-    parallel = argparse.ArgumentParser(add_help=False)
-    parallel.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="shard sweep points across N worker processes "
-             "(default: 1, serial; results are identical either way)")
-    parallel.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill any curve unit running longer than SECONDS and "
-             "count it as a timeout failure (default: no limit)")
-    parallel.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="respawn a crashed/timed-out curve unit up to N times "
-             "with jittered exponential backoff (default: 0)")
-    parallel.add_argument(
-        "--fail-fast", action="store_true",
-        help="cancel the remaining units as soon as one unit "
-             "exhausts its retries")
-
     latency = sub.add_parser("latency", parents=[common, telemetry],
                              help="Fig 2 left: flushed-line probes")
     latency.set_defaults(runner=_run_latency)
@@ -131,14 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Fig 2 right: pointer chase vs WSS")
     chase.set_defaults(runner=_run_chase)
 
-    bandwidth = sub.add_parser("bw",
-                               parents=[common, telemetry, parallel],
+    bandwidth = sub.add_parser("bw", parents=[common, telemetry],
                                help="Fig 3: sequential bandwidth sweep")
     bandwidth.add_argument("--threads", nargs="*", type=int, default=None)
     bandwidth.set_defaults(runner=_run_bw)
 
-    random_ = sub.add_parser("random",
-                             parents=[common, telemetry, parallel],
+    random_ = sub.add_parser("random", parents=[common, telemetry],
                              help="Fig 5: random block bandwidth")
     random_.add_argument("--blocks", nargs="*", type=int, default=None,
                          help="block sizes in bytes")
@@ -202,36 +173,10 @@ def _run_chase(system, args, telemetry):
                              schemes=_parse_schemes(args.scheme)).run()
 
 
-def _supervision_policy(args):
-    """A SupervisionPolicy from the CLI flags, or None when unasked.
-
-    ``None`` keeps the benches on their historical serial/pool paths;
-    any of ``--unit-timeout`` / ``--retries`` / ``--fail-fast`` opts
-    the run into the repro.resilience supervised path.
-    """
-    timeout = getattr(args, "unit_timeout", None)
-    retries = getattr(args, "retries", 0)
-    fail_fast = getattr(args, "fail_fast", False)
-    if timeout is None and not retries and not fail_fast:
-        return None
-    if timeout is not None and timeout <= 0:
-        raise SystemExit(RUNLOG.error(
-            f"--unit-timeout must be > 0, got {timeout}"))
-    if retries < 0:
-        raise SystemExit(RUNLOG.error(
-            f"--retries must be >= 0, got {retries}"))
-    from ..resilience import SupervisionPolicy
-
-    return SupervisionPolicy(timeout_s=timeout, retries=retries,
-                             fail_fast=fail_fast)
-
-
 def _run_bw(system, args, telemetry):
     report = SequentialBandwidthBench(
         system, thread_counts=args.threads,
-        schemes=_parse_schemes(args.scheme),
-        jobs=getattr(args, "jobs", 1),
-        policy=_supervision_policy(args)).run()
+        schemes=_parse_schemes(args.scheme)).run()
     if telemetry.enabled:
         _trace_mechanism_companions(
             telemetry, threads=max(args.threads or [8]))
@@ -244,9 +189,7 @@ def _run_bw(system, args, telemetry):
 def _run_random(system, args, telemetry):
     report = RandomBlockBench(system, block_sizes=args.blocks,
                               thread_counts=args.threads,
-                              schemes=_parse_schemes(args.scheme),
-                              jobs=getattr(args, "jobs", 1),
-                              policy=_supervision_policy(args)).run()
+                              schemes=_parse_schemes(args.scheme)).run()
     if telemetry.enabled:
         _trace_mechanism_companions(
             telemetry, threads=max(args.threads or [8]))
@@ -355,30 +298,25 @@ def _render_analytic_spans(payload: dict) -> str:
 
 
 def _append_ledger(args, argv, *, started_at: str, wall_s: float,
-                   telemetry, exit_code: int = 0,
-                   failed_units: str | None = None,
-                   spans: dict | None = None) -> None:
+                   telemetry, spans: dict | None = None) -> None:
     """Best-effort ledger append (I/O trouble never fails a bench run)."""
-    from ..obs import append_record, describe_append_failure, run_record
-    from ..telemetry.report import snapshot_digest
+    from ..obs import (append_record, config_hash,
+                       describe_append_failure, run_record)
 
     bench_id = f"memo-{args.bench}"
     try:
-        verdict = {"passed": None if exit_code == 0 else False,
-                   "wall_s": round(wall_s, 4),
-                   "cached": False}
-        if failed_units:
-            verdict["failed"] = failed_units
         record = run_record(
             tool="memo",
             argv=list(argv) if argv is not None else sys.argv[1:],
             ids=[bench_id], started_at=started_at, wall_s=wall_s,
             config={"bench": args.bench,
                     "scheme": getattr(args, "scheme", None)},
-            verdicts={bench_id: verdict},
-            metrics_digest=snapshot_digest(telemetry.registry),
-            spans=spans,
-            exit_code=exit_code)
+            verdicts={bench_id: {"passed": None,
+                                 "wall_s": round(wall_s, 4),
+                                 "cached": False}},
+            metrics_digest=config_hash(
+                telemetry.registry.snapshot() or None),
+            spans=spans)
         path = append_record(record)
         RUNLOG.debug("ledger-appended", path=str(path))
     except OSError as exc:
@@ -392,17 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     wants_metrics = bool(getattr(args, "metrics", False))
     telemetry = (Telemetry.on(process_name=f"memo-{args.bench}")
                  if tracing or wants_metrics else NULL_TELEMETRY)
-    jobs = getattr(args, "jobs", 1)
-    if jobs > 1:
-        from ..parallel import effective_cpu_count
-
-        cpus = effective_cpu_count()
-        if jobs > cpus:
-            RUNLOG.warn("jobs-oversubscribed", jobs=jobs, cpus=cpus)
-            print(f"note: --jobs {jobs} exceeds the {cpus} CPU(s) "
-                  f"available to this process; capping the worker "
-                  f"count at {cpus}", file=sys.stderr)
-            args.jobs = cpus
     profiler = Profiler(enabled=bool(args.profile))
     started_at = datetime.now(timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ")
@@ -418,22 +345,8 @@ def main(argv: list[str] | None = None) -> int:
             except ScenarioError as exc:
                 return RUNLOG.error(f"bad --scenario: {exc}")
         system = build_system(testbed)
-    try:
-        with profiler.phase(f"run:{args.bench}"):
-            report = args.runner(system, args, telemetry)
-    except ExperimentError as exc:
-        # A supervised bench unit stayed poisoned after its retries.
-        # Summarize on stderr and exit 1 — a traceback here would bury
-        # the per-unit detail the supervisor already collected.
-        RUNLOG.warn("bench-failed", bench=args.bench, error=str(exc))
-        print(f"memo {args.bench} failed: {exc}", file=sys.stderr)
-        wall_s = time.perf_counter() - start
-        if not args.no_ledger:
-            _append_ledger(args, argv, started_at=started_at,
-                           wall_s=wall_s, telemetry=telemetry,
-                           exit_code=EXIT_FAILED_CHECKS,
-                           failed_units=str(exc))
-        return EXIT_FAILED_CHECKS
+    with profiler.phase(f"run:{args.bench}"):
+        report = args.runner(system, args, telemetry)
     with profiler.phase("render+write"):
         print(report.render())
         if tracing:

@@ -32,8 +32,7 @@ class RandomBlockBench:
     def __init__(self, system: System, *,
                  block_sizes: list[int] | None = None,
                  thread_counts: list[int] | None = None,
-                 schemes: list[MemoryScheme] | None = None,
-                 jobs: int = 1, policy=None) -> None:
+                 schemes: list[MemoryScheme] | None = None) -> None:
         self.system = system
         self.block_sizes = block_sizes or DEFAULT_BLOCKS
         if any(b < 64 for b in self.block_sizes):
@@ -42,55 +41,20 @@ class RandomBlockBench:
             n for n in DEFAULT_THREADS if n <= system.socket.config.cores]
         self.schemes = schemes or system.available_schemes()
         self.model = ThroughputModel(system)
-        self.jobs = jobs
-        self.policy = policy
-        # policy is a repro.resilience.SupervisionPolicy (or None):
-        # when set, curve units run supervised regardless of ``jobs``.
 
     def run(self) -> BenchReport:
         report = BenchReport(title="MEMO random block bandwidth")
-        units = [(scheme, kind, threads)
-                 for scheme in self.schemes
-                 for kind in GRID_KINDS
-                 for threads in self.thread_counts]
-        if self.policy is not None:
-            from ..parallel.sweeps import run_series_supervised
-
-            specs = [(self.system, scheme, kind,
-                      AccessPattern.RANDOM_BLOCK,
-                      [{"threads": threads, "block_bytes": block}
-                       for block in self.block_sizes])
-                     for scheme, kind, threads in units]
-            curves = run_series_supervised(
-                specs, jobs=self.jobs, policy=self.policy,
-                names=[f"{scheme.label}-{kind.value}-{threads}T"
-                       for scheme, kind, threads in units])
-        elif self.jobs > 1:
-            # One worker unit per thread-count curve of the 3x3 grid;
-            # merged in sweep order — identical to a serial run.
-            from ..parallel import ParallelRunner
-            from ..parallel.sweeps import run_model_series
-
-            specs = [(self.system, scheme, kind,
-                      AccessPattern.RANDOM_BLOCK,
-                      [{"threads": threads, "block_bytes": block}
-                       for block in self.block_sizes])
-                     for scheme, kind, threads in units]
-            curves = ParallelRunner(self.jobs).map(run_model_series,
-                                                   specs)
-        else:
-            curves = [[self.model.bandwidth(
-                           scheme, kind, AccessPattern.RANDOM_BLOCK,
-                           threads=threads, block_bytes=block).gb_per_s
-                       for block in self.block_sizes]
-                      for scheme, kind, threads in units]
-        for (scheme, kind, threads), values in zip(units, curves):
-            series = Series(f"{threads}T", x_label="block (KiB)",
-                            y_label="GB/s")
-            for block, gb_per_s in zip(self.block_sizes, values):
-                series.append(block / KIB, gb_per_s)
-            report.add_series(f"fig5-{scheme.label}-{kind.value}",
-                              series)
+        for scheme in self.schemes:
+            for kind in GRID_KINDS:
+                for threads in self.thread_counts:
+                    series = Series(f"{threads}T", x_label="block (KiB)",
+                                    y_label="GB/s")
+                    for block in self.block_sizes:
+                        series.append(block / KIB, self.point(
+                            scheme, kind, threads=threads,
+                            block_bytes=block))
+                    report.add_series(f"fig5-{scheme.label}-{kind.value}",
+                                      series)
         return report
 
     def point(self, scheme: MemoryScheme, kind: AccessKind, *,

@@ -43,6 +43,7 @@ import html
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from ..analysis.sparkline import trend
 from .ledger import figure_wall_history, read_ledger
@@ -57,63 +58,56 @@ QUARTILES = ("median", "q1", "q3")
 # --------------------------------------------------------------------------
 # input loading
 
-def load_experiments(results_dir: Path) -> dict[str, dict]:
-    """``{experiment_id: saved-json}`` from a ``--save`` directory.
+class ResultsError(ValueError):
+    """A file in the ``--results`` directory that is not readable JSON."""
 
-    Only files that parse as experiment verdict JSON count; metrics
-    snapshots, profiles, the ledger, and the result cache are skipped.
+
+class Results(NamedTuple):
+    """What :func:`load_results` found in a ``--save`` directory."""
+
+    experiments: dict[str, dict]
+    """``{experiment_id: saved verdict JSON}`` (``<id>.json``)."""
+    metrics: dict[str, dict]
+    """``{stem: snapshot}`` (``<stem>.metrics.json``)."""
+    spans: dict[str, dict]
+    """``{experiment_id: span payload}`` (``<id>.spans.json``)."""
+
+
+UNREAD_SUFFIXES = (".profile.json", ".trace.json")
+"""Profiles and Perfetto traces are viewer food, not report input."""
+
+
+def load_results(results_dir: Path) -> Results:
+    """Experiments, metrics snapshots and span payloads from a directory.
+
+    Reads every ``*.json`` except profiles and traces.  JSON of another
+    shape (a baseline, a stray config) is skipped, but a file that is
+    not readable JSON raises :class:`ResultsError` naming it: skipping
+    a truncated ``<id>.json`` would let the regression gate pass on a
+    figure it never saw.
     """
-    experiments: dict[str, dict] = {}
+    results = Results({}, {}, {})
     if not results_dir.is_dir():
-        return experiments
+        return results
     for path in sorted(results_dir.glob("*.json")):
-        if path.name.endswith((".metrics.json", ".profile.json",
-                               ".spans.json", ".trace.json")):
+        name = path.name
+        if name.endswith(UNREAD_SUFFIXES):
             continue
         try:
             data = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
+        except (ValueError, OSError) as exc:
+            raise ResultsError(
+                f"{path}: not readable JSON: {exc}") from None
+        if not isinstance(data, dict):
             continue
-        if isinstance(data, dict) and "experiment_id" in data \
-                and "checks" in data:
-            experiments[data["experiment_id"]] = data
-    return experiments
-
-
-def load_spans(results_dir: Path) -> dict[str, dict]:
-    """``{experiment_id: span payload}`` from ``<id>.spans.json`` files.
-
-    These are written by ``repro-experiments --spans --save DIR``
-    (docs/TELEMETRY.md); the Perfetto companions
-    (``<id>.spans.trace.json``) are viewer food, not report input.
-    """
-    spans: dict[str, dict] = {}
-    if not results_dir.is_dir():
-        return spans
-    for path in sorted(results_dir.glob("*.spans.json")):
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            continue
-        if isinstance(data, dict) and isinstance(data.get("points"),
-                                                 dict):
-            spans[path.name[: -len(".spans.json")]] = data
-    return spans
-
-
-def load_metrics_snapshots(results_dir: Path) -> dict[str, dict]:
-    """``{stem: snapshot}`` for every ``*.metrics.json`` in the dir."""
-    snapshots: dict[str, dict] = {}
-    if not results_dir.is_dir():
-        return snapshots
-    for path in sorted(results_dir.glob("*.metrics.json")):
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            continue
-        if isinstance(data, dict):
-            snapshots[path.name[: -len(".metrics.json")]] = data
-    return snapshots
+        if name.endswith(".metrics.json"):
+            results.metrics[name[: -len(".metrics.json")]] = data
+        elif name.endswith(".spans.json"):
+            if isinstance(data.get("points"), dict):
+                results.spans[name[: -len(".spans.json")]] = data
+        elif "experiment_id" in data and "checks" in data:
+            results.experiments[data["experiment_id"]] = data
+    return results
 
 
 class BenchHistoryError(ValueError):
@@ -525,9 +519,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.last < 1:
         return runlog.error("--last must be >= 1")
 
-    experiments = load_experiments(Path(args.results))
-    metrics = load_metrics_snapshots(Path(args.results))
-    spans = load_spans(Path(args.results))
+    try:
+        experiments, metrics, spans = load_results(Path(args.results))
+    except ResultsError as exc:
+        return runlog.error(f"bad results file: {exc}")
     ledger = read_ledger(args.ledger)
     try:
         bench_trends = bench_metric_trends(

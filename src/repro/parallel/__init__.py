@@ -17,8 +17,8 @@ byte-identical to a serial one:
   ``(experiment id, config dict, package fingerprint)``; re-running an
   unchanged figure becomes a file read.
 * :mod:`repro.parallel.sweeps` — the picklable module-level unit
-  functions shipped to workers (experiment sweep points, whole
-  experiments, analytic bench series).
+  functions shipped to workers (experiment sweep points and whole
+  experiments).
 
 See docs/PERFORMANCE.md for the sharding and cache-key contract.
 """

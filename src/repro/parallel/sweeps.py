@@ -13,9 +13,7 @@ applies the test fault hooks and calls the unit's own function:
   Redis-YCSB p99 curve (Fig 6);
 * :func:`run_cluster_point` — one cluster sweep point (figC, figR and
   the scenarios): builds the topology *inside* the worker (pool
-  carving is per-point state) and runs the cluster DES;
-* :func:`run_model_series` — one analytic series of the MEMO
-  bandwidth/random benches (a batch of closed-form model evaluations).
+  carving is per-point state) and runs the cluster DES.
 """
 
 from __future__ import annotations
@@ -151,55 +149,3 @@ def run_cluster_point(spec: tuple) -> tuple[Any, dict | None]:
     return result, telemetry.spans.export() \
         if telemetry is not None else None
 
-
-def run_series_supervised(specs: list, *, jobs: int, policy,
-                          names: list[str]) -> list:
-    """Map :func:`run_model_series` under a supervision policy.
-
-    The MEMO benches' resilient path (``memo bw/random
-    --unit-timeout/--retries``): hung or crashed series workers are
-    killed and retried per the policy.  A bench curve is all-or-nothing
-    — a figure missing a series is worse than no figure — so units
-    still poisoned after retries raise one consolidated
-    :class:`~repro.errors.ExperimentError` (the CLI turns it into
-    exit code 1, not a traceback).
-    """
-    from ..errors import ExperimentError
-    from ..resilience import SupervisedRunner
-
-    outcomes = SupervisedRunner(jobs, policy=policy,
-                                names=names).map(run_model_series,
-                                                 specs)
-    failures = [outcome.failure for outcome in outcomes
-                if not outcome.ok]
-    if failures:
-        raise ExperimentError(
-            "bench unit(s) failed under supervision: "
-            + "; ".join(str(failure) for failure in failures))
-    return [outcome.value for outcome in outcomes]
-
-
-def run_model_series(spec: tuple) -> list[float]:
-    """Evaluate one analytic bandwidth series: a list of GB/s values.
-
-    ``spec = (system, scheme, kind, pattern, points)`` with ``pattern``
-    ``None`` for the sequential model and each point either
-    ``{"threads": n}`` or ``{"threads": n, "block_bytes": b}``.
-
-    The test fault hooks key on ``<scheme-label>-<kind>`` (e.g.
-    ``CXL-ld``), so resilience tests can poison one MEMO curve the way
-    experiment ids poison ``repro-experiments`` units.
-    """
-    system, scheme, kind, pattern, points = spec
-    _apply_test_faults(f"{scheme.label}-{kind.value}")
-    from ..perfmodel.throughput import ThroughputModel
-
-    model = ThroughputModel(system)
-    values = []
-    for point in points:
-        if pattern is None:
-            result = model.bandwidth(scheme, kind, **point)
-        else:
-            result = model.bandwidth(scheme, kind, pattern, **point)
-        values.append(result.gb_per_s)
-    return values

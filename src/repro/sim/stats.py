@@ -141,15 +141,18 @@ class RateMeter:
 def window_width(end_ns: float, count: int) -> float:
     """Width of each of ``count`` equal windows covering [0, end_ns).
 
-    Degenerate spans (``end_ns <= 0`` — e.g. a single instantaneous
-    event at t=0) get a 1 ns width so callers never divide by zero.
+    Degenerate spans get a 1 ns width so callers never divide by zero:
+    ``end_ns <= 0`` (e.g. a single instantaneous event at t=0), and a
+    subnormal ``end_ns`` whose width, or that width in seconds,
+    underflows to zero.
     Used by the fixed-interval measurement style of §4.3 and by the
     span layer's time-windowed series
     (:mod:`repro.telemetry.spans`).
     """
     if count <= 0:
         raise ValueError(f"window count must be positive, got {count}")
-    return end_ns / count if end_ns > 0.0 else 1.0
+    width = end_ns / count
+    return width if width / 1e9 > 0.0 else 1.0
 
 
 def window_slot(ts_ns: float, width_ns: float, count: int) -> int:

@@ -71,12 +71,6 @@ class Telemetry:
         """
         return cls(registry=Registry(), tracer=NULL_TRACER)
 
-    @classmethod
-    def off(cls) -> "Telemetry":
-        """A fresh all-dropping session (rarely needed; components
-        default to the shared :data:`NULL_TELEMETRY`)."""
-        return cls(registry=NullRegistry(), tracer=NULL_TRACER)
-
 
 NULL_TELEMETRY = Telemetry(registry=NullRegistry(), tracer=NULL_TRACER)
 """Shared disabled session used as the default by every component."""

@@ -18,30 +18,6 @@ REQUIRED_EVENT_KEYS = ("name", "ph", "ts", "pid", "tid")
 """Every Chrome trace event must carry these keys."""
 
 
-def metrics_snapshot(registry: Registry) -> dict:
-    """The registry as a JSON-ready flat dict (sorted names)."""
-    return registry.snapshot()
-
-
-def snapshot_digest(snapshot: dict | Registry) -> str | None:
-    """12-hex content digest of a metrics snapshot (``None`` if empty).
-
-    The run-ledger field (docs/OBSERVABILITY.md): two runs recorded the
-    same metrics iff their digests match, without the ledger carrying
-    the full snapshot.  Accepts a registry or an already-taken
-    snapshot dict.
-    """
-    import hashlib
-
-    if isinstance(snapshot, Registry):
-        snapshot = snapshot.snapshot()
-    if not snapshot:
-        return None
-    canonical = json.dumps(snapshot, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
 def render_metrics(registry: Registry) -> str:
     """A human-readable metrics table, one dotted name per row."""
     snapshot = registry.snapshot()
@@ -68,7 +44,7 @@ def render_metrics(registry: Registry) -> str:
 def write_metrics(registry: Registry, path) -> Path:
     """Write the snapshot as JSON; returns the path written."""
     target = Path(path)
-    target.write_text(json.dumps(metrics_snapshot(registry), indent=2,
+    target.write_text(json.dumps(registry.snapshot(), indent=2,
                                  sort_keys=True) + "\n")
     return target
 

@@ -41,10 +41,6 @@ class EpochStats:
     migration_ns: float
     effective_ns: float           # avg access + amortized migration
 
-    @property
-    def dram_hit_fraction(self) -> float | None:
-        return None               # reported at simulator level
-
 
 class TieringSimulator:
     """Runs a policy against the shifting-hot-set workload."""

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AllocationError
-from ..units import PAGE_4K
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,3 @@ class Allocation:
         """Bytes resident on ``node_id`` (last page counted in full)."""
         pages = int(np.count_nonzero(self.page_nodes == node_id))
         return pages * self.page_bytes
-
-
-def build_page_map(size_bytes: int, page_bytes: int = PAGE_4K,
-                   *, node_for_page) -> np.ndarray:
-    """Materialize ``node_for_page`` over every page of a buffer."""
-    num_pages = -(-size_bytes // page_bytes)
-    return np.fromiter((node_for_page(i) for i in range(num_pages)),
-                       dtype=np.int16, count=num_pages)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.memo.cli import build_parser, main
+from repro.obs import read_ledger
 
 
 class TestParser:
@@ -23,6 +24,18 @@ class TestParser:
     def test_thread_list(self):
         args = build_parser().parse_args(["bw", "--threads", "1", "8"])
         assert args.threads == [1, 8]
+
+    @pytest.mark.parametrize("bench", ["bw", "random"])
+    @pytest.mark.parametrize("flag", [
+        ["--jobs", "2"], ["--unit-timeout", "5"], ["--retries", "1"],
+        ["--fail-fast"]], ids=lambda flag: flag[0].lstrip("-"))
+    def test_no_pool_or_supervision_flags(self, bench, flag, capsys):
+        """The curves are closed forms computed in-process: there is
+        no worker pool to size and no unit to supervise."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([bench, "--no-ledger", *flag])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestEndToEnd:
@@ -55,6 +68,22 @@ class TestEndToEnd:
         assert main(["replay", "--lines", "256"]) == 0
         out = capsys.readouterr().out
         assert "sequential" in out
+
+
+class TestLedger:
+    @pytest.mark.parametrize("flags, digest", [
+        (["--metrics"], "36de16bf6380"), ([], None)],
+        ids=["metrics", "no-metrics"])
+    def test_metrics_digest(self, tmp_path, monkeypatch, capsys, flags,
+                            digest):
+        ledger = tmp_path / "runs.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER_PATH", str(ledger))
+        assert main(["bw", "--scheme", "CXL", "--threads", "1", "2",
+                     *flags]) == 0
+        capsys.readouterr()
+        (record,) = read_ledger(ledger)
+        assert record["metrics_digest"] == digest
+        assert record["exit_code"] == 0
 
 
 class TestTelemetryFlags:

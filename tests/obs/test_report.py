@@ -23,7 +23,7 @@ from repro.obs.report import (
     build_report,
     find_regressions,
     load_bench_histories,
-    load_experiments,
+    load_results,
     main,
     markdown_to_html,
 )
@@ -97,9 +97,9 @@ class TestLoading:
         results = write_results(tmp_path, [experiment_json()])
         (results / "fig3.metrics.json").write_text("{}")
         (results / "fig3.profile.json").write_text("{}")
-        (results / "junk.json").write_text("not json")
         (results / "other.json").write_text('{"random": true}')
-        assert list(load_experiments(results)) == ["fig3"]
+        (results / "list.json").write_text("[1, 2]")
+        assert list(load_results(results).experiments) == ["fig3"]
 
     @pytest.mark.parametrize("name, text, problem", [
         ("BENCH_junk.json", "{nope", "not readable JSON"),
@@ -346,6 +346,29 @@ class TestCliArgs:
                      str(baseline)]) == 2
         captured = capsys.readouterr()
         assert "BENCH_local.json" in captured.err
+        assert "not readable JSON" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", [
+        "fig3.json", "fig3.spans.json", "fig3.metrics.json"])
+    def test_truncated_results_file_is_exit_2_naming_it(
+            self, tmp_path, capsys, name):
+        """A corrupt saved result must not turn the gate into a pass."""
+        results = write_results(tmp_path, [experiment_json()])
+        common = ["--results", str(results),
+                  "--ledger", str(tmp_path / "none.jsonl"),
+                  "--bench", str(tmp_path / "nobench")]
+        baseline = tmp_path / "baseline.json"
+        assert main(common + ["--write-baseline", str(baseline)]) \
+            == EXIT_OK
+        target = results / name
+        text = target.read_text() if target.exists() \
+            else json.dumps({"points": {}})
+        target.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        assert main(common + ["--baseline", str(baseline)]) == 2
+        captured = capsys.readouterr()
+        assert name in captured.err
         assert "not readable JSON" in captured.err
         assert captured.out == ""
 

@@ -5,8 +5,8 @@ import json
 
 from repro.obs.report import (
     build_report,
-    load_experiments,
-    load_spans,
+    load_results,
+    main,
     markdown_to_html,
 )
 from repro.telemetry.spans import SpanConfig, SpanRecorder
@@ -29,7 +29,8 @@ class TestLoadSpans:
             json.dumps({"traceEvents": []}))
         (tmp_path / "figX.json").write_text(json.dumps(
             {"experiment_id": "figX", "checks": [], "passed": True}))
-        spans = load_spans(tmp_path)
+        (tmp_path / "odd.spans.json").write_text('{"points": []}')
+        spans = load_results(tmp_path).spans
         assert list(spans) == ["figX"]
         assert spans["figX"]["points"]
 
@@ -38,11 +39,14 @@ class TestLoadSpans:
             json.dumps(_span_payload()))
         (tmp_path / "figX.spans.trace.json").write_text(
             json.dumps({"traceEvents": []}))
-        assert load_experiments(tmp_path) == {}
+        assert load_results(tmp_path).experiments == {}
 
-    def test_corrupt_file_skipped(self, tmp_path):
+    def test_corrupt_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "bad.spans.json").write_text("{nope")
-        assert load_spans(tmp_path) == {}
+        assert main(["--results", str(tmp_path),
+                     "--ledger", str(tmp_path / "none.jsonl"),
+                     "--bench", str(tmp_path / "nobench")]) == 2
+        assert "bad.spans.json" in capsys.readouterr().err
 
 
 class TestTailAttributionSection:

@@ -3,7 +3,8 @@
 Containers routinely report the machine's core count while pinning the
 process to fewer; workers above the usable count would only fight for
 the same cores (BENCH history: suite speedup 0.835 at ``--jobs 4`` on
-one CPU), so both CLIs cap the worker count and say so up front.
+one CPU), so ``repro-experiments`` caps the worker count and says so
+up front.
 """
 
 import pytest
@@ -61,18 +62,6 @@ class TestOneCpuRunsInline:
         assert starts == []
         assert main(argv) == 0
         assert capsys.readouterr().out == parallel
-
-
-class TestMemoCliWarning:
-    def test_oversubscribed_jobs_warns(self, monkeypatch, capsys):
-        from repro.memo.cli import main
-
-        monkeypatch.setenv("REPRO_EFFECTIVE_CPUS", "1")
-        assert main(["bw", "--threads", "1", "--jobs", "2",
-                     "--no-ledger"]) == 0
-        err = capsys.readouterr().err
-        assert "jobs-oversubscribed" in err
-        assert "capping the worker count at 1" in err
 
 
 class TestProgressNote:

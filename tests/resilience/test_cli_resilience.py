@@ -19,7 +19,6 @@ import pytest
 
 import repro
 from repro.experiments.runner import main as experiments_main
-from repro.memo.cli import main as memo_main
 from repro.obs import read_ledger
 from repro.experiments.runner import run_config
 from repro.resilience import suite_hash
@@ -295,52 +294,3 @@ class TestInterruptResume:
         assert record["exit_code"] == 130
         assert record["resilience"]["interrupted"] is True
 
-
-class TestMemoSupervision:
-    def test_supervised_bw_matches_serial(self, sandbox, capsys):
-        assert memo_main(["bw", "--threads", "1", "2",
-                          "--no-ledger"]) == 0
-        baseline = capsys.readouterr().out
-        assert memo_main(["bw", "--threads", "1", "2", "--jobs", "2",
-                          "--retries", "1", "--no-ledger"]) == 0
-        assert capsys.readouterr().out == baseline
-
-    def test_supervised_random_matches_serial(self, sandbox, capsys):
-        args = ["random", "--threads", "1", "--blocks", "1024",
-                "4096", "--no-ledger"]
-        assert memo_main(args) == 0
-        baseline = capsys.readouterr().out
-        assert memo_main(args + ["--unit-timeout", "120"]) == 0
-        assert capsys.readouterr().out == baseline
-
-    def test_poisoned_units_exit_1_not_traceback(self, sandbox,
-                                                 monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TEST_UNIT_CRASH", "CXL-ld")
-        rc = memo_main(["bw", "--threads", "1",
-                        "--unit-timeout", "60"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "memo bw failed" in captured.err
-        assert "CXL-ld: exception" in captured.err
-        records = read_ledger()
-        assert records[-1]["exit_code"] == 1
-
-    def test_retries_recover_flaky_memo_curve(self, sandbox,
-                                              monkeypatch, capsys):
-        marker = sandbox / "memo-flaky"
-        monkeypatch.setenv("REPRO_TEST_UNIT_FLAKY",
-                           f"CXL-ld:{marker}")
-        # Serial baseline computes inline — no worker, no fault.
-        assert memo_main(["bw", "--threads", "1", "2",
-                          "--no-ledger"]) == 0
-        baseline = capsys.readouterr().out
-        assert not marker.exists()
-        assert memo_main(["bw", "--threads", "1", "2", "--retries",
-                          "2", "--jobs", "2", "--no-ledger"]) == 0
-        assert capsys.readouterr().out == baseline
-
-    def test_bad_unit_timeout_exits_2(self, sandbox, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            memo_main(["bw", "--unit-timeout", "0"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()

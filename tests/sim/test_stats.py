@@ -155,6 +155,10 @@ class TestWindowing:
     def test_degenerate_span_gets_unit_width(self):
         from repro.sim import window_width
         assert window_width(0.0, 4) == 1.0
+        # Subnormal spans: the width, or the width in seconds that a
+        # RateMeter divides by, underflows to zero.
+        assert window_width(5e-324, 3) == 1.0
+        assert window_width(5e-324, 1) == 1.0
 
     def test_slot_assignment_and_right_closure(self):
         from repro.sim import window_slot
