@@ -131,19 +131,3 @@ def classify(scaling: Series, *, linear_tolerance: float = 0.10) -> str:
     if min(slopes) < (1.0 - linear_tolerance) * slopes[0]:
         return "bandwidth-bound"
     return "not-bound"
-
-
-def latency_bound_verdict(dram: Series, cxl: Series, *,
-                          threshold: float = 1.15) -> bool:
-    """True when a *small* CXL share already depresses throughput.
-
-    §6.1: "Memory-latency-bounded applications will perceive throughput
-    degrade even when a small amount of their working set is allocated
-    to a higher-latency memory."  Compare same-thread-count curves.
-    """
-    if dram.x != cxl.x:
-        raise WorkloadError("curves must share thread counts")
-    ratios = [d / c for d, c in zip(dram.y, cxl.y) if c > 0]
-    if not ratios:
-        raise WorkloadError("empty scaling curves")
-    return max(ratios) >= threshold

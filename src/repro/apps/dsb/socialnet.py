@@ -98,34 +98,6 @@ class SocialNetwork:
         return [(self.stages[name], visits)
                 for name, visits in RECIPES[request]]
 
-    def mean_latency_ns(self, request: RequestType) -> float:
-        """Zero-load *work* per request (sum over all visits).
-
-        This is the serialized total; see :meth:`zero_load_latency_ns`
-        for the critical-path latency with the fork/join overlap.
-        """
-        return sum(stage.mean_service_ns * visits
-                   for stage, visits in self.recipe(request))
-
-    def zero_load_latency_ns(self, request: RequestType) -> float:
-        """Critical-path latency: sequential stages + max parallel leg."""
-        group = PARALLEL_GROUPS[request]
-        sequential = 0.0
-        legs = []
-        for stage, visits in self.recipe(request):
-            work = stage.mean_service_ns * visits
-            if stage.stage.name in group:
-                legs.append(work)
-            else:
-                sequential += work
-        return sequential + (max(legs) if legs else 0.0)
-
-    def database_load_ns(self, request: RequestType) -> float:
-        """Time spent in pinnable (database) stages per request."""
-        return sum(stage.mean_service_ns * visits
-                   for stage, visits in self.recipe(request)
-                   if stage.stage.pinnable)
-
     def saturation_qps(self, mix: dict[RequestType, float]) -> float:
         """Bottleneck-stage capacity under a request mix."""
         total = sum(mix.values())

@@ -100,40 +100,6 @@ class KvStore:
         self.chooser.grow(self.num_keys)
         return key
 
-    # -- layout ------------------------------------------------------------
-
-    def record_offset(self, key: int) -> int:
-        if not 0 <= key < self.num_keys:
-            raise WorkloadError(f"key {key} outside keyspace")
-        return key * self.record_bytes
-
-    def record_node_mix(self, key: int) -> dict[int, float]:
-        """Fraction of the record's lines on each node, by node id.
-
-        Walks the (usually one or two) pages the record spans in
-        ``page_nodes``; records and pages are both cacheline-aligned,
-        so no line straddles a page.
-        """
-        start = self.record_offset(key)
-        end = start + self.record_bytes
-        page = self.allocation.page_bytes
-        page_nodes = self.allocation.page_nodes
-        lines: dict[int, int] = {}
-        while start < end:
-            index = start // page
-            stop = min((index + 1) * page, end)
-            node = int(page_nodes[index])
-            lines[node] = lines.get(node, 0) + (stop - start) // CACHELINE
-            start = stop
-        total = self.record_bytes // CACHELINE
-        return {node: lines[node] / total for node in sorted(lines)}
-
-    def cxl_resident_fraction(self) -> float:
-        """Fraction of the whole store on CXL nodes (verifies policies)."""
-        fractions = self.allocation.node_fractions()
-        return sum(share for node, share in fractions.items()
-                   if self.system.topology.node(node).kind.is_cxl)
-
     # -- caching -------------------------------------------------------------
 
     def _estimate_cache_hit_prob(self) -> float:
@@ -141,46 +107,16 @@ class KvStore:
         hot_records = int(llc * LLC_USABLE_FRACTION / self.record_bytes)
         return self.chooser.hot_mass(hot_records)
 
-    @property
-    def cache_hit_prob(self) -> float:
-        return self._cache_hit_prob
-
     # -- service times ---------------------------------------------------------
 
-    def _miss_parts(self, key: int) -> tuple[float, float, float]:
-        """``(miss_ns, dram_ns, cxl_ns)`` of one record.
-
-        ``miss_ns`` is the line-weighted per-miss latency, summed in
-        ascending node-id order; the other two split the same products
-        by node kind.  The per-key reference for
-        :meth:`miss_latencies_ns`.
-        """
-        topology = self.system.topology
-        miss_ns = 0.0
-        dram = 0.0
-        cxl = 0.0
-        for node, share in self.record_node_mix(key).items():
-            part = share * self._node_read_ns[node]
-            miss_ns += part
-            if topology.node(node).kind.is_cxl:
-                cxl += part
-            else:
-                dram += part
-        return miss_ns, dram, cxl
-
-    def average_miss_latency_ns(self, key: int) -> float:
-        """Expected per-miss latency given the record's node mix."""
-        return self._miss_parts(key)[0]
-
     def miss_latencies_ns(self, keys: np.ndarray) -> np.ndarray:
-        """:meth:`average_miss_latency_ns` of each key, as float64.
+        """Expected per-miss latency of each key's record, as float64.
 
-        The batch form the request sampler uses: each record's lines
-        are counted per node over the pages it spans, then
-        ``0.0 + share * read_ns`` is summed in ascending node-id order —
-        the scalar path's floats, since a node the record does not
-        touch adds an exact ``0.0``.  Costs O(len(keys)), never
-        O(keyspace).
+        Each record's lines are counted per node over the pages it
+        spans (records and pages are both cacheline-aligned, so no line
+        straddles a page), then ``0.0 + share * read_ns`` is summed in
+        ascending node-id order; a node the record does not touch adds
+        an exact ``0.0``.  Costs O(len(keys)), never O(keyspace).
         """
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size and (keys.min() < 0 or keys.max() >= self.num_keys):
@@ -293,16 +229,6 @@ class KvStore:
         misses = np.where(coins < self._cache_hit_prob, misses * 0.1,
                           misses)
         return ops, keys_array, cpu, misses
-
-    def miss_node_split(self, key: int) -> tuple[float, float]:
-        """``(dram_share_ns, cxl_share_ns)`` of the per-miss latency.
-
-        Splits :meth:`average_miss_latency_ns` by the kind of node
-        backing each of the record's lines — the span layer's
-        DRAM-vs-CXL attribution.  Only called on spanned runs; no RNG.
-        """
-        _, dram, cxl = self._miss_parts(key)
-        return dram, cxl
 
     def mean_service_ns(self, samples: int = 2000) -> float:
         """Monte-Carlo mean service time under the workload.

@@ -19,7 +19,6 @@ from .cacheline import CacheLine, MesiState
 from .coherence import MesiCoherence
 from .cache import SetAssociativeCache
 from .hierarchy import AccessResult, CacheHierarchy
-from .prefetcher import StreamPrefetcher
 
 __all__ = [
     "MesiState",
@@ -28,5 +27,4 @@ __all__ = [
     "SetAssociativeCache",
     "CacheHierarchy",
     "AccessResult",
-    "StreamPrefetcher",
 ]

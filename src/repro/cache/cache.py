@@ -153,18 +153,3 @@ class SetAssociativeCache:
         aligned = line_address(address)
         target_set = self._sets[self._set_index(aligned)]
         target_set.pop(aligned, None)
-
-    def check_invariants(self) -> None:
-        """Structural invariants; cheap enough for property tests."""
-        for index, target_set in enumerate(self._sets):
-            if len(target_set) > self.config.ways:
-                raise CacheError(
-                    f"{self.name} set {index} holds {len(target_set)} lines "
-                    f"> {self.config.ways} ways")
-            for aligned, line in target_set.items():
-                if line.address != aligned:
-                    raise CacheError("set key does not match line address")
-                if self._set_index(aligned) != index:
-                    raise CacheError("line stored in the wrong set")
-                if not line.state.is_valid:
-                    raise CacheError("invalid line left resident")

@@ -216,16 +216,6 @@ class CacheHierarchy:
                 break
             cache.install(aligned, state)
 
-    def check_inclusion(self) -> None:
-        """Inclusive-LLC invariant: every L1/L2 line is also in the LLC."""
-        for upper in (self.l1, self.l2):
-            for upper_set in upper._sets:
-                for aligned in upper_set:
-                    if not self.llc.contains(aligned):
-                        raise CacheError(
-                            f"{upper.name} line {aligned:#x} missing from "
-                            "inclusive LLC")
-
     # -- analytic interface ----------------------------------------------
 
     def hit_fractions(self, working_set_bytes: int) -> dict[str, float]:

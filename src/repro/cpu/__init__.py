@@ -9,7 +9,6 @@ through a ``System``.
 
 from .isa import AccessKind, FENCE_NS
 from .core import Core
-from .thread import PinnedThread, pin_threads
 from .socket import Socket
 from .system import MemoryScheme, System
 
@@ -17,8 +16,6 @@ __all__ = [
     "AccessKind",
     "FENCE_NS",
     "Core",
-    "PinnedThread",
-    "pin_threads",
     "Socket",
     "System",
     "MemoryScheme",

@@ -1,8 +1,8 @@
-"""Host-managed device memory (HDM) decoding.
+"""Host-managed device memory (HDM) decoder ranges.
 
 A Type-3 device's memory appears in the host physical address space via
 HDM decoder ranges programmed at enumeration.  The OS then exposes each
-range as a CPU-less NUMA node (§3).  The decoder here supports multiple
+range as a CPU-less NUMA node (§3).  The ranges here validate multiple
 devices and the spec's power-of-two way interleaving, although the
 paper's testbed uses a single device (one range, one way).
 """
@@ -39,22 +39,6 @@ class HdmRange:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, hpa: int) -> bool:
-        return self.base <= hpa < self.end
-
-    def decode(self, hpa: int) -> tuple[int, int]:
-        """Host physical address -> (device id, device-local address)."""
-        if not self.contains(hpa):
-            raise ProtocolError(f"address {hpa:#x} outside HDM range")
-        offset = hpa - self.base
-        ways = len(self.targets)
-        chunk = offset // self.granularity
-        device = self.targets[chunk % ways]
-        # Device-local: collapse the interleave stride.
-        local_chunk = chunk // ways
-        local = local_chunk * self.granularity + offset % self.granularity
-        return device, local
-
 
 class HdmDecoder:
     """An ordered set of non-overlapping HDM ranges."""
@@ -75,13 +59,6 @@ class HdmDecoder:
                     f"[{existing.base:#x}, {existing.end:#x})")
         self._ranges.append(new)
         self._ranges.sort(key=lambda r: r.base)
-
-    def decode(self, hpa: int) -> tuple[int, int]:
-        """Route a host physical address to (device id, local address)."""
-        for entry in self._ranges:
-            if entry.contains(hpa):
-                return entry.decode(hpa)
-        raise ProtocolError(f"address {hpa:#x} hits no HDM range")
 
     def total_capacity(self) -> int:
         """Bytes of device memory mapped into the host address space."""

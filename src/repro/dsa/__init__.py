@@ -13,7 +13,6 @@ slowest.
 """
 
 from .descriptor import BatchDescriptor, Descriptor, DsaOpcode
-from .wq import WorkQueue
 from .engine import ProcessingEngine
 from .device import DsaDevice, SubmissionMode
 
@@ -21,7 +20,6 @@ __all__ = [
     "DsaOpcode",
     "Descriptor",
     "BatchDescriptor",
-    "WorkQueue",
     "ProcessingEngine",
     "DsaDevice",
     "SubmissionMode",

@@ -21,7 +21,6 @@ from ..errors import DeviceError
 from ..units import SEC
 from .descriptor import BatchDescriptor, Descriptor, memmove
 from .engine import ProcessingEngine
-from .wq import WorkQueue
 
 OFFLOAD_LATENCY_NS = 1900.0
 """Submit-to-completion-record round trip for an otherwise idle device."""
@@ -38,11 +37,10 @@ class SubmissionMode(enum.Enum):
 
 
 class DsaDevice:
-    """One DSA instance: a WQ feeding a processing engine."""
+    """One DSA instance: submissions feeding a processing engine."""
 
-    def __init__(self, system: System, *, wq_depth: int = 128) -> None:
+    def __init__(self, system: System) -> None:
         self.system = system
-        self.wq = WorkQueue(depth=wq_depth)
         self.engine = ProcessingEngine(system)
 
     def copy_throughput(self, src: MemoryScheme, dst: MemoryScheme, *,

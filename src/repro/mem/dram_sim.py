@@ -11,7 +11,7 @@ efficiency:
 Its purpose is validation: the achieved-bandwidth ratios it produces for
 sequential and random streams should bracket the calibrated
 ``sequential_efficiency`` / ``random_efficiency`` constants the analytic
-layer uses (see tests/mem/test_dram_sim.py).
+layer uses (tests/mem/test_dram_sim.py replays both streams).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DeviceError
-from ..sim.rng import substream
 from .banks import Bank, DdrTimings
 
 
@@ -109,23 +108,6 @@ class DramChannelSim:
                                 elapsed_ns=last_data_end,
                                 row_hits=hits, row_misses=misses)
 
-    # -- stream generators --------------------------------------------------
-
-    @staticmethod
-    def sequential_stream(num_lines: int) -> np.ndarray:
-        if num_lines <= 0:
-            raise DeviceError("num_lines must be positive")
-        return np.arange(num_lines, dtype=np.int64)
-
-    @staticmethod
-    def random_stream(num_lines: int, *, footprint_lines: int,
-                      seed: int = 23) -> np.ndarray:
-        if num_lines <= 0 or footprint_lines <= 0:
-            raise DeviceError("line counts must be positive")
-        rng = substream(f"dram-sim-{seed}", seed)
-        return rng.integers(0, footprint_lines, size=num_lines,
-                            dtype=np.int64)
-
     @staticmethod
     def interleaved_streams(threads: int, *, lines_per_thread: int,
                             region_lines: int = 1 << 18) -> np.ndarray:
@@ -159,18 +141,3 @@ class DramChannelSim:
             threads, lines_per_thread=lines_per_thread)
         return DramChannelSim(self.timings).replay(stream).efficiency(
             self.timings)
-
-    # -- headline measurements -----------------------------------------------
-
-    def measured_sequential_efficiency(self, num_lines: int = 8192
-                                       ) -> float:
-        return DramChannelSim(self.timings).replay(
-            self.sequential_stream(num_lines)).efficiency(self.timings)
-
-    def measured_random_efficiency(self, num_lines: int = 8192,
-                                   footprint_lines: int = 1 << 20
-                                   ) -> float:
-        return DramChannelSim(self.timings).replay(
-            self.random_stream(num_lines,
-                               footprint_lines=footprint_lines)
-        ).efficiency(self.timings)

@@ -32,7 +32,7 @@ from .movdir_bench import MovdirBench
 from .dsa_bench import DsaBench
 from .loaded_latency import LoadedLatencyBench
 from .trace import AccessTrace, ReplayResult, replay
-from .traffic import measure_cache_pollution, measure_stream_traffic
+from .traffic import measure_stream_traffic
 
 __all__ = [
     "BenchReport",
@@ -48,5 +48,4 @@ __all__ = [
     "ReplayResult",
     "replay",
     "measure_stream_traffic",
-    "measure_cache_pollution",
 ]

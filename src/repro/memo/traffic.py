@@ -6,10 +6,6 @@ the bus lines of an nt-store because of RFO + writeback).  This module
 functional :class:`~repro.cache.hierarchy.CacheHierarchy` and counting
 memory-side reads and writes — including the deferred writebacks that
 only appear when dirty lines are evicted or flushed.
-
-It also demonstrates cache pollution (§6: nt-stores "avoid polluting
-the precious cache resources"): after a bulk write, how much of a
-victim working set survives in the LLC.
 """
 
 from __future__ import annotations
@@ -81,33 +77,3 @@ def measure_stream_traffic(hierarchy: CacheHierarchy, kind: AccessKind,
     writes += hierarchy.memory_writebacks - writebacks_before
     return TrafficCount(lines_accessed=num_lines, memory_reads=reads,
                         memory_writes=writes)
-
-
-def measure_cache_pollution(hierarchy: CacheHierarchy, *,
-                            victim_lines: int, writer_kind: AccessKind,
-                            written_lines: int,
-                            victim_base: int = 0,
-                            writer_base: int = 1 << 30) -> float:
-    """Fraction of a warm victim working set surviving a bulk write.
-
-    Warm ``victim_lines`` into the hierarchy, stream a bulk write of
-    ``written_lines`` with ``writer_kind``, then re-probe the victims:
-    the returned survival fraction is ~1.0 for nt-stores (no
-    allocation) and falls for temporal stores (write-allocate evicts).
-    """
-    if victim_lines <= 0 or written_lines <= 0:
-        raise WorkloadError("line counts must be positive")
-    for index in range(victim_lines):
-        hierarchy.load(victim_base + index * CACHELINE)
-    for index in range(written_lines):
-        address = writer_base + index * CACHELINE
-        if writer_kind is AccessKind.STORE:
-            hierarchy.store(address)
-        elif writer_kind is AccessKind.NT_STORE:
-            hierarchy.nt_store(address)
-        else:
-            raise WorkloadError("pollution test writes with st or nt-st")
-    survived = sum(
-        1 for index in range(victim_lines)
-        if hierarchy.llc.contains(victim_base + index * CACHELINE))
-    return survived / victim_lines

@@ -18,7 +18,6 @@ composes those pieces into the probes MEMO times:
 from __future__ import annotations
 
 from ..cache.hierarchy import expected_latency_ns
-from ..cache.prefetcher import StreamPrefetcher
 from ..cpu.isa import FENCE_NS, AccessKind
 from ..cpu.system import MemoryScheme, System
 from ..errors import ConfigError
@@ -101,23 +100,6 @@ class LatencyModel:
         return (socket.mesh.traverse_ns()
                 + socket.config.home_agent_ns
                 + self._backend(scheme).idle_read_ns())
-
-    def prefetched_sequential_read_ns(self, scheme: MemoryScheme) -> float:
-        """Average per-line latency of a *sequential* walk, prefetch ON.
-
-        MEMO's prefetch toggle (§4.1): with the stream prefetcher
-        enabled, its covered fraction of lines arrives at L1/L2 before
-        demand and costs only the hierarchy lookup; the remainder pays
-        the full read path.  A dependent chase gains nothing — stride
-        detection cannot lock onto a random chain — which is why the
-        Fig-2 tests disable prefetch to measure the true path.
-        """
-        prefetcher = StreamPrefetcher(enabled=True)
-        coverage = prefetcher.coverage(sequential=True)
-        covered_ns = (self.system.socket.config.cache.l1.latency_ns
-                      + self.system.socket.config.cache.l2.latency_ns)
-        return (coverage * covered_ns
-                + (1.0 - coverage) * self.read_path_ns(scheme))
 
     def pointer_chase_ns(self, scheme: MemoryScheme,
                          working_set_bytes: int | None = None) -> float:

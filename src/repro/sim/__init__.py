@@ -11,7 +11,7 @@ Public surface:
 * :class:`~repro.sim.resources.Server` — the capacity-``n`` FIFO
   station models acquire and release by callback.
 * :class:`~repro.sim.stats.LatencyRecorder`,
-  :class:`~repro.sim.stats.RateMeter` — measurement.
+  :func:`~repro.sim.stats.window_width` — measurement.
 * :func:`~repro.sim.rng.substream` — deterministic named RNG streams.
 """
 
@@ -19,7 +19,6 @@ from .engine import Engine
 from .resources import Server
 from .stats import (
     LatencyRecorder,
-    RateMeter,
     percentile,
     window_slot,
     window_width,
@@ -30,7 +29,6 @@ __all__ = [
     "Engine",
     "Server",
     "LatencyRecorder",
-    "RateMeter",
     "percentile",
     "window_slot",
     "window_width",

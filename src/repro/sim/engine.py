@@ -140,62 +140,6 @@ class Engine:
         handle[2] = None
         handle[3] = ()
 
-    def _advance(self) -> bool:
-        """Position the walk cursor at the next live entry.
-
-        Skips tombstones and, when the current run is exhausted, sorts
-        the future list in as the next run.  Returns ``False`` when
-        nothing is pending.
-        """
-        run = self._run_list
-        pos = self._pos
-        n = len(run)
-        while True:
-            while pos < n:
-                if run[pos][2] is None:
-                    pos += 1
-                    continue
-                self._pos = pos
-                return True
-            if not self._future:
-                self._pos = pos
-                return False
-            future = self._future
-            future.sort()
-            self._run_list = run = future
-            self._future = []
-            self._run_max = run[-1][0]
-            self._pos = pos = 0
-            n = len(run)
-
-    def peek(self) -> float | None:
-        """Time of the next pending event, or ``None`` if none is queued."""
-        if not self._advance():
-            return None
-        return self._run_list[self._pos][0]
-
-    def step(self, until: float | None = None) -> bool:
-        """Execute the next event in one bounded queue scan.
-
-        Returns ``False`` when nothing is pending — or, with ``until``
-        given, when the next live event lies strictly after ``until``
-        (the event stays queued; the clock is not advanced).
-        """
-        if not self._advance():
-            return False
-        pos = self._pos
-        time, _seq, callback, args = self._run_list[pos]
-        if until is not None and time > until:
-            return False
-        self._pos = pos + 1
-        if time < self._now:
-            raise SimulationError(
-                f"event at t={time} before now={self._now}")
-        self._now = time
-        self._processed += 1
-        callback(*args)
-        return True
-
     def _drain(self, until: float | None,
                max_events: int | None) -> int:
         """Batched drain: one interpreter loop per run.
@@ -247,19 +191,13 @@ class Engine:
             self._processed += 1
             executed += 1
             callback(*args)
-            # A callback may have stepped the engine itself; re-sync
-            # the cursor (schedule() insorts after it, so entries
-            # before ``pos`` are never displaced).
-            pos = self._pos
-            now = self._now
 
     def step_until(self, until: float) -> int:
         """Execute every pending event with ``time <= until``.
 
-        The batched counterpart of repeated :meth:`step` calls: the
-        whole drain runs in one interpreter loop.  Unlike :meth:`run`
-        the clock is left at the last executed event, not advanced to
-        ``until``.  Returns the number of callbacks executed.
+        Unlike :meth:`run` the clock is left at the last executed
+        event, not advanced to ``until``.  Returns the number of
+        callbacks executed.
         """
         if self._running:
             raise SimulationError("Engine.step_until() is not reentrant")

@@ -1,4 +1,4 @@
-"""Measurement utilities: percentile estimation and rate metering.
+"""Measurement utilities: percentile estimation and fixed windows.
 
 The paper reports p99 tail latency (Figs 6, 10) and sustained bandwidth
 over fixed intervals (§4.3 — "the main program calculates the average
@@ -7,7 +7,6 @@ bandwidth for a fixed interval").  Both measurement styles live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..telemetry.metrics import Histogram, interpolate_percentile
@@ -99,43 +98,6 @@ class LatencyRecorder:
             "p99_ns": self.p99(),
             "max_ns": self.max(),
         }
-
-
-@dataclass
-class RateMeter:
-    """Counts completed bytes/operations over a simulated window."""
-
-    name: str = "rate"
-    bytes_total: float = 0.0
-    ops_total: int = 0
-    window_start_ns: float = 0.0
-
-    def add(self, nbytes: float, ops: int = 1) -> None:
-        """Record ``nbytes`` moved by ``ops`` completed operations."""
-        if nbytes < 0 or ops < 0:
-            raise ValueError("rate meter additions must be non-negative")
-        self.bytes_total += nbytes
-        self.ops_total += ops
-
-    def bandwidth(self, now_ns: float) -> float:
-        """Average B/s since ``window_start_ns``."""
-        elapsed = now_ns - self.window_start_ns
-        if elapsed <= 0:
-            raise ValueError("rate window has zero or negative length")
-        return self.bytes_total / (elapsed / 1e9)
-
-    def throughput(self, now_ns: float) -> float:
-        """Average operations/s since ``window_start_ns``."""
-        elapsed = now_ns - self.window_start_ns
-        if elapsed <= 0:
-            raise ValueError("rate window has zero or negative length")
-        return self.ops_total / (elapsed / 1e9)
-
-    def reset(self, now_ns: float) -> None:
-        """Start a fresh measurement window at ``now_ns``."""
-        self.bytes_total = 0.0
-        self.ops_total = 0
-        self.window_start_ns = now_ns
 
 
 def window_width(end_ns: float, count: int) -> float:

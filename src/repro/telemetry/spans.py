@@ -271,7 +271,7 @@ class SpanRecorder:
                  names: list[str]) -> list[dict]:
         # Lazy import: repro.sim pulls repro.telemetry at package init,
         # and this module *is* part of that init.
-        from ..sim.stats import RateMeter, window_slot, window_width
+        from ..sim.stats import window_slot, window_width
 
         _, start, _, total, seg_row, seg_code, seg_dur = columns
         count = self.config.windows
@@ -293,13 +293,10 @@ class SpanRecorder:
                 "requests": len(bucket),
             }
             if bucket:
-                meter = RateMeter(name=f"window-{slot}",
-                                  window_start_ns=start_ns)
-                meter.add(0.0, len(bucket))
                 window["p99_ns"] = interpolate_percentile(
                     np.sort(total[bucket]).tolist(), TAIL_PCT)
-                window["throughput_rps"] = meter.throughput(
-                    start_ns + width)
+                window["throughput_rps"] = len(bucket) / (
+                    (start_ns + width - start_ns) / 1e9)
                 here = seg_slot == slot
                 window["components"] = _component_folds(
                     seg_code[here], seg_dur[here], names)

@@ -21,7 +21,6 @@ executable:
 from .tracker import HotnessTracker
 from .policy import (
     NoMigration,
-    SamplingPolicy,
     TieringPolicy,
     TppLikePolicy,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "HotnessTracker",
     "TieringPolicy",
     "TppLikePolicy",
-    "SamplingPolicy",
     "NoMigration",
     "PageMigrator",
     "MigrationEngine",

@@ -46,57 +46,6 @@ class NoMigration(TieringPolicy):
         return MigrationPlan(promote=empty, demote=empty)
 
 
-class SamplingPolicy(TieringPolicy):
-    """AutoNUMA-style sampled promotion.
-
-    Instead of exact per-page heat, the kernel samples accesses (NUMA
-    hinting faults hit a random subset of pages each epoch) and
-    promotes pages whose *sampled* heat clears the threshold.  Cheaper
-    to run than full tracking, slower to converge, and it misses
-    lukewarm pages — the classic trade against TPP-style active-list
-    tracking, reproduced here so the two can be compared on identical
-    workloads.
-    """
-
-    def __init__(self, *, sample_rate: float = 0.25,
-                 promotion_threshold: float = 1.0,
-                 max_migrations_per_epoch: int = 1024,
-                 seed: int = 29) -> None:
-        if not 0.0 < sample_rate <= 1.0:
-            raise WorkloadError(f"sample rate in (0, 1]: {sample_rate}")
-        if promotion_threshold <= 0 or max_migrations_per_epoch <= 0:
-            raise WorkloadError("thresholds must be positive")
-        self.sample_rate = sample_rate
-        self.promotion_threshold = promotion_threshold
-        self.max_migrations = max_migrations_per_epoch
-        self._rng = np.random.default_rng(seed)
-
-    def plan(self, tracker: HotnessTracker, on_dram: np.ndarray,
-             dram_capacity_pages: int) -> MigrationPlan:
-        if on_dram.shape[0] != tracker.num_pages:
-            raise WorkloadError("placement mask size mismatch")
-        cxl_pages = np.flatnonzero(~on_dram)
-        if cxl_pages.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return MigrationPlan(promote=empty, demote=empty)
-        sampled = cxl_pages[self._rng.random(cxl_pages.size)
-                            < self.sample_rate]
-        hot = sampled[tracker.heats(sampled)
-                      >= self.promotion_threshold]
-        order = np.argsort(tracker.heats(hot))[::-1]
-        promote = np.asarray(hot[order][:self.max_migrations],
-                             dtype=np.int64)
-        dram_used = int(on_dram.sum())
-        overflow = dram_used + promote.size - dram_capacity_pages
-        if overflow > 0:
-            demote = tracker.coldest_within(np.flatnonzero(on_dram),
-                                            overflow)
-        else:
-            demote = np.empty(0, dtype=np.int64)
-        return MigrationPlan(promote=promote,
-                             demote=np.asarray(demote, dtype=np.int64))
-
-
 class TppLikePolicy(TieringPolicy):
     """Promotion/demotion in the spirit of TPP [24].
 

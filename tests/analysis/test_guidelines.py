@@ -8,7 +8,6 @@ from repro.analysis.guidelines import (
     WorkloadProfile,
     advise,
     classify,
-    latency_bound_verdict,
 )
 from repro.analysis.series import Series
 from repro.errors import WorkloadError
@@ -89,20 +88,6 @@ class TestClassifier:
     def test_too_few_points_rejected(self):
         with pytest.raises(WorkloadError):
             classify(Series("s", x=[1, 2], y=[1.0, 2.0]))
-
-    def test_latency_bound_verdict(self):
-        """§6.1: Redis is latency-bound — even interleaved CXL depresses
-        throughput at every thread count."""
-        dram = Series("dram", x=[1, 2], y=[100.0, 200.0])
-        cxl = Series("cxl", x=[1, 2], y=[70.0, 140.0])
-        assert latency_bound_verdict(dram, cxl)
-        close = Series("cxl", x=[1, 2], y=[98.0, 196.0])
-        assert not latency_bound_verdict(dram, close)
-
-    def test_verdict_requires_shared_axis(self):
-        with pytest.raises(WorkloadError):
-            latency_bound_verdict(Series("a", x=[1], y=[1.0]),
-                                  Series("b", x=[2], y=[1.0]))
 
     def test_dlrm_snc_curve_classifies_bandwidth_bound(self):
         """End-to-end: the Fig-9 SNC curve is §6.1 bandwidth-bound."""

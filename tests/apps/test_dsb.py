@@ -10,9 +10,40 @@ from repro.apps.dsb import (
     SocialNetwork,
     memory_breakdown,
 )
-from repro.apps.dsb.socialnet import COMPONENTS, MIXED_WORKLOAD
+from repro.apps.dsb.socialnet import (
+    COMPONENTS,
+    MIXED_WORKLOAD,
+    PARALLEL_GROUPS,
+)
 from repro.apps.dsb.service import StageRuntime
 from repro.errors import WorkloadError
+
+
+def mean_latency_ns(net: SocialNetwork, request: RequestType) -> float:
+    """Zero-load *work* per request: the serialized sum over all visits."""
+    return sum(stage.mean_service_ns * visits
+               for stage, visits in net.recipe(request))
+
+
+def zero_load_latency_ns(net: SocialNetwork, request: RequestType) -> float:
+    """Critical-path latency: sequential stages + max parallel leg."""
+    group = PARALLEL_GROUPS[request]
+    sequential = 0.0
+    legs = []
+    for stage, visits in net.recipe(request):
+        work = stage.mean_service_ns * visits
+        if stage.stage.name in group:
+            legs.append(work)
+        else:
+            sequential += work
+    return sequential + (max(legs) if legs else 0.0)
+
+
+def database_load_ns(net: SocialNetwork, request: RequestType) -> float:
+    """Time spent in pinnable (database) stages per request."""
+    return sum(stage.mean_service_ns * visits
+               for stage, visits in net.recipe(request)
+               if stage.stage.pinnable)
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +89,12 @@ class TestLatencyStructure:
     def test_latencies_are_ms_level(self, dram_net):
         """§5.3: 'the tail latency in DSB is at the millisecond level'."""
         for request in RequestType:
-            assert dram_net.mean_latency_ns(request) > 0.5e6
+            assert mean_latency_ns(dram_net, request) > 0.5e6
 
     def test_compose_heaviest_on_databases(self, dram_net):
         """'composing posts involve more database operations'."""
-        compose = dram_net.database_load_ns(RequestType.COMPOSE_POST)
-        user = dram_net.database_load_ns(RequestType.READ_USER_TIMELINE)
+        compose = database_load_ns(dram_net, RequestType.COMPOSE_POST)
+        user = database_load_ns(dram_net, RequestType.READ_USER_TIMELINE)
         assert compose > 3 * user
 
     def test_home_timeline_skips_storage(self, dram_net):
@@ -79,8 +110,8 @@ class TestLatencyStructure:
         posts, while there is little to no difference in the case of
         reading user timeline'."""
         def gap(request):
-            dram = dram_net.mean_latency_ns(request)
-            cxl = cxl_net.mean_latency_ns(request)
+            dram = mean_latency_ns(dram_net, request)
+            cxl = mean_latency_ns(cxl_net, request)
             return cxl / dram - 1.0
 
         assert gap(RequestType.COMPOSE_POST) > 0.12
@@ -99,14 +130,14 @@ class TestForkJoin:
 
     def test_critical_path_below_serial_work(self, dram_net):
         compose = RequestType.COMPOSE_POST
-        assert dram_net.zero_load_latency_ns(compose) < \
-            dram_net.mean_latency_ns(compose)
+        assert zero_load_latency_ns(dram_net, compose) < \
+            mean_latency_ns(dram_net, compose)
 
     def test_read_paths_are_sequential(self, dram_net):
         for request in (RequestType.READ_USER_TIMELINE,
                         RequestType.READ_HOME_TIMELINE):
-            assert dram_net.zero_load_latency_ns(request) == \
-                pytest.approx(dram_net.mean_latency_ns(request))
+            assert zero_load_latency_ns(dram_net, request) == \
+                pytest.approx(mean_latency_ns(dram_net, request))
 
     def test_parallel_group_names_real_stages(self):
         from repro.apps.dsb.socialnet import COMPONENTS, PARALLEL_GROUPS
@@ -119,16 +150,16 @@ class TestForkJoin:
         result = runner.run(200, mix={RequestType.COMPOSE_POST: 1.0},
                             requests=1200)
         compose = RequestType.COMPOSE_POST
-        critical = dram_net.zero_load_latency_ns(compose) / 1e6
-        serial = dram_net.mean_latency_ns(compose) / 1e6
+        critical = zero_load_latency_ns(dram_net, compose) / 1e6
+        serial = mean_latency_ns(dram_net, compose) / 1e6
         # p99 (with jitter + light queueing) sits above the critical
         # path but below what a fully serialized chain would cost.
         assert critical < result.p99_ms < serial * 1.6
 
     def test_cxl_gap_survives_parallelism(self, dram_net, cxl_net):
         compose = RequestType.COMPOSE_POST
-        gap = (cxl_net.zero_load_latency_ns(compose)
-               / dram_net.zero_load_latency_ns(compose))
+        gap = (zero_load_latency_ns(cxl_net, compose)
+               / zero_load_latency_ns(dram_net, compose))
         assert gap > 1.12
 
 

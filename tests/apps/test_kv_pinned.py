@@ -1,6 +1,6 @@
 """KvServer and KvStore outputs pinned to digests of recorded runs.
 
-The Lindley fast path and the DES read one pre-drawn request trace, so
+The Lindley path and the DES reference read one pre-drawn trace, so
 ``test_kv_fastpath.py``'s fast-path-equals-DES check cannot, on its
 own, notice a change in the order the trace is drawn in.  These pins
 can: they were recorded from the per-request sampler the batched one
@@ -10,12 +10,13 @@ replaced, and every value below must still come out bit for bit.
   ``RunResult`` field plus the store's final ``num_keys`` (workload D
   inserts), for workloads A, B, D, F and a Zipfian B at four CXL
   fractions and 1, 2 and 4 workers (QPS 50 000 per worker, 1 500
-  requests, 10 000 keys).  ``workers == 1`` is checked on the fast
-  path and on the DES.
+  requests, 10 000 keys).  ``workers == 1`` is checked on
+  :class:`KvServer` and on the DES reference of
+  ``test_kv_fastpath.py``; more workers on the DES reference alone.
 * ``MEAN_SERVICE_NS`` — ``KvStore.mean_service_ns()`` for every Fig-7
   variant at every Fig-7 fraction (200 000 keys, the study's seed).
 * ``SPANS_SHA256`` — the canonical JSON of one spanned four-worker DES
-  run's span export (workload D, 10 % CXL).
+  reference run's span export (workload D, 10 % CXL).
 """
 
 import hashlib
@@ -29,6 +30,7 @@ from repro.apps.kvstore import KvServer, RedisYcsbStudy
 from repro.sim.rng import forget
 from repro.telemetry import SpanRecorder, Telemetry
 from repro.workloads import WORKLOADS
+from tests.apps.test_kv_fastpath import run_des
 
 REQUESTS = 1_500
 QPS_PER_WORKER = 50_000.0
@@ -173,12 +175,13 @@ def study():
 def _digest(study, name, fraction, workers, *, fastpath):
     store = study.build_store(VARIANTS[name], fraction)
     try:
-        server = KvServer(store, seed=study.seed, workers=workers)
         qps = QPS_PER_WORKER * workers
         if fastpath:
-            result = server.run(qps, requests=REQUESTS)
+            result = KvServer(store, seed=study.seed).run(
+                qps, requests=REQUESTS)
         else:
-            result = server._run_des(qps, REQUESTS)
+            result = run_des(store, qps, REQUESTS, seed=study.seed,
+                             workers=workers)
         blob = repr((astuple(result), store.num_keys))
     finally:
         store.free()
@@ -225,9 +228,8 @@ def _spans_digest(study):
     telemetry = Telemetry(spans=SpanRecorder())
     store = study.build_store(WORKLOADS["D"], 0.1)
     try:
-        KvServer(store, seed=study.seed, workers=4,
-                 telemetry=telemetry)._run_des(4 * QPS_PER_WORKER,
-                                               REQUESTS)
+        run_des(store, 4 * QPS_PER_WORKER, REQUESTS, seed=study.seed,
+                workers=4, telemetry=telemetry)
     finally:
         store.free()
     blob = json.dumps(telemetry.spans.export(), sort_keys=True,

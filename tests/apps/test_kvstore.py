@@ -9,7 +9,70 @@ from repro import build_system, combined_testbed
 from repro.apps.kvstore import KvServer, KvStore, RedisYcsbStudy
 from repro.errors import WorkloadError
 from repro.topology import Membind
+from repro.units import CACHELINE
 from repro.workloads import WORKLOADS, Operation
+
+
+def record_node_mix(store, key: int) -> dict[int, float]:
+    """Fraction of the record's lines on each node, by node id.
+
+    Walks the (usually one or two) pages the record spans; records and
+    pages are both cacheline-aligned, so no line straddles a page.
+    """
+    if not 0 <= key < store.num_keys:
+        raise WorkloadError(f"key {key} outside keyspace")
+    start = key * store.record_bytes
+    end = start + store.record_bytes
+    page = store.allocation.page_bytes
+    page_nodes = store.allocation.page_nodes
+    lines: dict[int, int] = {}
+    while start < end:
+        index = start // page
+        stop = min((index + 1) * page, end)
+        node = int(page_nodes[index])
+        lines[node] = lines.get(node, 0) + (stop - start) // CACHELINE
+        start = stop
+    total = store.record_bytes // CACHELINE
+    return {node: lines[node] / total for node in sorted(lines)}
+
+
+def cxl_resident_fraction(store) -> float:
+    """Fraction of the whole store on CXL nodes."""
+    fractions = store.allocation.node_fractions()
+    return sum(share for node, share in fractions.items()
+               if store.system.topology.node(node).kind.is_cxl)
+
+
+def miss_parts(store, key: int) -> tuple[float, float, float]:
+    """``(miss_ns, dram_ns, cxl_ns)`` of one record: the per-key
+    reference for :meth:`KvStore.miss_latencies_ns`.
+
+    ``miss_ns`` is the line-weighted per-miss latency, summed in
+    ascending node-id order; the other two split the same products by
+    the kind of node backing the lines.
+    """
+    topology = store.system.topology
+    miss_ns = 0.0
+    dram = 0.0
+    cxl = 0.0
+    for node, share in record_node_mix(store, key).items():
+        part = share * store._node_read_ns[node]
+        miss_ns += part
+        if topology.node(node).kind.is_cxl:
+            cxl += part
+        else:
+            dram += part
+    return miss_ns, dram, cxl
+
+
+def average_miss_latency_ns(store, key: int) -> float:
+    return miss_parts(store, key)[0]
+
+
+def miss_node_split(store, key: int) -> tuple[float, float]:
+    """``(dram_share_ns, cxl_share_ns)`` of the per-miss latency."""
+    _, dram, cxl = miss_parts(store, key)
+    return dram, cxl
 
 
 @pytest.fixture(scope="module")
@@ -28,19 +91,19 @@ def study(system):
 class TestStorePlacement:
     def test_membind_dram(self, study):
         store = study.build_store(WORKLOADS["A"], 0.0)
-        assert store.cxl_resident_fraction() == 0.0
+        assert cxl_resident_fraction(store) == 0.0
 
     def test_membind_cxl(self, study):
         store = study.build_store(WORKLOADS["A"], 1.0)
-        assert store.cxl_resident_fraction() == 1.0
+        assert cxl_resident_fraction(store) == 1.0
 
     def test_half_interleave(self, study):
         store = study.build_store(WORKLOADS["A"], 0.5)
-        assert store.cxl_resident_fraction() == pytest.approx(0.5, abs=0.01)
+        assert cxl_resident_fraction(store) == pytest.approx(0.5, abs=0.01)
 
     def test_paper_ratio_3_23(self, study):
         store = study.build_store(WORKLOADS["A"], 1 / 31)
-        assert store.cxl_resident_fraction() == pytest.approx(0.0323,
+        assert cxl_resident_fraction(store) == pytest.approx(0.0323,
                                                               abs=0.002)
 
     def test_bad_fraction_rejected(self, study):
@@ -49,7 +112,7 @@ class TestStorePlacement:
 
     def test_record_node_mix_sums_to_one(self, study):
         store = study.build_store(WORKLOADS["A"], 0.5)
-        mix = store.record_node_mix(123)
+        mix = record_node_mix(store, 123)
         assert sum(mix.values()) == pytest.approx(1.0)
 
 
@@ -89,9 +152,9 @@ class TestMissLatencyPinned:
                         capacity_keys=capacity)
         try:
             latency, split = MISS_LATENCY_SHA256[fraction]
-            assert _sha256([store.average_miss_latency_ns(key)
+            assert _sha256([average_miss_latency_ns(store, key)
                             for key in range(capacity)]) == latency
-            assert _sha256([store.miss_node_split(key) for key in
+            assert _sha256([miss_node_split(store, key) for key in
                             range(0, study.num_keys, 7)]) == split
         finally:
             store.free()
@@ -110,7 +173,7 @@ class TestMissLatencyPinned:
             # Shuffled, repeated keys come back in request order.
             shuffled = np.random.default_rng(3).integers(0, capacity, 5000)
             assert store.miss_latencies_ns(shuffled).tolist() == [
-                store.average_miss_latency_ns(int(key))
+                average_miss_latency_ns(store, int(key))
                 for key in shuffled]
         finally:
             store.free()
@@ -119,8 +182,8 @@ class TestMissLatencyPinned:
         store = study.build_store(WORKLOADS["A"], 0.5)
         try:
             for key in (0, 3, 123, 199_999):
-                dram, cxl = store.miss_node_split(key)
-                assert dram + cxl == store.average_miss_latency_ns(key)
+                dram, cxl = miss_node_split(store, key)
+                assert dram + cxl == average_miss_latency_ns(store, key)
         finally:
             store.free()
 
@@ -128,9 +191,9 @@ class TestMissLatencyPinned:
         store = study.build_store(WORKLOADS["A"], 0.5)
         try:
             with pytest.raises(WorkloadError):
-                store.average_miss_latency_ns(study.num_keys)
+                average_miss_latency_ns(store, study.num_keys)
             with pytest.raises(WorkloadError):
-                store.miss_node_split(-1)
+                miss_node_split(store, -1)
             for bad in (study.num_keys, -1):
                 with pytest.raises(WorkloadError, match=f"key {bad} "):
                     store.miss_latencies_ns(np.array([0, 5, bad, 7]))
@@ -169,14 +232,14 @@ class TestServiceModel:
         """Fig 7 D-variants: lat > zipf > uni in cache friendliness."""
         d = WORKLOADS["D"]
         hit = {dist: study.build_store(d.with_distribution(dist),
-                                       1.0).cache_hit_prob
+                                       1.0)._cache_hit_prob
                for dist in ("latest", "zipfian", "uniform")}
         assert hit["latest"] >= hit["zipfian"] > hit["uniform"]
 
     def test_out_of_range_key_rejected(self, study):
         store = study.build_store(WORKLOADS["A"], 0.0)
         with pytest.raises(WorkloadError):
-            store.record_offset(10**9)
+            store.miss_latencies_ns(np.array([10**9]))
 
 
 class TestBatchedSampler:
@@ -214,7 +277,7 @@ class TestBatchedSampler:
             expected = 20.0 * rng.lognormal(0.0, 0.5)
             if op is Operation.READ_MODIFY_WRITE:
                 expected *= 1.15
-            if rng.random() < store.cache_hit_prob:
+            if rng.random() < store._cache_hit_prob:
                 expected *= 0.1
             assert sampled == expected
 
@@ -350,7 +413,7 @@ class TestInserts:
             key = store.insert_record()
             assert key == 1000
             assert store.num_keys == 1001
-            store.record_offset(key)          # addressable now
+            store.miss_latencies_ns(np.array([key]))  # addressable now
         finally:
             store.free()
 
@@ -397,14 +460,19 @@ class TestInserts:
 
 
 class TestMemcachedVariant:
-    """§6.1: memcached (threaded) is latency-bound just like Redis."""
+    """§6.1: memcached (threaded) is latency-bound just like Redis.
+
+    A threaded server is the KV station with more FIFO slots, run on
+    the DES reference of ``test_kv_fastpath.py``.
+    """
 
     def run_with_workers(self, study, fraction, qps, workers,
                          requests=5000):
+        from tests.apps.test_kv_fastpath import run_des
+
         store = study.build_store(WORKLOADS["A"], fraction)
         try:
-            return KvServer(store, workers=workers).run(
-                qps, requests=requests)
+            return run_des(store, qps, requests, workers=workers)
         finally:
             store.free()
 
@@ -424,11 +492,3 @@ class TestMemcachedVariant:
         dram = self.run_with_workers(study, 0.0, 30_000, workers=4)
         cxl = self.run_with_workers(study, 1.0, 30_000, workers=4)
         assert cxl.mean_service_ns > 1.3 * dram.mean_service_ns
-
-    def test_zero_workers_rejected(self, study):
-        store = study.build_store(WORKLOADS["A"], 0.0)
-        try:
-            with pytest.raises(WorkloadError):
-                KvServer(store, workers=0)
-        finally:
-            store.free()

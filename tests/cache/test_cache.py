@@ -15,6 +15,22 @@ def tiny_cache(ways=2, sets=4) -> SetAssociativeCache:
     return SetAssociativeCache(config)
 
 
+def check_invariants(cache: SetAssociativeCache) -> None:
+    """Structural invariants; cheap enough for property tests."""
+    for index, target_set in enumerate(cache._sets):
+        if len(target_set) > cache.config.ways:
+            raise CacheError(
+                f"{cache.name} set {index} holds {len(target_set)} lines "
+                f"> {cache.config.ways} ways")
+        for aligned, line in target_set.items():
+            if line.address != aligned:
+                raise CacheError("set key does not match line address")
+            if cache._set_index(aligned) != index:
+                raise CacheError("line stored in the wrong set")
+            if not line.state.is_valid:
+                raise CacheError("invalid line left resident")
+
+
 def addr(set_index: int, way_tag: int, sets: int = 4) -> int:
     """An address mapping to ``set_index`` with a distinct tag."""
     return (way_tag * sets + set_index) * 64
@@ -128,7 +144,7 @@ class TestInstall:
         cache = tiny_cache(ways=2)
         for tag in range(5):
             cache.install(addr(0, tag), MesiState.EXCLUSIVE)
-        cache.check_invariants()
+        check_invariants(cache)
         assert cache.resident_lines() == 2
 
 
@@ -150,7 +166,7 @@ class TestInvariantsProperty:
                 cache.writeback(address)
             else:
                 cache.invalidate(address)
-        cache.check_invariants()
+        check_invariants(cache)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=64), min_size=1,

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from repro import build_system, units
 from repro.config import CacheConfig, CacheLevelConfig, single_socket_testbed
 from repro.errors import CacheError
-from repro.cache import CacheHierarchy, StreamPrefetcher
+from repro.cache import CacheHierarchy
 from repro.telemetry import Telemetry
+from tests.cache.test_cache import check_invariants
 
 
 def small_hierarchy() -> CacheHierarchy:
@@ -67,7 +68,7 @@ class TestFunctionalLoads:
         # Inclusion may be violated by LLC evictions of L1-resident lines
         # in this simplified model only if LLC is smaller; here LLC is
         # largest, so inclusion holds for recently-filled lines.
-        hierarchy.llc.check_invariants()
+        check_invariants(hierarchy.llc)
 
 
 class TestFunctionalStores:
@@ -205,37 +206,3 @@ class TestLifetime:
             hierarchy.store(address)
         assert telemetry.registry.counter(
             "cache.memory_writebacks").value == hierarchy.memory_writebacks
-
-
-class TestPrefetcher:
-    def test_disabled_prefetcher_never_issues(self):
-        prefetcher = StreamPrefetcher(enabled=False)
-        for i in range(10):
-            assert prefetcher.observe(i * 64) == []
-        assert prefetcher.coverage(sequential=True) == 0.0
-
-    def test_sequential_stream_detected(self):
-        prefetcher = StreamPrefetcher()
-        issued = []
-        for i in range(8):
-            issued += prefetcher.observe(i * 64)
-        assert issued    # locked on after confirmations
-
-    def test_prefetches_are_ahead_of_stream(self):
-        prefetcher = StreamPrefetcher(distance_lines=4)
-        last = []
-        for i in range(8):
-            out = prefetcher.observe(i * 64)
-            if out:
-                last = out
-        assert all(address > 7 * 64 for address in last)
-
-    def test_random_pattern_not_covered(self):
-        assert StreamPrefetcher().coverage(sequential=False) == 0.0
-
-    def test_sequential_coverage_is_high(self):
-        assert StreamPrefetcher().coverage(sequential=True) >= 0.8
-
-    def test_bad_params_rejected(self):
-        with pytest.raises(ValueError):
-            StreamPrefetcher(streams=0)

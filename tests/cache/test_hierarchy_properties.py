@@ -10,7 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import CacheHierarchy
 from repro.config import CacheConfig, CacheLevelConfig
+from repro.errors import CacheError
 from repro.telemetry import Telemetry
+
+
+def check_inclusion(hierarchy: CacheHierarchy) -> None:
+    """Inclusive-LLC invariant: every L1/L2 line is also in the LLC."""
+    for upper in (hierarchy.l1, hierarchy.l2):
+        for upper_set in upper._sets:
+            for aligned in upper_set:
+                if not hierarchy.llc.contains(aligned):
+                    raise CacheError(
+                        f"{upper.name} line {aligned:#x} missing from "
+                        "inclusive LLC")
 
 
 def tiny_hierarchy(telemetry=None) -> CacheHierarchy:
@@ -36,7 +48,7 @@ class TestInclusionProperties:
         hierarchy = tiny_hierarchy()
         for op, address in stream:
             getattr(hierarchy, op)(address)
-        hierarchy.check_inclusion()      # raises CacheError on violation
+        check_inclusion(hierarchy)       # raises CacheError on violation
 
     @settings(max_examples=30, deadline=None)
     @given(operations)

@@ -8,7 +8,7 @@ from repro import (
     dual_socket_testbed,
     single_socket_testbed,
 )
-from repro.cpu import MemoryScheme, pin_threads
+from repro.cpu import MemoryScheme
 from repro.errors import ConfigError
 from repro.topology import Membind, MemoryKind
 
@@ -116,27 +116,3 @@ class TestSncMode:
         system = build_system(single_socket_testbed())
         snc = system.snc_system()
         assert snc.socket.mesh.traverse_ns() < system.socket.mesh.traverse_ns()
-
-
-class TestThreadPinning:
-    def test_one_thread_per_core(self):
-        system = build_system(single_socket_testbed())
-        threads = pin_threads(8, system.socket.cores)
-        assert len(threads) == 8
-        assert len({t.core.core_id for t in threads}) == 8
-
-    def test_oversubscription_rejected(self):
-        system = build_system(single_socket_testbed())
-        with pytest.raises(ConfigError):
-            pin_threads(33, system.socket.cores)
-
-    def test_zero_threads_rejected(self):
-        system = build_system(single_socket_testbed())
-        with pytest.raises(ConfigError):
-            pin_threads(0, system.socket.cores)
-
-    def test_prefetch_flag_propagates(self):
-        system = build_system(single_socket_testbed())
-        threads = pin_threads(2, system.socket.cores,
-                              prefetch_enabled=False)
-        assert all(not t.prefetch_enabled for t in threads)

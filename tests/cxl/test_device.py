@@ -95,40 +95,11 @@ class TestDeviceController:
 
 
 class TestHdm:
-    def test_single_device_decode(self):
-        decoder = HdmDecoder()
-        decoder.add_range(HdmRange(base=0x1000, size=units.gib(16),
-                                   targets=(0,)))
-        device, local = decoder.decode(0x1000 + 12345)
-        assert device == 0
-        assert local == 12345
-
-    def test_two_way_interleave_alternates(self):
-        decoder = HdmDecoder()
-        decoder.add_range(HdmRange(base=0, size=units.gib(32),
-                                   targets=(0, 1), granularity=256))
-        assert decoder.decode(0)[0] == 0
-        assert decoder.decode(256)[0] == 1
-        assert decoder.decode(512)[0] == 0
-
-    def test_interleave_local_addresses_are_compact(self):
-        decoder = HdmDecoder()
-        decoder.add_range(HdmRange(base=0, size=units.gib(32),
-                                   targets=(0, 1), granularity=256))
-        # Chunks 0, 2, 4 land on device 0 at local 0, 256, 512.
-        assert decoder.decode(0) == (0, 0)
-        assert decoder.decode(512) == (0, 256)
-        assert decoder.decode(1024) == (0, 512)
-
     def test_overlap_rejected(self):
         decoder = HdmDecoder()
         decoder.add_range(HdmRange(base=0, size=4096, targets=(0,)))
         with pytest.raises(ProtocolError):
             decoder.add_range(HdmRange(base=2048, size=4096, targets=(1,)))
-
-    def test_unmapped_address_rejected(self):
-        with pytest.raises(ProtocolError):
-            HdmDecoder().decode(0x1234)
 
     def test_non_power_of_two_ways_rejected(self):
         with pytest.raises(ProtocolError):

@@ -75,13 +75,6 @@ class TestMapping:
         assert mapped[1].hpa_base == units.gib(144)
         assert decoder.total_capacity() == units.gib(32)
 
-    def test_decode_routes_to_right_device(self):
-        devices = enumerate_devices(
-            [type3_dvsec(units.gib(16)), type3_dvsec(units.gib(16))])
-        decoder, mapped = map_devices(devices, hpa_base=0)
-        assert decoder.decode(units.gib(8))[0] == 0
-        assert decoder.decode(units.gib(24))[0] == 1
-
     def test_type1_devices_not_mapped(self):
         devices = enumerate_devices(
             [type3_dvsec(device_type=CxlDeviceType.TYPE1, capacity=0),

@@ -12,7 +12,6 @@ from repro.dsa import (
     DsaOpcode,
     ProcessingEngine,
     SubmissionMode,
-    WorkQueue,
 )
 from repro.dsa.descriptor import memmove
 
@@ -61,31 +60,6 @@ class TestDescriptors:
     def test_empty_batch_rejected(self):
         with pytest.raises(DeviceError):
             BatchDescriptor(())
-
-
-class TestWorkQueue:
-    def test_fifo(self):
-        wq = WorkQueue(depth=4)
-        first = memmove(64, L8, CXL)
-        second = memmove(128, L8, CXL)
-        assert wq.submit(first)
-        assert wq.submit(second)
-        assert wq.pull() is first
-        assert wq.pull() is second
-
-    def test_full_queue_rejects(self):
-        wq = WorkQueue(depth=1)
-        assert wq.submit(memmove(64, L8, CXL))
-        assert not wq.submit(memmove(64, L8, CXL))
-        assert wq.rejected_total == 1
-
-    def test_pull_empty_raises(self):
-        with pytest.raises(DeviceError):
-            WorkQueue(depth=1).pull()
-
-    def test_zero_depth_rejected(self):
-        with pytest.raises(DeviceError):
-            WorkQueue(depth=0)
 
 
 class TestEngine:

@@ -13,6 +13,31 @@ from repro.mem.banks import (
     ddr5_4800_timings,
 )
 from repro.mem.dram_sim import DramChannelSim
+from repro.sim.rng import substream
+
+
+def sequential_stream(num_lines: int) -> np.ndarray:
+    return np.arange(num_lines, dtype=np.int64)
+
+
+def random_stream(num_lines: int, *, footprint_lines: int,
+                  seed: int = 23) -> np.ndarray:
+    rng = substream(f"dram-sim-{seed}", seed)
+    return rng.integers(0, footprint_lines, size=num_lines, dtype=np.int64)
+
+
+def sequential_efficiency(timings: DdrTimings,
+                          num_lines: int = 8192) -> float:
+    """Achieved fraction of peak for one sequential stream."""
+    return DramChannelSim(timings).replay(
+        sequential_stream(num_lines)).efficiency(timings)
+
+
+def random_efficiency(timings: DdrTimings, num_lines: int = 8192,
+                      footprint_lines: int = 1 << 20) -> float:
+    """Achieved fraction of peak for uniformly random lines."""
+    return DramChannelSim(timings).replay(random_stream(
+        num_lines, footprint_lines=footprint_lines)).efficiency(timings)
 
 
 class TestTimings:
@@ -69,28 +94,26 @@ class TestBank:
 class TestChannelSim:
     def test_sequential_stream_has_high_row_hit_rate(self):
         sim = DramChannelSim(ddr5_4800_timings())
-        result = sim.replay(DramChannelSim.sequential_stream(4096))
+        result = sim.replay(sequential_stream(4096))
         assert result.row_hit_rate > 0.95
 
     def test_random_stream_has_near_zero_hit_rate(self):
         sim = DramChannelSim(ddr5_4800_timings())
-        result = sim.replay(DramChannelSim.random_stream(
-            4096, footprint_lines=1 << 20))
+        result = sim.replay(random_stream(4096,
+                                          footprint_lines=1 << 20))
         assert result.row_hit_rate < 0.05
 
     def test_sequential_efficiency_is_high(self):
         for timings in (ddr5_4800_timings(), ddr4_2666_timings()):
-            eff = DramChannelSim(timings) \
-                .measured_sequential_efficiency()
+            eff = sequential_efficiency(timings)
             assert 0.70 <= eff <= 1.0
 
     def test_random_efficiency_is_much_lower(self):
         """The simulated gap grounds the calibrated sequential/random
         efficiency split the analytic model uses."""
         for timings in (ddr5_4800_timings(), ddr4_2666_timings()):
-            sim = DramChannelSim(timings)
-            seq = sim.measured_sequential_efficiency()
-            rnd = sim.measured_random_efficiency()
+            seq = sequential_efficiency(timings)
+            rnd = random_efficiency(timings)
             assert rnd < 0.7 * seq
             assert 0.25 <= rnd <= 0.65
 
@@ -98,17 +121,16 @@ class TestChannelSim:
         """Doubling the activate window cuts random bandwidth."""
         base = ddr5_4800_timings()
         slow = replace(base, tfaw_ns=base.tfaw_ns * 2)
-        fast_eff = DramChannelSim(base).measured_random_efficiency()
-        slow_eff = DramChannelSim(slow).measured_random_efficiency()
+        fast_eff = random_efficiency(base)
+        slow_eff = random_efficiency(slow)
         assert slow_eff < 0.7 * fast_eff
 
     def test_tfaw_irrelevant_for_sequential(self):
         """Row hits need no activates — tFAW cannot touch streaming."""
         base = ddr5_4800_timings()
         slow = replace(base, tfaw_ns=base.tfaw_ns * 4)
-        assert DramChannelSim(slow).measured_sequential_efficiency() == \
-            pytest.approx(DramChannelSim(base)
-                          .measured_sequential_efficiency(), rel=0.02)
+        assert sequential_efficiency(slow) == \
+            pytest.approx(sequential_efficiency(base), rel=0.02)
 
     def test_address_mapping_keeps_rows_contiguous(self):
         sim = DramChannelSim(ddr5_4800_timings())
@@ -122,13 +144,6 @@ class TestChannelSim:
         with pytest.raises(DeviceError):
             DramChannelSim(ddr5_4800_timings()).replay(
                 np.array([], dtype=np.int64))
-
-    def test_deterministic_random_stream(self):
-        a = DramChannelSim.random_stream(100, footprint_lines=1000,
-                                         seed=3)
-        b = DramChannelSim.random_stream(100, footprint_lines=1000,
-                                         seed=3)
-        assert np.array_equal(a, b)
 
     def test_multistream_interleave_shape(self):
         stream = DramChannelSim.interleaved_streams(2,
@@ -169,7 +184,7 @@ class TestChannelSim:
 
     def test_ddr4_slower_than_ddr5_absolute(self):
         ddr5 = DramChannelSim(ddr5_4800_timings()).replay(
-            DramChannelSim.sequential_stream(4096))
+            sequential_stream(4096))
         ddr4 = DramChannelSim(ddr4_2666_timings()).replay(
-            DramChannelSim.sequential_stream(4096))
+            sequential_stream(4096))
         assert ddr4.bandwidth < ddr5.bandwidth

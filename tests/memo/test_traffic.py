@@ -7,10 +7,8 @@ from repro.config import CacheConfig, CacheLevelConfig
 from repro.cache import CacheHierarchy
 from repro.cpu import AccessKind
 from repro.errors import WorkloadError
-from repro.memo.traffic import (
-    measure_cache_pollution,
-    measure_stream_traffic,
-)
+from repro.memo.traffic import measure_stream_traffic
+from repro.units import CACHELINE
 
 
 def hierarchy() -> CacheHierarchy:
@@ -67,7 +65,35 @@ class TestTrafficFactors:
             measure_stream_traffic(hierarchy(), AccessKind.LOAD, 0)
 
 
+def measure_cache_pollution(hierarchy: CacheHierarchy, *,
+                            victim_lines: int, writer_kind: AccessKind,
+                            written_lines: int) -> float:
+    """Fraction of a warm victim working set surviving a bulk write.
+
+    Warm ``victim_lines`` into the hierarchy, stream a bulk write of
+    ``written_lines`` with ``writer_kind``, then re-probe the victims
+    in the LLC.
+    """
+    writer_base = 1 << 30
+    for index in range(victim_lines):
+        hierarchy.load(index * CACHELINE)
+    for index in range(written_lines):
+        address = writer_base + index * CACHELINE
+        if writer_kind is AccessKind.STORE:
+            hierarchy.store(address)
+        elif writer_kind is AccessKind.NT_STORE:
+            hierarchy.nt_store(address)
+        else:
+            raise WorkloadError("pollution test writes with st or nt-st")
+    survived = sum(1 for index in range(victim_lines)
+                   if hierarchy.llc.contains(index * CACHELINE))
+    return survived / victim_lines
+
+
 class TestCachePollution:
+    """§6: how much of a victim working set survives a bulk write, on
+    the functional cache hierarchy."""
+
     def test_nt_store_does_not_pollute(self):
         """§6: nt-stores avoid 'polluting the precious cache resources'."""
         survival = measure_cache_pollution(

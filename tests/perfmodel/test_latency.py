@@ -89,23 +89,7 @@ class TestPointerChase:
 
 
 class TestPrefetchToggle:
-    """MEMO's prefetch knob (§4.1): huge for streams, useless for chains."""
-
-    def test_prefetch_hides_most_sequential_latency(self, model):
-        for scheme in MemoryScheme:
-            prefetched = model.prefetched_sequential_read_ns(scheme)
-            demand = model.read_path_ns(scheme)
-            assert prefetched < 0.4 * demand
-
-    def test_prefetch_gain_larger_on_cxl(self, model):
-        """The slower the memory, the more a covered line saves."""
-        cxl_saving = (model.read_path_ns(MemoryScheme.CXL)
-                      - model.prefetched_sequential_read_ns(
-                          MemoryScheme.CXL))
-        l8_saving = (model.read_path_ns(MemoryScheme.DDR5_L8)
-                     - model.prefetched_sequential_read_ns(
-                         MemoryScheme.DDR5_L8))
-        assert cxl_saving > 2 * l8_saving
+    """MEMO's prefetch knob (§4.1) is useless for dependent chains."""
 
     def test_chase_unaffected_by_prefetch_by_construction(self, model):
         """pointer_chase_ns *is* the prefetch-off number — dependent

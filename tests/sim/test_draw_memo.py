@@ -2,11 +2,12 @@
 
 ``repro.sim.rng.recall``/``remember`` hold each seeded trace a process
 draws, keyed by everything the draws read.  For every user — the KV
-request sampler (fast path, DES, workload-D inserts, the shared-stream
-``mean_service_ns``), the cluster's open-loop trace and its placement —
-a warm call must return what a cold call returns and leave every
-generator and the store exactly where the cold call left them.  A hit
-is recognized by identity: the memo hands back the very array it kept.
+request sampler (KvServer, the DES reference, workload-D inserts, the
+shared-stream ``mean_service_ns``), the cluster's open-loop trace and
+its placement — a warm call must return what a cold call returns and
+leave every generator and the store exactly where the cold call left
+them.  A hit is recognized by identity: the memo hands back the very
+array it kept.
 """
 
 from dataclasses import astuple, replace
@@ -21,6 +22,7 @@ from repro.sim import rng as rng_mod
 from repro.sim.rng import forget, generator_key, recall, remember
 from repro.topology import WeightedInterleave
 from repro.workloads import WORKLOADS, ZipfianKeys
+from tests.apps.test_kv_fastpath import run_des
 
 
 @pytest.fixture(scope="module")
@@ -153,12 +155,13 @@ class TestKvRequests:
         def run():
             store = make_store(system, WORKLOADS["D"])
             workers = 2 if runner == "des-2w" else 1
-            server = KvServer(store, seed=1, workers=workers)
             try:
                 if runner == "fast":
-                    result = server.run(40_000.0, requests=1_000)
+                    result = KvServer(store, seed=1).run(40_000.0,
+                                                         requests=1_000)
                 else:
-                    result = server._run_des(40_000.0, 1_000)
+                    result = run_des(store, 40_000.0, 1_000, seed=1,
+                                     workers=workers)
                 return repr((astuple(result), store.num_keys,
                              state(store._rng)))
             finally:

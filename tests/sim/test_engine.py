@@ -46,7 +46,8 @@ class TestScheduling:
             eng.schedule(1.0, None)
         with pytest.raises(SimulationError, match="callback"):
             eng.schedule_at(1.0, None)
-        assert eng.peek() is None
+        eng.run()
+        assert eng.events_processed == 0
 
     def test_schedule_at_absolute_time(self):
         eng = Engine()
@@ -75,7 +76,9 @@ class TestScheduling:
         with pytest.raises(SimulationError, match="past"):
             eng.schedule_at(9.5, lambda: None)
         eng.schedule_at(10.0, lambda: None)     # now itself is allowed
-        assert eng.peek() == 10.0
+        eng.run()
+        assert eng.events_processed == 2
+        assert eng.now == 10.0
 
     def test_nested_scheduling_from_callback(self):
         eng = Engine()
@@ -105,13 +108,6 @@ class TestCancellation:
         eng.cancel(handle)
         eng.cancel(handle)
         eng.run()
-
-    def test_peek_skips_cancelled(self):
-        eng = Engine()
-        early = eng.schedule(5.0, lambda: None)
-        eng.schedule(10.0, lambda: None)
-        eng.cancel(early)
-        assert eng.peek() == 10.0
 
 
 class TestRunBounds:
@@ -156,25 +152,21 @@ class TestRunBounds:
         eng.run()
         assert eng.events_processed == 7
 
-    def test_step_returns_false_when_empty(self):
-        assert Engine().step() is False
-
 
 class TestBoundedStep:
-    """The single-scan ``step(until=...)`` hot path (the historical
-    ``peek()`` + ``step()`` pair scanned the heap top twice per
-    event)."""
+    """The bounded drain ``step_until``: events up to a time, with the
+    clock left at the last one executed."""
 
     def test_step_respects_until(self):
         eng = Engine()
         fired = []
         eng.schedule(10.0, lambda: fired.append("early"))
         eng.schedule(100.0, lambda: fired.append("late"))
-        assert eng.step(until=50.0) is True
-        assert eng.step(until=50.0) is False
+        assert eng.step_until(50.0) == 1
+        assert eng.step_until(50.0) == 0
         assert fired == ["early"]
         assert eng.now == 10.0          # clock not advanced past events
-        assert eng.step() is True       # the late event is still queued
+        eng.run()                       # the late event is still queued
         assert fired == ["early", "late"]
 
     def test_step_until_skips_tombstones_before_deciding(self):
@@ -185,8 +177,9 @@ class TestBoundedStep:
         eng.cancel(doomed)
         # The earliest *live* event is past the bound, even though a
         # cancelled one sits in front of it.
-        assert eng.step(until=50.0) is False
+        assert eng.step_until(50.0) == 0
         assert fired == []
+        assert eng.now == 0.0
 
     def test_callback_args_ride_through_the_event(self):
         eng = Engine()
@@ -247,10 +240,3 @@ class TestHotPathSemanticsUnchanged:
         eng.cancel(doomed)
         eng.run()
         assert order == ["first", "third"]
-
-    def test_peek_unchanged_by_step_until(self):
-        eng = Engine()
-        eng.schedule(10.0, lambda: None)
-        assert eng.peek() == 10.0
-        assert eng.step(until=5.0) is False
-        assert eng.peek() == 10.0

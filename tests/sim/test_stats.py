@@ -1,4 +1,4 @@
-"""Percentile estimation and rate metering."""
+"""Percentile estimation and fixed measurement windows."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import LatencyRecorder, RateMeter, percentile
+from repro.sim import LatencyRecorder, percentile
 from repro.sim.rng import decision_uniform, decision_uniforms
 
 
@@ -118,35 +118,6 @@ class TestLatencyRecorder:
         assert rec.p99() > rec.p50()
 
 
-class TestRateMeter:
-    def test_bandwidth_over_window(self):
-        meter = RateMeter()
-        meter.add(nbytes=64_000_000_000, ops=1)  # 64 GB in 1 second
-        assert meter.bandwidth(now_ns=1e9) == pytest.approx(64e9)
-
-    def test_throughput(self):
-        meter = RateMeter()
-        meter.add(nbytes=0, ops=500)
-        assert meter.throughput(now_ns=1e9) == pytest.approx(500.0)
-
-    def test_reset_starts_new_window(self):
-        meter = RateMeter()
-        meter.add(nbytes=100, ops=1)
-        meter.reset(now_ns=1e9)
-        meter.add(nbytes=64, ops=1)
-        assert meter.bandwidth(now_ns=2e9) == pytest.approx(64.0)
-
-    def test_zero_window_rejected(self):
-        meter = RateMeter()
-        meter.add(nbytes=1, ops=1)
-        with pytest.raises(ValueError):
-            meter.bandwidth(now_ns=0.0)
-
-    def test_negative_add_rejected(self):
-        with pytest.raises(ValueError):
-            RateMeter().add(nbytes=-1)
-
-
 class TestWindowing:
     def test_width_partitions_span_evenly(self):
         from repro.sim import window_width
@@ -156,7 +127,7 @@ class TestWindowing:
         from repro.sim import window_width
         assert window_width(0.0, 4) == 1.0
         # Subnormal spans: the width, or the width in seconds that a
-        # RateMeter divides by, underflows to zero.
+        # window's throughput divides by, underflows to zero.
         assert window_width(5e-324, 3) == 1.0
         assert window_width(5e-324, 1) == 1.0
 

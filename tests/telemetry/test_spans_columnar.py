@@ -15,7 +15,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.stats import RateMeter, window_slot, window_width
+from repro.sim.stats import window_slot, window_width
 from repro.telemetry import SpanConfig, SpanRecorder
 from repro.telemetry.metrics import interpolate_percentile
 from repro.telemetry.spans import TAIL_PCT
@@ -81,12 +81,10 @@ class _TupleRecorder:
                           "end_ns": slot * width + width,
                           "requests": len(bucket)}
                 if bucket:
-                    meter = RateMeter(name="w", window_start_ns=slot * width)
-                    meter.add(0.0, len(bucket))
                     window["p99_ns"] = interpolate_percentile(
                         sorted(r[0] for r in bucket), TAIL_PCT)
-                    window["throughput_rps"] = meter.throughput(
-                        slot * width + width)
+                    window["throughput_rps"] = len(bucket) / (
+                        (slot * width + width - slot * width) / 1e9)
                     window["components"] = _sums(r[4] for r in bucket)
                 agg["windows"].append(window)
         return agg

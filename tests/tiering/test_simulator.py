@@ -79,43 +79,6 @@ class TestBaselineClaim:
             assert dram <= stat.avg_access_ns <= cxl
 
 
-class TestSamplingPolicy:
-    """AutoNUMA-style sampling: better than static, worse than TPP."""
-
-    @pytest.fixture(scope="class")
-    def sampling_stats(self, simulator, migrator):
-        from repro.tiering import SamplingPolicy
-        policy = SamplingPolicy(max_migrations_per_epoch=512)
-        return simulator.run(policy, migrator, epochs=20)
-
-    def test_ordering_static_sampling_tpp(self, simulator, static_stats,
-                                          tpp_stats, sampling_stats):
-        static = simulator.steady_state_ns(static_stats)
-        sampling = simulator.steady_state_ns(sampling_stats)
-        tpp = simulator.steady_state_ns(tpp_stats)
-        assert tpp < sampling < static
-
-    def test_sampling_converges_slower_than_tpp(self, tpp_stats,
-                                                sampling_stats):
-        """Partial visibility per epoch delays convergence."""
-        assert sampling_stats[2].effective_ns > tpp_stats[2].effective_ns
-
-    def test_sampling_validation(self):
-        from repro.tiering import SamplingPolicy
-        with pytest.raises(WorkloadError):
-            SamplingPolicy(sample_rate=0.0)
-        with pytest.raises(WorkloadError):
-            SamplingPolicy(sample_rate=1.5)
-        with pytest.raises(WorkloadError):
-            SamplingPolicy(promotion_threshold=0.0)
-
-    def test_sampling_respects_capacity(self, simulator, migrator,
-                                        sampling_stats):
-        # The run itself asserts capacity; reaching here means no
-        # overflow occurred across 20 epochs.
-        assert len(sampling_stats) == 20
-
-
 class TestMigrationEngines:
     def test_dsa_migrator_has_lower_overhead(self, system, simulator):
         policy = TppLikePolicy(max_migrations_per_epoch=512)
