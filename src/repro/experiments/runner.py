@@ -49,9 +49,9 @@ import argparse
 import signal
 import sys
 import time
-from datetime import datetime, timezone
 
-from ..obs import Profiler, ProgressReporter, RunHooks, RunLog
+from ..canonical import write_json
+from ..obs import Profiler, RunHooks, RunLog, append_run, utc_timestamp
 from ..obs.runlog import EXIT_FAILED_CHECKS, EXIT_INTERRUPTED, EXIT_OK
 from .registry import (ALIASES, REGISTRY, ExperimentResult, PointPlan,
                        resolve_id)
@@ -345,7 +345,6 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
     pending = {eid: len(plans[eid].specs) for eid in experiments}
     values: dict[int, object] = {}
     wall = dict.fromkeys(experiments, 0.0)
-    shown_failed: set[str] = set()
     workers = min(jobs, effective_cpu_count()) if jobs > 1 else 1
     failures: dict[str, UnitFailure] = {}
     interrupted = False
@@ -414,13 +413,9 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
         elif event == "retry":
             hooks.unit_retry(eid, attempt=attempt or 1,
                              kind=kind or "exception")
-        elif event == "failed" and hooks.reporter is not None \
-                and eid not in shown_failed:
-            # Live display only; the structured failure is collected
-            # from the outcome list after the map returns.
-            shown_failed.add(eid)
-            hooks.reporter.unit_failed(eid, kind=kind or "exception",
-                                       attempts=attempt or 1)
+        # A "failed" unit is recorded from the outcome list after the
+        # map, in unit order, so serial and --jobs runs record the same
+        # failure for an experiment whose points fail together.
 
     with profiler.collecting(), worker_pool(workers):
         with profiler.phase("pooled-experiments"):
@@ -449,40 +444,9 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
                               message=f"{failure.unit}: "
                                       f"{failure.message}")
         failures[eid] = failure
-        hooks.unit_failed(eid, failure, notify=False)
+        hooks.unit_failed(eid, failure)
     results = [(eid, cached[eid]) for eid in ids if eid in cached]
     return results, failures, interrupted, journal
-
-
-def _append_ledger(args, argv, ids, *, started_at: str, wall_s: float,
-                   hooks: RunHooks, results, fault_plan,
-                   exit_code: int, runlog: RunLog,
-                   interrupted: bool = False,
-                   spans: dict | None = None) -> None:
-    """Best-effort ledger append (a ledger I/O error never fails a run)."""
-    from ..obs import append_record, describe_append_failure, run_record
-
-    try:
-        record = run_record(
-            tool="repro-experiments",
-            argv=list(argv) if argv is not None else sys.argv[1:],
-            ids=ids, started_at=started_at, wall_s=wall_s,
-            config={"fast": not args.full, "jobs": args.jobs,
-                    "cache": not args.no_cache},
-            fault_plan_config=fault_plan.to_dict()
-            if fault_plan is not None else None,
-            seed=getattr(fault_plan, "seed", None),
-            cache_hits=hooks.cache_hits,
-            cache_misses=hooks.cache_misses,
-            verdicts=hooks.verdicts(results),
-            resilience=hooks.resilience_record(interrupted=interrupted),
-            spans=spans,
-            exit_code=exit_code)
-        path = append_record(record)
-        runlog.debug("ledger-appended", path=str(path))
-    except OSError as exc:
-        runlog.warn("ledger-append-failed",
-                    **describe_append_failure(exc))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -616,11 +580,9 @@ def main(argv: list[str] | None = None) -> int:
         seed=getattr(fault_plan, "seed", None) or 0,
         fail_fast=args.fail_fast)
 
-    started_at = datetime.now(timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ")
-    reporter = None if args.no_progress else ProgressReporter(
-        total=len(ids), runlog=runlog)
-    hooks = RunHooks(reporter=reporter, runlog=runlog)
+    started_at = utc_timestamp()
+    hooks = RunHooks(None if args.no_progress else len(ids),
+                     runlog=runlog)
     if args.jobs > 1:
         from ..parallel import effective_cpu_count
 
@@ -630,11 +592,9 @@ def main(argv: list[str] | None = None) -> int:
             # so _run_ids caps the pool; say so up front.
             runlog.warn("jobs-oversubscribed", jobs=args.jobs,
                         cpus=cpus)
-            note = (f"note: --jobs {args.jobs} exceeds the "
-                    f"{cpus} CPU(s) available to this process; "
-                    f"capping the worker count at {cpus}")
-            if reporter is not None:
-                reporter.note(note)
+            hooks.note(f"note: --jobs {args.jobs} exceeds the "
+                       f"{cpus} CPU(s) available to this process; "
+                       f"capping the worker count at {cpus}")
     runlog.info("run-start", ids=" ".join(ids), jobs=args.jobs,
                 full=args.full, cache=not args.no_cache,
                 faults=args.faults, spans=args.spans,
@@ -676,6 +636,17 @@ def main(argv: list[str] | None = None) -> int:
                 pass
         hooks.close()
     wall_s = time.perf_counter() - start
+    ledger_fields = dict(
+        tool="repro-experiments", argv=argv, ids=ids,
+        started_at=started_at, wall_s=wall_s,
+        config={"fast": not args.full, "jobs": args.jobs,
+                "cache": not args.no_cache},
+        fault_plan_config=fault_plan.to_dict()
+        if fault_plan is not None else None,
+        seed=getattr(fault_plan, "seed", None),
+        cache_hits=hooks.cache_hits, cache_misses=hooks.cache_misses,
+        verdicts=hooks.verdicts(results),
+        resilience=hooks.resilience_record(interrupted=interrupted))
 
     if interrupted:
         # Nothing lands on stdout: a partial suite must never pass for
@@ -689,11 +660,8 @@ def main(argv: list[str] | None = None) -> int:
                     else None,
                     resume=hint)
         if not args.no_ledger:
-            _append_ledger(args, argv, ids, started_at=started_at,
-                           wall_s=wall_s, hooks=hooks, results=results,
-                           fault_plan=fault_plan,
-                           exit_code=EXIT_INTERRUPTED, runlog=runlog,
-                           interrupted=True)
+            append_run(runlog, exit_code=EXIT_INTERRUPTED,
+                       **ledger_fields)
         runlog.info("run-end", wall_s=wall_s, exit_code=EXIT_INTERRUPTED)
         return EXIT_INTERRUPTED
 
@@ -710,33 +678,24 @@ def main(argv: list[str] | None = None) -> int:
             print(result.render())
             print()
             if save_dir is not None:
-                import json
-
                 (save_dir / f"{eid}.txt").write_text(
                     result.render() + "\n")
-                (save_dir / f"{eid}.json").write_text(
-                    json.dumps(result.to_dict(), indent=2,
-                               sort_keys=True) + "\n")
+                write_json(save_dir / f"{eid}.json", result.to_dict())
                 if result.spans:
                     from ..telemetry.spans import perfetto_spans_trace
 
-                    (save_dir / f"{eid}.spans.json").write_text(
-                        json.dumps(result.spans, indent=2,
-                                   sort_keys=True) + "\n")
-                    (save_dir / f"{eid}.spans.trace.json").write_text(
-                        json.dumps(perfetto_spans_trace(
-                            result.spans.get("points", {}),
-                            process_name=f"repro-spans:{eid}"),
-                            indent=2, sort_keys=True) + "\n")
+                    write_json(save_dir / f"{eid}.spans.json",
+                               result.spans)
+                    write_json(save_dir / f"{eid}.spans.trace.json",
+                               perfetto_spans_trace(
+                                   result.spans.get("points", {}),
+                                   process_name=f"repro-spans:{eid}"))
             if not result.passed:
                 failed += 1
         if save_dir is not None:
-            import json
-
             for eid, failure in failures.items():
-                (save_dir / f"{eid}.failed.json").write_text(
-                    json.dumps(failure.to_dict(), indent=2,
-                               sort_keys=True) + "\n")
+                write_json(save_dir / f"{eid}.failed.json",
+                           failure.to_dict())
     if failed:
         print(f"{failed} experiment(s) had failing shape checks")
     if failures:
@@ -767,10 +726,8 @@ def main(argv: list[str] | None = None) -> int:
         runlog.info("profile-written", path=str(suite_path),
                     experiments=len(results))
     if not args.no_ledger:
-        _append_ledger(args, argv, ids, started_at=started_at,
-                       wall_s=wall_s, hooks=hooks, results=results,
-                       fault_plan=fault_plan, exit_code=exit_code,
-                       runlog=runlog, spans=spans_ledger)
+        append_run(runlog, exit_code=exit_code, spans=spans_ledger,
+                   **ledger_fields)
     runlog.info("run-end", wall_s=wall_s, failed=failed,
                 unit_failures=len(failures),
                 resumed=len(hooks.resumed),

@@ -27,11 +27,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from datetime import datetime, timezone
 
 from .. import build_system, combined_testbed
 from ..cpu.system import MemoryScheme
-from ..obs import Profiler, RunLog
+from ..obs import Profiler, RunLog, append_run, config_hash, utc_timestamp
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .bandwidth_bench import SequentialBandwidthBench
 from .dsa_bench import DsaBench
@@ -297,33 +296,6 @@ def _render_analytic_spans(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _append_ledger(args, argv, *, started_at: str, wall_s: float,
-                   telemetry, spans: dict | None = None) -> None:
-    """Best-effort ledger append (I/O trouble never fails a bench run)."""
-    from ..obs import (append_record, config_hash,
-                       describe_append_failure, run_record)
-
-    bench_id = f"memo-{args.bench}"
-    try:
-        record = run_record(
-            tool="memo",
-            argv=list(argv) if argv is not None else sys.argv[1:],
-            ids=[bench_id], started_at=started_at, wall_s=wall_s,
-            config={"bench": args.bench,
-                    "scheme": getattr(args, "scheme", None)},
-            verdicts={bench_id: {"passed": None,
-                                 "wall_s": round(wall_s, 4),
-                                 "cached": False}},
-            metrics_digest=config_hash(
-                telemetry.registry.snapshot() or None),
-            spans=spans)
-        path = append_record(record)
-        RUNLOG.debug("ledger-appended", path=str(path))
-    except OSError as exc:
-        RUNLOG.warn("ledger-append-failed",
-                    **describe_append_failure(exc))
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     tracing = bool(getattr(args, "trace", None))
@@ -331,8 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     telemetry = (Telemetry.on(process_name=f"memo-{args.bench}")
                  if tracing or wants_metrics else NULL_TELEMETRY)
     profiler = Profiler(enabled=bool(args.profile))
-    started_at = datetime.now(timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ")
+    started_at = utc_timestamp()
     start = time.perf_counter()
     with profiler.phase("build-system"):
         testbed = combined_testbed()
@@ -386,10 +357,19 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_ledger:
         from ..telemetry.spans import spans_digest
 
-        _append_ledger(args, argv, started_at=started_at,
-                       wall_s=wall_s, telemetry=telemetry,
-                       spans=spans_digest(spans_payload)
-                       if spans_payload is not None else None)
+        bench_id = f"memo-{args.bench}"
+        append_run(
+            RUNLOG, tool="memo", argv=argv, ids=[bench_id],
+            started_at=started_at, wall_s=wall_s,
+            config={"bench": args.bench,
+                    "scheme": getattr(args, "scheme", None)},
+            verdicts={bench_id: {"passed": None,
+                                 "wall_s": round(wall_s, 4),
+                                 "cached": False}},
+            metrics_digest=config_hash(
+                telemetry.registry.snapshot() or None),
+            spans=spans_digest(spans_payload)
+            if spans_payload is not None else None)
     return 0
 
 

@@ -17,9 +17,11 @@ profilers, and regression dashboards:
   deterministic-output wall-clock component profiler (per-phase /
   per-experiment seconds, optional cProfile top-N) written as
   ``<id>.profile.json``;
-* :mod:`repro.obs.progress` — live single-line stderr progress for
-  ``--jobs`` sweeps (plain leveled logs when stderr is not a TTY);
-  stdout stays byte-identical either way;
+* :mod:`repro.obs.progress` — :class:`RunHooks`, the one recorder of
+  a sweep's unit events: it stores each event once for the ledger and,
+  unless ``--no-progress``, renders it as a live single-line stderr
+  status (plain leveled logs when stderr is not a TTY); stdout stays
+  byte-identical either way;
 * :mod:`repro.obs.report` — the ``repro-report`` CLI: one deterministic
   Markdown/HTML dashboard over ``--save`` JSON, metrics snapshots, the
   run ledger, and ``BENCH_*.json`` trajectories, with ``--baseline``
@@ -34,6 +36,7 @@ from .ledger import (
     DEFAULT_LEDGER_PATH,
     LEDGER_PATH_ENV,
     append_record,
+    append_run,
     config_hash,
     describe_append_failure,
     figure_wall_history,
@@ -41,9 +44,10 @@ from .ledger import (
     ledger_path,
     read_ledger,
     run_record,
+    utc_timestamp,
 )
 from .profiler import Profiler
-from .progress import ProgressReporter, RunHooks
+from .progress import RunHooks
 from .runlog import (
     EXIT_BAD_ARGS,
     EXIT_FAILED_CHECKS,
@@ -59,11 +63,11 @@ __all__ = [
     "EXIT_INTERRUPTED",
     "EXIT_OK",
     "LEDGER_PATH_ENV",
-    "ProgressReporter",
     "Profiler",
     "RunHooks",
     "RunLog",
     "append_record",
+    "append_run",
     "config_hash",
     "describe_append_failure",
     "figure_wall_history",
@@ -71,4 +75,5 @@ __all__ = [
     "ledger_path",
     "read_ledger",
     "run_record",
+    "utc_timestamp",
 ]

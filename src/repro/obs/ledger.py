@@ -43,11 +43,13 @@ runs exactly like ``REPRO_CACHE_DIR`` does for the result cache).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import subprocess
+import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
+from ..canonical import canonical_digest
 from ..errors import ReproError
 
 SCHEMA_VERSION = 1
@@ -69,8 +71,12 @@ def config_hash(config: dict | None) -> str | None:
     """12-hex digest of a config dict's canonical JSON (None for None)."""
     if config is None:
         return None
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return canonical_digest(config)[:12]
+
+
+def utc_timestamp() -> str:
+    """Now, as the ledger's ``started_at`` stamp (UTC, seconds)."""
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def git_rev() -> str | None:
@@ -141,6 +147,22 @@ def append_record(record: dict, path=None) -> Path:
     with target.open("a") as handle:
         handle.write(line + "\n")
     return target
+
+
+def append_run(runlog, *, argv: list[str] | None, **fields) -> None:
+    """Best-effort: build one :func:`run_record` and append it.
+
+    ``argv`` ``None`` records ``sys.argv[1:]``.  A ledger I/O error
+    never fails a run: it becomes a ``ledger-append-failed`` warning
+    on ``runlog``.
+    """
+    try:
+        path = append_record(run_record(
+            argv=sys.argv[1:] if argv is None else argv, **fields))
+        runlog.debug("ledger-appended", path=str(path))
+    except OSError as exc:
+        runlog.warn("ledger-append-failed",
+                    **describe_append_failure(exc))
 
 
 def describe_append_failure(exc: OSError, path=None) -> dict:

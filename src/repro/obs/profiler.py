@@ -22,12 +22,12 @@ uses.
 from __future__ import annotations
 
 import cProfile
-import json
 import pstats
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from ..canonical import write_json
 from ..errors import ReproError
 
 PROFILE_SCHEMA_VERSION = 1
@@ -128,11 +128,7 @@ class Profiler:
 
     def write(self, path, *, extra: dict | None = None) -> Path:
         """Write :meth:`to_dict` as pretty sorted JSON; returns path."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.to_dict(extra=extra), indent=2,
-                                     sort_keys=True) + "\n")
-        return target
+        return write_json(path, self.to_dict(extra=extra))
 
 
 def write_experiment_profile(directory, experiment_id: str, *,
@@ -144,8 +140,6 @@ def write_experiment_profile(directory, experiment_id: str, *,
     :meth:`Profiler.write`; this writes the per-experiment attribution
     next to it so dashboards can join on experiment id.
     """
-    target = Path(directory) / f"{experiment_id}.profile.json"
-    target.parent.mkdir(parents=True, exist_ok=True)
     data = {
         "schema": PROFILE_SCHEMA_VERSION,
         "experiment": experiment_id,
@@ -153,5 +147,5 @@ def write_experiment_profile(directory, experiment_id: str, *,
         "cached": cached,
         "passed": passed,
     }
-    target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return target
+    return write_json(Path(directory) / f"{experiment_id}.profile.json",
+                      data)

@@ -1,26 +1,28 @@
-"""Live progress for sweeps: single-line TTY updates, plain-log fallback.
+"""The run recorder: one place every unit event of a sweep lands.
 
-``--jobs N`` runs used to be silent until the whole suite finished.
-:class:`ProgressReporter` renders worker completions as they land:
+The experiment scheduler reports each event once — cache hit or miss,
+unit start, finish, retry, failure, checkpoint replay, cache
+quarantine — and :class:`RunHooks` stores it once.  Afterwards the
+hit/miss lists, per-unit wall seconds and resilience record are what
+:func:`repro.obs.ledger.run_record` reads.
+
+With display on (``total`` given) the recorder also renders each event
+on stderr as it lands:
 
 * stderr **is** a TTY — one carriage-return-rewritten status line
-  (``[3/14] fig6 2.1s | cache 2h/1m | eta 4.2s``), erased cleanly on
-  :meth:`close`.  Repaints are throttled to one per
-  :data:`MIN_RENDER_INTERVAL_S` so a sweep of sub-millisecond units
-  (fine-grained shards, cache-hit storms) doesn't spend its wall time
-  writing to the terminal — retries, failures, and the final
+  (``[3/14] experiments: fig6 2.1s | cache 2h/1m | eta 4.2s``), erased
+  cleanly on :meth:`~RunHooks.close`.  Repaints are throttled to one
+  per :data:`MIN_RENDER_INTERVAL_S` so a sweep of sub-millisecond
+  units (fine-grained shards, cache-hit storms) doesn't spend its wall
+  time writing to the terminal — retries, failures, and the final
   completion always render regardless;
 * stderr is **not** a TTY (CI, redirection, pytest capture) — one
-  :class:`~repro.obs.runlog.RunLog` event per completion, so logs stay
+  :class:`~repro.obs.runlog.RunLog` event per unit event, so logs stay
   line-oriented and machine-parseable.
 
 Either way nothing is ever written to stdout, which is what keeps
 serial and parallel CLI output byte-identical with progress enabled.
-
-:class:`RunHooks` is the glue between the experiment scheduler and the
-reporter: the scheduler reports cache hits/misses and unit
-start/finish, the hooks collect what the run ledger needs (per-unit
-wall seconds, hit/miss lists) and forward display updates.
+``total=None`` (``--no-progress``) records without rendering.
 """
 
 from __future__ import annotations
@@ -36,164 +38,26 @@ MIN_RENDER_INTERVAL_S = 0.1
 """Floor between consecutive TTY repaints (seconds)."""
 
 
-class ProgressReporter:
-    """Render ``done/total`` unit progress on stderr with an ETA."""
+class RunHooks:
+    """Record a sweep's unit events; render them when display is on."""
 
-    def __init__(self, total: int, *, label: str = "experiments",
+    def __init__(self, total: int | None = None, *,
                  runlog: RunLog | None = None,
                  stream: TextIO | None = None,
                  tty: bool | None = None,
                  clock=time.monotonic,
                  min_render_interval_s: float = MIN_RENDER_INTERVAL_S
                  ) -> None:
-        if total < 0:
+        if total is not None and total < 0:
             raise ReproError(f"total must be >= 0, got {total}")
         self.total = total
-        self.label = label
-        self.runlog = runlog if runlog is not None else RunLog("progress")
-        self._stream = stream
-        self._tty = tty
+        self.runlog = RunLog("progress") \
+            if runlog is None and total is not None else runlog
+        self.stream = stream if stream is not None else sys.stderr
+        self.is_tty = tty if tty is not None \
+            else bool(getattr(self.stream, "isatty", lambda: False)())
         self.clock = clock
-        self.done = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.min_render_interval_s = min_render_interval_s
-        self._started = clock()
-        self._line_width = 0
-        self._last_render: float | None = None
-        self._closed = False
-
-    @property
-    def stream(self) -> TextIO:
-        return self._stream if self._stream is not None else sys.stderr
-
-    @property
-    def is_tty(self) -> bool:
-        if self._tty is not None:
-            return self._tty
-        return bool(getattr(self.stream, "isatty", lambda: False)())
-
-    def eta_s(self) -> float | None:
-        """Remaining seconds, from the mean pace of finished units."""
-        if self.done == 0 or self.done >= self.total:
-            return None
-        elapsed = self.clock() - self._started
-        return elapsed / self.done * (self.total - self.done)
-
-    def unit_started(self, name: str) -> None:
-        if self.is_tty:
-            self._render(f"{name} …")
-        else:
-            self.runlog.debug("unit-started", id=name,
-                              done=self.done, total=self.total)
-
-    def unit_finished(self, name: str, *, wall_s: float | None = None,
-                      cached: bool = False,
-                      resumed: bool = False) -> None:
-        self.done += 1
-        if cached:
-            self.cache_hits += 1
-        if self.is_tty:
-            took = f" {wall_s:.1f}s" if wall_s is not None else ""
-            took = " cache" if cached else took
-            took = " resumed" if resumed else took
-            self._render(f"{name}{took}", force=self.done >= self.total)
-        else:
-            self.runlog.info("unit-finished", id=name, done=self.done,
-                             total=self.total, cached=cached,
-                             resumed=resumed,
-                             wall_s=wall_s, eta_s=self.eta_s())
-
-    def unit_retry(self, name: str, *, attempt: int,
-                   kind: str) -> None:
-        """One failed attempt being respawned (does not advance done)."""
-        if self.is_tty:
-            self._render(f"{name} retry #{attempt} ({kind})", force=True)
-        else:
-            self.runlog.warn("unit-retry", id=name, attempt=attempt,
-                             kind=kind, done=self.done,
-                             total=self.total)
-
-    def unit_failed(self, name: str, *, kind: str,
-                    attempts: int) -> None:
-        """A poisoned unit: retries exhausted, sweep continues."""
-        self.done += 1
-        if self.is_tty:
-            self._render(f"{name} FAILED ({kind})", force=True)
-        else:
-            self.runlog.warn("unit-failed", id=name, kind=kind,
-                             attempts=attempts, done=self.done,
-                             total=self.total)
-
-    def cache_miss(self, name: str) -> None:
-        self.cache_misses += 1
-
-    def note(self, text: str) -> None:
-        """Persist one advisory line above the live status.
-
-        On a TTY the current status line is replaced by the note (which
-        scrolls away instead of being overwritten) and then repainted;
-        off-TTY the note lands as a structured warn event.  Used for
-        run-level advisories like ``--jobs`` oversubscription.
-        """
-        if self.is_tty:
-            if self._line_width:
-                self.stream.write("\r" + " " * self._line_width + "\r")
-                self._line_width = 0
-            self.stream.write(text + "\n")
-            self.stream.flush()
-        else:
-            self.runlog.warn("note", text=text)
-
-    def _render(self, tail: str, *, force: bool = False) -> None:
-        # Repaint throttle: fine-grained shards can finish every few
-        # hundred microseconds, and an unthrottled reporter turns that
-        # into a TTY write per unit.  Counters above stay exact — only
-        # the repaint is skipped — and retries, failures, and the final
-        # unit force their way through.
-        now = self.clock()
-        if (not force and self._last_render is not None
-                and now - self._last_render < self.min_render_interval_s):
-            return
-        self._last_render = now
-        eta = self.eta_s()
-        eta_text = f" | eta {eta:.1f}s" if eta is not None else ""
-        cache_text = (f" | cache {self.cache_hits}h/"
-                      f"{self.cache_misses}m"
-                      if self.cache_hits or self.cache_misses else "")
-        line = (f"[{self.done}/{self.total}] {self.label}: "
-                f"{tail}{cache_text}{eta_text}")
-        pad = max(self._line_width - len(line), 0)
-        self._line_width = len(line)
-        self.stream.write("\r" + line + " " * pad)
-        self.stream.flush()
-
-    def close(self) -> None:
-        """Erase the TTY status line (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.is_tty and self._line_width:
-            self.stream.write("\r" + " " * self._line_width + "\r")
-            self.stream.flush()
-
-
-class RunHooks:
-    """Scheduler-side collection point feeding reporter and ledger.
-
-    The experiment scheduler calls these as units resolve; afterwards
-    ``cache_hits`` / ``cache_misses`` / ``unit_wall`` hold exactly what
-    :func:`repro.obs.ledger.run_record` wants.  A default-constructed
-    instance (no reporter) is a pure collector — the disabled-progress
-    path shares the same call sites.
-    """
-
-    def __init__(self, reporter: ProgressReporter | None = None,
-                 clock=time.perf_counter,
-                 runlog: RunLog | None = None) -> None:
-        self.reporter = reporter
-        self.clock = clock
-        self.runlog = runlog
         self.cache_hits: list[str] = []
         self.cache_misses: list[str] = []
         self.unit_wall: dict[str, float] = {}
@@ -201,62 +65,56 @@ class RunHooks:
         self.failures: dict[str, dict] = {}
         self.resumed: list[str] = []
         self.quarantined: list[dict] = []
-        self._running: dict[str, float] = {}
+        self._started = clock()
+        self._line_width = 0
+        self._last_render: float | None = None
+
+    # -- recording ---------------------------------------------------------
 
     def cache_hit(self, name: str) -> None:
         self.cache_hits.append(name)
-        if self.reporter is not None:
-            self.reporter.unit_finished(name, cached=True)
+        self._show_done(name, " cache", cached=True)
 
     def cache_miss(self, name: str) -> None:
         self.cache_misses.append(name)
-        if self.reporter is not None:
-            self.reporter.cache_miss(name)
 
     def unit_started(self, name: str) -> None:
-        self._running[name] = self.clock()
-        if self.reporter is not None:
-            self.reporter.unit_started(name)
+        self._show(f"{name} …", "debug", "unit-started", id=name,
+                   done=self.done, total=self.total)
 
-    def unit_finished(self, name: str,
-                      wall_s: float | None = None) -> None:
-        started = self._running.pop(name, None)
-        if wall_s is None and started is not None:
-            wall_s = self.clock() - started
-        if wall_s is not None:
-            self.unit_wall[name] = wall_s
-        if self.reporter is not None:
-            self.reporter.unit_finished(name, wall_s=wall_s)
-
-    def unit_retry(self, name: str, *, attempt: int, kind: str) -> None:
-        """A supervised attempt failed and is being respawned."""
-        self.retries[name] = self.retries.get(name, 0) + 1
-        if self.reporter is not None:
-            self.reporter.unit_retry(name, attempt=attempt, kind=kind)
-
-    def unit_failed(self, name: str, failure, *,
-                    notify: bool = True) -> None:
-        """A unit exhausted its retries — structured, never raising.
-
-        ``failure`` is a :class:`repro.resilience.UnitFailure` (or
-        anything with a ``to_dict``); the dict lands in the ledger's
-        ``resilience.failures`` map.  ``notify=False`` records without
-        re-driving the reporter (for callers that already streamed the
-        failure live and are folding in the structured record after).
-        """
-        self._running.pop(name, None)
-        self.failures[name] = failure.to_dict() \
-            if hasattr(failure, "to_dict") else dict(failure)
-        if notify and self.reporter is not None:
-            self.reporter.unit_failed(
-                name, kind=self.failures[name].get("kind", "exception"),
-                attempts=self.failures[name].get("attempts", 1))
+    def unit_finished(self, name: str, wall_s: float) -> None:
+        """A unit landed after ``wall_s`` seconds of its own run time."""
+        self.unit_wall[name] = wall_s
+        self._show_done(name, f" {wall_s:.1f}s", wall_s=wall_s)
 
     def unit_resumed(self, name: str) -> None:
         """A unit replayed from the checkpoint journal (``--resume``)."""
         self.resumed.append(name)
-        if self.reporter is not None:
-            self.reporter.unit_finished(name, resumed=True)
+        self._show_done(name, " resumed", resumed=True)
+
+    def unit_retry(self, name: str, *, attempt: int, kind: str) -> None:
+        """A supervised attempt failed and is being respawned (does not
+        advance ``done``)."""
+        self.retries[name] = self.retries.get(name, 0) + 1
+        self._show(f"{name} retry #{attempt} ({kind})", "warn",
+                   "unit-retry", force=True, id=name, attempt=attempt,
+                   kind=kind, done=self.done, total=self.total)
+
+    def unit_failed(self, name: str, failure) -> None:
+        """A unit exhausted its retries — structured, never raising.
+
+        ``failure`` is a :class:`repro.resilience.UnitFailure` (or
+        anything with a ``to_dict``); the dict lands in the ledger's
+        ``resilience.failures`` map.
+        """
+        record = failure.to_dict() if hasattr(failure, "to_dict") \
+            else dict(failure)
+        self.failures[name] = record
+        kind = record.get("kind", "exception")
+        self._show(f"{name} FAILED ({kind})", "warn", "unit-failed",
+                   force=True, id=name, kind=kind,
+                   attempts=record.get("attempts", 1), done=self.done,
+                   total=self.total)
 
     def cache_quarantined(self, key: str, path: str,
                           reason: str) -> None:
@@ -266,6 +124,8 @@ class RunHooks:
         if self.runlog is not None:
             self.runlog.warn("cache-quarantined", key=key,
                              reason=reason, path=path)
+
+    # -- ledger views ------------------------------------------------------
 
     def resilience_record(self, *, interrupted: bool = False) -> dict | None:
         """The ledger's ``resilience`` field; ``None`` when untouched.
@@ -311,6 +171,87 @@ class RunHooks:
             }
         return out
 
+    # -- display -----------------------------------------------------------
+
+    @property
+    def done(self) -> int:
+        """Units resolved so far: served, finished, replayed or failed."""
+        return (len(self.cache_hits) + len(self.unit_wall)
+                + len(self.resumed) + len(self.failures))
+
+    def eta_s(self) -> float | None:
+        """Remaining seconds, from the mean pace of resolved units."""
+        done = self.done
+        if done == 0 or self.total is None or done >= self.total:
+            return None
+        elapsed = self.clock() - self._started
+        return elapsed / done * (self.total - done)
+
+    def note(self, text: str) -> None:
+        """Persist one advisory line above the live status.
+
+        On a TTY the current status line is replaced by the note (which
+        scrolls away instead of being overwritten) and then repainted;
+        off-TTY the note lands as a structured warn event.  Used for
+        run-level advisories like ``--jobs`` oversubscription.
+        """
+        if self.total is None:
+            return
+        if self.is_tty:
+            self._erase()
+            self.stream.write(text + "\n")
+            self.stream.flush()
+        else:
+            self.runlog.warn("note", text=text)
+
+    def _show_done(self, name: str, took: str, *,
+                   wall_s: float | None = None, cached: bool = False,
+                   resumed: bool = False) -> None:
+        self._show(f"{name}{took}", "info", "unit-finished",
+                   force=self.done == self.total, id=name,
+                   done=self.done, total=self.total, cached=cached,
+                   resumed=resumed, wall_s=wall_s, eta_s=self.eta_s())
+
+    def _show(self, tail: str, level: str, event: str, *,
+              force: bool = False, **fields) -> None:
+        """Render one event: the TTY status line, or a RunLog event."""
+        if self.total is None:
+            return
+        if self.is_tty:
+            self._render(tail, force=force)
+        else:
+            getattr(self.runlog, level)(event, **fields)
+
+    def _render(self, tail: str, *, force: bool = False) -> None:
+        # Repaint throttle: fine-grained shards can finish every few
+        # hundred microseconds, and an unthrottled status line turns
+        # that into a TTY write per unit.  The records above stay exact
+        # — only the repaint is skipped — and retries, failures, and
+        # the final unit force their way through.
+        now = self.clock()
+        if (not force and self._last_render is not None
+                and now - self._last_render < self.min_render_interval_s):
+            return
+        self._last_render = now
+        eta = self.eta_s()
+        eta_text = f" | eta {eta:.1f}s" if eta is not None else ""
+        cache_text = (f" | cache {len(self.cache_hits)}h/"
+                      f"{len(self.cache_misses)}m"
+                      if self.cache_hits or self.cache_misses else "")
+        line = (f"[{self.done}/{self.total}] experiments: "
+                f"{tail}{cache_text}{eta_text}")
+        pad = max(self._line_width - len(line), 0)
+        self._line_width = len(line)
+        self.stream.write("\r" + line + " " * pad)
+        self.stream.flush()
+
+    def _erase(self) -> None:
+        if self._line_width:
+            self.stream.write("\r" + " " * self._line_width + "\r")
+            self._line_width = 0
+
     def close(self) -> None:
-        if self.reporter is not None:
-            self.reporter.close()
+        """Erase the TTY status line (idempotent)."""
+        if self.total is not None and self.is_tty:
+            self._erase()
+            self.stream.flush()

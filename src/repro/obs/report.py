@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ..analysis.sparkline import trend
+from ..canonical import write_json
 from .ledger import figure_wall_history, read_ledger
 from .runlog import EXIT_FAILED_CHECKS, EXIT_OK, RunLog
 
@@ -536,10 +537,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.write_baseline:
         baseline = build_baseline(experiments, bench_trends)
-        target = Path(args.write_baseline)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(baseline, indent=2,
-                                     sort_keys=True) + "\n")
+        target = write_json(args.write_baseline, baseline)
         runlog.info("baseline-written", path=str(target),
                     experiments=len(baseline["experiments"]),
                     bench_metrics=len(baseline["bench"]))

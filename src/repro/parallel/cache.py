@@ -37,6 +37,7 @@ import json
 import os
 from pathlib import Path
 
+from ..canonical import canonical_digest, write_json
 from ..errors import ExperimentError
 
 DEFAULT_CACHE_DIR = Path("results") / ".cache"
@@ -79,16 +80,12 @@ def result_key(experiment_id: str, config: dict,
         "version": version if version is not None
         else package_fingerprint(),
     }
-    canonical = json.dumps(material, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(material)
 
 
 def payload_checksum(payload: dict) -> str:
     """SHA-256 of a payload's canonical JSON (the entry checksum)."""
-    canonical = json.dumps(payload, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(payload)
 
 
 class ResultCache:
@@ -171,13 +168,12 @@ class ResultCache:
     def put(self, key: str, payload: dict, *,
             key_material: dict | None = None) -> Path:
         """Store ``payload`` under ``key`` atomically; returns the path."""
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(key)
         entry = {"key": key, "key_material": key_material or {},
                  "sha256": payload_checksum(payload),
                  "payload": payload}
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
+        write_json(tmp, entry)
         os.replace(tmp, path)
         return path
 

@@ -23,11 +23,11 @@ poisoning the resume — the unit simply reruns.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 
+from ..canonical import canonical_digest
 from ..errors import ResilienceError
 from ..parallel.cache import package_fingerprint
 
@@ -56,15 +56,11 @@ def suite_hash(ids, config: dict, version: str | None = None) -> str:
         "version": version if version is not None
         else package_fingerprint(),
     }
-    canonical = json.dumps(material, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(material)
 
 
 def _payload_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return canonical_digest(payload)[:16]
 
 
 class CheckpointJournal:

@@ -32,12 +32,11 @@ scenario content hash — and therefore the result-cache key — stable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from ..canonical import canonical_digest
 from ..cluster.resilience import ResiliencePolicy
 from ..cluster.sim import LinkDown
 from ..errors import ClusterError, FaultError
@@ -297,9 +296,7 @@ class Scenario:
     def content_hash(self) -> str:
         """A stable digest of the canonical document — the cache-key
         ingredient that makes editing a scenario file a cache miss."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return canonical_digest(self.to_dict())[:16]
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..canonical import write_json
 from ..errors import TelemetryError
 from .metrics import Registry
 from .tracer import Tracer
@@ -43,10 +44,7 @@ def render_metrics(registry: Registry) -> str:
 
 def write_metrics(registry: Registry, path) -> Path:
     """Write the snapshot as JSON; returns the path written."""
-    target = Path(path)
-    target.write_text(json.dumps(registry.snapshot(), indent=2,
-                                 sort_keys=True) + "\n")
-    return target
+    return write_json(path, registry.snapshot())
 
 
 def write_trace(tracer: Tracer, path) -> Path:

@@ -28,13 +28,13 @@ free of any per-request work.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..canonical import canonical_digest
 from .metrics import interpolate_percentile
 
 TAIL_PCT = 99.0
@@ -506,7 +506,6 @@ def spans_digest(payload: Mapping) -> dict:
     runs with identical span output share a digest and any breakdown
     drift changes it.
     """
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     count = 0
     stack = [payload]
     while stack:
@@ -517,7 +516,7 @@ def spans_digest(payload: Mapping) -> dict:
                 count += len(exemplars)
             stack.extend(v for v in node.values() if isinstance(v, Mapping))
     return {"exemplars": count,
-            "digest": hashlib.sha256(blob.encode()).hexdigest()[:12]}
+            "digest": canonical_digest(payload)[:12]}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""ProgressReporter / RunHooks: TTY vs log rendering, ledger collection."""
+"""RunHooks, the run recorder: TTY vs log rendering, ledger collection."""
 
 import io
 
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import ProgressReporter, RunHooks, RunLog
+from repro.obs import RunHooks, RunLog
 
 
 class FakeClock:
@@ -21,18 +21,25 @@ class FakeClock:
 
 def tty_reporter(total, clock=None):
     stream = io.StringIO()
-    reporter = ProgressReporter(total, stream=stream, tty=True,
-                                clock=clock or FakeClock())
+    reporter = RunHooks(total, stream=stream, tty=True,
+                        clock=clock or FakeClock())
     return reporter, stream
 
 
 def log_reporter(total, clock=None):
     stream = io.StringIO()
     runlog = RunLog("progress", level="debug", stream=stream)
-    reporter = ProgressReporter(total, stream=stream, tty=False,
-                                runlog=runlog,
-                                clock=clock or FakeClock())
+    reporter = RunHooks(total, stream=stream, tty=False, runlog=runlog,
+                        clock=clock or FakeClock())
     return reporter, stream
+
+
+class Failure:
+    def __init__(self, kind, attempts):
+        self.kind, self.attempts = kind, attempts
+
+    def to_dict(self):
+        return {"kind": self.kind, "attempts": self.attempts}
 
 
 class TestTty:
@@ -57,7 +64,7 @@ class TestTty:
 
     def test_cached_unit_rendered_as_cache(self):
         reporter, stream = tty_reporter(2)
-        reporter.unit_finished("fig3", cached=True)
+        reporter.cache_hit("fig3")
         assert "fig3 cache" in stream.getvalue()
 
     def test_close_erases_the_line(self):
@@ -73,7 +80,7 @@ class TestTty:
         reporter.unit_started("a-very-long-experiment-name")
         start = len(stream.getvalue())
         clock.advance(1.0)                     # clear the repaint throttle
-        reporter.unit_finished("x")
+        reporter.unit_finished("x", wall_s=0.0)
         second = stream.getvalue()[start:]
         assert len(second.lstrip("\r")) >= len(
             "a-very-long-experiment-name")
@@ -93,9 +100,9 @@ class TestThrottle:
     def test_repaint_resumes_after_interval(self):
         clock = FakeClock()
         reporter, stream = tty_reporter(10, clock=clock)
-        reporter.unit_finished("a")
+        reporter.unit_finished("a", wall_s=0.0)
         clock.advance(0.2)
-        reporter.unit_finished("b")
+        reporter.unit_finished("b", wall_s=0.0)
         text = stream.getvalue()
         assert text.count("\r") == 2
         assert "[2/10]" in text
@@ -103,16 +110,16 @@ class TestThrottle:
     def test_final_unit_always_renders(self):
         clock = FakeClock()
         reporter, stream = tty_reporter(2, clock=clock)
-        reporter.unit_finished("a")
-        reporter.unit_finished("b")            # same instant, but last
+        reporter.unit_finished("a", wall_s=0.0)
+        reporter.unit_finished("b", wall_s=0.0)  # same instant, but last
         assert "[2/2]" in stream.getvalue()
 
     def test_retry_and_failure_bypass_throttle(self):
         clock = FakeClock()
         reporter, stream = tty_reporter(3, clock=clock)
-        reporter.unit_finished("a")
+        reporter.unit_finished("a", wall_s=0.0)
         reporter.unit_retry("b", attempt=1, kind="timeout")
-        reporter.unit_failed("b", kind="timeout", attempts=2)
+        reporter.unit_failed("b", Failure("timeout", 2))
         text = stream.getvalue()
         assert "retry #1" in text
         assert "FAILED" in text
@@ -121,7 +128,7 @@ class TestThrottle:
         clock = FakeClock()
         reporter, stream = log_reporter(10, clock=clock)
         for index in range(5):
-            reporter.unit_finished(f"unit{index}")
+            reporter.unit_finished(f"unit{index}", wall_s=0.0)
         assert len(stream.getvalue().splitlines()) == 5
 
 
@@ -148,34 +155,28 @@ class TestNonTty:
 class TestReporterBasics:
     def test_negative_total_rejected(self):
         with pytest.raises(ReproError):
-            ProgressReporter(-1)
+            RunHooks(-1)
 
     def test_eta_none_until_first_finish_and_after_last(self):
         clock = FakeClock()
         reporter, _ = tty_reporter(1, clock=clock)
         assert reporter.eta_s() is None
         clock.advance(1.0)
-        reporter.unit_finished("fig3")
+        reporter.unit_finished("fig3", wall_s=1.0)
         assert reporter.eta_s() is None
 
 
 class TestRunHooks:
     def test_collects_ledger_inputs(self):
-        clock = FakeClock()
-        hooks = RunHooks(clock=clock)
+        hooks = RunHooks()
         hooks.cache_hit("fig3")
         hooks.cache_miss("fig5")
         hooks.unit_started("fig5")
-        clock.advance(2.5)
-        hooks.unit_finished("fig5")
+        hooks.unit_finished("fig5", wall_s=2.5)
         assert hooks.cache_hits == ["fig3"]
         assert hooks.cache_misses == ["fig5"]
-        assert hooks.unit_wall["fig5"] == pytest.approx(2.5)
-
-    def test_explicit_wall_overrides_clock(self):
-        hooks = RunHooks(clock=FakeClock())
-        hooks.unit_finished("fig3", wall_s=7.0)
-        assert hooks.unit_wall["fig3"] == 7.0
+        assert hooks.unit_wall["fig5"] == 2.5
+        assert hooks.done == 2
 
     def test_verdicts_shape(self):
         class Result:
@@ -191,17 +192,65 @@ class TestRunHooks:
             "fig5": {"passed": True, "wall_s": 1.2346, "cached": False},
         }
 
-    def test_forwards_to_reporter(self):
-        reporter, stream = log_reporter(2)
-        hooks = RunHooks(reporter=reporter, clock=FakeClock())
+    def test_displays_each_recorded_event_once(self):
+        hooks, stream = log_reporter(3)
         hooks.cache_hit("fig3")
         hooks.unit_started("fig5")
-        hooks.unit_finished("fig5")
+        hooks.unit_retry("fig5", attempt=1, kind="timeout")
+        hooks.unit_finished("fig5", wall_s=1.5)
+        hooks.unit_failed("fig6", Failure("exception", 1))
         hooks.close()
-        text = stream.getvalue()
-        assert "unit-finished" in text
-        assert "cached=true" in text
-        assert reporter.done == 2
+        events = [RunLog.parse_line(line)[1:]
+                  for line in stream.getvalue().splitlines()]
+        assert [(level, event) for level, event, _ in events] == [
+            ("info", "unit-finished"), ("debug", "unit-started"),
+            ("warn", "unit-retry"), ("info", "unit-finished"),
+            ("warn", "unit-failed")]
+        assert list(events[0][2]) == ["id", "done", "total", "cached",
+                                      "resumed", "wall_s", "eta_s"]
+        assert events[0][2]["cached"] == "true"
+        assert list(events[4][2]) == ["id", "kind", "attempts", "done",
+                                      "total"]
+        assert [fields["done"] for _, _, fields in events] \
+            == ["1", "1", "1", "2", "3"]
+        assert hooks.done == 3
+        assert hooks.retries == {"fig5": 1}
+        assert hooks.failures == {"fig6": {"kind": "exception",
+                                           "attempts": 1}}
+
+    def test_display_off_records_without_rendering(self, capsys):
+        hooks = RunHooks(runlog=RunLog("progress", level="debug"))
+        hooks.cache_hit("fig3")
+        hooks.unit_started("fig5")
+        hooks.unit_finished("fig5", wall_s=1.5)
+        hooks.unit_failed("fig6", Failure("exception", 1))
+        hooks.note("note: unseen")
+        hooks.close()
+        assert capsys.readouterr().err == ""
+        assert hooks.unit_wall == {"fig5": 1.5}
+        assert list(hooks.failures) == ["fig6"]
+
+
+class TestSchedulerRecording:
+    @pytest.mark.parametrize("crashing", ["table1", "cluster-degraded"])
+    def test_crashing_unit_renders_one_failed_line(self, crashing,
+                                                   monkeypatch):
+        """One poisoned experiment is one event: one FAILED repaint and
+        one ledger failure, even when every point of it crashes."""
+        from repro.experiments.runner import _run_ids
+
+        monkeypatch.setenv("REPRO_TEST_UNIT_CRASH", crashing)
+        hooks, stream = tty_reporter(2)
+        results, failures, interrupted, _ = _run_ids(
+            [crashing, "fig2"], fast=True, jobs=1, use_cache=False,
+            hooks=hooks, checkpoint=False)
+        hooks.close()
+        assert [eid for eid, _ in results] == ["fig2"]
+        assert list(failures) == [crashing] and not interrupted
+        assert stream.getvalue().count("FAILED") == 1
+        assert f"{crashing} FAILED (exception)" in stream.getvalue()
+        assert list(hooks.resilience_record()["failures"]) == [crashing]
+        assert hooks.done == 2
 
 
 class TestStdoutContract:

@@ -66,19 +66,19 @@ class TestOneCpuRunsInline:
 
 class TestProgressNote:
     def test_note_lands_as_warn_event_off_tty(self, capsys):
-        from repro.obs import ProgressReporter
+        from repro.obs import RunHooks
 
-        reporter = ProgressReporter(total=1, tty=False)
+        reporter = RunHooks(1, tty=False)
         reporter.note("note: something advisory")
         assert "something advisory" in capsys.readouterr().err
 
     def test_note_replaces_status_line_on_tty(self):
         import io
 
-        from repro.obs import ProgressReporter
+        from repro.obs import RunHooks
 
         stream = io.StringIO()
-        reporter = ProgressReporter(total=2, stream=stream, tty=True)
+        reporter = RunHooks(2, stream=stream, tty=True)
         reporter.unit_started("unit-a")
         reporter.note("note: heads up")
         text = stream.getvalue()
