@@ -29,8 +29,8 @@ Two fault layers compose:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .resilience import (DEADLINE_WAIT, HEDGE_WAIT, RETRY_BACKOFF,
                          CircuitBreaker, ResiliencePolicy,
                          ResilienceStats, RetryBudget, hedge_delay_ns,
                          parse_policy)
-from .routing import HostView, Router, make_router
+from .routing import HashShardRouter, HostView, Router, make_router
 from .topology import ClusterTopology
 from .traffic import OpenLoopZipfian
 
@@ -281,6 +281,57 @@ def _padded(count: int, segments_by_row: Mapping[int, tuple]) -> list[tuple]:
     return columns
 
 
+@dataclass
+class _Tally:
+    """What serving a trace leaves for :meth:`ClusterSim.run`'s tail.
+
+    Counts per host, the sojourns and the span rows in record order
+    (their policy prefixes, fault parts and failed waterfalls by row),
+    and the policy's outcome stats.
+    """
+
+    completed: int
+    served: list[int]
+    service_total: float
+    last_completion: float
+    cluster_sojourns: list[float]
+    host_sojourns: list[list[float]]
+    absorbed: list[int]
+    link_injected: list[int]
+    link_recovered: list[int]
+    rerouted: int = 0
+    span_index: Sequence[int] = ()
+    span_wait: Sequence[float] = ()
+    span_reroute: Sequence[bool] = ()
+    span_extras: dict[int, tuple] = field(default_factory=dict)
+    span_failed: dict[int, list] = field(default_factory=dict)
+    stats: ResilienceStats | None = None
+
+
+def _lindley(arrivals: list[float], owners: list[int],
+             services: list[float], num_hosts: int
+             ) -> tuple[list[float], list[float]]:
+    """Start and finish times of FIFO single-server hosts, by request.
+
+    Request ``i`` arrives at ``arrivals[i]`` (non-decreasing) at host
+    ``owners[i]``: ``start = max(arrival, the host's previous finish)``
+    and ``finish = start + service``.  These are the event loop's
+    compare and add: an arrival to an idle host is granted at its own
+    event time, a queued one at the release that frees the slot, and
+    the finish event is scheduled ``service`` after the grant.
+    """
+    free_at = [0.0] * num_hosts
+    starts: list[float] = []
+    finishes: list[float] = []
+    for arrival, owner, service in zip(arrivals, owners, services):
+        prev = free_at[owner]
+        start = arrival if arrival >= prev else prev
+        free_at[owner] = finish = start + service
+        starts.append(start)
+        finishes.append(finish)
+    return starts, finishes
+
+
 class ClusterSim:
     """Drives a :class:`ClusterTopology` under open-loop zipfian load."""
 
@@ -389,26 +440,18 @@ class ClusterSim:
         settle actively cancels still-queued sibling attempts
         (first-wins hedging), because success is the one outcome the
         client can signal.
+
+        A run with no policy, hash-shard routing, no link-down, one
+        worker per host and the tracer off is a set of independent
+        FIFO single-server queues with known inputs; it is served by
+        :meth:`_serve_in_order` instead of the event queue, with the
+        same results (``tests/cluster/test_engine_free.py``).
         """
-        policy = self.policy or ZERO_POLICY
         topo = self.topology
         traffic = OpenLoopZipfian(
             qps=qps, num_requests=requests, keyspace=topo.total_keys,
             theta=theta, write_fraction=write_fraction, seed=self.seed)
-        engine = Engine(telemetry=self.telemetry)
-        schedule, schedule_at = engine.schedule, engine.schedule_at
-        cancel = engine.cancel
-        tracer = self.telemetry.tracer
-        traced = tracer.enabled
         spans = self.telemetry.spans
-        spanned = spans.enabled
-        route = self.router.route
-
-        servers = [Server(host.spec.workers, name=host.name)
-                   for host in topo.hosts]
-        host_sojourn = [LatencyRecorder(f"{host.name}-sojourn")
-                        for host in topo.hosts]
-        cluster_sojourn = LatencyRecorder("cluster-sojourn")
         injectors: dict[int, FaultInjector] = {}
         for index, plan in self.fault_plans.items():
             injector = injector_for(plan, stream=f"host{index}",
@@ -446,6 +489,113 @@ class ClusterSim:
                            np.array(pool_ns_by_host)[owner_of], dram_ns)
         cpu_of = CPU_BASE_NS * cpu_jitter
         mem_of = misses * path_ns
+
+        if self._engine_free():
+            tally = self._serve_in_order(traffic, cpu_of, mem_of, owner_of,
+                                         resident_of, injectors)
+        else:
+            tally = self._serve_events(traffic, cpu_of, mem_of, owner_of,
+                                       resident_of, injectors,
+                                       pool_ns_by_host)
+        completed = tally.completed
+
+        cluster_sojourn = LatencyRecorder("cluster-sojourn")
+        cluster_sojourn.extend(tally.cluster_sojourns)
+        if spans.enabled:
+            rows = np.array(tally.span_index, dtype=np.int64)
+            head, tail = _sparse_columns(
+                len(rows), tally.span_failed, tally.span_extras)
+            spans.record_batch(
+                rows, traffic.arrival_ns[rows],
+                np.where(traffic.writes[rows], "put", "get").tolist(),
+                head + _fixed_columns(
+                    topo, rows, tally.span_wait, tally.span_reroute,
+                    list(tally.span_failed), cpu_of, mem_of, misses,
+                    owner_of, resident_of) + tail)
+
+        if completed != requests:
+            raise ClusterError(
+                f"only {completed}/{requests} requests settled")
+
+        hosts = []
+        for index, host in enumerate(topo.hosts):
+            injector = injectors.get(index)
+            inj = (injector.injected if injector else 0) \
+                + tally.link_injected[index]
+            rec = (injector.recovered if injector else 0) \
+                + tally.link_recovered[index]
+            recorder = LatencyRecorder(f"{host.name}-sojourn")
+            recorder.extend(tally.host_sojourns[index])
+            hosts.append(HostResult(
+                name=host.name, index=index, requests=tally.served[index],
+                p50_ns=recorder.p50() if len(recorder) else 0.0,
+                p99_ns=recorder.p99() if len(recorder) else 0.0,
+                injected=inj, recovered=rec,
+                absorbed=tally.absorbed[index],
+                pool_fraction=host.pool_fraction))
+
+        registry = self.telemetry.registry
+        registry.counter("cluster.requests").inc(completed)
+        p50 = cluster_sojourn.p50() if len(cluster_sojourn) else 0.0
+        p99 = cluster_sojourn.p99() if len(cluster_sojourn) else 0.0
+        registry.gauge("cluster.p99_sojourn_ns").set(p99)
+        achieved = completed / (tally.last_completion / 1e9)
+        registry.gauge("cluster.achieved_qps").set(achieved)
+        for result in hosts:
+            registry.gauge(
+                f"cluster.host{result.index}.p99_ns").set(result.p99_ns)
+        stats = tally.stats
+        if stats is not None:
+            registry.gauge("cluster.goodput_qps").set(
+                achieved * (stats.successes / completed))
+
+        return ClusterResult(
+            qps=qps, theta=theta, pool_share=topo.pool_share,
+            requests=completed, achieved_qps=achieved,
+            p50_ns=p50, p99_ns=p99,
+            mean_service_ns=tally.service_total / completed,
+            pool_utilization=topo.pool_utilization(),
+            rerouted=tally.rerouted,
+            link_down_host=self.link_down.host
+            if self.link_down is not None else None,
+            hosts=tuple(hosts), resilience=stats)
+
+    # -- serving cores -------------------------------------------------------
+
+    def _engine_free(self) -> bool:
+        """Whether every host is an independent FIFO single-server queue.
+
+        With no policy, hash-shard routing and every link up, each
+        request goes to its owner and settles on its one attempt; with
+        one worker per host and no tracer events to emit, nothing else
+        of the event loop can be observed.
+        """
+        return (self.policy is None and self.link_down is None
+                and type(self.router) is HashShardRouter
+                and not self.telemetry.tracer.enabled
+                and all(host.spec.workers == 1
+                        for host in self.topology.hosts))
+
+    def _serve_events(self, traffic: OpenLoopZipfian, cpu_of: np.ndarray,
+                      mem_of: np.ndarray, owner_of: np.ndarray,
+                      resident_of: np.ndarray,
+                      injectors: Mapping[int, FaultInjector],
+                      pool_ns_by_host: list[float]) -> _Tally:
+        """Serve a run on the event queue: the one request lifecycle for
+        policies, least-loaded routing, link-down, multi-worker hosts
+        and traced runs."""
+        policy = self.policy or ZERO_POLICY
+        topo = self.topology
+        engine = Engine(telemetry=self.telemetry)
+        schedule, schedule_at = engine.schedule, engine.schedule_at
+        cancel = engine.cancel
+        tracer = self.telemetry.tracer
+        traced = tracer.enabled
+        spanned = self.telemetry.spans.enabled
+        route = self.router.route
+
+        servers = [Server(host.spec.workers, name=host.name)
+                   for host in topo.hosts]
         cpu_ns = cpu_of.tolist()
         mem_ns_of = mem_of.tolist()
         owners = owner_of.tolist()
@@ -739,51 +889,9 @@ class ClusterSim:
         # launch closes over relaunch (through on_deadline) and
         # maybe_hedge, which close over launch.  Emptying their cells
         # breaks that cycle, so the run's trace arrays and span rows
-        # are freed when run() returns, not at the next full collection.
+        # are freed when the run returns, not at the next full
+        # collection.
         del relaunch, maybe_hedge
-        cluster_sojourn.extend(cluster_sojourns)
-        if spanned:
-            rows = np.array(span_index, dtype=np.int64)
-            head, tail = _sparse_columns(
-                len(rows), span_failed, span_extras)
-            spans.record_batch(
-                rows, traffic.arrival_ns[rows],
-                np.where(traffic.writes[rows], "put", "get").tolist(),
-                head + _fixed_columns(
-                    topo, rows, span_wait, span_reroute, list(span_failed),
-                    cpu_of, mem_of, misses, owner_of, resident_of) + tail)
-        for recorder, sojourns in zip(host_sojourn, host_sojourns):
-            recorder.extend(sojourns)
-
-        if completed[0] != requests:
-            raise ClusterError(
-                f"only {completed[0]}/{requests} requests settled")
-
-        hosts = []
-        for index, host in enumerate(topo.hosts):
-            injector = injectors.get(index)
-            inj = (injector.injected if injector else 0) \
-                + link_injected[index]
-            rec = (injector.recovered if injector else 0) \
-                + link_recovered[index]
-            recorder = host_sojourn[index]
-            hosts.append(HostResult(
-                name=host.name, index=index, requests=served[index],
-                p50_ns=recorder.p50() if len(recorder) else 0.0,
-                p99_ns=recorder.p99() if len(recorder) else 0.0,
-                injected=inj, recovered=rec, absorbed=absorbed[index],
-                pool_fraction=host.pool_fraction))
-
-        registry = self.telemetry.registry
-        registry.counter("cluster.requests").inc(completed[0])
-        p50 = cluster_sojourn.p50() if len(cluster_sojourn) else 0.0
-        p99 = cluster_sojourn.p99() if len(cluster_sojourn) else 0.0
-        registry.gauge("cluster.p99_sojourn_ns").set(p99)
-        achieved = completed[0] / (last_completion[0] / 1e9)
-        registry.gauge("cluster.achieved_qps").set(achieved)
-        for result in hosts:
-            registry.gauge(
-                f"cluster.host{result.index}.p99_ns").set(result.p99_ns)
 
         stats = None
         if self.policy is not None:
@@ -799,16 +907,83 @@ class ClusterSim:
                 breaker_opens=breaker.opens if breaker is not None
                 else 0,
                 wasted_ns=wasted[0])
-            registry.gauge("cluster.goodput_qps").set(
-                achieved * (stats.successes / completed[0]))
 
-        return ClusterResult(
-            qps=qps, theta=theta, pool_share=topo.pool_share,
-            requests=completed[0], achieved_qps=achieved,
-            p50_ns=p50, p99_ns=p99,
-            mean_service_ns=service_total[0] / completed[0],
-            pool_utilization=topo.pool_utilization(),
-            rerouted=rerouted[0],
-            link_down_host=self.link_down.host
-            if self.link_down is not None else None,
-            hosts=tuple(hosts), resilience=stats)
+        return _Tally(
+            completed=completed[0], served=served,
+            service_total=service_total[0],
+            last_completion=last_completion[0],
+            cluster_sojourns=cluster_sojourns, host_sojourns=host_sojourns,
+            absorbed=absorbed, link_injected=link_injected,
+            link_recovered=link_recovered, rerouted=rerouted[0],
+            span_index=span_index, span_wait=span_wait,
+            span_reroute=span_reroute, span_extras=span_extras,
+            span_failed=span_failed, stats=stats)
+
+    def _serve_in_order(self, traffic: OpenLoopZipfian, cpu_of: np.ndarray,
+                        mem_of: np.ndarray, owner_of: np.ndarray,
+                        resident_of: np.ndarray,
+                        injectors: Mapping[int, FaultInjector]) -> _Tally:
+        """Serve an :meth:`_engine_free` run without an event queue.
+
+        Service times first, in request order: ``cpu + mem + extra``,
+        where ``extra`` folds the fault parts a pool-resident request
+        draws on a faulted owner (counter-based draws, so their order
+        does not matter) and each drawn retry is recovered.  Then
+        :func:`_lindley` per owner.  The event loop grants in start
+        order and completes in finish order, so ``service_total`` is
+        summed over a stable argsort of the starts and span rows are
+        recorded over a stable argsort of the finishes.  Two hosts
+        granting or finishing at exactly the same float time may order
+        differently than the event loop's sequence numbers would; the
+        sojourn recorders only report percentiles, which no order
+        moves.
+        """
+        services = (cpu_of + mem_of).tolist()     # + 0.0 fault extra
+        fault_parts: dict[int, list] = {}
+        if injectors:
+            mem_ns_of = mem_of.tolist()
+            faulted = resident_of & np.isin(owner_of, list(injectors))
+            for index, owner in zip(np.flatnonzero(faulted).tolist(),
+                                    owner_of[faulted].tolist()):
+                injector = injectors[owner]
+                parts, pending = injector.request_extras(
+                    index, reread_ns=mem_ns_of[index])
+                for _ in range(pending):
+                    injector.recovery()
+                if parts:
+                    extra = 0.0
+                    for _, part_ns in parts:
+                        extra += part_ns
+                    services[index] += extra
+                    fault_parts[index] = parts
+
+        num_hosts = self.topology.num_hosts
+        arrival_of = traffic.arrival_ns
+        starts, finishes = _lindley(arrival_of.tolist(), owner_of.tolist(),
+                                    services, num_hosts)
+        start_of = np.array(starts)
+        finish_of = np.array(finishes)
+        sojourn_of = finish_of - arrival_of
+        grants = np.argsort(start_of, kind="stable")
+        host_sojourns = [sojourn_of[owner_of == host].tolist()
+                         for host in range(num_hosts)]
+        tally = _Tally(
+            completed=len(services),
+            served=[len(sojourns) for sojourns in host_sojourns],
+            service_total=float(
+                np.add.accumulate(np.array(services)[grants])[-1]),
+            last_completion=max(finishes),
+            cluster_sojourns=sojourn_of.tolist(),
+            host_sojourns=host_sojourns,
+            absorbed=[0] * num_hosts, link_injected=[0] * num_hosts,
+            link_recovered=[0] * num_hosts)
+        if self.telemetry.spans.enabled:
+            order = np.argsort(finish_of, kind="stable")
+            row_of = np.empty(len(order), dtype=np.int64)
+            row_of[order] = np.arange(len(order))
+            tally.span_index = order
+            tally.span_wait = (start_of - arrival_of)[order]
+            tally.span_reroute = np.zeros(len(order), dtype=bool)
+            tally.span_extras = {int(row_of[index]): ((), parts)
+                                 for index, parts in fault_parts.items()}
+        return tally

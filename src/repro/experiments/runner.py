@@ -349,6 +349,11 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
     failures: dict[str, UnitFailure] = {}
     interrupted = False
 
+    def cache_put(eid: str, payload: dict) -> None:
+        cache.put(keys[eid], payload,
+                  key_material={"experiment": eid,
+                                "config": config_for(eid, config)})
+
     def record(eid: str, result: ExperimentResult) -> None:
         """Land one result: memory, result cache, checkpoint journal.
 
@@ -357,14 +362,14 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
         I/O trouble degrades to a recompute later, never a failed run.
         """
         cached[eid] = result
+        if cache is None and journal is None:
+            return
+        payload = result.payload()
         try:
             if cache is not None:
-                cache.put(keys[eid], result.payload(),
-                          key_material={"experiment": eid,
-                                        "config": config_for(eid,
-                                                             config)})
+                cache_put(eid, payload)
             if journal is not None:
-                journal.record(eid, result.payload())
+                journal.record(eid, payload)
         except OSError:
             pass
     # Resumed units re-enter the result cache so the *next* run is a
@@ -372,10 +377,7 @@ def _run_ids(ids: list[str], *, fast: bool, jobs: int,
     if cache is not None:
         for eid in resumed:
             try:
-                cache.put(keys[eid], cached[eid].payload(),
-                          key_material={"experiment": eid,
-                                        "config": config_for(eid,
-                                                             config)})
+                cache_put(eid, cached[eid].payload())
             except OSError:
                 pass
 

@@ -15,7 +15,12 @@ preset (deadline, retry storms with and without a budget, shedding,
 hedging with a circuit breaker), fault-free runs and runs with
 per-host fault plans plus a mid-run link-down, and spans off and on,
 on a single-device pool.  A few spanned cases on a heterogeneous
-FPGA/ASIC pool pin the per-owner pool path.
+FPGA/ASIC pool pin the per-owner pool path.  The ``plans`` cases give
+every host a fault plan but keep every link up and the tracer off
+(so they hash no trace): ``ClusterSim.run`` serves that policy-free
+hash-shard run without an event queue and draws its faults in request
+order, so they also hash the ``faults.*`` counters.  Their hashes were
+recorded on the event queue, before that path existed.
 
 Regenerate after an *intentional* model change with::
 
@@ -61,12 +66,16 @@ def _topology(pool: str = "single") -> ClusterTopology:
     return ClusterTopology(3, keys_per_host=10_000)
 
 
-def _faulted(topo: ClusterTopology) -> dict:
-    """Per-host device weather plus host 1's link dying midway."""
+def _plans(topo: ClusterTopology) -> dict:
+    """Per-host device weather: stalls, timeouts and poisoned reads."""
     plan = FaultPlan(stall_rate=0.1, stall_ns=80_000.0, timeout_rate=0.01,
                      poison_rate=0.005, seed=3)
-    return {"fault_plans": {host: plan for host in range(topo.num_hosts)},
-            "link_down": LinkDown(1)}
+    return {"fault_plans": {host: plan for host in range(topo.num_hosts)}}
+
+
+def _faulted(topo: ClusterTopology) -> dict:
+    """Per-host device weather plus host 1's link dying midway."""
+    return {**_plans(topo), "link_down": LinkDown(1)}
 
 
 def _sha(text: str) -> str:
@@ -78,11 +87,13 @@ def _run_case(name: str) -> dict[str, str]:
     pool, router, policy, faults, spans = name.split("/")
     topo = _topology(pool)
     recorder = SpanRecorder(SPAN_CONFIG) if spans == "on" else None
+    traced = recorder is not None and faults != "plans"
     telemetry = Telemetry(
         registry=Registry(),
-        tracer=Tracer(process_name="pin") if recorder else None,
+        tracer=Tracer(process_name="pin") if traced else None,
         spans=recorder)
-    extra = _faulted(topo) if faults == "faulted" else {}
+    extra = {"free": {}, "plans": _plans(topo),
+             "faulted": _faulted(topo)}[faults]
     sim = ClusterSim(topo, router=router, seed=SEED,
                      policy=None if policy == "none" else PRESETS[policy],
                      telemetry=telemetry, **extra)
@@ -95,9 +106,15 @@ def _run_case(name: str) -> dict[str, str]:
              if key.startswith("cluster.")},
             sort_keys=True, separators=(",", ":"))),
     }
+    if faults == "plans":
+        digests["faults"] = _sha(json.dumps(
+            {key: value for key, value in snapshot.items()
+             if key.startswith("faults.")},
+            sort_keys=True, separators=(",", ":")))
     if recorder is not None:
         digests["spans"] = _sha(json.dumps(
             recorder.export(), sort_keys=True, separators=(",", ":")))
+    if traced:
         digests["trace"] = _sha(telemetry.tracer.to_json())
     return digests
 
@@ -106,6 +123,9 @@ CASES = ["/".join(parts) for parts in
          itertools.product(("single",), ROUTERS, POLICIES, FAULTS, SPANS)]
 CASES += [f"hetero/{router}/{policy}/faulted/on" for router in ROUTERS
           for policy in ("none", "hedged")]
+CASES += [f"{pool}/hash-shard/none/plans/{spans}"
+          for pool, spans in (("single", "off"), ("single", "on"),
+                              ("hetero", "off"))]
 
 PINNED: dict[str, dict[str, str]] = {
     "single/hash-shard/none/free/off": {
@@ -467,6 +487,32 @@ PINNED: dict[str, dict[str, str]] = {
             "5002246f0ab8bb7faa43be5bfba516e428f5f27b8d46195b348adfa0e6821b52",
         "trace":
             "a5178b9fbab39703cadd87286db222206a9d9b003a16e4480a09053f8c591140",
+    },
+    "single/hash-shard/none/plans/off": {
+        "result":
+            "bcf1ee903ec2ab9fb4a1b0c78c099a88a8f515b685ae5efa87804063b375c8a8",
+        "metrics":
+            "c1bfbed1521002658cfc613d36633a46b4bce5fd2ecd5dff2b55b5754c4eacf1",
+        "faults":
+            "a0ca518da2a97291d02817e25303e092ef5a1b0c9832c77aa36aadd2d3e45364",
+    },
+    "single/hash-shard/none/plans/on": {
+        "result":
+            "bcf1ee903ec2ab9fb4a1b0c78c099a88a8f515b685ae5efa87804063b375c8a8",
+        "metrics":
+            "c1bfbed1521002658cfc613d36633a46b4bce5fd2ecd5dff2b55b5754c4eacf1",
+        "faults":
+            "a0ca518da2a97291d02817e25303e092ef5a1b0c9832c77aa36aadd2d3e45364",
+        "spans":
+            "0247260617d95d11640dd23d20ca714461563abcc9d4375de568f03c5b5d259f",
+    },
+    "hetero/hash-shard/none/plans/off": {
+        "result":
+            "96d1c8b0abf5fad5488c6cf3e7aa98d3f71aca1202855d99fdd81788b3667460",
+        "metrics":
+            "7a9a3e209ff2bd36afb61a388449d659e89f5d38a490169e37031701a28cd817",
+        "faults":
+            "12d58f0bee1ea700bc3ba4e2a5822e4b51ee7213d12cfb46894ddf891595d32d",
     },
 }
 

@@ -1,5 +1,7 @@
 """FaultInjector: deterministic draws, accounting, telemetry counters."""
 
+import random
+
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan, injector_for
@@ -127,3 +129,55 @@ class TestAccounting:
         injector = FaultInjector(plan, stream="s")
         values = {injector.stall_ns(k) for k in range(100)}
         assert values == {0.0, 321.0}
+
+
+class TestRequestExtrasOrder:
+    """``request_extras`` gives each key the same parts and leaves the
+    same tallies and ``faults.*`` counters whatever order the keys are
+    visited in — what lets a run draw every request's faults before
+    serving them instead of in grant order."""
+
+    PLANS = (
+        FaultPlan(stall_rate=0.2, stall_ns=123.4, timeout_rate=0.15,
+                  poison_rate=0.1, seed=4),
+        FaultPlan(stall_rate=0.1, stall_ns=80_000.0, timeout_rate=0.01,
+                  poison_rate=0.005, seed=3),
+        FaultPlan(timeout_rate=0.3, retry_backoff_ns=7.5, seed=9),
+    )
+
+    @staticmethod
+    def _visit(plan: FaultPlan, keys: list) -> tuple:
+        telemetry = Telemetry.metrics_only()
+        injector = FaultInjector(plan, stream="host0",
+                                 telemetry=telemetry)
+        parts = {}
+        for key in keys:
+            parts[key] = injector.request_extras(*key,
+                                                 reread_ns=1.5 * len(key))
+            for _ in range(parts[key][1]):
+                injector.recovery()
+        faults = {name: value for name, value
+                  in telemetry.registry.snapshot().items()
+                  if name.startswith("faults.")}
+        return parts, (injector.injected, injector.recovered), faults
+
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_index_reversed_and_shuffled_orders_agree(self, plan):
+        keys = [(index,) for index in range(400)] \
+            + [(index, "a", 1) for index in range(0, 400, 7)] \
+            + [(index, "h", 0) for index in range(0, 400, 11)]
+        shuffled = list(keys)
+        random.Random(5).shuffle(shuffled)
+        parts, tallies, faults = self._visit(plan, keys)
+        assert tallies[0] == tallies[1] > 0
+        assert self._visit(plan, list(reversed(keys))) \
+            == (parts, tallies, faults)
+        assert self._visit(plan, shuffled) == (parts, tallies, faults)
+
+    def test_every_fault_kind_fires(self):
+        parts, _, faults = self._visit(self.PLANS[0],
+                                       [(index,) for index in range(400)])
+        kinds = {name for extras, _ in parts.values() for name, _ in extras}
+        assert kinds == {"fault.stall", "fault.timeout", "fault.reread"}
+        assert faults[STALLS]["value"] and faults[TIMEOUTS]["value"] \
+            and faults[POISONED]["value"]
