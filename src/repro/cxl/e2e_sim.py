@@ -32,15 +32,16 @@ severity over this model.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 from ..errors import SimulationError
-from ..faults import FaultPlan, injector_for
+from ..faults import FaultInjector, FaultPlan, injector_for
 from ..mem.banks import Bank, DdrTimings, ddr4_2666_timings
 from ..sim.engine import Engine
 from ..telemetry import NULL_TELEMETRY, Telemetry, interpolate_percentile
-from ..units import SEC
+from ..units import SEC, is_count
 from .port import CxlPort
 
 # Component track names (one Perfetto row each; docs/TELEMETRY.md).
@@ -91,6 +92,35 @@ class E2eResult:
         return self.row_hits / total if total else 0.0
 
 
+def _require_counts(**values: object) -> None:
+    """Raise :class:`SimulationError` naming the first value that is
+    not a positive integer."""
+    for name, value in values.items():
+        if not is_count(value):
+            raise SimulationError(
+                f"{name} must be a positive integer: {value!r}")
+
+
+def _require_latency(**values: float) -> None:
+    """Raise :class:`SimulationError` naming the first value that is
+    negative, NaN or infinite."""
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:
+            raise SimulationError(
+                f"{name} must be non-negative and finite: {value!r}")
+
+
+def _engine_free(injector: FaultInjector | None, traced: bool) -> bool:
+    """Whether a read run can be served without the event queue.
+
+    Without faults a read attempt is one ``complete`` event, due in
+    send order, so the queue would be a FIFO; with no tracer, nothing
+    else of the event loop can be observed.  Fault retries and the
+    ``sim.engine`` trace slice keep a run on the DES.
+    """
+    return injector is None and not traced
+
+
 class CxlEndToEndSim:
     """Mechanism-only simulation of multi-threaded CXL streaming reads."""
 
@@ -102,10 +132,9 @@ class CxlEndToEndSim:
                  closed_page: bool = False,
                  fault_plan: FaultPlan | None = None,
                  telemetry: Telemetry | None = None) -> None:
-        if mlp_per_thread <= 0:
-            raise SimulationError("mlp must be positive")
-        if controller_ns < 0:
-            raise SimulationError("negative controller latency")
+        _require_counts(mlp_per_thread=mlp_per_thread,
+                        region_lines=region_lines)
+        _require_latency(controller_ns=controller_ns)
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self.port = port if port is not None else CxlPort()
@@ -125,11 +154,7 @@ class CxlEndToEndSim:
     def run(self, *, threads: int, lines_per_thread: int = 1500
             ) -> E2eResult:
         """Stream reads from ``threads`` pinned threads to completion."""
-        if threads <= 0 or lines_per_thread <= 0:
-            raise SimulationError(
-                "threads and lines_per_thread must be positive")
-        engine = Engine(telemetry=self.telemetry)
-        schedule, schedule_at = engine.schedule, engine.schedule_at
+        _require_counts(threads=threads, lines_per_thread=lines_per_thread)
         tracer = self.telemetry.tracer
         traced = tracer.enabled
         latency_hist = self.telemetry.registry.histogram(
@@ -155,49 +180,41 @@ class CxlEndToEndSim:
         m2s_free_at = 0.0
         s2m_free_at = 0.0
         dram_bus_free_at = 0.0
+        retry_at = 0.0
         completed = 0
         last_done = 0.0
         next_line = [0] * threads       # per-thread progress
         latencies: list[float] = []
         activate_times: deque[float] = deque(maxlen=4)
 
-        # One event per read attempt (``complete``), plus one per fault
-        # retry: the device and S2M stages run inside ``send``, because
-        # both see their requests in ``send``-call order (argued at
-        # each stage).  Each stage's clock is the sum the engine forms
-        # for an event of its own, ``now + (t - now)``, which is not
-        # always ``t``.  Events due at exactly one instant fire in the
-        # order they were scheduled, and ``complete`` and a timeout
-        # retry are scheduled here, so such a tie between different
-        # requests' events can resolve in another order than with a
-        # stage event each (tests/cxl/test_e2e_fusion.py).
-        # ``attempt`` numbers the send for one line (1 = first issue);
-        # fault draws are keyed on (line, attempt), not on call order,
-        # so retries re-roll while replays of the same decision never
-        # do.
-        def launch(thread: int, now: float) -> None:
-            index = next_line[thread]
-            if index >= lines_per_thread:
-                return
-            next_line[thread] = index + 1
-            send(thread, thread * stride + index, now, 1)
-
-        def send(thread: int, line: int, issued_at: float,
-                 attempt: int) -> None:
-            nonlocal m2s_free_at, dram_bus_free_at, s2m_free_at
-            now = engine.now
+        # ``carry`` runs one read attempt through every stage: the M2S
+        # wire, the device (controller, banks, DRAM bus) and the S2M
+        # wire, each on the clock its own event used to carry,
+        # ``now + (t - now)``, which is not always ``t``.  Both serving
+        # paths below call it in send order, and both stages see their
+        # requests in that order (argued at each stage).  ``attempt``
+        # numbers the send for one line (1 = first issue); fault draws
+        # are keyed on (line, attempt), not on call order, so retries
+        # re-roll while replays of the same decision never do.
+        def carry(thread: int, line: int, now: float,
+                  attempt: int) -> float | None:
+            """When the attempt sent at ``now`` is back at the host, or
+            ``None`` when a fault timeout drops it at the device; the
+            host then re-issues it at ``retry_at``."""
+            nonlocal m2s_free_at, dram_bus_free_at, s2m_free_at, retry_at
             sends = REQUEST_FLITS if injector is None \
                 else injector.crc_transmissions(REQUEST_FLITS,
                                                 "m2s", line, attempt)
-            start = max(now + pack_ns, m2s_free_at)
+            start = now + pack_ns
+            start = start if start >= m2s_free_at else m2s_free_at
             m2s_free_at = start + sends * flit_ns
             if traced:
                 tracer.complete(TRACK_PORT, "m2s.memrd", start,
                                 sends * flit_ns, thread=thread)
             # Device stage.  Every send adds at least one flit_ns to
-            # m2s_free_at, so arrivals strictly increase in send-call
-            # order: the device sees requests in exactly this order,
-            # and only this stage touches the banks and the DRAM bus.
+            # m2s_free_at, so arrivals strictly increase in send order:
+            # the device sees requests in exactly this order, and only
+            # this stage touches the banks and the DRAM bus.
             now = now + (m2s_free_at + hop_ns - now)
             if injector is not None \
                     and attempt <= injector.plan.max_retries \
@@ -209,9 +226,8 @@ class CxlEndToEndSim:
                 if traced:
                     tracer.instant(TRACK_WBUF, "fault-timeout",
                                    now, thread=thread)
-                schedule_at(now + injector.plan.timeout_ns,
-                            send, thread, line, issued_at, attempt + 1)
-                return
+                retry_at = now + injector.plan.timeout_ns
+                return None
             row_index = line // row_lines
             bank_index = row_index % nbanks
             row = row_index // nbanks
@@ -229,63 +245,128 @@ class CxlEndToEndSim:
             if bank.open_row != row:
                 # tFAW: at most four activates in any window.
                 if len(activate_times) == 4:
-                    issue_at = max(issue_at, activate_times[0] + tfaw_ns)
+                    window_at = activate_times[0] + tfaw_ns
+                    if window_at > issue_at:
+                        issue_at = window_at
                 activate_times.append(issue_at)
             data_at, hit = bank.access(row, issue_at)
             # The device data bus serializes bursts.
-            burst_start = max(data_at, dram_bus_free_at)
+            burst_start = data_at if data_at >= dram_bus_free_at \
+                else dram_bus_free_at
             dram_bus_free_at = burst_start + burst_ns
             if traced:
                 tracer.complete(TRACK_DRAM, "burst", burst_start,
                                 burst_ns, bank=bank_index, hit=hit)
             # S2M stage.  Each burst adds burst_ns to dram_bus_free_at
             # (a timeout returns before touching the bus), so responses
-            # reach the wire in device order, which is send-call order.
+            # reach the wire in device order, which is send order.
             now = now + (dram_bus_free_at - now)
             sends = RESPONSE_FLITS if injector is None \
                 else injector.crc_transmissions(RESPONSE_FLITS,
                                                 "s2m", line, attempt)
-            start = max(now, s2m_free_at)
+            start = now if now >= s2m_free_at else s2m_free_at
             s2m_free_at = start + sends * flit_ns
             if traced:
                 tracer.complete(TRACK_PORT, "s2m.drs", start,
                                 sends * flit_ns, thread=thread)
             done_at = s2m_free_at + hop_ns + pack_ns
-            schedule_at(now + (done_at - now),
-                        complete, thread, line, issued_at, attempt)
+            return now + (done_at - now)
 
-        def complete(thread: int, line: int, issued_at: float,
+        if _engine_free(injector, traced):
+            # Every send adds at least one response's flits to
+            # s2m_free_at, so completions are due in send order, and
+            # the event queue would fire them in that order: exact
+            # ties fire in scheduling order, which is send order.  A
+            # FIFO of the reads in flight serves them the same way:
+            # pop the oldest, record it, refill its thread then.
+            in_flight: deque[tuple[float, int, int, float]] = deque()
+            push, pop = in_flight.append, in_flight.popleft
+            record = latency_hist.record
+            for thread in range(threads):
+                for index in range(min(self.mlp_per_thread,
+                                       lines_per_thread)):
+                    line = thread * stride + index
+                    push((carry(thread, line, 0.0, 1), thread, line, 0.0))
+                    next_line[thread] = index + 1
+            while in_flight:
+                done_at, thread, line, issued_at = pop()
+                if done_at < last_done:
+                    raise SimulationError(
+                        f"read of line {line} completes at {done_at} ns, "
+                        f"before {last_done} ns: completions are out of "
+                        "send order")
+                last_done = done_at
+                latency = done_at - issued_at
+                latencies.append(latency)
+                record(latency)
+                index = next_line[thread]
+                if index < lines_per_thread:
+                    next_line[thread] = index + 1
+                    line = thread * stride + index
+                    push((carry(thread, line, done_at, 1), thread, line,
+                          done_at))
+            completed = len(latencies)
+        else:
+            # One event per read attempt (``complete``), plus one per
+            # fault retry.  Events due at exactly one instant fire in
+            # the order they were scheduled, and ``complete`` and a
+            # timeout retry are both scheduled from ``send``, so such a
+            # tie between different requests' events can resolve in
+            # another order than with a stage event each
+            # (tests/cxl/test_e2e_fusion.py).
+            engine = Engine(telemetry=self.telemetry)
+            schedule, schedule_at = engine.schedule, engine.schedule_at
+
+            def launch(thread: int, now: float) -> None:
+                index = next_line[thread]
+                if index >= lines_per_thread:
+                    return
+                next_line[thread] = index + 1
+                send(thread, thread * stride + index, now, 1)
+
+            def send(thread: int, line: int, issued_at: float,
                      attempt: int) -> None:
-            nonlocal completed, last_done
-            now = engine.now
-            if injector is not None \
-                    and attempt <= injector.plan.max_retries \
-                    and injector.poisoned(line, attempt):
-                # Poisoned DRS: data arrived but is unusable; discard
-                # and re-read after the backoff.  The MLP slot stays
-                # occupied — poison steals host parallelism.
-                injector.recovery()
-                injector.retried()
-                if traced:
-                    tracer.instant(TRACK_PORT, "fault-poison",
-                                   now, thread=thread)
-                schedule(injector.plan.retry_backoff_ns,
-                         send, thread, line, issued_at, attempt + 1)
-                return
-            completed += 1
-            last_done = now
-            latency = now - issued_at
-            latencies.append(latency)
-            latency_hist.record(latency)
-            if traced:
-                tracer.complete(TRACK_CORE, "read", issued_at,
-                                latency, thread=thread)
-            launch(thread, now)     # the freed fill buffer refills
+                done_at = carry(thread, line, engine.now, attempt)
+                if done_at is None:
+                    schedule_at(retry_at, send, thread, line, issued_at,
+                                attempt + 1)
+                else:
+                    schedule_at(done_at, complete, thread, line,
+                                issued_at, attempt)
 
-        for thread in range(threads):
-            for _ in range(self.mlp_per_thread):
-                launch(thread, 0.0)
-        engine.run()
+            def complete(thread: int, line: int, issued_at: float,
+                         attempt: int) -> None:
+                nonlocal completed, last_done
+                now = engine.now
+                if injector is not None \
+                        and attempt <= injector.plan.max_retries \
+                        and injector.poisoned(line, attempt):
+                    # Poisoned DRS: data arrived but is unusable;
+                    # discard and re-read after the backoff.  The MLP
+                    # slot stays occupied — poison steals host
+                    # parallelism.
+                    injector.recovery()
+                    injector.retried()
+                    if traced:
+                        tracer.instant(TRACK_PORT, "fault-poison",
+                                       now, thread=thread)
+                    schedule(injector.plan.retry_backoff_ns,
+                             send, thread, line, issued_at, attempt + 1)
+                    return
+                completed += 1
+                last_done = now
+                latency = now - issued_at
+                latencies.append(latency)
+                latency_hist.record(latency)
+                if traced:
+                    tracer.complete(TRACK_CORE, "read", issued_at,
+                                    latency, thread=thread)
+                launch(thread, now)     # the freed fill buffer refills
+
+            for thread in range(threads):
+                for _ in range(self.mlp_per_thread):
+                    launch(thread, 0.0)
+            engine.run()
         expected = threads * lines_per_thread
         if completed != expected:
             raise SimulationError(
@@ -338,10 +419,12 @@ class CxlWriteEndToEndSim:
                  region_lines: int = 1 << 18,
                  fault_plan: FaultPlan | None = None,
                  telemetry: Telemetry | None = None) -> None:
-        if buffer_entries <= 0:
-            raise SimulationError("buffer must have entries")
-        if issue_gap_ns <= 0:
-            raise SimulationError("issue gap must be positive")
+        _require_counts(buffer_entries=buffer_entries,
+                        region_lines=region_lines)
+        _require_latency(controller_ns=controller_ns)
+        if not 0.0 < issue_gap_ns < math.inf:
+            raise SimulationError(f"issue_gap_ns must be positive and "
+                                  f"finite: {issue_gap_ns!r}")
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self.port = port if port is not None else CxlPort()
@@ -355,9 +438,7 @@ class CxlWriteEndToEndSim:
 
     def run(self, *, threads: int, lines_per_thread: int = 1200
             ) -> E2eResult:
-        if threads <= 0 or lines_per_thread <= 0:
-            raise SimulationError(
-                "threads and lines_per_thread must be positive")
+        _require_counts(threads=threads, lines_per_thread=lines_per_thread)
         engine = Engine(telemetry=self.telemetry)
         schedule, schedule_at = engine.schedule, engine.schedule_at
         tracer = self.telemetry.tracer

@@ -16,7 +16,8 @@ lists them all).
 
 from __future__ import annotations
 
-from ..sim.rng import decision_uniform
+from hashlib import blake2b
+
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .plan import FaultPlan
 
@@ -37,6 +38,8 @@ class FaultInjector:
                  telemetry: Telemetry | None = None) -> None:
         self.plan = plan
         self.stream = stream
+        # The ``seed:stream:`` head of every key this injector hashes.
+        self._head = ":".join(map(str, (plan.seed, stream))) + ":"
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self.injected = 0        # faults injected this run
@@ -45,7 +48,12 @@ class FaultInjector:
     # -- draws -------------------------------------------------------------
 
     def _uniform(self, *key: object) -> float:
-        return decision_uniform(self.plan.seed, self.stream, *key)
+        """``decision_uniform(plan.seed, stream, *key)`` for a non-empty
+        ``key``: the same bytes hashed, with the head joined once."""
+        material = self._head + ":".join(map(str, key))
+        return int.from_bytes(blake2b(material.encode(),
+                                      digest_size=8).digest(),
+                              "little") / 2.0 ** 64
 
     def crc_transmissions(self, flits: int, *key: object) -> int:
         """Total flit sends for ``flits`` flits, CRC retries included.

@@ -105,16 +105,19 @@ class Bank:
         may begin on the data bus (the caller serializes the bus).
         """
         hit = self.open_row == row
+        # ``a if a >= b else b`` is ``max(a, b)`` without the call.
+        next_cas_at = self._next_cas_at
         if hit:
             self.row_hits += 1
-            cas_at = max(now, self._next_cas_at)
+            cas_at = now if now >= next_cas_at else next_cas_at
         else:
             self.row_misses += 1
-            activate_at = max(now, self._next_cas_at)
+            activate_at = now if now >= next_cas_at else next_cas_at
             if self.open_row is not None:
                 # Respect tRAS before precharging the old row.
-                activate_at = max(activate_at,
-                                  self.last_activate + self.tras_ns)
+                ras_at = self.last_activate + self.tras_ns
+                if ras_at > activate_at:
+                    activate_at = ras_at
                 activate_at += self.trp_ns
             self.open_row = row
             self.last_activate = activate_at

@@ -55,7 +55,7 @@ def decision_uniform(seed: int, *key: object) -> float:
       ``p2`` set, so raising a fault rate only ever *adds* faults
       (monotone degradation, no random crossover).
     """
-    material = ":".join(str(part) for part in (seed, *key))
+    material = ":".join(map(str, (seed, *key)))
     digest = hashlib.blake2b(material.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little") / 2.0 ** 64
 

@@ -43,6 +43,7 @@ from repro.mem.banks import Bank
 from repro.sim.engine import Engine
 from repro.telemetry import Telemetry, interpolate_percentile
 from repro.units import SEC
+from tests.cxl.test_e2e_engine_free import forced_des
 
 COMPARED_METRICS = ("cxl.e2e.", "faults.")
 
@@ -463,11 +464,14 @@ def test_fused_write_matches_two_stage_reference(shape, controller_ns,
 @given(shapes, fault_plans)
 def test_event_counts_follow_the_fold(shape, plan):
     """A read attempt costs one event plus one per fault retry; an
-    nt-store line costs two, plus one closing tick per writer."""
+    nt-store line costs two, plus one closing tick per writer.  Read
+    runs are counted on the event queue, forced where a fault-free run
+    would be served without one."""
     threads, lines = shape
     telemetry = Telemetry.metrics_only()
-    CxlEndToEndSim(fault_plan=plan, telemetry=telemetry).run(
-        threads=threads, lines_per_thread=lines)
+    with forced_des():
+        CxlEndToEndSim(fault_plan=plan, telemetry=telemetry).run(
+            threads=threads, lines_per_thread=lines)
     snapshot = telemetry.registry.snapshot()
 
     def value(key):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.cxl.e2e_sim import CxlEndToEndSim
+from repro.cxl.e2e_sim import CxlEndToEndSim, CxlWriteEndToEndSim
 from repro.units import ddr_peak_bandwidth
 
 
@@ -125,6 +125,42 @@ class TestValidation:
             CxlEndToEndSim(controller_ns=-1.0)
         with pytest.raises(SimulationError):
             CxlEndToEndSim().run(threads=0)
+
+    @pytest.mark.parametrize("sim_cls", [CxlEndToEndSim,
+                                         CxlWriteEndToEndSim])
+    @pytest.mark.parametrize("field", ["threads", "lines_per_thread"])
+    @pytest.mark.parametrize("value", [0, -3, True, 2.5, float("nan"),
+                                       float("inf"), "4"])
+    def test_run_counts_must_be_positive_integers(self, sim_cls, field,
+                                                  value):
+        counts = {"threads": 2, "lines_per_thread": 10, field: value}
+        with pytest.raises(SimulationError, match=field):
+            sim_cls().run(**counts)
+
+    @pytest.mark.parametrize("sim_cls, field", [
+        (CxlEndToEndSim, "mlp_per_thread"),
+        (CxlEndToEndSim, "region_lines"),
+        (CxlWriteEndToEndSim, "buffer_entries"),
+        (CxlWriteEndToEndSim, "region_lines"),
+    ])
+    @pytest.mark.parametrize("value", [0, -1, True, 2.5, float("nan")])
+    def test_sizes_must_be_positive_integers(self, sim_cls, field, value):
+        with pytest.raises(SimulationError, match=field):
+            sim_cls(**{field: value})
+
+    @pytest.mark.parametrize("sim_cls, field, value", [
+        (CxlEndToEndSim, "controller_ns", float("nan")),
+        (CxlEndToEndSim, "controller_ns", float("inf")),
+        (CxlEndToEndSim, "controller_ns", -1.0),
+        (CxlWriteEndToEndSim, "controller_ns", float("nan")),
+        (CxlWriteEndToEndSim, "controller_ns", float("inf")),
+        (CxlWriteEndToEndSim, "issue_gap_ns", float("nan")),
+        (CxlWriteEndToEndSim, "issue_gap_ns", float("inf")),
+        (CxlWriteEndToEndSim, "issue_gap_ns", 0.0),
+    ])
+    def test_latencies_must_be_finite(self, sim_cls, field, value):
+        with pytest.raises(SimulationError, match=field):
+            sim_cls(**{field: value})
 
     def test_deeper_mlp_raises_low_thread_bandwidth(self):
         shallow = CxlEndToEndSim(mlp_per_thread=4).run(

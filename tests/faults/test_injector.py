@@ -2,7 +2,9 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.faults import FaultInjector, FaultPlan, injector_for
 from repro.faults.injector import (
@@ -65,6 +67,25 @@ class TestDeterminism:
         high_hits = {k for k in range(500) if high.poisoned(k)}
         assert low_hits <= high_hits
         assert len(high_hits) > len(low_hits)
+
+    @given(seed=st.integers(min_value=-2**63, max_value=2**64),
+           stream=st.text(max_size=12),
+           key=st.lists(st.one_of(
+               st.integers(min_value=-2**70, max_value=2**70),
+               st.integers(min_value=-2**63, max_value=2**63 - 1)
+               .map(np.int64),
+               st.integers(min_value=0, max_value=2**32 - 1)
+               .map(np.uint32),
+               st.text(max_size=8),
+               st.floats(allow_nan=True, allow_infinity=True)),
+               min_size=1, max_size=5))
+    def test_uniform_is_decision_uniform(self, seed, stream, key):
+        """The injector's draw hashes the bytes decision_uniform hashes,
+        with its ``seed:stream:`` head joined once."""
+        plan = FaultPlan(poison_rate=0.5, seed=seed)
+        injector = FaultInjector(plan, stream=stream)
+        assert injector._uniform(*key) \
+            == decision_uniform(plan.seed, stream, *key)
 
     def test_decision_uniform_in_unit_interval(self):
         values = [decision_uniform(7, "s", k) for k in range(1000)]
