@@ -71,7 +71,7 @@ class NearMemoryReduction:
 
     def device_time_ns(self) -> float:
         """On-device execution of one inference (gather + pool)."""
-        dram = self.system.cxl_backend().controller.config
+        dram = self.system.cxl_backend().device.config
         gather_rounds = self.kernel.lookups / DEVICE_GATHER_MLP
         return ACCEL_LATENCY_NS + gather_rounds * dram.access_ns
 
@@ -89,7 +89,7 @@ class NearMemoryReduction:
     def device_bound(self) -> float:
         """Max inferences/s the device's internal DRAM allows."""
         backend = self.system.cxl_backend()
-        bandwidth = backend.controller.sustained_bandwidth(
+        bandwidth = backend.device.sustained_bandwidth(
             AccessPattern.RANDOM_BLOCK, self.tables.row_bytes, streams=4)
         return bandwidth / self.kernel.bytes_per_inference
 

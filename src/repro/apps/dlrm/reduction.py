@@ -18,7 +18,6 @@ from __future__ import annotations
 from ...cpu.system import System
 from ...errors import WorkloadError
 from ...mem.dram import AccessPattern
-from ...telemetry import NULL_TELEMETRY, Telemetry
 from ...topology.numa import MemoryKind
 from .embedding import EmbeddingTables
 
@@ -37,16 +36,13 @@ class ReductionKernel:
 
     def __init__(self, tables: EmbeddingTables, *,
                  lookups_per_inference: int = LOOKUPS_PER_INFERENCE,
-                 dense_compute_ns: float = DENSE_COMPUTE_NS,
-                 telemetry: Telemetry | None = None) -> None:
+                 dense_compute_ns: float = DENSE_COMPUTE_NS) -> None:
         if lookups_per_inference <= 0:
             raise WorkloadError("lookups per inference must be positive")
         self.tables = tables
         self.system: System = tables.system
         self.lookups = lookups_per_inference
         self.dense_compute_ns = dense_compute_ns
-        self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
 
     @property
     def bytes_per_inference(self) -> int:
@@ -89,14 +85,7 @@ class ReductionKernel:
     def throughput(self, threads: int) -> float:
         """Aggregate inferences/s at ``threads`` threads (Fig 8 left)."""
         demand = threads * self.per_thread_rate()
-        bound = self.bandwidth_bound(threads)
-        registry = self.telemetry.registry
-        registry.counter("apps.dlrm.throughput_queries").inc()
-        registry.gauge("apps.dlrm.inferences_per_s").set(
-            min(demand, bound))
-        registry.gauge("apps.dlrm.bandwidth_bound").set(
-            1.0 if bound < demand else 0.0)
-        return min(demand, bound)
+        return min(demand, self.bandwidth_bound(threads))
 
     def is_bandwidth_bound(self, threads: int) -> bool:
         """§6.1's classification test at a given thread count."""

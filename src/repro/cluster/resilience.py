@@ -35,6 +35,7 @@ knob → scenario field → span segment table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ import numpy as np
 from ..apps.kvstore.store import (CPU_BASE_NS, CPU_JITTER_SIGMA,
                                   EFFECTIVE_MISSES_MEAN, MISS_JITTER_SIGMA)
 from ..errors import ClusterError, unknown_option
+from ..kvspec import KeyValueSpec
 from ..sim.rng import substream
 from .routing import HostView
 
@@ -67,18 +69,24 @@ HEDGE_SAMPLES = 512
 _DURATION_FIELDS = ("deadline_ns", "backoff_base_ns",
                     "breaker_cooldown_ns")
 
-_PARSE_KEYS = {
-    "deadline-ns": ("deadline_ns", float),
-    "retries": ("retries", int),
-    "backoff-ns": ("backoff_base_ns", float),
-    "budget": ("retry_budget", float),
-    "hedge": ("hedge_quantile", float),
-    "breaker": ("breaker_factor", float),
-    "breaker-alpha": ("breaker_alpha", float),
-    "breaker-min": ("breaker_min_requests", int),
-    "breaker-cooldown-ns": ("breaker_cooldown_ns", float),
-    "shed": ("shed_inflight", int),
-}
+_SPEC = KeyValueSpec(
+    keys={
+        "deadline-ns": ("deadline_ns", float),
+        "retries": ("retries", int),
+        "backoff-ns": ("backoff_base_ns", float),
+        "budget": ("retry_budget", float),
+        "hedge": ("hedge_quantile", float),
+        "breaker": ("breaker_factor", float),
+        "breaker-alpha": ("breaker_alpha", float),
+        "breaker-min": ("breaker_min_requests", int),
+        "breaker-cooldown-ns": ("breaker_cooldown_ns", float),
+        "shed": ("shed_inflight", int),
+    },
+    error=ClusterError,
+    malformed="resilience spec entries are key=value, got {part!r}",
+    unknown_key="unknown resilience knob {key!r}; available: {available}",
+    bad_value="bad value for {key!r}: {value!r}",
+    owner="ResiliencePolicy")
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,10 @@ class ResiliencePolicy:
     #                                    busy + queued >= this
 
     def __post_init__(self) -> None:
+        for name in (*_DURATION_FIELDS, "breaker_factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ClusterError(f"{name} must be finite: {value}")
         for name in _DURATION_FIELDS:
             if getattr(self, name) < 0.0:
                 raise ClusterError(f"{name} must be non-negative")
@@ -118,7 +130,7 @@ class ResiliencePolicy:
             raise ClusterError(
                 "retries need a deadline_ns to trigger on")
         if self.retry_budget is not None:
-            if self.retry_budget <= 0.0:
+            if not self.retry_budget > 0.0:
                 raise ClusterError(
                     f"retry_budget must be positive (or None for "
                     f"uncapped): {self.retry_budget}")
@@ -176,10 +188,7 @@ class ResiliencePolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ResiliencePolicy":
-        unknown = set(data) - {f for f, _ in _PARSE_KEYS.values()}
-        if unknown:
-            raise ClusterError(
-                f"unknown ResiliencePolicy field(s): {sorted(unknown)}")
+        _SPEC.check_fields(data)
         return cls(**data)
 
     @classmethod
@@ -188,30 +197,10 @@ class ResiliencePolicy:
         ``deadline-ns=60000,retries=2,budget=0.1``.
 
         Keys: ``deadline-ns retries backoff-ns budget hedge breaker
-        breaker-alpha breaker-min breaker-cooldown-ns shed``.
+        breaker-alpha breaker-min breaker-cooldown-ns shed``.  A key
+        given twice is refused.
         """
-        fields: dict = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ClusterError(
-                    f"resilience spec entries are key=value, "
-                    f"got {part!r}")
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            if key not in _PARSE_KEYS:
-                raise ClusterError(
-                    f"unknown resilience knob {key!r}; available: "
-                    f"{' '.join(sorted(_PARSE_KEYS))}")
-            field, convert = _PARSE_KEYS[key]
-            try:
-                fields[field] = convert(raw.strip())
-            except ValueError as exc:
-                raise ClusterError(
-                    f"bad value for {key!r}: {raw.strip()!r}") from exc
-        return cls(**fields)
+        return cls(**_SPEC.parse(spec))
 
 
 ZERO_POLICY = ResiliencePolicy()

@@ -5,8 +5,8 @@ from __future__ import annotations
 from ..cache.hierarchy import CacheHierarchy
 from ..config import SocketConfig
 from ..interconnect.mesh import Mesh
-from ..mem.controller import MemoryController
 from ..mem.device import MemoryBackend
+from ..mem.dram import DramDevice
 from .core import Core
 
 
@@ -21,7 +21,7 @@ class Socket:
         self.cores = [Core(config.core, core_id=i)
                       for i in range(config.cores)]
         self.mesh = Mesh(config.mesh_ns, snc=snc)
-        self.local_controller = MemoryController(config.dram)
+        self.local_dram = DramDevice(config.dram)
 
     @property
     def name(self) -> str:
@@ -48,4 +48,4 @@ class Socket:
     def local_backend(self) -> MemoryBackend:
         """The DDR5-L8 backend (or the 2-channel SNC slice)."""
         label = "SNC-DDR5-L2" if self.snc else "DDR5-L8"
-        return MemoryBackend(label=label, controller=self.local_controller)
+        return MemoryBackend(label=label, device=self.local_dram)

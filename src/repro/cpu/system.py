@@ -27,8 +27,8 @@ from ..cxl.enumeration import (
 )
 from ..errors import ConfigError
 from ..interconnect.upi import UpiLink
-from ..mem.controller import MemoryController
 from ..mem.device import MemoryBackend
+from ..mem.dram import DramDevice
 from ..topology.allocator import PageAllocator
 from ..topology.numa import MemoryKind, NumaNode, NumaTopology
 from .socket import Socket
@@ -168,7 +168,7 @@ class System:
         label = f"DDR5-R{channels}" if channels is not None else "DDR5-R8"
         round_trip = self.upi.cacheline_round_trip_ns()
         return MemoryBackend(label=label,
-                             controller=MemoryController(dram),
+                             device=DramDevice(dram),
                              extra_read_ns=round_trip,
                              extra_write_ns=round_trip,
                              link_bandwidth=self.upi.effective_bandwidth())

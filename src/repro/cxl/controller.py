@@ -17,23 +17,16 @@ from __future__ import annotations
 
 from ..config import CxlDeviceConfig
 from ..faults import FaultPlan
-from ..mem.controller import MemoryController
-from ..telemetry import NULL_TELEMETRY, Telemetry
 
 
 class CxlDeviceController:
     """Latency and derating model of the on-device controller."""
 
     def __init__(self, config: CxlDeviceConfig, *,
-                 telemetry: Telemetry | None = None,
                  fault_plan: FaultPlan | None = None) -> None:
         self.config = config
-        self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
         self.fault_plan = fault_plan \
             if fault_plan is not None and fault_plan.active else None
-        self.backend_controller = MemoryController(
-            config.dram, telemetry=self.telemetry)
 
     # -- latency ---------------------------------------------------------
 
@@ -58,12 +51,9 @@ class CxlDeviceController:
         plan = self.fault_plan
         if plan is None:
             return 0.0
-        extra = (plan.stall_rate * plan.stall_ns
-                 + plan.timeout_rate * plan.timeout_ns
-                 + plan.poison_rate * plan.retry_backoff_ns)
-        registry = self.telemetry.registry
-        registry.gauge("faults.expected_latency_ns").set(extra)
-        return extra
+        return (plan.stall_rate * plan.stall_ns
+                + plan.timeout_rate * plan.timeout_ns
+                + plan.poison_rate * plan.retry_backoff_ns)
 
     def fault_bandwidth_derate(self) -> float:
         """Throughput multiplier (<= 1) under the fault plan.
@@ -76,13 +66,10 @@ class CxlDeviceController:
         plan = self.fault_plan
         if plan is None:
             return 1.0
-        derate = (1.0 - plan.crc_rate) \
+        return (1.0 - plan.crc_rate) \
             * (1.0 - plan.poison_rate) \
             * (1.0 - plan.timeout_rate) \
             / plan.link_slowdown
-        registry = self.telemetry.registry
-        registry.gauge("faults.bandwidth_derate").set(derate)
-        return derate
 
     # -- derates -----------------------------------------------------------
 
@@ -92,24 +79,19 @@ class CxlDeviceController:
         Flat up to the knee (~8 threads on the Agilex device), then the
         stream-mixing penalty ramps in; calibrated so the paper's drop
         from ~21 GB/s to 16.8 GB/s beyond 12 threads is reproduced
-        (derate ~0.76 at high thread counts).
+        (derate ~0.81 at high thread counts).
         """
         if reader_threads <= 0:
             raise ValueError(f"non-positive thread count: {reader_threads}")
-        registry = self.telemetry.registry
-        registry.counter("cxl.device.derate_queries").inc()
         knee = self.config.load_thread_knee
         if reader_threads <= knee:
-            registry.gauge("cxl.device.load_derate").set(1.0)
             return 1.0
         # Each thread past the knee costs locality; calibrated to Fig 3b's
         # drop from ~21 GB/s to 16.8 GB/s past 12 threads (derate ~0.81).
         excess = reader_threads - knee
         sensitivity = self.config.thread_mixing_sensitivity
         floor = 1.0 - 0.19 * sensitivity / 0.55
-        derate = max(floor, 1.0 - 0.04 * sensitivity / 0.55 * excess)
-        registry.gauge("cxl.device.load_derate").set(derate)
-        return derate
+        return max(floor, 1.0 - 0.04 * sensitivity / 0.55 * excess)
 
     def write_buffer_derate(self, nt_writer_threads: int,
                             lines_in_flight_per_thread: float = 96.0) -> float:
@@ -127,16 +109,11 @@ class CxlDeviceController:
             return 1.0
         in_flight = nt_writer_threads * lines_in_flight_per_thread
         capacity = self.config.write_buffer_entries * 1.6
-        registry = self.telemetry.registry
-        registry.gauge("cxl.device.wbuf.in_flight_lines").set(in_flight)
         if in_flight <= capacity:
-            registry.gauge("cxl.device.write_derate").set(1.0)
             return 1.0
         # Overflow: extra in-flight lines serialize on buffer drains.
         overflow = in_flight / capacity
-        derate = max(0.45, 1.0 / (0.55 + 0.45 * overflow))
-        registry.gauge("cxl.device.write_derate").set(derate)
-        return derate
+        return max(0.45, 1.0 / (0.55 + 0.45 * overflow))
 
     def store_interference_derate(self, writer_threads: int) -> float:
         """Mixing penalty for temporal-store (RFO) writer streams."""

@@ -13,7 +13,7 @@ from ..config import CxlDeviceConfig
 from ..faults import FaultPlan
 from ..interconnect.pcie import PciePhy
 from ..mem.device import MemoryBackend
-from ..mem.dram import AccessPattern
+from ..mem.dram import AccessPattern, DramDevice
 from .controller import CxlDeviceController
 from .messages import read_transaction, write_transaction
 from .port import CxlPort
@@ -53,7 +53,7 @@ class CxlMemoryBackend(MemoryBackend):
         # pipeline end to end, not just the wire.
         link_ceiling = port.data_bandwidth_ceiling(slots_per_line=5)
         super().__init__(label="CXL",
-                         controller=self.device_controller.backend_controller,
+                         device=DramDevice(config.dram),
                          extra_read_ns=read_path,
                          extra_write_ns=write_path,
                          link_bandwidth=link_ceiling)
@@ -71,7 +71,7 @@ class CxlMemoryBackend(MemoryBackend):
         ctrl = (self.device_controller.processing_ns()
                 + self.device_controller.expected_fault_latency_ns())
         return (("link", link), ("ctrl", ctrl),
-                ("media", self.controller.config.access_ns))
+                ("media", self.device.config.access_ns))
 
     def bus_ceiling(self, pattern: AccessPattern, block_bytes: int,
                     streams: int, *, write_fraction: float = 0.0) -> float:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from ..errors import SimulationError
 from ..faults import FaultPlan, injector_for
 from ..sim.engine import Engine
-from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..units import SEC
 from .messages import MemTransaction, read_transaction, write_transaction
 from .port import CxlPort
@@ -77,8 +76,7 @@ class CreditedLinkSim:
                  request_credits: int = 32,
                  flit_error_rate: float = 0.0,
                  fault_plan: FaultPlan | None = None,
-                 seed: int = 5,
-                 telemetry: Telemetry | None = None) -> None:
+                 seed: int = 5) -> None:
         if device_service_ns < 0:
             raise SimulationError("negative device service time")
         if device_parallelism <= 0 or request_credits <= 0:
@@ -101,8 +99,6 @@ class CreditedLinkSim:
         if fault_plan is None and flit_error_rate > 0.0:
             fault_plan = FaultPlan(crc_rate=flit_error_rate, seed=seed)
         self.fault_plan = fault_plan
-        self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
 
     def _flit_time_ns(self) -> float:
         """Serialization time of one 68 B flit at the (possibly
@@ -123,8 +119,7 @@ class CreditedLinkSim:
         hop_ns = self.port.phy.config.hop_latency_ns
         request_flits = -(-txn_template.request_slots // 3)
         response_flits = -(-txn_template.response_slots // 3)
-        injector = injector_for(self.fault_plan, stream="linksim",
-                                telemetry=self.telemetry)
+        injector = injector_for(self.fault_plan, stream="linksim")
 
         state = {
             "launched": 0, "completed": 0, "credits": self.request_credits,

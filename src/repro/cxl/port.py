@@ -10,7 +10,6 @@ headers, which is why a PCIe Gen5 x16 port cannot deliver 64 GB/s of
 from __future__ import annotations
 
 from ..interconnect.pcie import PcieGen, PciePhy
-from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..units import SEC
 from .flit import SLOT_BYTES, wire_bytes_for_slots
 from .messages import MemTransaction
@@ -20,13 +19,10 @@ class CxlPort:
     """One CXL 1.1 link between a root complex and a device."""
 
     def __init__(self, phy: PciePhy | None = None,
-                 pack_ns: float = 10.0, *,
-                 telemetry: Telemetry | None = None) -> None:
+                 pack_ns: float = 10.0) -> None:
         self.phy = phy if phy is not None else PciePhy(PcieGen.GEN5, 16)
         # Host-side flit packing / unpacking (the "set of rules" cost).
         self.pack_ns = pack_ns
-        self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
 
     @property
     def raw_bandwidth(self) -> float:
@@ -50,10 +46,6 @@ class CxlPort:
         response = (self.phy.config.hop_latency_ns
                     + self.slot_transfer_ns(txn.response_slots)
                     + self.pack_ns)
-        registry = self.telemetry.registry
-        registry.counter("cxl.port.transactions").inc()
-        registry.histogram("cxl.port.round_trip_ns").record(
-            request + response)
         return request + response
 
     def data_bandwidth_ceiling(self, *, slots_per_line: int) -> float:

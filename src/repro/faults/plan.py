@@ -27,25 +27,33 @@ under load (§4.3–§4.5) plus the standard CXL RAS machinery:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 from ..errors import FaultError
+from ..kvspec import KeyValueSpec
 
 _RATE_FIELDS = ("crc_rate", "poison_rate", "timeout_rate", "stall_rate")
 
-_PARSE_KEYS = {
-    "crc": ("crc_rate", float),
-    "poison": ("poison_rate", float),
-    "timeout": ("timeout_rate", float),
-    "stall": ("stall_rate", float),
-    "stall-ns": ("stall_ns", float),
-    "timeout-ns": ("timeout_ns", float),
-    "backoff-ns": ("retry_backoff_ns", float),
-    "retries": ("max_retries", int),
-    "width": ("link_width_fraction", float),
-    "speed": ("link_speed_fraction", float),
-    "seed": ("seed", int),
-}
+_SPEC = KeyValueSpec(
+    keys={
+        "crc": ("crc_rate", float),
+        "poison": ("poison_rate", float),
+        "timeout": ("timeout_rate", float),
+        "stall": ("stall_rate", float),
+        "stall-ns": ("stall_ns", float),
+        "timeout-ns": ("timeout_ns", float),
+        "backoff-ns": ("retry_backoff_ns", float),
+        "retries": ("max_retries", int),
+        "width": ("link_width_fraction", float),
+        "speed": ("link_speed_fraction", float),
+        "seed": ("seed", int),
+    },
+    error=FaultError,
+    malformed="fault spec entries are key=value, got {part!r}",
+    unknown_key="unknown fault knob {key!r}; available: {available}",
+    bad_value="bad value for {key!r}: {value!r}",
+    owner="FaultPlan")
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,10 @@ class FaultPlan:
             if not 0.0 <= rate < 1.0:
                 raise FaultError(f"{name} must be in [0, 1): {rate}")
         for name in ("stall_ns", "timeout_ns", "retry_backoff_ns"):
-            if getattr(self, name) < 0.0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise FaultError(f"{name} must be finite: {value}")
+            if value < 0.0:
                 raise FaultError(f"{name} must be non-negative")
         for name in ("link_width_fraction", "link_speed_fraction"):
             fraction = getattr(self, name)
@@ -120,10 +131,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        unknown = set(data) - {f for f, _ in _PARSE_KEYS.values()}
-        if unknown:
-            raise FaultError(
-                f"unknown FaultPlan field(s): {sorted(unknown)}")
+        _SPEC.check_fields(data)
         return cls(**data)
 
     @classmethod
@@ -132,29 +140,10 @@ class FaultPlan:
 
         Keys: ``crc poison timeout stall`` (rates), ``stall-ns
         timeout-ns backoff-ns`` (durations), ``retries``, ``width
-        speed`` (degraded-link fractions), ``seed``.
+        speed`` (degraded-link fractions), ``seed``.  A key given
+        twice is refused.
         """
-        fields: dict = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise FaultError(
-                    f"fault spec entries are key=value, got {part!r}")
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            if key not in _PARSE_KEYS:
-                raise FaultError(
-                    f"unknown fault knob {key!r}; available: "
-                    f"{' '.join(sorted(_PARSE_KEYS))}")
-            field, convert = _PARSE_KEYS[key]
-            try:
-                fields[field] = convert(raw.strip())
-            except ValueError as exc:
-                raise FaultError(
-                    f"bad value for {key!r}: {raw.strip()!r}") from exc
-        return cls(**fields)
+        return cls(**_SPEC.parse(spec))
 
 
 ZERO_FAULTS = FaultPlan()

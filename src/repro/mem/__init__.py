@@ -1,4 +1,4 @@
-"""Device-side memory models: DRAM timing, channels, and controllers.
+"""Device-side memory models: DRAM timing, banks, and backends.
 
 This package answers device-side questions only — what latency and
 sustained bandwidth the DIMMs and their controller can deliver for a given
@@ -8,8 +8,6 @@ effects) are composed by :mod:`repro.perfmodel`.
 
 from .bandwidth import queueing_inflation, row_locality_efficiency
 from .dram import AccessPattern, DramDevice
-from .channel import Channel
-from .controller import MemoryController
 from .device import MemoryBackend
 from .banks import Bank, DdrTimings, ddr4_2666_timings, ddr5_4800_timings
 from .dram_sim import ChannelSimResult, DramChannelSim
@@ -17,8 +15,6 @@ from .dram_sim import ChannelSimResult, DramChannelSim
 __all__ = [
     "AccessPattern",
     "DramDevice",
-    "Channel",
-    "MemoryController",
     "MemoryBackend",
     "queueing_inflation",
     "row_locality_efficiency",

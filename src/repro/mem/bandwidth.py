@@ -69,11 +69,3 @@ def row_locality_efficiency(block_bytes: int, streams_per_channel: float,
     # costs a few percent of locality, saturating at the random floor.
     mixing = 1.0 / (1.0 + 0.04 * max(0.0, streams_per_channel - 1.0))
     return max(random_eff, base * mixing)
-
-
-def loaded_latency_ns(base_ns: float, utilization: float,
-                      **kwargs) -> float:
-    """Base latency inflated by queueing at ``utilization``."""
-    if base_ns <= 0:
-        raise ValueError(f"base latency must be positive: {base_ns}")
-    return base_ns * queueing_inflation(utilization, **kwargs)

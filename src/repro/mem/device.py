@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .controller import MemoryController
-from .dram import AccessPattern
+from .dram import AccessPattern, DramDevice
 
 
 @dataclass
@@ -26,7 +25,7 @@ class MemoryBackend:
     """Device-side view of one memory scheme."""
 
     label: str
-    controller: MemoryController
+    device: DramDevice
     # Extra one-way path latency beyond the socket (UPI hops, CXL stack).
     extra_read_ns: float = 0.0
     extra_write_ns: float = 0.0
@@ -35,11 +34,11 @@ class MemoryBackend:
 
     @property
     def channel_count(self) -> int:
-        return self.controller.channel_count
+        return self.device.channels
 
     def idle_read_ns(self) -> float:
         """Unloaded read latency from the socket edge to data return."""
-        return self.controller.config.access_ns + self.extra_read_ns
+        return self.device.config.access_ns + self.extra_read_ns
 
     def read_components_ns(self) -> tuple[tuple[str, float], ...]:
         """The read path decomposed into labeled span components.
@@ -53,20 +52,20 @@ class MemoryBackend:
         parts: tuple[tuple[str, float], ...] = ()
         if self.extra_read_ns > 0.0:
             parts += (("link", self.extra_read_ns),)
-        return parts + (("media", self.controller.config.access_ns),)
+        return parts + (("media", self.device.config.access_ns),)
 
     def idle_write_ns(self) -> float:
         """Unloaded posted-write acceptance latency."""
-        return self.controller.config.access_ns + self.extra_write_ns
+        return self.device.config.access_ns + self.extra_write_ns
 
     def bus_ceiling(self, pattern: AccessPattern, block_bytes: int,
                     streams: int, *, write_fraction: float = 0.0) -> float:
         """Max total bus traffic (B/s), including any link ceiling."""
-        device = self.controller.sustained_bandwidth(
+        sustained = self.device.sustained_bandwidth(
             pattern, block_bytes, streams, write_fraction=write_fraction)
         if self.link_bandwidth is not None:
-            return min(device, self.link_bandwidth)
-        return device
+            return min(sustained, self.link_bandwidth)
+        return sustained
 
     def concurrency_derate(self, *, readers: int, writers: int,
                            nt_writers: int = 0) -> float:

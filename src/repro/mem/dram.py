@@ -19,9 +19,9 @@ class AccessPattern(enum.Enum):
 class DramDevice:
     """One DRAM subsystem behind a memory controller.
 
-    Wraps a :class:`~repro.config.DramConfig` with the two queries the
-    rest of the model needs: device-side access latency and sustainable
-    bandwidth for a given traffic shape.
+    Wraps a :class:`~repro.config.DramConfig` with the query the rest of
+    the model needs: sustainable bandwidth for a given traffic shape
+    (the unloaded access time is ``config.access_ns``).
     """
 
     def __init__(self, config: DramConfig) -> None:
@@ -35,10 +35,6 @@ class DramDevice:
     @property
     def channels(self) -> int:
         return self.config.channels
-
-    def access_ns(self) -> float:
-        """Unloaded device-side access time (row activate + CAS + transfer)."""
-        return self.config.access_ns
 
     def efficiency(self, pattern: AccessPattern, block_bytes: int,
                    streams: int, *, write_fraction: float = 0.0) -> float:

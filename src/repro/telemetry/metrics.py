@@ -2,7 +2,7 @@
 
 The registry is the *aggregate* half of the telemetry subsystem (the
 event half lives in :mod:`repro.telemetry.tracer`).  Components create
-metrics lazily by dotted name — ``cxl.port.round_trip_ns`` — so a
+metrics lazily by dotted name — ``cxl.e2e.read.latency_ns`` — so a
 snapshot of one run groups naturally by simulated component.
 
 Naming convention (see docs/TELEMETRY.md): lowercase dotted paths,

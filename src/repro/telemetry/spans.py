@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..canonical import canonical_digest
+from ..kvspec import KeyValueSpec
 from .metrics import interpolate_percentile
 
 TAIL_PCT = 99.0
@@ -75,28 +76,21 @@ class SpanConfig:
     def parse(cls, spec: str) -> "SpanConfig":
         """Parse a CLI spec like ``""``, ``"k=8"`` or ``"k=8,windows=6"``.
 
-        Accepted keys: ``k``/``exemplars`` and ``windows``.
+        Accepted keys: ``k``/``exemplars`` and ``windows``; setting the
+        same option twice is refused.
         """
-        kwargs: dict[str, int] = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise SpanError(f"bad span option {part!r} (expected key=value)")
-            key, _, value = part.partition("=")
-            key = key.strip().lower()
-            if key in ("k", "exemplars"):
-                key = "exemplars"
-            elif key != "windows":
-                raise SpanError(f"unknown span option {key!r} "
-                                "(expected k/exemplars or windows)")
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise SpanError(f"span option {key}={value!r} is not an "
-                                "integer") from None
-        return cls(**kwargs)
+        return cls(**_SPEC.parse(spec))
+
+
+_SPEC = KeyValueSpec(
+    keys={"k": ("exemplars", int), "exemplars": ("exemplars", int),
+          "windows": ("windows", int)},
+    error=SpanError,
+    malformed="bad span option {part!r} (expected key=value)",
+    unknown_key="unknown span option {key!r} "
+                "(expected k/exemplars or windows)",
+    bad_value="span option {field}={raw!r} is not an integer",
+    fold_case=True)
 
 
 # ---------------------------------------------------------------------------

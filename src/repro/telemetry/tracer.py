@@ -6,7 +6,7 @@ identically-seeded runs emit byte-identical event sequences — the
 property the determinism tests pin down.
 
 Each *track* is one simulated component (``core``, ``cxl.port``,
-``cxl.device.wbuf``, ``dram.channel``, ``tiering.migrator`` …) and maps
+``cxl.device.wbuf``, ``dram.channel``, ``apps.dsb`` …) and maps
 to one named thread row in the Chrome / Perfetto timeline view.  Three
 event shapes cover the simulator's needs:
 

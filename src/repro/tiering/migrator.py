@@ -15,11 +15,8 @@ from ..cpu.system import MemoryScheme, System
 from ..dsa.device import DsaDevice, SubmissionMode
 from ..errors import WorkloadError
 from ..perfmodel.throughput import ThroughputModel
-from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..units import PAGE_4K, SEC
 from .policy import MigrationPlan
-
-MIGRATOR_TRACK = "tiering.migrator"
 
 
 class MigrationEngine(enum.Enum):
@@ -36,19 +33,13 @@ class PageMigrator:
     def __init__(self, system: System, *,
                  engine: MigrationEngine = MigrationEngine.DSA_ASYNC,
                  page_bytes: int = PAGE_4K,
-                 dsa_batch: int = 128,
-                 telemetry: Telemetry | None = None) -> None:
+                 dsa_batch: int = 128) -> None:
         if page_bytes <= 0:
             raise WorkloadError("page size must be positive")
         self.system = system
         self.engine = engine
         self.page_bytes = page_bytes
         self.dsa_batch = dsa_batch
-        self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
-        # The migrator has no DES clock; plans execute back-to-back on
-        # a private cumulative timeline so traced epochs line up.
-        self._clock_ns = 0.0
         self._model = ThroughputModel(system)
         self._dsa = DsaDevice(system)
 
@@ -70,34 +61,13 @@ class PageMigrator:
         """
         promote_bytes = plan.promote.size * self.page_bytes
         demote_bytes = plan.demote.size * self.page_bytes
-        tracer = self.telemetry.tracer
-        registry = self.telemetry.registry
         total = 0.0
         if promote_bytes:
-            promote_ns = promote_bytes / self._rate(
+            total += promote_bytes / self._rate(
                 MemoryScheme.CXL, MemoryScheme.DDR5_L8) * SEC
-            if tracer.enabled:
-                tracer.complete(MIGRATOR_TRACK, "promote",
-                                self._clock_ns + total, promote_ns,
-                                pages=int(plan.promote.size),
-                                engine=self.engine.value)
-            registry.counter("tiering.migrator.promoted_pages").inc(
-                int(plan.promote.size))
-            total += promote_ns
         if demote_bytes:
-            demote_ns = demote_bytes / self._rate(
+            total += demote_bytes / self._rate(
                 MemoryScheme.DDR5_L8, MemoryScheme.CXL) * SEC
-            if tracer.enabled:
-                tracer.complete(MIGRATOR_TRACK, "demote",
-                                self._clock_ns + total, demote_ns,
-                                pages=int(plan.demote.size),
-                                engine=self.engine.value)
-            registry.counter("tiering.migrator.demoted_pages").inc(
-                int(plan.demote.size))
-            total += demote_ns
-        if total:
-            registry.histogram("tiering.migrator.plan_ns").record(total)
-        self._clock_ns += total
         return total
 
     def cpu_busy_fraction(self) -> float:

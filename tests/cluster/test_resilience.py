@@ -62,6 +62,20 @@ class TestPolicyValidation:
         with pytest.raises(ClusterError, match="non-negative"):
             ResiliencePolicy(deadline_ns=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("field", ["deadline_ns", "backoff_base_ns",
+                                       "breaker_cooldown_ns",
+                                       "breaker_factor"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ClusterError, match=f"{field} must be finite"):
+            ResiliencePolicy(**{field: value})
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ClusterError, match="retry_budget"):
+            ResiliencePolicy(deadline_ns=1e5, retries=1,
+                             retry_budget=float("nan"))
+
     def test_breaker_alpha_range(self):
         with pytest.raises(ClusterError, match="breaker_alpha"):
             ResiliencePolicy(breaker_factor=2.0, breaker_alpha=0.0)
@@ -84,6 +98,10 @@ class TestPolicyParsing:
     def test_bad_value_names_the_knob(self):
         with pytest.raises(ClusterError, match="retries"):
             ResiliencePolicy.parse("retries=two")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ClusterError, match="repeated key 'retries'"):
+            ResiliencePolicy.parse("deadline-ns=5000,retries=1,retries=2")
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ClusterError, match="unknown"):

@@ -41,6 +41,16 @@ class TestValidation:
         assert code == 2
         assert "inactive" in capsys.readouterr().err
 
+    def test_non_finite_knob_is_exit_2_and_names_the_field(
+            self, tmp_path, monkeypatch, capsys):
+        code = _run(tmp_path, monkeypatch,
+                    ["--only", "figR", "--resilience",
+                     "deadline-ns=nan,retries=2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "deadline_ns must be finite" in err
+        assert "inactive" not in err
+
     def test_non_accepting_experiment_is_exit_2(self, tmp_path,
                                                 monkeypatch, capsys):
         code = _run(tmp_path, monkeypatch,

@@ -27,6 +27,14 @@ class TestValidation:
         with pytest.raises(FaultError):
             FaultPlan(**{field: -1.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("field", ["stall_ns", "timeout_ns",
+                                       "retry_backoff_ns"])
+    def test_durations_must_be_finite(self, field, value):
+        with pytest.raises(FaultError, match=f"{field} must be finite"):
+            FaultPlan(**{field: value})
+
     @pytest.mark.parametrize("field", ["link_width_fraction",
                                        "link_speed_fraction"])
     def test_link_fractions_in_unit_interval(self, field):
@@ -110,3 +118,7 @@ class TestSerialization:
     def test_parse_rejects_bare_word(self):
         with pytest.raises(FaultError):
             FaultPlan.parse("crc")
+
+    def test_parse_rejects_a_repeated_key(self):
+        with pytest.raises(FaultError, match="repeated key 'crc'"):
+            FaultPlan.parse("crc=0.01,crc=0.02")

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.mem import queueing_inflation, row_locality_efficiency
-from repro.mem.bandwidth import loaded_latency_ns
 
 
 class TestQueueingInflation:
@@ -76,14 +75,3 @@ class TestRowLocality:
         eff = row_locality_efficiency(block, streams, **self.KW)
         assert 0.38 <= eff <= 0.72
 
-
-class TestLoadedLatency:
-    def test_idle_equals_base(self):
-        assert loaded_latency_ns(100.0, 0.0) == pytest.approx(100.0)
-
-    def test_loaded_exceeds_base(self):
-        assert loaded_latency_ns(100.0, 0.95) > 150.0
-
-    def test_zero_base_rejected(self):
-        with pytest.raises(ValueError):
-            loaded_latency_ns(0.0, 0.5)

@@ -1,16 +1,10 @@
-"""DRAM device, channel, and controller models."""
+"""DRAM device and memory backend models."""
 
 import pytest
 
 from repro import units
 from repro.config import DramConfig
-from repro.mem import (
-    AccessPattern,
-    Channel,
-    DramDevice,
-    MemoryBackend,
-    MemoryController,
-)
+from repro.mem import AccessPattern, DramDevice, MemoryBackend
 
 
 def ddr5_l8() -> DramConfig:
@@ -74,69 +68,43 @@ class TestDramDevice:
         assert units.to_gb_per_s(ntst) == pytest.approx(170.0, abs=3.0)
 
 
-class TestChannel:
-    def test_per_channel_peak(self):
-        channel = Channel(ddr5_l8(), 0)
-        assert units.to_gb_per_s(channel.peak_bandwidth) == pytest.approx(38.4)
-
-    def test_out_of_range_index_rejected(self):
-        with pytest.raises(ValueError):
-            Channel(ddr4_x1(), 1)
-
-    def test_loaded_latency_grows_with_load(self):
-        channel = Channel(ddr5_l8(), 0)
-        idle = channel.loaded_access_ns(0.0)
-        busy = channel.loaded_access_ns(channel.peak_bandwidth * 0.95)
-        assert busy > idle
-        assert idle == pytest.approx(52.0)
-
-    def test_negative_load_rejected(self):
-        with pytest.raises(ValueError):
-            Channel(ddr5_l8(), 0).utilization(-1.0)
-
-
 class TestMemoryController:
+    """Channel scaling as the memory controller sees it: a backend's
+    channel count and its device's sustained bandwidth."""
+
     def test_channel_count(self):
-        assert MemoryController(ddr5_l8()).channel_count == 8
-        assert MemoryController(ddr4_x1()).channel_count == 1
+        assert MemoryBackend("L8", DramDevice(ddr5_l8())).channel_count == 8
+        assert MemoryBackend("X1", DramDevice(ddr4_x1())).channel_count == 1
 
     def test_sustained_bandwidth_scales_with_channels(self):
-        l8 = MemoryController(ddr5_l8())
-        l1 = MemoryController(ddr5_l8().with_channels(1))
+        l8 = DramDevice(ddr5_l8())
+        l1 = DramDevice(ddr5_l8().with_channels(1))
         bw8 = l8.sustained_bandwidth(AccessPattern.SEQUENTIAL, 0, 8)
         bw1 = l1.sustained_bandwidth(AccessPattern.SEQUENTIAL, 0, 8)
         assert bw8 > 5 * bw1
 
     def test_ddr4_sequential_approaches_theoretical(self):
         """Fig 3b: nt-store peak ~22 GB/s is near DDR4-2666's 21.3 GB/s."""
-        controller = MemoryController(ddr4_x1())
-        bw = controller.sustained_bandwidth(AccessPattern.SEQUENTIAL, 0, 1)
+        device = DramDevice(ddr4_x1())
+        bw = device.sustained_bandwidth(AccessPattern.SEQUENTIAL, 0, 1)
         assert units.to_gb_per_s(bw) == pytest.approx(20.7, abs=1.0)
-
-    def test_loaded_access_latency(self):
-        controller = MemoryController(ddr4_x1())
-        capacity = controller.sustained_bandwidth(
-            AccessPattern.SEQUENTIAL, 0, 1)
-        idle = controller.loaded_access_ns(0.0)
-        loaded = controller.loaded_access_ns(capacity * 0.97)
-        assert loaded > idle * 2
 
 
 class TestMemoryBackend:
     def test_idle_latencies_compose_extras(self):
         backend = MemoryBackend("DDR5-R1",
-                                MemoryController(ddr5_l8().with_channels(1)),
+                                DramDevice(ddr5_l8().with_channels(1)),
                                 extra_read_ns=120.0, extra_write_ns=100.0)
         assert backend.idle_read_ns() == pytest.approx(52.0 + 120.0)
         assert backend.idle_write_ns() == pytest.approx(52.0 + 100.0)
 
     def test_link_ceiling_caps_bus(self):
-        backend = MemoryBackend("capped", MemoryController(ddr5_l8()),
+        backend = MemoryBackend("capped", DramDevice(ddr5_l8()),
                                 link_bandwidth=units.gb_per_s(10.0))
         bw = backend.bus_ceiling(AccessPattern.SEQUENTIAL, 0, 8)
         assert units.to_gb_per_s(bw) == pytest.approx(10.0)
 
     def test_plain_dram_has_no_concurrency_derate(self):
-        backend = MemoryBackend("DDR5-L8", MemoryController(ddr5_l8()))
+        backend = MemoryBackend("DDR5-L8", DramDevice(ddr5_l8()))
         assert backend.concurrency_derate(readers=32, writers=32,
                                           nt_writers=32) == 1.0

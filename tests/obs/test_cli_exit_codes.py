@@ -57,6 +57,17 @@ class TestExperimentsCli:
             == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spec,named", [
+        ("stall=0.05,stall-ns=nan", "stall_ns must be finite"),
+        ("crc=0.01,crc=0.02", "repeated key 'crc'"),
+    ])
+    def test_invalid_fault_plan_is_exit_2(self, spec, named, capsys):
+        from repro.experiments.runner import main
+
+        assert main(["cluster-pooling", "--faults", spec]) == 2
+        _, _, _, fields = last_error_line(capsys.readouterr().err)
+        assert named in fields["msg"]
+
     def test_fault_refusing_experiment_is_exit_2(self, capsys):
         from repro.experiments.runner import main
 

@@ -50,8 +50,7 @@ class TestThroughputInvariants:
                                            kind):
         """No configuration may exceed the scheme's theoretical DRAM peak."""
         system = throughput.system
-        peak = system.scheme_backend(scheme).controller.config \
-            .peak_bandwidth
+        peak = system.scheme_backend(scheme).device.peak_bandwidth
         result = throughput.bandwidth(scheme, kind, threads=32)
         assert result.bus_bandwidth <= peak * (1 + 1e-9)
 

@@ -39,6 +39,7 @@ class TestSpanConfig:
 
     @pytest.mark.parametrize("spec", [
         "k", "k=x", "depth=3", "k=0", "windows=-1",
+        "k=4,exemplars=8", "windows=2,WINDOWS=3",
     ])
     def test_parse_rejects(self, spec):
         with pytest.raises(SpanError):
