@@ -1,4 +1,4 @@
-"""End-to-end CXL read simulation: host threads -> flits -> DRAM banks.
+"""End-to-end CXL simulations: host threads -> flits -> DRAM banks.
 
 The analytic model produces Fig 3b from calibrated ceilings and derates.
 This simulator *derives* the same curve shape from mechanism alone:
@@ -28,6 +28,10 @@ the controller stage, and a degraded link stretches every flit.  Every
 injected fault is recovered and counted; ``completed`` always reaches
 the expected total.  The ``degraded-cxl`` experiment sweeps fault
 severity over this model.
+
+Fault-free, untraced read runs are served from a FIFO of the reads in
+flight, other read runs on the DES engine; nt-store runs never use the
+engine (:class:`CxlWriteEndToEndSim`).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 
 from ..errors import SimulationError
 from ..faults import FaultInjector, FaultPlan, injector_for
@@ -407,6 +412,11 @@ class CxlWriteEndToEndSim:
     interleave at line granularity inside the buffer, the drain stream
     loses row locality, drain slows, the buffer backs up, and
     throughput collapses.  No tuned derate involved.
+
+    A run has two event kinds, a writer's ``thread_tick`` and a line's
+    ``drained``; :meth:`run` serves them from a heap and a FIFO in the
+    order an event queue fires them, so a run lacks only the engine's
+    ``sim.engine`` trace slice and gauges.
     """
 
     WRITE_REQUEST_FLITS = 2      # M2S RwD: header + 64 B = 5 slots
@@ -439,8 +449,6 @@ class CxlWriteEndToEndSim:
     def run(self, *, threads: int, lines_per_thread: int = 1200
             ) -> E2eResult:
         _require_counts(threads=threads, lines_per_thread=lines_per_thread)
-        engine = Engine(telemetry=self.telemetry)
-        schedule, schedule_at = engine.schedule, engine.schedule_at
         tracer = self.telemetry.tracer
         traced = tracer.enabled
         injector = injector_for(self.fault_plan, stream="e2e-write",
@@ -470,93 +478,115 @@ class CxlWriteEndToEndSim:
         waiting_for_credit: deque[tuple[int, int]] = deque()
         backlog_cap = threads * 12
         stalled_threads: list[int] = []
+        # Two event kinds, served without an event queue.  At most one
+        # ``thread_tick`` per writer is pending: a heap of (time, seq,
+        # thread).  Drains are due in send order: a FIFO of (time,
+        # seq).  ``seq`` numbers events in the order they are
+        # scheduled, one counter for both kinds, and the smaller
+        # (time, seq) head fires next, so events fire in scheduling
+        # order at exact ties, as on an event queue.
+        ticks = [(0.0 + thread * 0.5, thread, thread)
+                 for thread in range(threads)]
+        seq = threads
+        drains: deque[tuple[float, int]] = deque()
 
-        def occupancy_sample(now: float) -> None:
-            tracer.count(TRACK_WBUF, "occupancy", now,
-                         buffer_entries - credits)
-
-        def thread_tick(thread: int) -> None:
-            """A writer produces one line per issue gap, credits allowing."""
-            nonlocal credits, stalls
-            index = next_line[thread]
-            if index >= lines_per_thread:
-                return
-            next_line[thread] = index + 1
-            line = thread * stride + index
-            if credits > 0:
-                credits -= 1
-                if traced:
-                    occupancy_sample(engine.now)
-                send(thread, line)
-            else:
-                stalls += 1
-                if traced:
-                    tracer.instant(TRACK_WBUF, "credit-stall", engine.now,
-                                   thread=thread)
-                waiting_for_credit.append((thread, line))
-            # Pace the next store; a full WC pipeline stalls naturally
-            # because the credit queue backs up.
-            if len(waiting_for_credit) < backlog_cap:
-                schedule(issue_gap_ns, thread_tick, thread)
-            else:
-                stalled_threads.append(thread)
-
-        def send(thread: int, line: int) -> None:
+        def send(thread: int, line: int, now: float) -> float:
+            """Carry a line sent at ``now`` over the M2S wire into the
+            buffer and through its DRAM burst; returns when it drains."""
             nonlocal m2s_free_at, dram_bus_free_at
-            now = engine.now
             sends = request_flits if injector is None \
                 else injector.crc_transmissions(request_flits, "m2s", line)
-            start = max(now, m2s_free_at)
+            start = now if now >= m2s_free_at else m2s_free_at
             m2s_free_at = start + sends * flit_ns
             if traced:
                 tracer.complete(TRACK_PORT, "m2s.rwd", start,
                                 sends * flit_ns, thread=thread)
             # Buffer arrival.  Every send adds at least one flit_ns to
-            # m2s_free_at, so lines reach the buffer in send-call order
-            # and drain in that order; only this stage touches the
-            # banks and the DRAM bus.  The controller is a pipeline
-            # stage (latency, not occupancy); banks and the shared
-            # data bus serialize.
-            now = now + (m2s_free_at + hop_ns - now)
+            # m2s_free_at, so lines reach the buffer in send order and
+            # drain in that order; only this stage touches the banks
+            # and the DRAM bus.  The controller is a pipeline stage
+            # (latency, not occupancy); banks and the shared data bus
+            # serialize.  Each stage keeps the clock its own event used
+            # to carry, ``now + (t - now)``, which is not always ``t``.
+            arrive = now + (m2s_free_at + hop_ns - now)
             latency = controller_ns
             if injector is not None:
                 stall = injector.stall_ns("drain", line)
                 if stall:
                     if traced:
-                        tracer.instant(TRACK_WBUF, "fault-stall", now)
+                        tracer.instant(TRACK_WBUF, "fault-stall", arrive)
                     latency += stall
             row_index = line // lines_per_row
             bank = banks[row_index % nbanks]
-            data_at, hit = bank.access(row_index // nbanks, now + latency)
-            burst_start = max(data_at, dram_bus_free_at)
+            data_at, hit = bank.access(row_index // nbanks,
+                                       arrive + latency)
+            burst_start = data_at if data_at >= dram_bus_free_at \
+                else dram_bus_free_at
             dram_bus_free_at = burst_start + burst_ns
             if traced:
                 tracer.complete(TRACK_DRAM, "drain-burst", burst_start,
                                 burst_ns, bank=bank.index, hit=hit)
-            # ``drained`` stays an event: it returns the credit that
-            # ``thread_tick`` reads.  Scheduled here, it can resolve an
-            # exact tie with a ``thread_tick`` in another order than
-            # with a stage event of its own.
-            schedule_at(now + (dram_bus_free_at - now), drained)
+            # Each burst adds burst_ns to dram_bus_free_at, so drains
+            # are due in send order, never before the send itself.
+            drain_at = arrive + (dram_bus_free_at - arrive)
+            floor = drains[-1][0] if drains else now
+            if drain_at < floor:
+                raise SimulationError(
+                    f"drain of line {line} is due at {drain_at} ns, "
+                    f"before {floor} ns: drains are out of send order")
+            return drain_at
 
-        def drained() -> None:
-            nonlocal completed, last_done, credits
-            completed += 1
-            last_done = engine.now
-            if waiting_for_credit:
-                thread, line = waiting_for_credit.popleft()
-                send(thread, line)
-                if stalled_threads:
-                    schedule(issue_gap_ns, thread_tick,
-                             stalled_threads.pop())
-            else:
-                credits += 1
+        push_drain, pop_drain = drains.append, drains.popleft
+        while ticks or drains:
+            if drains and (not ticks or drains[0] < ticks[0]):
+                # ``drained``: the line left the buffer.
+                now = pop_drain()[0]
+                completed += 1
+                last_done = now
+                if waiting_for_credit:
+                    thread, line = waiting_for_credit.popleft()
+                    push_drain((send(thread, line, now), seq))
+                    seq += 1
+                    if stalled_threads:
+                        heappush(ticks, (now + issue_gap_ns, seq,
+                                         stalled_threads.pop()))
+                        seq += 1
+                else:
+                    credits += 1
+                    if traced:
+                        tracer.count(TRACK_WBUF, "occupancy", now,
+                                     buffer_entries - credits)
+                continue
+            # ``thread_tick``: a writer produces one line per issue
+            # gap, credits allowing.
+            now, _, thread = ticks[0]
+            index = next_line[thread]
+            if index >= lines_per_thread:
+                heappop(ticks)
+                continue
+            next_line[thread] = index + 1
+            line = thread * stride + index
+            if credits > 0:
+                credits -= 1
                 if traced:
-                    occupancy_sample(last_done)
-
-        for thread in range(threads):
-            schedule(thread * 0.5, thread_tick, thread)
-        engine.run()
+                    tracer.count(TRACK_WBUF, "occupancy", now,
+                                 buffer_entries - credits)
+                push_drain((send(thread, line, now), seq))
+                seq += 1
+            else:
+                stalls += 1
+                if traced:
+                    tracer.instant(TRACK_WBUF, "credit-stall", now,
+                                   thread=thread)
+                waiting_for_credit.append((thread, line))
+            # Pace the next store; a full WC pipeline stalls naturally
+            # because the credit queue backs up.
+            if len(waiting_for_credit) < backlog_cap:
+                heapreplace(ticks, (now + issue_gap_ns, seq, thread))
+                seq += 1
+            else:
+                heappop(ticks)
+                stalled_threads.append(thread)
         expected = threads * lines_per_thread
         if completed != expected:
             raise SimulationError(

@@ -1,15 +1,19 @@
-"""Oracle for the fused end-to-end CXL DES pipelines.
+"""Oracle for the fused end-to-end CXL pipelines.
 
-``CxlEndToEndSim`` runs its device and S2M stages, and
-``CxlWriteEndToEndSim`` its buffer-arrival stage, inside the ``send``
-callback upstream of them instead of as events of their own.  That is
-sound only if each stage sees its requests in ``send``-call order and
-each folded stage keeps the clock its event used to carry.  This module
-keeps the unfused pipelines — one engine event per stage, exactly as
-they ran before the fold — as references, and checks over random
-shapes, controller settings and fault plans that the fused sims return
-the same :class:`E2eResult`, record the same ``cxl.e2e.*`` and
-``faults.*`` metrics, and trace the same events.
+``CxlEndToEndSim`` runs its device and S2M stages, and the nt-store
+pipeline its buffer-arrival stage, inside the ``send`` step upstream
+of them instead of as events of their own.  That is sound only if each
+stage sees its requests in ``send``-call order and each folded stage
+keeps the clock its event used to carry.  This module keeps the
+unfused pipelines — one engine event per stage, exactly as they ran
+before the fold — as references, and checks over random shapes,
+controller settings and fault plans that the fused sims return the
+same :class:`E2eResult`, record the same ``cxl.e2e.*`` and ``faults.*``
+metrics, and trace the same events.  The fused read sim runs on the
+event queue when traced or faulted; ``CxlWriteEndToEndSim.run`` serves
+every run without one, in the order the fused write DES of
+``tests/cxl/test_e2e_engine_free.py`` fires its events, so the write
+check here covers that path.
 
 Every event keeps its time, but events due at the same instant fire in
 the order they were scheduled, and the fold schedules ``complete``, a
@@ -43,7 +47,8 @@ from repro.mem.banks import Bank
 from repro.sim.engine import Engine
 from repro.telemetry import Telemetry, interpolate_percentile
 from repro.units import SEC
-from tests.cxl.test_e2e_engine_free import forced_des
+from tests.cxl.test_e2e_engine_free import (counted_engine_runs,
+                                            fault_plans, forced_des)
 
 COMPARED_METRICS = ("cxl.e2e.", "faults.")
 
@@ -356,24 +361,6 @@ def _swapped(fired: list[tuple[float, int]]) -> bool:
                in zip(fired, fired[1:]))
 
 
-rates = st.floats(min_value=0.0, max_value=0.2)
-
-fault_plans = st.one_of(
-    st.none(),
-    # All rates zero: inactive at full width, a slowed link below it.
-    st.builds(FaultPlan,
-              link_width_fraction=st.sampled_from([1.0, 0.5, 0.25]),
-              seed=st.integers(min_value=0, max_value=2**16)),
-    st.builds(FaultPlan,
-              crc_rate=rates, poison_rate=rates, timeout_rate=rates,
-              stall_rate=rates,
-              stall_ns=st.sampled_from([0.0, 37.5, 400.0]),
-              timeout_ns=st.sampled_from([0.0, 250.0, 2_000.0]),
-              retry_backoff_ns=st.sampled_from([0.0, 13.0, 200.0]),
-              max_retries=st.integers(min_value=1, max_value=8),
-              link_width_fraction=st.sampled_from([1.0, 0.5, 0.25]),
-              seed=st.integers(min_value=0, max_value=2**16)))
-
 shapes = st.tuples(st.integers(min_value=1, max_value=32),   # threads
                    st.integers(min_value=1, max_value=300))  # lines
 controller = st.floats(min_value=0.0, max_value=300.0)
@@ -463,10 +450,11 @@ def test_fused_write_matches_two_stage_reference(shape, controller_ns,
 @settings(max_examples=30, deadline=None)
 @given(shapes, fault_plans)
 def test_event_counts_follow_the_fold(shape, plan):
-    """A read attempt costs one event plus one per fault retry; an
-    nt-store line costs two, plus one closing tick per writer.  Read
-    runs are counted on the event queue, forced where a fault-free run
-    would be served without one."""
+    """A read attempt costs one event plus one per fault retry; on the
+    write DES reference an nt-store line costs two, plus one closing
+    tick per writer.  Read runs are counted on the event queue, forced
+    where a fault-free run would be served without one; a write run
+    itself runs no event queue and sets no ``sim.engine.*`` gauge."""
     threads, lines = shape
     telemetry = Telemetry.metrics_only()
     with forced_des():
@@ -481,8 +469,16 @@ def test_event_counts_follow_the_fold(shape, plan):
         threads * lines + value("faults.timeouts")
         + 2 * value("faults.poisoned_responses"))
     telemetry = Telemetry.metrics_only()
-    CxlWriteEndToEndSim(fault_plan=plan, telemetry=telemetry).run(
-        threads=threads, lines_per_thread=lines)
+    with forced_des():
+        CxlWriteEndToEndSim(fault_plan=plan, telemetry=telemetry).run(
+            threads=threads, lines_per_thread=lines)
     assert telemetry.registry.snapshot()[
         "sim.engine.events_processed"]["value"] == 2 * threads * lines \
         + threads
+    telemetry = Telemetry.metrics_only()
+    with counted_engine_runs() as calls:
+        CxlWriteEndToEndSim(fault_plan=plan, telemetry=telemetry).run(
+            threads=threads, lines_per_thread=lines)
+    assert not calls
+    assert not [key for key in telemetry.registry.snapshot()
+                if key.startswith("sim.engine.")]

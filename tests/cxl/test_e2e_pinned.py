@@ -33,12 +33,15 @@ send runs rather than when their old event fired, so only the
 emission order moved: ``results``, ``metrics`` and ``trace_content``
 kept the values recorded before the fold.
 
-Fault-free, untraced read runs are served without the event queue
-(``tests/cxl/test_e2e_engine_free.py``), so they run no events.  The
-``read-open`` and ``read-closed`` cases hold their ``results`` and
-``metrics`` pins on that default path, and all three pins on the same
-runs forced onto the event queue, which is where their ``events``
-counts come from.
+Fault-free, untraced read runs and every nt-store run are served
+without the event queue (``tests/cxl/test_e2e_engine_free.py``), so
+they run no events.  The ``read-open``, ``read-closed``, ``write``,
+``write-faults`` and ``traced-write-faults`` cases hold their
+``results`` and ``metrics`` pins on that default path, and every pin
+on the same runs forced onto the event queue, which is where their
+``events`` counts and ``trace`` hashes come from.  A traced write run
+on the default path records that reference's trace less the engine's
+``sim.engine`` run slice.
 
 Regenerate after an *intentional* model change with::
 
@@ -65,8 +68,10 @@ WRITE_LINES = 200
 
 PINNED_METRICS = ("cxl.e2e.", "faults.")
 
-# Fault-free, untraced read cases: served without the event queue.
-ENGINE_FREE = ("read-open", "read-closed")
+# Fault-free, untraced read cases and every write case: served
+# without the event queue.
+ENGINE_FREE = ("read-open", "read-closed", "write", "write-faults",
+               "traced-write-faults")
 
 FAULTS = FaultPlan(crc_rate=0.02, poison_rate=0.01, timeout_rate=0.01,
                    stall_rate=0.02, link_width_fraction=0.5, seed=7)
@@ -94,6 +99,17 @@ def _trace_content(tracer) -> str:
     return _digest(sorted(lines))
 
 
+def _without_engine(tracer) -> dict:
+    """The Chrome trace less the ``sim.engine`` track: its run slice
+    and its metadata."""
+    trace = tracer.chrome_trace()
+    if "sim.engine" not in tracer.tracks:
+        return trace
+    tid = tracer.tracks.index("sim.engine") + 1
+    return dict(trace, traceEvents=[
+        event for event in trace["traceEvents"] if event["tid"] != tid])
+
+
 def _case(name: str, telemetry: Telemetry):
     """The simulator, thread counts and lines per thread of a case."""
     if name == "read-open":
@@ -119,10 +135,10 @@ def _case(name: str, telemetry: Telemetry):
     raise KeyError(name)
 
 
-def _run_case(name: str) -> dict:
+def _run_case(name: str) -> tuple[dict, Telemetry]:
     """Run one pinned case; returns its result, metric and trace hashes
     plus the per-run event counts, which only runs on the event queue
-    have."""
+    have, and the telemetry it recorded into."""
     traced = name.startswith("traced")
     telemetry = Telemetry.on() if traced else Telemetry.metrics_only()
     sim, thread_counts, lines = _case(name, telemetry)
@@ -147,7 +163,7 @@ def _run_case(name: str) -> dict:
         digests["trace"] = hashlib.sha256(
             telemetry.tracer.to_json().encode()).hexdigest()
         digests["trace_content"] = _trace_content(telemetry.tracer)
-    return digests
+    return digests, telemetry
 
 
 PINNED: dict[str, dict] = {
@@ -213,13 +229,18 @@ PINNED: dict[str, dict] = {
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_e2e_outputs_match_pins(name):
-    if name in ENGINE_FREE:
-        assert _run_case(name) == {key: PINNED[name][key]
-                                   for key in ("results", "metrics")}
-        with forced_des():
-            assert _run_case(name) == PINNED[name]
-    else:
-        assert _run_case(name) == PINNED[name]
+    if name not in ENGINE_FREE:
+        assert _run_case(name)[0] == PINNED[name]
+        return
+    digests, telemetry = _run_case(name)
+    assert {key: value for key, value in digests.items()
+            if key not in ("trace", "trace_content")} \
+        == {key: PINNED[name][key] for key in ("results", "metrics")}
+    with forced_des():
+        reference, reference_telemetry = _run_case(name)
+    assert reference == PINNED[name]
+    assert _without_engine(telemetry.tracer) \
+        == _without_engine(reference_telemetry.tracer)
 
 
 def test_fault_cases_exercise_every_fault_kind():
@@ -236,7 +257,7 @@ def test_fault_cases_exercise_every_fault_kind():
 
 if __name__ == "__main__":
     with forced_des():
-        print(json.dumps({name: _run_case(name)
+        print(json.dumps({name: _run_case(name)[0]
                           for name in ("read-open", "read-closed", "write",
                                        "read-faults", "write-faults",
                                        "traced-read-faults",
