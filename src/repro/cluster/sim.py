@@ -100,10 +100,6 @@ class HostResult:
     absorbed: int                      # reroutes this host served
     pool_fraction: float               # shard bytes living in the pool
 
-    @property
-    def fault_free(self) -> bool:
-        return self.injected == 0 and self.recovered == 0
-
 
 @dataclass(frozen=True)
 class ClusterResult:

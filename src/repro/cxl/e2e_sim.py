@@ -29,9 +29,10 @@ injected fault is recovered and counted; ``completed`` always reaches
 the expected total.  The ``degraded-cxl`` experiment sweeps fault
 severity over this model.
 
-Fault-free, untraced read runs are served from a FIFO of the reads in
-flight, other read runs on the DES engine; nt-store runs never use the
-engine (:class:`CxlWriteEndToEndSim`).
+Neither sim runs on the event queue: each serves its events from a
+FIFO of the events due in send order and a heap of the rest, in the
+order an event queue would fire them, so every run, traced and faulted
+ones included, is one pure-software pipeline.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 
 from ..errors import SimulationError
-from ..faults import FaultInjector, FaultPlan, injector_for
+from ..faults import FaultPlan, injector_for
 from ..mem.banks import Bank, DdrTimings, ddr4_2666_timings
-from ..sim.engine import Engine
 from ..telemetry import NULL_TELEMETRY, Telemetry, interpolate_percentile
 from ..units import SEC, is_count
 from .port import CxlPort
@@ -115,17 +115,6 @@ def _require_latency(**values: float) -> None:
                 f"{name} must be non-negative and finite: {value!r}")
 
 
-def _engine_free(injector: FaultInjector | None, traced: bool) -> bool:
-    """Whether a read run can be served without the event queue.
-
-    Without faults a read attempt is one ``complete`` event, due in
-    send order, so the queue would be a FIFO; with no tracer, nothing
-    else of the event loop can be observed.  Fault retries and the
-    ``sim.engine`` trace slice keep a run on the DES.
-    """
-    return injector is None and not traced
-
-
 class CxlEndToEndSim:
     """Mechanism-only simulation of multi-threaded CXL streaming reads."""
 
@@ -185,28 +174,39 @@ class CxlEndToEndSim:
         m2s_free_at = 0.0
         s2m_free_at = 0.0
         dram_bus_free_at = 0.0
-        retry_at = 0.0
-        completed = 0
-        last_done = 0.0
         next_line = [0] * threads       # per-thread progress
         latencies: list[float] = []
         activate_times: deque[float] = deque(maxlen=4)
 
+        # Two event kinds, served without an event queue.  Every send
+        # adds at least one response's flits to s2m_free_at, so
+        # ``complete`` events are due in send order: a FIFO.  Re-sends
+        # (timeout retries and poison re-reads) go on a heap.  Entries
+        # are (time, seq, thread, line, issued_at, attempt); ``seq``
+        # numbers events in the order they are scheduled, one counter
+        # for both kinds, and the smaller (time, seq) head fires next,
+        # so events fire in scheduling order at exact ties, as on an
+        # event queue.
+        completes: deque[tuple[float, int, int, int, float, int]] = deque()
+        resends: list[tuple[float, int, int, int, float, int]] = []
+        push_complete, pop_complete = completes.append, completes.popleft
+        seq = 0
+
         # ``carry`` runs one read attempt through every stage: the M2S
         # wire, the device (controller, banks, DRAM bus) and the S2M
         # wire, each on the clock its own event used to carry,
-        # ``now + (t - now)``, which is not always ``t``.  Both serving
-        # paths below call it in send order, and both stages see their
-        # requests in that order (argued at each stage).  ``attempt``
-        # numbers the send for one line (1 = first issue); fault draws
-        # are keyed on (line, attempt), not on call order, so retries
-        # re-roll while replays of the same decision never do.
-        def carry(thread: int, line: int, now: float,
-                  attempt: int) -> float | None:
-            """When the attempt sent at ``now`` is back at the host, or
-            ``None`` when a fault timeout drops it at the device; the
-            host then re-issues it at ``retry_at``."""
-            nonlocal m2s_free_at, dram_bus_free_at, s2m_free_at, retry_at
+        # ``now + (t - now)``, which is not always ``t``, and queues
+        # the event that follows it.  Attempts are carried in send
+        # order, and every stage sees its requests in that order
+        # (argued at each stage).  ``attempt`` numbers the send for one
+        # line (1 = first issue); fault draws are keyed on (line,
+        # attempt), not on call order, so retries re-roll while replays
+        # of the same decision never do.
+        def carry(thread: int, line: int, now: float, issued_at: float,
+                  attempt: int) -> None:
+            """Send an attempt at ``now``; queue its ``complete`` or,
+            when a fault timeout drops it at the device, its re-send."""
+            nonlocal m2s_free_at, dram_bus_free_at, s2m_free_at, seq
             sends = REQUEST_FLITS if injector is None \
                 else injector.crc_transmissions(REQUEST_FLITS,
                                                 "m2s", line, attempt)
@@ -231,8 +231,10 @@ class CxlEndToEndSim:
                 if traced:
                     tracer.instant(TRACK_WBUF, "fault-timeout",
                                    now, thread=thread)
-                retry_at = now + injector.plan.timeout_ns
-                return None
+                heappush(resends, (now + injector.plan.timeout_ns, seq,
+                                   thread, line, issued_at, attempt + 1))
+                seq += 1
+                return
             row_index = line // row_lines
             bank_index = row_index % nbanks
             row = row_index // nbanks
@@ -275,103 +277,66 @@ class CxlEndToEndSim:
                 tracer.complete(TRACK_PORT, "s2m.drs", start,
                                 sends * flit_ns, thread=thread)
             done_at = s2m_free_at + hop_ns + pack_ns
-            return now + (done_at - now)
+            push_complete((now + (done_at - now), seq, thread, line,
+                           issued_at, attempt))
+            seq += 1
 
-        if _engine_free(injector, traced):
-            # Every send adds at least one response's flits to
-            # s2m_free_at, so completions are due in send order, and
-            # the event queue would fire them in that order: exact
-            # ties fire in scheduling order, which is send order.  A
-            # FIFO of the reads in flight serves them the same way:
-            # pop the oldest, record it, refill its thread then.
-            in_flight: deque[tuple[float, int, int, float]] = deque()
-            push, pop = in_flight.append, in_flight.popleft
-            record = latency_hist.record
-            for thread in range(threads):
-                for index in range(min(self.mlp_per_thread,
-                                       lines_per_thread)):
-                    line = thread * stride + index
-                    push((carry(thread, line, 0.0, 1), thread, line, 0.0))
-                    next_line[thread] = index + 1
-            while in_flight:
-                done_at, thread, line, issued_at = pop()
-                if done_at < last_done:
-                    raise SimulationError(
-                        f"read of line {line} completes at {done_at} ns, "
-                        f"before {last_done} ns: completions are out of "
-                        "send order")
-                last_done = done_at
-                latency = done_at - issued_at
-                latencies.append(latency)
-                record(latency)
-                index = next_line[thread]
-                if index < lines_per_thread:
-                    next_line[thread] = index + 1
-                    line = thread * stride + index
-                    push((carry(thread, line, done_at, 1), thread, line,
-                          done_at))
-            completed = len(latencies)
-        else:
-            # One event per read attempt (``complete``), plus one per
-            # fault retry.  Events due at exactly one instant fire in
-            # the order they were scheduled, and ``complete`` and a
-            # timeout retry are both scheduled from ``send``, so such a
-            # tie between different requests' events can resolve in
-            # another order than with a stage event each
-            # (tests/cxl/test_e2e_fusion.py).
-            engine = Engine(telemetry=self.telemetry)
-            schedule, schedule_at = engine.schedule, engine.schedule_at
-
-            def launch(thread: int, now: float) -> None:
-                index = next_line[thread]
-                if index >= lines_per_thread:
-                    return
+        record = latency_hist.record
+        for thread in range(threads):
+            for index in range(min(self.mlp_per_thread, lines_per_thread)):
+                carry(thread, thread * stride + index, 0.0, 0.0, 1)
                 next_line[thread] = index + 1
-                send(thread, thread * stride + index, now, 1)
-
-            def send(thread: int, line: int, issued_at: float,
-                     attempt: int) -> None:
-                done_at = carry(thread, line, engine.now, attempt)
-                if done_at is None:
-                    schedule_at(retry_at, send, thread, line, issued_at,
-                                attempt + 1)
-                else:
-                    schedule_at(done_at, complete, thread, line,
-                                issued_at, attempt)
-
-            def complete(thread: int, line: int, issued_at: float,
-                         attempt: int) -> None:
-                nonlocal completed, last_done
-                now = engine.now
-                if injector is not None \
-                        and attempt <= injector.plan.max_retries \
-                        and injector.poisoned(line, attempt):
-                    # Poisoned DRS: data arrived but is unusable;
-                    # discard and re-read after the backoff.  The MLP
-                    # slot stays occupied — poison steals host
-                    # parallelism.
-                    injector.recovery()
-                    injector.retried()
-                    if traced:
-                        tracer.instant(TRACK_PORT, "fault-poison",
-                                       now, thread=thread)
-                    schedule(injector.plan.retry_backoff_ns,
-                             send, thread, line, issued_at, attempt + 1)
-                    return
-                completed += 1
-                last_done = now
-                latency = now - issued_at
-                latencies.append(latency)
-                latency_hist.record(latency)
+        # ``clock`` is the time of the last event fired.  An event due
+        # before it would have been queued out of send order or into
+        # the past, which an event queue does not fire in this order.
+        clock = 0.0
+        while completes or resends:
+            if resends and (not completes or resends[0] < completes[0]):
+                # A re-send: the host re-issues a dropped or poisoned
+                # read; its MLP slot stayed occupied meanwhile.
+                now, _, thread, line, issued_at, attempt = \
+                    heappop(resends)
+                if now < clock:
+                    raise SimulationError(
+                        f"re-send of line {line} is due at {now} ns, "
+                        f"before {clock} ns: events are out of order")
+                clock = now
+                carry(thread, line, now, issued_at, attempt)
+                continue
+            now, _, thread, line, issued_at, attempt = pop_complete()
+            if now < clock:
+                raise SimulationError(
+                    f"read of line {line} completes at {now} ns, "
+                    f"before {clock} ns: completions are out of send "
+                    "order")
+            clock = now
+            if injector is not None \
+                    and attempt <= injector.plan.max_retries \
+                    and injector.poisoned(line, attempt):
+                # Poisoned DRS: data arrived but is unusable; discard
+                # and re-read after the backoff.  The MLP slot stays
+                # occupied — poison steals host parallelism.
+                injector.recovery()
+                injector.retried()
                 if traced:
-                    tracer.complete(TRACK_CORE, "read", issued_at,
-                                    latency, thread=thread)
-                launch(thread, now)     # the freed fill buffer refills
-
-            for thread in range(threads):
-                for _ in range(self.mlp_per_thread):
-                    launch(thread, 0.0)
-            engine.run()
+                    tracer.instant(TRACK_PORT, "fault-poison", now,
+                                   thread=thread)
+                heappush(resends, (now + injector.plan.retry_backoff_ns,
+                                   seq, thread, line, issued_at,
+                                   attempt + 1))
+                seq += 1
+                continue
+            latency = now - issued_at
+            latencies.append(latency)
+            record(latency)
+            if traced:
+                tracer.complete(TRACK_CORE, "read", issued_at, latency,
+                                thread=thread)
+            index = next_line[thread]     # the freed fill buffer refills
+            if index < lines_per_thread:
+                next_line[thread] = index + 1
+                carry(thread, thread * stride + index, now, now, 1)
+        completed = len(latencies)
         expected = threads * lines_per_thread
         if completed != expected:
             raise SimulationError(
@@ -385,7 +350,7 @@ class CxlEndToEndSim:
         latencies.sort()
         return E2eResult(
             threads=threads, completed=completed,
-            elapsed_ns=last_done,
+            elapsed_ns=clock,
             row_hits=row_hits, row_misses=row_misses,
             p50_ns=interpolate_percentile(latencies, 50.0),
             p99_ns=interpolate_percentile(latencies, 99.0),

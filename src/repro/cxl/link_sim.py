@@ -27,7 +27,7 @@ from ..errors import SimulationError
 from ..faults import FaultPlan, injector_for
 from ..sim.engine import Engine
 from ..units import SEC
-from .messages import MemTransaction, read_transaction, write_transaction
+from .messages import MemTransaction, read_transaction
 from .port import CxlPort
 
 
@@ -67,37 +67,22 @@ class CreditedLinkSim:
        releases the credit and one MLP slot.
 
     ``fault_plan`` injects CRC retransmissions, device stalls, and
-    degraded link width/speed (docs/FAULTS.md).  The legacy
-    ``flit_error_rate`` parameter is shorthand for a CRC-only plan.
+    degraded link width/speed (docs/FAULTS.md).
     """
 
     def __init__(self, port: CxlPort, *, device_service_ns: float,
                  device_parallelism: int = 8,
                  request_credits: int = 32,
-                 flit_error_rate: float = 0.0,
-                 fault_plan: FaultPlan | None = None,
-                 seed: int = 5) -> None:
+                 fault_plan: FaultPlan | None = None) -> None:
         if device_service_ns < 0:
             raise SimulationError("negative device service time")
         if device_parallelism <= 0 or request_credits <= 0:
             raise SimulationError(
                 "parallelism and credits must be positive")
-        if not 0.0 <= flit_error_rate < 1.0:
-            raise SimulationError(
-                f"flit error rate must be in [0, 1): {flit_error_rate}")
-        if flit_error_rate > 0.0 and fault_plan is not None:
-            raise SimulationError(
-                "give either flit_error_rate or fault_plan, not both")
         self.port = port
         self.device_service_ns = device_service_ns
         self.device_parallelism = device_parallelism
         self.request_credits = request_credits
-        # Back-compat shorthand: each flit independently fails CRC with
-        # this probability and is retransmitted.
-        self.flit_error_rate = flit_error_rate
-        self.seed = seed
-        if fault_plan is None and flit_error_rate > 0.0:
-            fault_plan = FaultPlan(crc_rate=flit_error_rate, seed=seed)
         self.fault_plan = fault_plan
 
     def _flit_time_ns(self) -> float:
@@ -190,10 +175,4 @@ class CreditedLinkSim:
                        mlp: int = 64) -> float:
         """Achieved read bandwidth (B/s) at high host parallelism."""
         return self.run(read_transaction(), transactions=transactions,
-                        mlp=mlp).app_bandwidth
-
-    def write_bandwidth(self, *, transactions: int = 2000,
-                        mlp: int = 64) -> float:
-        """Achieved posted-write bandwidth (B/s)."""
-        return self.run(write_transaction(), transactions=transactions,
                         mlp=mlp).app_bandwidth

@@ -151,9 +151,8 @@ def _trace_mechanism_companions(telemetry, *, threads: int) -> None:
 
     The analytic bench has no timeline — its numbers come from closed
     forms — so a ``--trace`` run derives one from the end-to-end flit
-    simulators instead: a read run on the DES (core / cxl.port /
-    dram.channel / sim.engine tracks) plus an nt-store run, which
-    needs no event queue (cxl.device.wbuf occupancy).
+    simulators instead: a read run (core / cxl.port / dram.channel
+    tracks) plus an nt-store run (cxl.device.wbuf occupancy).
     """
     from ..cxl.e2e_sim import CxlEndToEndSim, CxlWriteEndToEndSim
 

@@ -51,10 +51,6 @@ class TraceEvent:
         return (self.track, self.name, self.phase, self.ts_ns,
                 self.dur_ns, tuple(sorted(self.args.items())))
 
-    def __repr__(self) -> str:
-        return (f"TraceEvent({self.track!r}, {self.name!r}, "
-                f"{self.phase!r}, ts={self.ts_ns}, dur={self.dur_ns})")
-
 
 class Tracer:
     """Collects :class:`TraceEvent`s and serializes them for Perfetto."""
@@ -108,9 +104,6 @@ class Tracer:
     def tracks(self) -> list[str]:
         """Track names in creation order."""
         return list(self._tracks)
-
-    def __len__(self) -> int:
-        return len(self._events)
 
     # -- export ------------------------------------------------------------
 

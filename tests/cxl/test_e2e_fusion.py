@@ -9,11 +9,10 @@ unfused pipelines — one engine event per stage, exactly as they ran
 before the fold — as references, and checks over random shapes,
 controller settings and fault plans that the fused sims return the
 same :class:`E2eResult`, record the same ``cxl.e2e.*`` and ``faults.*``
-metrics, and trace the same events.  The fused read sim runs on the
-event queue when traced or faulted; ``CxlWriteEndToEndSim.run`` serves
-every run without one, in the order the fused write DES of
-``tests/cxl/test_e2e_engine_free.py`` fires its events, so the write
-check here covers that path.
+metrics, and trace the same events.  Both sims serve every run without
+the event queue, in the order the fused DES of
+``tests/cxl/test_e2e_engine_free.py`` fires its events, so the checks
+here cover that path.
 
 Every event keeps its time, but events due at the same instant fire in
 the order they were scheduled, and the fold schedules ``complete``, a
@@ -450,11 +449,10 @@ def test_fused_write_matches_two_stage_reference(shape, controller_ns,
 @settings(max_examples=30, deadline=None)
 @given(shapes, fault_plans)
 def test_event_counts_follow_the_fold(shape, plan):
-    """A read attempt costs one event plus one per fault retry; on the
-    write DES reference an nt-store line costs two, plus one closing
-    tick per writer.  Read runs are counted on the event queue, forced
-    where a fault-free run would be served without one; a write run
-    itself runs no event queue and sets no ``sim.engine.*`` gauge."""
+    """On the DES references a read attempt costs one event plus one
+    per fault retry, and an nt-store line two, plus one closing tick
+    per writer.  Either sim itself runs no event queue and sets no
+    ``sim.engine.*`` gauge."""
     threads, lines = shape
     telemetry = Telemetry.metrics_only()
     with forced_des():
@@ -475,10 +473,11 @@ def test_event_counts_follow_the_fold(shape, plan):
     assert telemetry.registry.snapshot()[
         "sim.engine.events_processed"]["value"] == 2 * threads * lines \
         + threads
-    telemetry = Telemetry.metrics_only()
-    with counted_engine_runs() as calls:
-        CxlWriteEndToEndSim(fault_plan=plan, telemetry=telemetry).run(
-            threads=threads, lines_per_thread=lines)
-    assert not calls
-    assert not [key for key in telemetry.registry.snapshot()
-                if key.startswith("sim.engine.")]
+    for sim_class in (CxlEndToEndSim, CxlWriteEndToEndSim):
+        telemetry = Telemetry.metrics_only()
+        with counted_engine_runs() as calls:
+            sim_class(fault_plan=plan, telemetry=telemetry).run(
+                threads=threads, lines_per_thread=lines)
+        assert not calls
+        assert not [key for key in telemetry.registry.snapshot()
+                    if key.startswith("sim.engine.")]

@@ -33,14 +33,13 @@ send runs rather than when their old event fired, so only the
 emission order moved: ``results``, ``metrics`` and ``trace_content``
 kept the values recorded before the fold.
 
-Fault-free, untraced read runs and every nt-store run are served
-without the event queue (``tests/cxl/test_e2e_engine_free.py``), so
-they run no events.  The ``read-open``, ``read-closed``, ``write``,
-``write-faults`` and ``traced-write-faults`` cases hold their
-``results`` and ``metrics`` pins on that default path, and every pin
-on the same runs forced onto the event queue, which is where their
-``events`` counts and ``trace`` hashes come from.  A traced write run
-on the default path records that reference's trace less the engine's
+Every read and nt-store run is served without the event queue
+(``tests/cxl/test_e2e_engine_free.py``), so it runs no events.  Each
+case holds its ``results`` and ``metrics`` pins on that default path,
+and every pin on the same runs forced onto the event queue
+(:func:`des_read_run`, :func:`des_write_run`), which is where its
+``events`` counts and ``trace`` hashes come from.  A traced run on the
+default path records that reference's trace less the engine's
 ``sim.engine`` run slice.
 
 Regenerate after an *intentional* model change with::
@@ -67,11 +66,6 @@ READ_LINES = 200
 WRITE_LINES = 200
 
 PINNED_METRICS = ("cxl.e2e.", "faults.")
-
-# Fault-free, untraced read cases and every write case: served
-# without the event queue.
-ENGINE_FREE = ("read-open", "read-closed", "write", "write-faults",
-               "traced-write-faults")
 
 FAULTS = FaultPlan(crc_rate=0.02, poison_rate=0.01, timeout_rate=0.01,
                    stall_rate=0.02, link_width_fraction=0.5, seed=7)
@@ -137,8 +131,8 @@ def _case(name: str, telemetry: Telemetry):
 
 def _run_case(name: str) -> tuple[dict, Telemetry]:
     """Run one pinned case; returns its result, metric and trace hashes
-    plus the per-run event counts, which only runs on the event queue
-    have, and the telemetry it recorded into."""
+    plus the per-run event counts, which only runs forced onto the
+    event queue have, and the telemetry it recorded into."""
     traced = name.startswith("traced")
     telemetry = Telemetry.on() if traced else Telemetry.metrics_only()
     sim, thread_counts, lines = _case(name, telemetry)
@@ -229,9 +223,6 @@ PINNED: dict[str, dict] = {
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_e2e_outputs_match_pins(name):
-    if name not in ENGINE_FREE:
-        assert _run_case(name)[0] == PINNED[name]
-        return
     digests, telemetry = _run_case(name)
     assert {key: value for key, value in digests.items()
             if key not in ("trace", "trace_content")} \

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cxl import CreditedLinkSim, CxlPort, read_transaction
+from repro.cxl import (CreditedLinkSim, CxlPort, read_transaction,
+                       write_transaction)
 from repro.errors import SimulationError
+from repro.faults import FaultPlan
 
 
 def link_isolated_sim(**overrides) -> CreditedLinkSim:
@@ -12,6 +14,12 @@ def link_isolated_sim(**overrides) -> CreditedLinkSim:
                   request_credits=64)
     params.update(overrides)
     return CreditedLinkSim(CxlPort(), **params)
+
+
+def crc_plan(rate: float, seed: int = 5) -> FaultPlan:
+    """A CRC-only fault plan: each flit independently fails CRC with
+    probability ``rate`` and is retransmitted."""
+    return FaultPlan(crc_rate=rate, seed=seed)
 
 
 class TestLinkIsolated:
@@ -27,7 +35,8 @@ class TestLinkIsolated:
     def test_write_bandwidth_mirrors_read(self):
         """Writes ship data M2S instead of S2M — same framing cost."""
         sim = link_isolated_sim()
-        assert sim.write_bandwidth() == pytest.approx(
+        writes = sim.run(write_transaction(), transactions=2000, mlp=64)
+        assert writes.app_bandwidth == pytest.approx(
             sim.read_bandwidth(), rel=0.02)
 
     def test_single_outstanding_request_measures_latency(self):
@@ -85,21 +94,21 @@ class TestCredits:
 class TestFailureInjection:
     def test_error_free_link_is_default(self):
         sim = link_isolated_sim()
-        assert sim.flit_error_rate == 0.0
+        assert sim.fault_plan is None
 
     def test_crc_errors_cost_bandwidth(self):
         clean = link_isolated_sim()
-        noisy = link_isolated_sim(flit_error_rate=0.2)
+        noisy = link_isolated_sim(fault_plan=crc_plan(0.2))
         assert noisy.read_bandwidth() < 0.95 * clean.read_bandwidth()
 
     def test_degradation_scales_with_error_rate(self):
-        mild = link_isolated_sim(flit_error_rate=0.05).read_bandwidth()
-        severe = link_isolated_sim(flit_error_rate=0.4).read_bandwidth()
+        mild = link_isolated_sim(fault_plan=crc_plan(0.05)).read_bandwidth()
+        severe = link_isolated_sim(fault_plan=crc_plan(0.4)).read_bandwidth()
         assert severe < mild
 
     def test_all_transactions_still_complete(self):
         """Retry is lossless: errors cost time, never data."""
-        sim = link_isolated_sim(flit_error_rate=0.3)
+        sim = link_isolated_sim(fault_plan=crc_plan(0.3))
         result = sim.run(read_transaction(), transactions=400, mlp=16)
         assert result.completed == 400
 
@@ -107,15 +116,9 @@ class TestFailureInjection:
         """At rate p the per-flit sends average 1/(1-p)."""
         rate = 0.25
         clean = link_isolated_sim().read_bandwidth()
-        noisy = link_isolated_sim(flit_error_rate=rate,
-                                  seed=9).read_bandwidth()
+        noisy = link_isolated_sim(
+            fault_plan=crc_plan(rate, seed=9)).read_bandwidth()
         assert noisy == pytest.approx(clean * (1 - rate), rel=0.1)
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(SimulationError):
-            link_isolated_sim(flit_error_rate=1.0)
-        with pytest.raises(SimulationError):
-            link_isolated_sim(flit_error_rate=-0.1)
 
 
 class TestValidation:

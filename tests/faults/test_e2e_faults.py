@@ -13,7 +13,6 @@ from repro.cxl.e2e_sim import CxlEndToEndSim, CxlWriteEndToEndSim
 from repro.cxl.link_sim import CreditedLinkSim
 from repro.cxl.messages import read_transaction
 from repro.cxl.port import CxlPort
-from repro.errors import SimulationError
 from repro.faults import FaultPlan, ZERO_FAULTS
 from repro.mem.dram import AccessPattern
 from repro.telemetry import Telemetry
@@ -85,12 +84,6 @@ class TestWriteSim:
 
 
 class TestLinkSim:
-    def test_plan_and_legacy_rate_are_exclusive(self):
-        with pytest.raises(SimulationError):
-            CreditedLinkSim(CxlPort(), device_service_ns=100.0,
-                            flit_error_rate=0.1,
-                            fault_plan=FaultPlan(crc_rate=0.1))
-
     def test_faulty_run_recovers_everything(self):
         sim = CreditedLinkSim(CxlPort(), device_service_ns=100.0,
                               fault_plan=PLAN)

@@ -72,7 +72,7 @@ class TestEndToEnd:
 
 class TestLedger:
     @pytest.mark.parametrize("flags, digest", [
-        (["--metrics"], "3eefbebabbf7"), ([], None)],
+        (["--metrics"], "32957f1812dc"), ([], None)],
         ids=["metrics", "no-metrics"])
     def test_metrics_digest(self, tmp_path, monkeypatch, capsys, flags,
                             digest):

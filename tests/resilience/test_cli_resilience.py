@@ -157,6 +157,11 @@ class TestExperimentsFailures:
     def test_fail_fast_stops_sweep(self, sandbox, monkeypatch,
                                    capsys):
         monkeypatch.setenv("REPRO_TEST_UNIT_CRASH", "fig2")
+        # Units start in order; table1, the last, is still pending or
+        # busy when fig2's crash lands, so fail-fast must cancel it.
+        # The hang is bounded so that a run which failed to cancel it
+        # ends anyway.
+        monkeypatch.setenv("REPRO_TEST_UNIT_HANG", "table1:30")
         rc = experiments_main(["fig2", "fig3", "table1", "--jobs", "2",
                                "--no-cache", "--no-progress",
                                "--fail-fast"])
