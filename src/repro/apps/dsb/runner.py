@@ -11,15 +11,12 @@ from ...cpu.system import System
 from ...errors import WorkloadError
 from ...sim import Engine, LatencyRecorder
 from ...sim.rng import substream
-from ...telemetry import NULL_TELEMETRY, Telemetry
 from .socialnet import (
     MIXED_WORKLOAD,
     PARALLEL_GROUPS,
     RequestType,
     SocialNetwork,
 )
-
-DSB_TRACK = "apps.dsb"
 
 
 @dataclass(frozen=True)
@@ -41,13 +38,10 @@ class DsbRunner:
     """Simulates the service graph under Poisson load."""
 
     def __init__(self, system: System, *, database_node: int,
-                 seed: int = 3,
-                 telemetry: Telemetry | None = None) -> None:
+                 seed: int = 3) -> None:
         self.system = system
         self.network = SocialNetwork(system, database_node=database_node)
         self.seed = seed
-        self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
 
     def run(self, qps: float, *,
             mix: dict[RequestType, float] | None = None,
@@ -80,10 +74,8 @@ class DsbRunner:
         if abs(sum(mix.values()) - 1.0) > 1e-9:
             raise WorkloadError("request mix must sum to 1")
 
-        engine = Engine(telemetry=self.telemetry)
+        engine = Engine()
         schedule = engine.schedule
-        tracer = self.telemetry.tracer
-        traced = tracer.enabled
         rng = substream(f"dsb-{self.seed}", self.seed)
         random = rng.random
         sojourn = LatencyRecorder("dsb")
@@ -151,13 +143,9 @@ class DsbRunner:
 
         def complete(state):
             now = engine.now
-            arrival = state[2]
-            record(now - arrival)
+            record(now - state[2])
             completed[0] += 1
             last_done[0] = now
-            if traced:
-                tracer.complete(DSB_TRACK, state[1].value, arrival,
-                                now - arrival)
 
         def fork(state):
             # The compose-post pattern: media/text processing and the
@@ -190,9 +178,6 @@ class DsbRunner:
 
         if completed[0] == 0:
             raise WorkloadError("no requests completed")
-        registry = self.telemetry.registry
-        registry.counter("apps.dsb.requests").inc(completed[0])
-        registry.gauge("apps.dsb.p99_sojourn_ns").set(sojourn.p99())
         elapsed_s = last_done[0] / 1e9
         return DsbResult(target_qps=qps,
                          achieved_qps=completed[0] / elapsed_s,
@@ -207,7 +192,7 @@ class DsbRunner:
                    requests: int = 4000) -> tuple:
         """The picklable :func:`~repro.parallel.sweeps.run_sim_point`
         spec of one :meth:`p99_curve` point: a fresh runner with this
-        one's system, database node and seed (telemetry stays off)."""
+        one's system, database node and seed."""
         return (DsbRunner,
                 {"system": self.system,
                  "database_node": self.network.database_node,

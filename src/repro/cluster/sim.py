@@ -42,7 +42,7 @@ from ..faults.injector import FaultInjector, injector_for
 from ..sim import Engine, LatencyRecorder, Server
 from ..sim.rng import (decision_uniform, decision_uniforms, recall,
                        remember, substream)
-from ..telemetry import NULL_TELEMETRY, Telemetry
+from ..telemetry.spans import SpanRecorder
 from .resilience import (DEADLINE_WAIT, HEDGE_WAIT, RETRY_BACKOFF,
                          SHED_REJECT, SHED_REJECT_NS, ZERO_POLICY,
                          CircuitBreaker, ResiliencePolicy,
@@ -51,9 +51,6 @@ from .resilience import (DEADLINE_WAIT, HEDGE_WAIT, RETRY_BACKOFF,
 from .routing import HashShardRouter, HostView, Router, make_router
 from .topology import ClusterTopology
 from .traffic import OpenLoopZipfian
-
-CLUSTER_TRACK = "cluster"
-"""Telemetry track prefix; per-host spans land on ``cluster.host<i>``."""
 
 WRITE_MISS_FACTOR = 1.15
 """Extra dirty-line traffic of a mutation (matches the kvstore model)."""
@@ -150,16 +147,15 @@ class ClusterResult:
 class _Request:
     """One client request; it settles exactly once."""
 
-    __slots__ = ("index", "arrival", "key", "is_write", "owner",
-                 "resident", "settled", "won", "outstanding", "tried",
-                 "chain", "pending_retry")
+    __slots__ = ("index", "arrival", "key", "owner", "resident",
+                 "settled", "won", "outstanding", "tried", "chain",
+                 "pending_retry")
 
-    def __init__(self, index: int, arrival: float, key: int,
-                 is_write: bool, owner: int, resident: bool) -> None:
+    def __init__(self, index: int, arrival: float, key: int, owner: int,
+                 resident: bool) -> None:
         self.index = index
         self.arrival = arrival
         self.key = key
-        self.is_write = is_write
         self.owner = owner
         self.resident = resident
         self.settled = False           # an outcome bucket was counted
@@ -336,7 +332,7 @@ class ClusterSim:
                  fault_plans: Mapping[int, FaultPlan] | None = None,
                  link_down: LinkDown | None = None,
                  policy: ResiliencePolicy | str | None = None,
-                 telemetry: Telemetry | None = None) -> None:
+                 spans: SpanRecorder | None = None) -> None:
         self.topology = topology
         self.router = router if isinstance(router, Router) \
             else make_router(router)
@@ -361,8 +357,7 @@ class ClusterSim:
             raise ClusterError(
                 "link_down needs a survivor: add at least one more host")
         self.link_down = link_down
-        self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
+        self.spans = spans
 
     # -- stable per-key placement ------------------------------------------
 
@@ -437,9 +432,9 @@ class ClusterSim:
         (first-wins hedging), because success is the one outcome the
         client can signal.
 
-        A run with no policy, hash-shard routing, no link-down, one
-        worker per host and the tracer off is a set of independent
-        FIFO single-server queues with known inputs; it is served by
+        A run with no policy, hash-shard routing, no link-down and one
+        worker per host is a set of independent FIFO single-server
+        queues with known inputs; it is served by
         :meth:`_serve_in_order` instead of the event queue, with the
         same results (``tests/cluster/test_engine_free.py``).
         """
@@ -447,11 +442,10 @@ class ClusterSim:
         traffic = OpenLoopZipfian(
             qps=qps, num_requests=requests, keyspace=topo.total_keys,
             theta=theta, write_fraction=write_fraction, seed=self.seed)
-        spans = self.telemetry.spans
+        spans = self.spans
         injectors: dict[int, FaultInjector] = {}
         for index, plan in self.fault_plans.items():
-            injector = injector_for(plan, stream=f"host{index}",
-                                    telemetry=self.telemetry)
+            injector = injector_for(plan, stream=f"host{index}")
             if injector is not None:
                 injectors[index] = injector
 
@@ -497,7 +491,7 @@ class ClusterSim:
 
         cluster_sojourn = LatencyRecorder("cluster-sojourn")
         cluster_sojourn.extend(tally.cluster_sojourns)
-        if spans.enabled:
+        if spans is not None:
             rows = np.array(tally.span_index, dtype=np.int64)
             head, tail = _sparse_columns(
                 len(rows), tally.span_failed, tally.span_extras)
@@ -530,31 +524,18 @@ class ClusterSim:
                 absorbed=tally.absorbed[index],
                 pool_fraction=host.pool_fraction))
 
-        registry = self.telemetry.registry
-        registry.counter("cluster.requests").inc(completed)
-        p50 = cluster_sojourn.p50() if len(cluster_sojourn) else 0.0
-        p99 = cluster_sojourn.p99() if len(cluster_sojourn) else 0.0
-        registry.gauge("cluster.p99_sojourn_ns").set(p99)
-        achieved = completed / (tally.last_completion / 1e9)
-        registry.gauge("cluster.achieved_qps").set(achieved)
-        for result in hosts:
-            registry.gauge(
-                f"cluster.host{result.index}.p99_ns").set(result.p99_ns)
-        stats = tally.stats
-        if stats is not None:
-            registry.gauge("cluster.goodput_qps").set(
-                achieved * (stats.successes / completed))
-
         return ClusterResult(
             qps=qps, theta=theta, pool_share=topo.pool_share,
-            requests=completed, achieved_qps=achieved,
-            p50_ns=p50, p99_ns=p99,
+            requests=completed,
+            achieved_qps=completed / (tally.last_completion / 1e9),
+            p50_ns=cluster_sojourn.p50() if len(cluster_sojourn) else 0.0,
+            p99_ns=cluster_sojourn.p99() if len(cluster_sojourn) else 0.0,
             mean_service_ns=tally.service_total / completed,
             pool_utilization=topo.pool_utilization(),
             rerouted=tally.rerouted,
             link_down_host=self.link_down.host
             if self.link_down is not None else None,
-            hosts=tuple(hosts), resilience=stats)
+            hosts=tuple(hosts), resilience=tally.stats)
 
     # -- serving cores -------------------------------------------------------
 
@@ -563,12 +544,11 @@ class ClusterSim:
 
         With no policy, hash-shard routing and every link up, each
         request goes to its owner and settles on its one attempt; with
-        one worker per host and no tracer events to emit, nothing else
-        of the event loop can be observed.
+        one worker per host, nothing else of the event loop can be
+        observed.
         """
         return (self.policy is None and self.link_down is None
                 and type(self.router) is HashShardRouter
-                and not self.telemetry.tracer.enabled
                 and all(host.spec.workers == 1
                         for host in self.topology.hosts))
 
@@ -578,16 +558,14 @@ class ClusterSim:
                       injectors: Mapping[int, FaultInjector],
                       pool_ns_by_host: list[float]) -> _Tally:
         """Serve a run on the event queue: the one request lifecycle for
-        policies, least-loaded routing, link-down, multi-worker hosts
-        and traced runs."""
+        policies, least-loaded routing, link-down and multi-worker
+        hosts."""
         policy = self.policy or ZERO_POLICY
         topo = self.topology
-        engine = Engine(telemetry=self.telemetry)
+        engine = Engine()
         schedule, schedule_at = engine.schedule, engine.schedule_at
         cancel = engine.cancel
-        tracer = self.telemetry.tracer
-        traced = tracer.enabled
-        spanned = self.telemetry.spans.enabled
+        spanned = self.spans is not None
         route = self.router.route
 
         servers = [Server(host.spec.workers, name=host.name)
@@ -851,10 +829,6 @@ class ClusterSim:
                 counts["ok_retried"] += 1
             else:
                 counts["ok"] += 1
-            if traced:
-                tracer.complete(f"{CLUSTER_TRACK}.host{target}",
-                                "put" if req.is_write else "get",
-                                req.arrival, sojourn, request=req.index)
             if spanned:
                 if att.prefix or att.fault_parts:
                     span_extras[len(span_index)] = (att.prefix,
@@ -863,9 +837,8 @@ class ClusterSim:
                 span_wait.append(att.grant - att.issue)
                 span_reroute.append(att.reroute)
 
-        def submit(index: int, arrival: float, key: int,
-                   is_write: bool) -> None:
-            req = _Request(index, arrival, key, is_write, owners[index],
+        def submit(index: int, arrival: float, key: int) -> None:
+            req = _Request(index, arrival, key, owners[index],
                            residents[index])
             launch(req, 0, (), arrival, False, ())
 
@@ -877,10 +850,9 @@ class ClusterSim:
 
             schedule_at(down.at_fraction * traffic.duration_ns, kill_link)
 
-        for index, (arrival, key, is_write) in enumerate(zip(
-                traffic.arrival_ns.tolist(), traffic.keys.tolist(),
-                traffic.writes.tolist())):
-            schedule_at(arrival, submit, index, arrival, key, is_write)
+        for index, (arrival, key) in enumerate(zip(
+                traffic.arrival_ns.tolist(), traffic.keys.tolist())):
+            schedule_at(arrival, submit, index, arrival, key)
         engine.run()
         # launch closes over relaunch (through on_deadline) and
         # maybe_hedge, which close over launch.  Emptying their cells
@@ -973,7 +945,7 @@ class ClusterSim:
             host_sojourns=host_sojourns,
             absorbed=[0] * num_hosts, link_injected=[0] * num_hosts,
             link_recovered=[0] * num_hosts)
-        if self.telemetry.spans.enabled:
+        if self.spans is not None:
             order = np.argsort(finish_of, kind="stable")
             row_of = np.empty(len(order), dtype=np.int64)
             row_of[order] = np.arange(len(order))

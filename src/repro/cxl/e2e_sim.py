@@ -153,8 +153,7 @@ class CxlEndToEndSim:
         traced = tracer.enabled
         latency_hist = self.telemetry.registry.histogram(
             "cxl.e2e.read.latency_ns")
-        injector = injector_for(self.fault_plan, stream="e2e-read",
-                                telemetry=self.telemetry)
+        injector = injector_for(self.fault_plan, stream="e2e-read")
         flit_ns = 68 / self.port.raw_bandwidth * SEC
         if injector is not None:
             flit_ns *= injector.plan.link_slowdown
@@ -227,7 +226,6 @@ class CxlEndToEndSim:
                 # Transient controller timeout: the request is dropped
                 # on the floor; the host waits it out and re-issues.
                 injector.recovery()
-                injector.retried()
                 if traced:
                     tracer.instant(TRACK_WBUF, "fault-timeout",
                                    now, thread=thread)
@@ -317,7 +315,6 @@ class CxlEndToEndSim:
                 # and re-read after the backoff.  The MLP slot stays
                 # occupied — poison steals host parallelism.
                 injector.recovery()
-                injector.retried()
                 if traced:
                     tracer.instant(TRACK_PORT, "fault-poison", now,
                                    thread=thread)
@@ -380,8 +377,7 @@ class CxlWriteEndToEndSim:
 
     A run has two event kinds, a writer's ``thread_tick`` and a line's
     ``drained``; :meth:`run` serves them from a heap and a FIFO in the
-    order an event queue fires them, so a run lacks only the engine's
-    ``sim.engine`` trace slice and gauges.
+    order an event queue fires them.
     """
 
     WRITE_REQUEST_FLITS = 2      # M2S RwD: header + 64 B = 5 slots
@@ -416,8 +412,7 @@ class CxlWriteEndToEndSim:
         _require_counts(threads=threads, lines_per_thread=lines_per_thread)
         tracer = self.telemetry.tracer
         traced = tracer.enabled
-        injector = injector_for(self.fault_plan, stream="e2e-write",
-                                telemetry=self.telemetry)
+        injector = injector_for(self.fault_plan, stream="e2e-write")
         flit_ns = 68 / self.port.raw_bandwidth * SEC
         if injector is not None:
             flit_ns *= injector.plan.link_slowdown

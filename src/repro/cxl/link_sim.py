@@ -27,6 +27,7 @@ from ..errors import SimulationError
 from ..faults import FaultPlan, injector_for
 from ..sim.engine import Engine
 from ..units import SEC
+from .e2e_sim import _require_counts, _require_latency
 from .messages import MemTransaction, read_transaction
 from .port import CxlPort
 
@@ -74,11 +75,9 @@ class CreditedLinkSim:
                  device_parallelism: int = 8,
                  request_credits: int = 32,
                  fault_plan: FaultPlan | None = None) -> None:
-        if device_service_ns < 0:
-            raise SimulationError("negative device service time")
-        if device_parallelism <= 0 or request_credits <= 0:
-            raise SimulationError(
-                "parallelism and credits must be positive")
+        _require_latency(device_service_ns=device_service_ns)
+        _require_counts(device_parallelism=device_parallelism,
+                        request_credits=request_credits)
         self.port = port
         self.device_service_ns = device_service_ns
         self.device_parallelism = device_parallelism
@@ -96,9 +95,7 @@ class CreditedLinkSim:
     def run(self, txn_template: MemTransaction, *, transactions: int,
             mlp: int) -> LinkSimResult:
         """Simulate ``transactions`` back-to-back ops at host MLP."""
-        if transactions <= 0 or mlp <= 0:
-            raise SimulationError(
-                "transactions and mlp must be positive")
+        _require_counts(transactions=transactions, mlp=mlp)
         engine = Engine()
         flit_ns = self._flit_time_ns()
         hop_ns = self.port.phy.config.hop_latency_ns

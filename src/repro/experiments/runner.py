@@ -46,6 +46,7 @@ passed, 1 = a shape check failed or a unit failed to produce a result,
 from __future__ import annotations
 
 import argparse
+import math
 import signal
 import sys
 import time
@@ -458,8 +459,11 @@ def main(argv: list[str] | None = None) -> int:
         return runlog.error("--jobs must be >= 1")
     if args.cprofile < 0:
         return runlog.error("--cprofile must be >= 0")
-    if args.unit_timeout is not None and args.unit_timeout <= 0:
-        return runlog.error("--unit-timeout must be positive")
+    if args.unit_timeout is not None \
+            and not 0 < args.unit_timeout < math.inf:
+        return runlog.error(
+            f"--unit-timeout must be positive and finite, got "
+            f"{args.unit_timeout}")
     if args.retries < 0:
         return runlog.error("--retries must be >= 0")
     if args.resume and args.no_checkpoint:

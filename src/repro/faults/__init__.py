@@ -18,8 +18,8 @@ not just the happy path:
 Faults perturb latency and bandwidth; they never lose work.  Every
 injected fault is recovered by the protocol layer (retransmission,
 re-issue after timeout/poison, or simply waiting out a stall) and both
-sides are counted — see docs/FAULTS.md for the fault model and the
-``faults.*`` telemetry counters, and the ``degraded-cxl`` experiment
+sides are tallied — see docs/FAULTS.md for the fault model and the
+``injected``/``recovered`` tallies, and the ``degraded-cxl`` experiment
 for the headline sweep.
 """
 

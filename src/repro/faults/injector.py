@@ -1,4 +1,4 @@
-"""The :class:`FaultInjector`: draws faults, counts every one.
+"""The :class:`FaultInjector`: draws faults, tallies every one.
 
 One injector is built *per simulation run* from a :class:`FaultPlan`
 and a stream label, so a sweep rebuilt point-by-point in worker
@@ -8,40 +8,26 @@ determinism contract).  Draws come from
 ``(plan.seed, stream, *decision key)`` — so visiting decision points in
 a different order, or not at all, never perturbs other decisions.
 
-Every injected fault and every recovery increments both a local tally
-(shipped back inside results, cheap and always on) and a
-``faults.*`` counter in the run's telemetry registry (docs/FAULTS.md
-lists them all).
+Every injected fault and every recovery increments a local tally,
+``injected`` or ``recovered``, which results carry back
+(docs/FAULTS.md).
 """
 
 from __future__ import annotations
 
 from hashlib import blake2b
 
-from ..telemetry import NULL_TELEMETRY, Telemetry
 from .plan import FaultPlan
-
-# Registry counter names (docs/FAULTS.md, docs/TELEMETRY.md).
-CRC_ERRORS = "faults.crc_errors"
-POISONED = "faults.poisoned_responses"
-TIMEOUTS = "faults.timeouts"
-STALLS = "faults.stalls"
-STALL_NS = "faults.stall_ns_total"
-RETRIES = "faults.retries"
-RECOVERIES = "faults.recoveries"
 
 
 class FaultInjector:
     """Per-run fault source: deterministic draws plus accounting."""
 
-    def __init__(self, plan: FaultPlan, *, stream: str = "faults",
-                 telemetry: Telemetry | None = None) -> None:
+    def __init__(self, plan: FaultPlan, *, stream: str = "faults") -> None:
         self.plan = plan
         self.stream = stream
         # The ``seed:stream:`` head of every key this injector hashes.
         self._head = ":".join(map(str, (plan.seed, stream))) + ":"
-        self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
         self.injected = 0        # faults injected this run
         self.recovered = 0       # faults the protocol absorbed
 
@@ -76,13 +62,8 @@ class FaultInjector:
                 attempt += 1
                 errors += 1
             total += attempt
-        if errors:
-            self.injected += errors
-            self.recovered += errors
-            registry = self.telemetry.registry
-            registry.counter(CRC_ERRORS).inc(errors)
-            registry.counter(RETRIES).inc(errors)
-            registry.counter(RECOVERIES).inc(errors)
+        self.injected += errors
+        self.recovered += errors
         return total
 
     def poisoned(self, *key: object) -> bool:
@@ -90,9 +71,7 @@ class FaultInjector:
         if self.plan.poison_rate <= 0.0:
             return False
         hit = self._uniform("poison", *key) < self.plan.poison_rate
-        if hit:
-            self.injected += 1
-            self.telemetry.registry.counter(POISONED).inc()
+        self.injected += hit
         return hit
 
     def timeout(self, *key: object) -> bool:
@@ -100,9 +79,7 @@ class FaultInjector:
         if self.plan.timeout_rate <= 0.0:
             return False
         hit = self._uniform("timeout", *key) < self.plan.timeout_rate
-        if hit:
-            self.injected += 1
-            self.telemetry.registry.counter(TIMEOUTS).inc()
+        self.injected += hit
         return hit
 
     def stall_ns(self, *key: object) -> float:
@@ -113,10 +90,6 @@ class FaultInjector:
         if self._uniform("stall", *key) < self.plan.stall_rate:
             self.injected += 1
             self.recovered += 1      # a stall only delays; nothing to redo
-            registry = self.telemetry.registry
-            registry.counter(STALLS).inc()
-            registry.counter(STALL_NS).inc(self.plan.stall_ns)
-            registry.counter(RECOVERIES).inc()
             return self.plan.stall_ns
         return 0.0
 
@@ -149,34 +122,26 @@ class FaultInjector:
         if self.timeout(*key):
             parts.append(("fault.timeout",
                           self.plan.timeout_ns + self.plan.retry_backoff_ns))
-            self.retried()
             pending += 1
         if self.poisoned(*key):
             # Discard the poisoned response, re-read every line.
             parts.append(("fault.reread",
                           reread_ns + self.plan.retry_backoff_ns))
-            self.retried()
             pending += 1
         return parts, pending
 
     # -- recovery accounting ----------------------------------------------
 
-    def retried(self) -> None:
-        """A request-level retry was issued (poison or timeout path)."""
-        self.telemetry.registry.counter(RETRIES).inc()
-
     def recovery(self) -> None:
         """A previously injected request-level fault was absorbed."""
         self.recovered += 1
-        self.telemetry.registry.counter(RECOVERIES).inc()
 
 
-def injector_for(plan: FaultPlan | None, *, stream: str,
-                 telemetry: Telemetry | None = None
+def injector_for(plan: FaultPlan | None, *, stream: str
                  ) -> FaultInjector | None:
     """An injector for ``plan``, or ``None`` when the plan is absent or
     inactive — callers branch on ``None`` to keep the unperturbed hot
     path byte-identical to a fault-free build."""
     if plan is None or not plan.active:
         return None
-    return FaultInjector(plan, stream=stream, telemetry=telemetry)
+    return FaultInjector(plan, stream=stream)

@@ -30,6 +30,7 @@ the two views of this one executor.
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 import os
 import signal
@@ -108,9 +109,10 @@ class SupervisionPolicy:
     fail_fast: bool = False            # stop the sweep on first poison
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ResilienceError(
-                f"timeout_s must be positive, got {self.timeout_s}")
+        if self.timeout_s is not None \
+                and not 0 < self.timeout_s < math.inf:
+            raise ResilienceError(f"timeout_s must be positive and "
+                                  f"finite, got {self.timeout_s}")
         if self.retries < 0:
             raise ResilienceError(
                 f"retries must be >= 0, got {self.retries}")

@@ -137,15 +137,11 @@ def run_cluster_point(spec: tuple) -> tuple[Any, dict | None]:
     """
     topo_kwargs, sim_kwargs, run_kwargs, span_config = spec
     from ..cluster import ClusterSim, ClusterTopology
-    from ..telemetry import NullRegistry, SpanRecorder, Telemetry
+    from ..telemetry import SpanRecorder
 
-    telemetry = None
-    if span_config is not None:
-        telemetry = Telemetry(registry=NullRegistry(),
-                              spans=SpanRecorder(span_config))
+    spans = SpanRecorder(span_config) if span_config is not None else None
     topology = ClusterTopology(**topo_kwargs)
-    sim = ClusterSim(topology, telemetry=telemetry, **sim_kwargs)
+    sim = ClusterSim(topology, spans=spans, **sim_kwargs)
     result = sim.run(**run_kwargs)
-    return result, telemetry.spans.export() \
-        if telemetry is not None else None
+    return result, spans.export() if spans is not None else None
 

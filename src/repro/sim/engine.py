@@ -45,7 +45,6 @@ from bisect import insort
 from typing import Any, Callable
 
 from ..errors import SimulationError
-from ..telemetry import NULL_TELEMETRY, Telemetry
 
 # Compact the executed prefix of the current run once the walk cursor
 # passes this many entries; keeps long prescheduled runs from pinning
@@ -66,7 +65,7 @@ class Engine:
     [10.0]
     """
 
-    def __init__(self, *, telemetry: Telemetry | None = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._seq = itertools.count()
         self._running = False
@@ -80,8 +79,6 @@ class Engine:
         self._pos = 0
         self._future: list[list] = []
         self._run_max = float("-inf")
-        self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
 
     @property
     def now(self) -> float:
@@ -97,8 +94,9 @@ class Engine:
                  *args: Any) -> list:
         """Run ``callback(*args)`` at ``now + delay``; returns a
         cancellable handle."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
+        if not delay >= 0:           # also true for NaN
+            raise SimulationError(f"cannot schedule into the past or at "
+                                  f"NaN: delay={delay}")
         if callback is None:
             raise SimulationError("schedule() needs a callback, got "
                                   "callback=None")
@@ -117,9 +115,9 @@ class Engine:
         The event is queued at exactly ``time``: going through a delay,
         ``now + (time - now)``, can round to a neighbouring float.
         """
-        if time < self._now:
-            raise SimulationError(f"cannot schedule into the past: "
-                                  f"time={time} < now={self._now}")
+        if not time >= self._now:    # also true for NaN
+            raise SimulationError(f"cannot schedule into the past or at "
+                                  f"NaN: time={time}, now={self._now}")
         if callback is None:
             raise SimulationError("schedule_at() needs a callback, got "
                                   "callback=None")
@@ -219,18 +217,9 @@ class Engine:
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True
-        run_start = self._now
         try:
             self._drain(until, max_events)
             if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False
-            if self.telemetry.enabled:
-                self.telemetry.tracer.complete(
-                    "sim.engine", "run", run_start,
-                    self._now - run_start, events=self._processed)
-            registry = self.telemetry.registry
-            registry.gauge("sim.engine.events_processed").set(
-                self._processed)
-            registry.gauge("sim.engine.now_ns").set(self._now)

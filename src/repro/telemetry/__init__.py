@@ -3,15 +3,21 @@
 Two halves, bundled by :class:`Telemetry`:
 
 * **Metrics** (:mod:`repro.telemetry.metrics`) — a :class:`Registry` of
-  hierarchical named :class:`Counter`/:class:`Gauge`/:class:`Histogram`
-  aggregates, snapshot-able as JSON.
+  hierarchical named :class:`Counter`/:class:`Histogram` aggregates,
+  snapshot-able as JSON.
 * **Tracing** (:mod:`repro.telemetry.tracer`) — structured timeline
   events on one track per simulated component, exported as Chrome
   ``chrome://tracing`` / Perfetto JSON.
 
-Every instrumented component takes an optional ``telemetry=`` argument
-defaulting to :data:`NULL_TELEMETRY`, whose tracer and registry drop
-everything — disabled-mode runs emit zero events and hold no samples.
+The simulators ``memo`` instruments
+(:class:`~repro.cxl.e2e_sim.CxlEndToEndSim`,
+:class:`~repro.cxl.e2e_sim.CxlWriteEndToEndSim` and
+:class:`~repro.cache.hierarchy.CacheHierarchy`) take an optional
+``telemetry=`` argument defaulting to :data:`NULL_TELEMETRY`, whose
+tracer and registry drop everything — disabled-mode runs emit zero
+events and hold no samples.  Per-request spans
+(:mod:`repro.telemetry.spans`) are recorded by a
+:class:`SpanRecorder` handed to the simulator directly.
 
 Quickstart::
 
@@ -28,27 +34,23 @@ from __future__ import annotations
 
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     NullRegistry,
     Registry,
     default_latency_buckets_ns,
     interpolate_percentile,
 )
-from .spans import NULL_SPANS, NullSpanRecorder, SpanConfig, SpanRecorder
+from .spans import SpanConfig, SpanRecorder
 from .tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 
 class Telemetry:
-    """One run's observability session: a registry, a tracer, and an
-    optional per-request span recorder."""
+    """One run's observability session: a registry and a tracer."""
 
     def __init__(self, *, registry: Registry | None = None,
-                 tracer: Tracer | None = None,
-                 spans: SpanRecorder | NullSpanRecorder | None = None) -> None:
+                 tracer: Tracer | None = None) -> None:
         self.registry = registry if registry is not None else Registry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.spans = spans if spans is not None else NULL_SPANS
 
     @property
     def enabled(self) -> bool:
@@ -61,16 +63,6 @@ class Telemetry:
         return cls(registry=Registry(),
                    tracer=Tracer(process_name=process_name))
 
-    @classmethod
-    def metrics_only(cls) -> "Telemetry":
-        """Counters/gauges/histograms without timeline events.
-
-        The fault-accounting tests use this: ``faults.*`` counters are
-        recorded while the tracer (whose event list grows with run
-        length) stays off.
-        """
-        return cls(registry=Registry(), tracer=NULL_TRACER)
-
 
 NULL_TELEMETRY = Telemetry(registry=NullRegistry(), tracer=NULL_TRACER)
 """Shared disabled session used as the default by every component."""
@@ -78,12 +70,9 @@ NULL_TELEMETRY = Telemetry(registry=NullRegistry(), tracer=NULL_TRACER)
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "NullRegistry",
-    "NullSpanRecorder",
     "NullTracer",
-    "NULL_SPANS",
     "NULL_TELEMETRY",
     "NULL_TRACER",
     "Registry",

@@ -1,4 +1,4 @@
-"""Hierarchical named metrics: counters, gauges, and histograms.
+"""Hierarchical named metrics: counters and histograms.
 
 The registry is the *aggregate* half of the telemetry subsystem (the
 event half lives in :mod:`repro.telemetry.tracer`).  Components create
@@ -81,29 +81,6 @@ class Counter:
 
     def snapshot(self) -> dict:
         return {"type": "counter", "value": self._value}
-
-
-class Gauge:
-    """A point-in-time value (occupancy, utilization, last derate)."""
-
-    __slots__ = ("name", "_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        self._value += delta
-
-    def snapshot(self) -> dict:
-        return {"type": "gauge", "value": self._value}
 
 
 class Histogram:
@@ -240,14 +217,11 @@ class Histogram:
         return summary
 
 
-Metric = "Counter | Gauge | Histogram"
-
-
 class Registry:
     """Get-or-create store of named metrics, snapshot-able as a tree."""
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter | Histogram] = {}
 
     def _get(self, name: str, kind: type, factory):
         if not name or name.startswith(".") or name.endswith("."):
@@ -266,9 +240,6 @@ class Registry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter, lambda: Counter(name))
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, lambda: Gauge(name))
-
     def histogram(self, name: str,
                   buckets: tuple[float, ...] | None = None) -> Histogram:
         return self._get(name, Histogram,
@@ -283,7 +254,7 @@ class Registry:
     def names(self) -> list[str]:
         return sorted(self._metrics)
 
-    def get(self, name: str) -> Counter | Gauge | Histogram:
+    def get(self, name: str) -> Counter | Histogram:
         if name not in self._metrics:
             raise TelemetryError(f"no metric named {name!r}; "
                                  f"registered: {self.names()}")
@@ -320,21 +291,6 @@ class _NullCounter:
         return {"type": "counter", "value": 0.0}
 
 
-class _NullGauge:
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"type": "gauge", "value": 0.0}
-
-
 class _NullHistogram:
     """Drops samples so disabled runs hold no memory and do no sorting."""
 
@@ -357,7 +313,6 @@ class NullRegistry(Registry):
     """A registry whose metrics discard all updates (no-op mode)."""
 
     _COUNTER = _NullCounter()
-    _GAUGE = _NullGauge()
     _HISTOGRAM = _NullHistogram()
 
     def __init__(self) -> None:
@@ -365,9 +320,6 @@ class NullRegistry(Registry):
 
     def counter(self, name: str):  # type: ignore[override]
         return self._COUNTER
-
-    def gauge(self, name: str):  # type: ignore[override]
-        return self._GAUGE
 
     def histogram(self, name: str, buckets=None):  # type: ignore[override]
         return self._HISTOGRAM

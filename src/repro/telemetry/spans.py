@@ -20,10 +20,9 @@ Three artifacts are derived from the raw segments:
   p99 and component totals, so bursty/diurnal scenarios show *when*
   degradation happens, not just that it did.
 
-:class:`SpanRecorder` is the recording half; :data:`NULL_SPANS` is the
-shared disabled recorder (``enabled`` is ``False`` and ``record`` is a
-no-op) that keeps spans-off hot paths — including the KV fast path —
-free of any per-request work.
+:class:`SpanRecorder` is the recording half.  A simulator takes one as
+``spans=``; ``None`` records nothing, so spans-off runs do no
+per-request span work.
 """
 
 from __future__ import annotations
@@ -97,28 +96,6 @@ _SPEC = KeyValueSpec(
 # recording
 
 
-class NullSpanRecorder:
-    """Disabled recorder: drops everything, records nothing."""
-
-    enabled = False
-    config: SpanConfig | None = None
-
-    def record(self, index: int, start_ns: float,
-               segments: Sequence[tuple[str, float]], *,
-               kind: str = "request") -> None:
-        pass
-
-    def record_batch(self, index, start_ns, kinds, columns) -> None:
-        pass
-
-    def export(self) -> dict | None:
-        return None
-
-
-NULL_SPANS = NullSpanRecorder()
-"""Shared disabled recorder — the default on every :class:`Telemetry`."""
-
-
 class SpanRecorder:
     """Collects request segment waterfalls and aggregates them.
 
@@ -134,8 +111,6 @@ class SpanRecorder:
     pairwise ``np.sum``), so it does not depend on how the requests
     were split into batches.
     """
-
-    enabled = True
 
     def __init__(self, config: SpanConfig | None = None) -> None:
         self.config = config if config is not None else SpanConfig()

@@ -1,12 +1,11 @@
 """Structured event tracing with Chrome ``chrome://tracing`` export.
 
-Events carry *simulated* timestamps (ns, as kept by
-:class:`repro.sim.engine.Engine`), never wall-clock time, so two
+Events carry *simulated* timestamps (ns), never wall-clock time, so two
 identically-seeded runs emit byte-identical event sequences — the
 property the determinism tests pin down.
 
 Each *track* is one simulated component (``core``, ``cxl.port``,
-``cxl.device.wbuf``, ``dram.channel``, ``apps.dsb`` …) and maps
+``cxl.device.wbuf``, ``dram.channel``) and maps
 to one named thread row in the Chrome / Perfetto timeline view.  Three
 event shapes cover the simulator's needs:
 

@@ -3,16 +3,15 @@
 Each case runs one request mix (the mixed workload or a single
 request type) against the DRAM- or CXL-backed databases at a light,
 a moderate and a saturated QPS, and hashes the ``dataclasses.asdict``
-of every :class:`DsbResult` plus the snapshot of the ``apps.dsb.*``
-metrics the runs record.  The hashes were recorded before the runner
-moved from generator processes to engine callbacks; any change to the
-order in which the run draws from its RNG stream moves at least one
-of them.  ``sim.engine.events_processed`` is pinned per run as well:
-each arrival and each completed stage visit is exactly one event.
+of every :class:`DsbResult`.  The hashes were recorded before the
+runner moved from generator processes to engine callbacks; any change
+to the order in which the run draws from its RNG stream moves at least
+one of them.  :attr:`Engine.events_processed` is pinned per run as
+well: each arrival and each completed stage visit is exactly one event.
 
 Regenerate after an *intentional* model change with::
 
-    PYTHONPATH=src python tests/apps/test_dsb_pinned.py
+    PYTHONPATH=src:. python tests/apps/test_dsb_pinned.py
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro import build_system, combined_testbed
 from repro.apps.dsb import DsbRunner, RequestType
 from repro.parallel import ParallelRunner
 from repro.parallel.sweeps import run_sim_point
-from repro.telemetry import Telemetry
+from tests.sim.engine_events import engine_events
 
 QPS_POINTS = [200.0, 1200.0, 20000.0]
 REQUESTS = 1000
@@ -44,9 +43,9 @@ def _system():
     return build_system(combined_testbed())
 
 
-def _runner(system, backend: str, telemetry=None) -> DsbRunner:
+def _runner(system, backend: str) -> DsbRunner:
     node = system.LOCAL_NODE if backend == "dram" else system.cxl_node_id
-    return DsbRunner(system, database_node=node, telemetry=telemetry)
+    return DsbRunner(system, database_node=node)
 
 
 def _mix(label: str):
@@ -54,25 +53,16 @@ def _mix(label: str):
 
 
 def _run_case(system, name: str) -> dict:
-    """Run one pinned case; returns its result and metric hashes plus
-    the per-run event counts."""
+    """Run one pinned case; returns its result hash plus the per-run
+    event counts."""
     backend, label = name.split(":")
-    telemetry = Telemetry.metrics_only()
-    runner = _runner(system, backend, telemetry)
+    runner = _runner(system, backend)
     results = {}
-    events = []
-    for qps in QPS_POINTS:
-        results[f"{qps:g}"] = dataclasses.asdict(
-            runner.run(qps, mix=_mix(label), requests=REQUESTS))
-        events.append(telemetry.registry.snapshot()
-                      ["sim.engine.events_processed"]["value"])
-    snapshot = telemetry.registry.snapshot()
-    return {
-        "results": _digest(results),
-        "metrics": _digest({key: value for key, value in snapshot.items()
-                            if key.startswith("apps.dsb.")}),
-        "events": [int(count) for count in events],
-    }
+    with engine_events() as events:
+        for qps in QPS_POINTS:
+            results[f"{qps:g}"] = dataclasses.asdict(
+                runner.run(qps, mix=_mix(label), requests=REQUESTS))
+    return {"results": _digest(results), "events": events}
 
 
 CASES = [f"{backend}:{label}" for backend in BACKENDS for label in MIXES]
@@ -81,57 +71,41 @@ PINNED: dict[str, dict] = {
     "dram:mixed": {
         "results":
             "f5117ebe675423c1bd5413911fd5a53d3bb8b1b833d2875b82a65c8d3c86a9ab",
-        "metrics":
-            "41f06d159517938768124b78ff7ab1fe2ab7f6ecae957d32911e5ff547382347",
         "events": [4887, 4892, 4897],
     },
     "dram:compose-post": {
         "results":
             "be6b6a6127a8496dda35f9f49fb6dca441354c862d43455587ed46a97225b43e",
-        "metrics":
-            "57f7ddbefc8e1e411f2d218a0405b04ba5171961383884b3e5d624319fbbd012",
         "events": [10000, 10000, 10000],
     },
     "dram:read-user-timeline": {
         "results":
             "ebd548c3a8fe01dbfa92d91ed3d5c5d2cc83575030b5a29a72c7e1905d656132",
-        "metrics":
-            "1faeed355d725c76c9749a0a58c8afd6178409d0dcd5bf3084ca38b11f42c7b4",
         "events": [4717, 4697, 4716],
     },
     "dram:read-home-timeline": {
         "results":
             "53325d7f1906bbf5f1a8a9c8b92b4e9e20aac243e6792e7cb7ea0e004e8c806d",
-        "metrics":
-            "19072c2de21d82d8800a58e1b55756a58065933429e0f91c037edf69b71ca538",
         "events": [4000, 4000, 4000],
     },
     "cxl:mixed": {
         "results":
             "51c8a0fa90c5c303870bf7e00e15c7818ab6efe9c140673fd0cba4e2650386e0",
-        "metrics":
-            "1ec71dd6889decb60820cf06d34279fc5b638223a1036e1cdc478211a3a158e1",
         "events": [4887, 4899, 4873],
     },
     "cxl:compose-post": {
         "results":
             "e1ee8307568df683ae4ba710d55177c1ba8c3c98a45ad6dd6ee302e89158f654",
-        "metrics":
-            "4779df9f7995160166ea1c968ce413a4867e996f931bbe25e46f8c886de5fadc",
         "events": [10000, 10000, 10000],
     },
     "cxl:read-user-timeline": {
         "results":
             "da2e500e2be5b1637d48f23850a3403ef108a157d928f7fb3610e2b2a0b568af",
-        "metrics":
-            "b7ab640402d35443a2957bd0838f5eea97c1809229206fab68df1f5b0fe473a8",
         "events": [4709, 4709, 4706],
     },
     "cxl:read-home-timeline": {
         "results":
             "59f2b9be0de2563283d62269920fbdb2f1d6bc7922e2328f819d06ec6126d707",
-        "metrics":
-            "d79336ef7e806de3b19e8b32e402882ece510c032eaf80bb87cd90c754ae026c",
         "events": [4000, 4000, 4000],
     },
 }
@@ -160,8 +134,7 @@ def test_every_case_reaches_saturation(system, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_events_equal_arrivals_plus_stage_visits(system, backend):
     """One event per arrival and one per finished visit, no more."""
-    telemetry = Telemetry.metrics_only()
-    runner = _runner(system, backend, telemetry)
+    runner = _runner(system, backend)
     visits = [0]
     for stage in runner.network.stages.values():
         sample = stage.sample_service_ns
@@ -174,10 +147,10 @@ def test_events_equal_arrivals_plus_stage_visits(system, backend):
     for label in MIXES:
         for qps in QPS_POINTS:
             visits[0] = 0
-            result = runner.run(qps, mix=_mix(label), requests=REQUESTS)
-            events = telemetry.registry.snapshot()[
-                "sim.engine.events_processed"]["value"]
-            assert events == result.requests + visits[0], (label, qps)
+            with engine_events() as events:
+                result = runner.run(qps, mix=_mix(label),
+                                    requests=REQUESTS)
+            assert events == [result.requests + visits[0]], (label, qps)
 
 
 def _curves(system, parallel: bool):

@@ -16,10 +16,11 @@ from repro.apps.kvstore import KvServer, RedisYcsbStudy, RunResult
 from repro.errors import WorkloadError
 from repro.sim import Engine, LatencyRecorder, Server
 from repro.sim.rng import substream
-from repro.telemetry import NULL_TELEMETRY, SpanRecorder, Telemetry
+from repro.telemetry import SpanRecorder
 from repro.telemetry.spans import spans_digest
 from repro.workloads import WORKLOADS
 from tests.apps.test_kvstore import miss_node_split
+from tests.sim.engine_events import engine_events
 
 REQUESTS = 2_000
 QPS = 50_000.0
@@ -44,7 +45,7 @@ def waterfall_columns(store, waits: list, cpu: np.ndarray,
 
 
 def run_des(store, target_qps: float, requests: int, *, seed: int = 1,
-            workers: int = 1, telemetry: Telemetry = NULL_TELEMETRY
+            workers: int = 1, spans: SpanRecorder | None = None
             ) -> RunResult:
     """``KvServer(store, seed=seed).run(target_qps, requests=requests)``
     on the DES engine, with ``workers`` FIFO slots.
@@ -56,8 +57,7 @@ def run_des(store, target_qps: float, requests: int, *, seed: int = 1,
     and its queue wait; the waterfalls are built from the trace arrays
     after the run and recorded in one :meth:`SpanRecorder.record_batch`.
     """
-    engine = Engine(telemetry=telemetry)
-    spans = telemetry.spans
+    engine = Engine()
     server = Server(workers)
     arrivals = substream(f"arrivals-{seed}", seed)
     sojourn = LatencyRecorder("sojourn")
@@ -79,7 +79,7 @@ def run_des(store, target_qps: float, requests: int, *, seed: int = 1,
         sojourn.record(now - arrival_time)
         completed[0] += 1
         last_completion[0] = now
-        if spans.enabled:
+        if spans is not None:
             span_index.append(index)
             span_wait.append(grant - arrival_time)
 
@@ -93,7 +93,7 @@ def run_des(store, target_qps: float, requests: int, *, seed: int = 1,
         engine.schedule_at(arrival_time, server.acquire, start, index,
                            arrival_time)
     engine.run()
-    if spans.enabled:
+    if spans is not None:
         rows = np.array(span_index, dtype=np.int64)
         # The running sum of the gaps: the loop's arrival times.
         spans.record_batch(
@@ -120,7 +120,7 @@ def study():
 
 
 def _run(study, *, fastpath: bool, workload="A", fraction=0.5,
-         telemetry=NULL_TELEMETRY, workers=1, requests=REQUESTS):
+         spans=None, workers=1, requests=REQUESTS):
     """``fastpath=True`` runs :class:`KvServer`, ``False`` the DES."""
     store = study.build_store(WORKLOADS[workload], fraction)
     try:
@@ -128,7 +128,7 @@ def _run(study, *, fastpath: bool, workload="A", fraction=0.5,
             return KvServer(store, seed=study.seed).run(QPS,
                                                         requests=requests)
         return run_des(store, QPS, requests, seed=study.seed,
-                       workers=workers, telemetry=telemetry)
+                       workers=workers, spans=spans)
     finally:
         store.free()
 
@@ -156,11 +156,10 @@ class TestGating:
             _run(study, fastpath=True)
 
     def test_run_des_processes_two_events_per_request(self, study):
-        telemetry = Telemetry.metrics_only()
-        _run(study, fastpath=False, telemetry=telemetry, requests=100)
+        with engine_events() as events:
+            _run(study, fastpath=False, requests=100)
         # One arrival event plus one finish event per request.
-        assert telemetry.registry.gauge(
-            "sim.engine.events_processed").value == 200
+        assert events == [200]
 
 
 class TestSpanGating:
@@ -168,17 +167,16 @@ class TestSpanGating:
 
     def test_spanned_run_result_matches_plain_des(self, study):
         """Recording spans must not perturb a single RunResult float."""
-        telemetry = Telemetry(spans=SpanRecorder())
-        spanned = _run(study, fastpath=False, telemetry=telemetry)
+        spanned = _run(study, fastpath=False, spans=SpanRecorder())
         plain = _run(study, fastpath=True)
         assert spanned == plain
 
     def test_service_components_close_on_service_total(self, study):
         """kv.cpu + mem.* segments sum to the mean-service total —
         client.wait is the only segment outside the service time."""
-        telemetry = Telemetry(spans=SpanRecorder())
-        result = _run(study, fastpath=False, telemetry=telemetry)
-        agg = telemetry.spans.export()
+        spans = SpanRecorder()
+        result = _run(study, fastpath=False, spans=spans)
+        agg = spans.export()
         service_total = sum(
             slot["total_ns"]
             for name, slot in agg["components"].items()
@@ -195,6 +193,6 @@ class TestSpanGating:
     def test_spans_export_is_pinned(self, study, workers, digest):
         """The exported segments — waits, CPU and the DRAM/CXL split —
         hash to the digest recorded for workload A at fraction 0.5."""
-        telemetry = Telemetry(spans=SpanRecorder())
-        _run(study, fastpath=False, telemetry=telemetry, workers=workers)
-        assert spans_digest(telemetry.spans.export())["digest"] == digest
+        spans = SpanRecorder()
+        _run(study, fastpath=False, spans=spans, workers=workers)
+        assert spans_digest(spans.export())["digest"] == digest

@@ -28,7 +28,7 @@ import pytest
 from repro import build_system, combined_testbed
 from repro.apps.kvstore import KvServer, RedisYcsbStudy
 from repro.sim.rng import forget
-from repro.telemetry import SpanRecorder, Telemetry
+from repro.telemetry import SpanRecorder
 from repro.workloads import WORKLOADS
 from tests.apps.test_kv_fastpath import run_des
 
@@ -225,14 +225,14 @@ def _mean_services(fig7_study, name):
 
 
 def _spans_digest(study):
-    telemetry = Telemetry(spans=SpanRecorder())
+    spans = SpanRecorder()
     store = study.build_store(WORKLOADS["D"], 0.1)
     try:
         run_des(store, 4 * QPS_PER_WORKER, REQUESTS, seed=study.seed,
-                workers=4, telemetry=telemetry)
+                workers=4, spans=spans)
     finally:
         store.free()
-    blob = json.dumps(telemetry.spans.export(), sort_keys=True,
+    blob = json.dumps(spans.export(), sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -199,7 +199,7 @@ class TestLifetime:
         assert ref() is None
 
     def test_writebacks_counted_in_the_registry(self):
-        telemetry = Telemetry.metrics_only()
+        telemetry = Telemetry()
         hierarchy = CacheHierarchy(small_hierarchy().config,
                                    telemetry=telemetry)
         for address in range(0, 64 * 1024, 64):

@@ -84,7 +84,7 @@ class TestTrafficProperties:
     @settings(max_examples=40, deadline=None)
     @given(operations)
     def test_registry_counters_mirror_functional_results(self, stream):
-        telemetry = Telemetry.metrics_only()
+        telemetry = Telemetry()
         hierarchy = tiny_hierarchy(telemetry)
         reads = writes = 0
         for op, address in stream:

@@ -1,15 +1,14 @@
 """Oracle for ``ClusterSim``'s engine-free serving of policy-free runs.
 
-A run with no policy, hash-shard routing, no link-down, one worker per
-host and the tracer off sends every request to its owner on one
-attempt, so each host is an independent FIFO single-server queue with
-known arrivals and service times.  ``ClusterSim.run`` serves such a
+A run with no policy, hash-shard routing, no link-down and one worker
+per host sends every request to its owner on one attempt, so each host
+is an independent FIFO single-server queue with known arrivals and
+service times.  ``ClusterSim.run`` serves such a
 run with a per-host Lindley recursion instead of the event queue.  This
 module forces the event queue on the same inputs, by patching the
 private eligibility predicate, and checks over random fleets, pools,
 loads, fault plans and span settings that both give the same
-``repr(ClusterResult)``, the same ``cluster.*`` and ``faults.*``
-metrics and the same span export.
+``repr(ClusterResult)`` and the same span export.
 
 The recursion keeps every float operation of the event loop, but two
 orders follow from the event loop's sequence numbers: ``service_total``
@@ -18,11 +17,8 @@ order.  The recursion takes them from stable argsorts of the start and
 finish times, which break ties by request index.  When two requests
 start, or finish, at exactly the same float time, the event loop may
 order them otherwise, and then only what no order can move must match:
-the result but its mean service, and the metrics.  Such a tie needs two
-float sums to coincide; each example reports whether it had one.  The
-stall durations drawn here are whole nanoseconds, so the
-``faults.stall_ns_total`` sum is exact in any order; fractional stalls
-of different lengths on two hosts could round it differently.
+the result but its mean service.  Such a tie needs two float sums to
+coincide; each example reports whether it had one.
 """
 
 from __future__ import annotations
@@ -38,11 +34,8 @@ from repro.cluster import ClusterSim, ClusterTopology, LinkDown
 from repro.cluster.resilience import PRESETS
 from repro.config import hetero_pooled_testbed
 from repro.faults import FaultPlan
-from repro.sim import Engine
-from repro.telemetry import (Registry, SpanConfig, SpanRecorder, Telemetry,
-                             Tracer)
-
-COMPARED_METRICS = ("cluster.", "faults.")
+from repro.telemetry import SpanConfig, SpanRecorder
+from tests.sim.engine_events import engine_events
 
 fault_plans = st.builds(
     FaultPlan,
@@ -82,14 +75,13 @@ def cluster_runs(draw):
 
 def _observe(topology: dict, plans: dict, load: dict,
              spans: SpanConfig | None, seed: int, *, events: bool):
-    """One run's result, compared metrics and span export; with
-    ``events`` the run is forced onto the event queue.  Also returns
-    whether two requests of the engine-free run started or finished at
-    exactly the same float time."""
+    """One run's result and span export; with ``events`` the run is
+    forced onto the event queue.  Also returns whether two requests of
+    the engine-free run started or finished at exactly the same float
+    time."""
     recorder = SpanRecorder(spans) if spans is not None else None
-    telemetry = Telemetry(registry=Registry(), spans=recorder)
     sim = ClusterSim(ClusterTopology(**topology), seed=seed,
-                     fault_plans=plans, telemetry=telemetry)
+                     fault_plans=plans, spans=recorder)
     times = []
     lindley = cluster_sim._lindley
 
@@ -105,12 +97,9 @@ def _observe(topology: dict, plans: dict, load: dict,
     assert bool(times) != events
     tied = any(len(set(values)) < len(values)
                for values in (times[0] if times else ()))
-    metrics = {name: value
-               for name, value in telemetry.registry.snapshot().items()
-               if name.startswith(COMPARED_METRICS)}
     export = json.dumps(recorder.export()) \
         if recorder is not None else None
-    return (repr(result), metrics, export), result, tied
+    return (repr(result), export), result, tied
 
 
 @settings(max_examples=120, deadline=None)
@@ -122,7 +111,6 @@ def test_engine_free_run_matches_the_event_queue(run):
     if tied:
         assert replace(fast_result, mean_service_ns=0.0) \
             == replace(des_result, mean_service_ns=0.0)
-        assert fast[1] == reference[1]
     else:
         assert fast == reference
 
@@ -131,26 +119,14 @@ def _engine_runs(**changes) -> int:
     """How many times ``Engine.run`` ran for one small policy-free run
     with ``changes`` applied to it."""
     changes = dict(changes)
-    calls = []
-    run = Engine.run
-
-    def counted(engine, *args, **kwargs):
-        calls.append(1)
-        return run(engine, *args, **kwargs)
-
     topology = ClusterTopology(3, keys_per_host=2_000,
                                workers=changes.pop("workers", 1))
-    telemetry = Telemetry(
-        registry=Registry(),
-        tracer=Tracer(process_name="t") if changes.pop("traced", False)
-        else None)
-    sim = ClusterSim(topology, seed=3, telemetry=telemetry,
+    sim = ClusterSim(topology, seed=3,
                      fault_plans={0: FaultPlan(stall_rate=0.1, seed=1)},
                      **changes)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Engine, "run", counted)
+    with engine_events() as runs:
         sim.run(150_000.0, requests=300)
-    return len(calls)
+    return len(runs)
 
 
 @pytest.mark.parametrize("changes", [
@@ -158,8 +134,7 @@ def _engine_runs(**changes) -> int:
     {"router": "least-loaded"},
     {"link_down": LinkDown(1)},
     {"workers": 2},
-    {"traced": True},
-], ids=["policy", "least-loaded", "link-down", "workers", "traced"])
+], ids=["policy", "least-loaded", "link-down", "workers"])
 def test_each_ineligible_run_still_uses_the_event_queue(changes):
     assert _engine_runs(**changes) == 1
 

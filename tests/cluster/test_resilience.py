@@ -31,7 +31,7 @@ from repro.cluster.resilience import ZERO_POLICY
 from repro.cluster.sim import _Attempt
 from repro.errors import ClusterError
 from repro.faults import FaultPlan
-from repro.telemetry import SpanConfig, SpanRecorder, Telemetry
+from repro.telemetry import SpanConfig, SpanRecorder
 
 
 class TestPolicyValidation:
@@ -208,11 +208,11 @@ class TestHedgeDelay:
 
 
 def run_sim(policy=None, *, fault_plans=None, link_down=None,
-            telemetry=None, qps=150_000.0, requests=1_200, seed=11):
+            spans=None, qps=150_000.0, requests=1_200, seed=11):
     topo = ClusterTopology(3, keys_per_host=10_000)
     sim = ClusterSim(topo, seed=seed, policy=policy,
                      fault_plans=fault_plans, link_down=link_down,
-                     telemetry=telemetry)
+                     spans=spans)
     return sim.run(qps=qps, requests=requests)
 
 
@@ -235,8 +235,7 @@ SETUPS = {
 
 def spanned_run(policy, setup):
     spans = SpanRecorder(SpanConfig())
-    result = run_sim(policy, telemetry=Telemetry(spans=spans),
-                     **SETUPS[setup])
+    result = run_sim(policy, spans=spans, **SETUPS[setup])
     return result, spans.export()
 
 
@@ -255,19 +254,18 @@ class TestSimIntegration:
 
     def test_no_policy_run_reports_no_resilience_stats(self):
         for policy in (None, ZERO_POLICY):
-            telemetry = Telemetry()
-            result = run_sim(policy, telemetry=telemetry)
+            result = run_sim(policy)
             assert result.resilience is None
             assert result.successes == result.requests
             assert result.goodput_qps == result.achieved_qps
-            assert "cluster.achieved_qps" in telemetry.registry
-            assert "cluster.goodput_qps" not in telemetry.registry
 
-    def test_policied_run_sets_the_goodput_gauge(self):
-        telemetry = Telemetry()
-        result = run_sim(PRESETS["deadline"], telemetry=telemetry)
-        assert telemetry.registry.get("cluster.goodput_qps").value \
-            == result.goodput_qps
+    def test_policied_run_scales_goodput_to_successes(self):
+        result = run_sim(PRESETS["deadline"])
+        stats = result.resilience
+        successes = stats.ok + stats.ok_retried + stats.ok_hedged
+        assert result.successes == successes
+        assert result.goodput_qps == \
+            result.achieved_qps * (successes / result.requests)
 
     def test_outcome_buckets_partition_the_requests(self):
         plans = {h: FaultPlan(stall_rate=0.1, stall_ns=80_000.0,
@@ -315,9 +313,8 @@ class TestAttemptLifetime:
         gc.collect()
         gc.disable()
         try:
-            result = run_sim(policy, fault_plans=plans,
-                             qps=220_000.0, telemetry=Telemetry(
-                                 spans=SpanRecorder(SpanConfig())))
+            result = run_sim(policy, fault_plans=plans, qps=220_000.0,
+                             spans=SpanRecorder(SpanConfig()))
             leaked = sum(isinstance(obj, _Attempt)
                          for obj in gc.get_objects())
         finally:

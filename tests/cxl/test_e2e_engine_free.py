@@ -16,10 +16,9 @@ number the event queue would have given it, and the smaller
 bodies these replaced, kept here as the references; :func:`forced_des`
 installs them.  The oracles check over random shapes, controller
 settings and fault plans, traced and untraced, that both give the same
-result, the same ``cxl.e2e.*`` and ``faults.*`` metrics and the same
-trace events in emission order, less the engine's own ``sim.engine``
-run slice, and report the runs in which events of two kinds fall due at
-exactly one instant.
+result, the same ``cxl.e2e.*`` metrics and the same trace events in
+emission order, and report the runs in which events of two kinds fall
+due at exactly one instant.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ from repro.mem.banks import Bank, DdrTimings, ddr4_2666_timings
 from repro.sim.engine import Engine
 from repro.telemetry import Telemetry, interpolate_percentile
 from repro.units import SEC
-
-COMPARED_METRICS = ("cxl.e2e.", "faults.")
+from tests.sim.engine_events import engine_events
 
 rates = st.floats(min_value=0.0, max_value=0.2)
 
@@ -74,8 +72,7 @@ def des_read_run(self: CxlEndToEndSim, *, threads: int,
     traced = tracer.enabled
     latency_hist = self.telemetry.registry.histogram(
         "cxl.e2e.read.latency_ns")
-    injector = injector_for(self.fault_plan, stream="e2e-read",
-                            telemetry=self.telemetry)
+    injector = injector_for(self.fault_plan, stream="e2e-read")
     flit_ns = 68 / self.port.raw_bandwidth * SEC
     if injector is not None:
         flit_ns *= injector.plan.link_slowdown
@@ -133,7 +130,6 @@ def des_read_run(self: CxlEndToEndSim, *, threads: int,
             # Transient controller timeout: the request is dropped
             # on the floor; the host waits it out and re-issues.
             injector.recovery()
-            injector.retried()
             if traced:
                 tracer.instant(TRACK_WBUF, "fault-timeout",
                                now, thread=thread)
@@ -190,7 +186,7 @@ def des_read_run(self: CxlEndToEndSim, *, threads: int,
     # tie between different requests' events can resolve in
     # another order than with a stage event each
     # (tests/cxl/test_e2e_fusion.py).
-    engine = Engine(telemetry=self.telemetry)
+    engine = Engine()
     schedule, schedule_at = engine.schedule, engine.schedule_at
 
     def launch(thread: int, now: float) -> None:
@@ -222,7 +218,6 @@ def des_read_run(self: CxlEndToEndSim, *, threads: int,
             # slot stays occupied — poison steals host
             # parallelism.
             injector.recovery()
-            injector.retried()
             if traced:
                 tracer.instant(TRACK_PORT, "fault-poison",
                                now, thread=thread)
@@ -271,12 +266,11 @@ def des_write_run(self: CxlWriteEndToEndSim, *, threads: int,
     ``drained`` event per line, kept as the reference the engine-free
     write path is checked against."""
     _require_counts(threads=threads, lines_per_thread=lines_per_thread)
-    engine = Engine(telemetry=self.telemetry)
+    engine = Engine()
     schedule, schedule_at = engine.schedule, engine.schedule_at
     tracer = self.telemetry.tracer
     traced = tracer.enabled
-    injector = injector_for(self.fault_plan, stream="e2e-write",
-                            telemetry=self.telemetry)
+    injector = injector_for(self.fault_plan, stream="e2e-write")
     flit_ns = 68 / self.port.raw_bandwidth * SEC
     if injector is not None:
         flit_ns *= injector.plan.link_slowdown
@@ -419,21 +413,6 @@ def forced_des():
 
 
 @contextmanager
-def counted_engine_runs():
-    """Yields a list that gains one entry per ``Engine.run`` call."""
-    calls = []
-    run = Engine.run
-
-    def counted(engine, *args, **kwargs):
-        calls.append(1)
-        return run(engine, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Engine, "run", counted)
-        yield calls
-
-
-@contextmanager
 def scheduled_events():
     """Yields a list that gains ``(time, callback name)`` for every
     event scheduled on an :class:`Engine` inside the block."""
@@ -465,20 +444,15 @@ def _kinds_tie(log: list[tuple[float, str]]) -> bool:
 
 def _observe(sim_class, sim_kwargs: dict, threads: int, lines: int, *,
              traced: bool, des: bool):
-    """One run's result, compared metrics and trace events (less the
-    ``sim.engine`` track), how many times it ran the event queue, and
-    the events it scheduled there."""
-    telemetry = Telemetry.on() if traced else Telemetry.metrics_only()
+    """One run's result, metrics and trace events, how many times it
+    ran the event queue, and the events it scheduled there."""
+    telemetry = Telemetry.on() if traced else Telemetry()
     sim = sim_class(telemetry=telemetry, **sim_kwargs)
-    with counted_engine_runs() as calls, scheduled_events() as log, \
+    with engine_events() as calls, scheduled_events() as log, \
             forced_des() if des else nullcontext():
         result = sim.run(threads=threads, lines_per_thread=lines)
-    metrics = {key: value
-               for key, value in telemetry.registry.snapshot().items()
-               if key.startswith(COMPARED_METRICS)}
-    events = [event.key() for event in telemetry.tracer.events
-              if event.track != "sim.engine"]
-    return (result, metrics, events), len(calls), log
+    events = [event.key() for event in telemetry.tracer.events]
+    return (result, telemetry.registry.snapshot(), events), len(calls), log
 
 
 def _check_against_des(sim_class, sim_kwargs: dict, threads: int,
@@ -531,60 +505,53 @@ def test_read_tie_fires_in_scheduling_order():
 
 
 def _engine_runs(sim) -> int:
-    with counted_engine_runs() as calls:
+    with engine_events() as calls:
         sim.run(threads=4, lines_per_thread=50)
     return len(calls)
 
 
 def test_eligible_read_runs_build_no_event_queue():
     assert _engine_runs(CxlEndToEndSim()) == 0
-    assert _engine_runs(CxlEndToEndSim(
-        telemetry=Telemetry.metrics_only())) == 0
+    assert _engine_runs(CxlEndToEndSim(telemetry=Telemetry())) == 0
     # An inactive plan draws no faults: the fault-free path.
     assert _engine_runs(CxlEndToEndSim(fault_plan=ZERO_FAULTS)) == 0
 
 
-def _engine_gauges(telemetry: Telemetry) -> list[str]:
-    return [key for key in telemetry.registry.snapshot()
-            if key.startswith("sim.engine.")]
-
-
 @pytest.mark.parametrize("telemetry, plan", [
     (Telemetry.on(), None),
-    (Telemetry.metrics_only(), FaultPlan(poison_rate=0.01, seed=3)),
-    (Telemetry.metrics_only(), FaultPlan(link_width_fraction=0.5)),
+    (Telemetry(), FaultPlan(poison_rate=0.01, seed=3)),
+    (Telemetry(), FaultPlan(link_width_fraction=0.5)),
     (Telemetry.on(), FaultPlan(crc_rate=0.05, timeout_rate=0.05,
                                poison_rate=0.05, stall_rate=0.05, seed=3)),
 ], ids=["traced", "fault-plan", "slowed-link", "traced-fault-plan"])
 def test_no_read_run_calls_engine_run(telemetry, plan):
     """Traced and faulted read runs, like fault-free ones, run no event
-    queue and record no ``sim.engine`` gauge or track."""
+    queue."""
     sim = CxlEndToEndSim(fault_plan=plan, telemetry=telemetry)
     assert _engine_runs(sim) == 0
-    assert not _engine_gauges(telemetry)
-    assert "sim.engine" not in telemetry.tracer.tracks
 
 
 def test_engine_free_run_sets_no_engine_gauges():
-    telemetry = Telemetry.metrics_only()
+    """A read run records its four ``cxl.e2e.read.*`` metrics and no
+    other."""
+    telemetry = Telemetry()
     CxlEndToEndSim(telemetry=telemetry).run(threads=2, lines_per_thread=20)
-    assert not _engine_gauges(telemetry)
+    assert telemetry.registry.names() == [
+        "cxl.e2e.read.completed", "cxl.e2e.read.latency_ns",
+        "cxl.e2e.read.row_hits", "cxl.e2e.read.row_misses"]
 
 
 def test_write_runs_build_no_event_queue():
     """Untraced, traced, faulted and slowed-link write runs alike run
-    no event queue and set no ``sim.engine.*`` gauge."""
+    no event queue."""
     for telemetry, plan in [
-            (Telemetry.metrics_only(), None),
+            (Telemetry(), None),
             (Telemetry.on(), None),
             (Telemetry.on(), FaultPlan(crc_rate=0.05, stall_rate=0.05,
                                        seed=3)),
-            (Telemetry.metrics_only(),
-             FaultPlan(link_width_fraction=0.5))]:
+            (Telemetry(), FaultPlan(link_width_fraction=0.5))]:
         sim = CxlWriteEndToEndSim(fault_plan=plan, telemetry=telemetry)
         assert _engine_runs(sim) == 0
-        assert not _engine_gauges(telemetry)
-        assert "sim.engine" not in telemetry.tracer.tracks
 
 
 @settings(max_examples=80, deadline=None)

@@ -8,8 +8,8 @@ keeps the clock its event used to carry.  This module keeps the
 unfused pipelines — one engine event per stage, exactly as they ran
 before the fold — as references, and checks over random shapes,
 controller settings and fault plans that the fused sims return the
-same :class:`E2eResult`, record the same ``cxl.e2e.*`` and ``faults.*``
-metrics, and trace the same events.  Both sims serve every run without
+same :class:`E2eResult`, record the same ``cxl.e2e.*`` metrics, and
+trace the same events.  Both sims serve every run without
 the event queue, in the order the fused DES of
 ``tests/cxl/test_e2e_engine_free.py`` fires its events, so the checks
 here cover that path.
@@ -46,10 +46,8 @@ from repro.mem.banks import Bank
 from repro.sim.engine import Engine
 from repro.telemetry import Telemetry, interpolate_percentile
 from repro.units import SEC
-from tests.cxl.test_e2e_engine_free import (counted_engine_runs,
-                                            fault_plans, forced_des)
-
-COMPARED_METRICS = ("cxl.e2e.", "faults.")
+from tests.cxl.test_e2e_engine_free import fault_plans, forced_des
+from tests.sim.engine_events import engine_events
 
 
 def reference_read(sim: CxlEndToEndSim, *, threads: int,
@@ -62,14 +60,13 @@ def reference_read(sim: CxlEndToEndSim, *, threads: int,
     them: ``complete`` and a timeout retry when their attempt is sent,
     a poison retry when its ``complete`` fires.
     """
-    engine = Engine(telemetry=sim.telemetry)
+    engine = Engine()
     schedule = engine.schedule
     tracer = sim.telemetry.tracer
     traced = tracer.enabled
     latency_hist = sim.telemetry.registry.histogram(
         "cxl.e2e.read.latency_ns")
-    injector = injector_for(sim.fault_plan, stream="e2e-read",
-                            telemetry=sim.telemetry)
+    injector = injector_for(sim.fault_plan, stream="e2e-read")
     flit_ns = 68 / sim.port.raw_bandwidth * SEC
     if injector is not None:
         flit_ns *= injector.plan.link_slowdown
@@ -117,7 +114,6 @@ def reference_read(sim: CxlEndToEndSim, *, threads: int,
                 and attempt <= injector.plan.max_retries \
                 and injector.timeout(line, attempt):
             injector.recovery()
-            injector.retried()
             if traced:
                 tracer.instant(TRACK_WBUF, "fault-timeout", now,
                                thread=thread)
@@ -178,7 +174,6 @@ def reference_read(sim: CxlEndToEndSim, *, threads: int,
                 and attempt <= injector.plan.max_retries \
                 and injector.poisoned(line, attempt):
             injector.recovery()
-            injector.retried()
             if traced:
                 tracer.instant(TRACK_PORT, "fault-poison", now,
                                thread=thread)
@@ -229,12 +224,11 @@ def reference_write(sim: CxlWriteEndToEndSim, *, threads: int,
     at the same instant fired in another order than the fused sim
     schedules them: ``drained`` when its line is sent.
     """
-    engine = Engine(telemetry=sim.telemetry)
+    engine = Engine()
     schedule = engine.schedule
     tracer = sim.telemetry.tracer
     traced = tracer.enabled
-    injector = injector_for(sim.fault_plan, stream="e2e-write",
-                            telemetry=sim.telemetry)
+    injector = injector_for(sim.fault_plan, stream="e2e-write")
     flit_ns = 68 / sim.port.raw_bandwidth * SEC
     if injector is not None:
         flit_ns *= injector.plan.link_slowdown
@@ -366,28 +360,22 @@ controller = st.floats(min_value=0.0, max_value=300.0)
 
 
 def _telemetry(traced: bool) -> Telemetry:
-    return Telemetry.on() if traced else Telemetry.metrics_only()
+    return Telemetry.on() if traced else Telemetry()
 
 
 def _observed(result: E2eResult, telemetry: Telemetry):
     """What must match: the result, the model metrics and, when traced,
-    the recorded events as a multiset (the engine's own run slice
-    carries its event count, which the fold changes by design)."""
-    snapshot = telemetry.registry.snapshot()
-    metrics = {key: value for key, value in snapshot.items()
-               if key.startswith(COMPARED_METRICS)}
-    events = sorted((event.key() for event in telemetry.tracer.events
-                     if event.track != "sim.engine"), key=repr)
-    return result, metrics, events
+    the recorded events as a multiset."""
+    events = sorted((event.key() for event in telemetry.tracer.events),
+                    key=repr)
+    return result, telemetry.registry.snapshot(), events
 
 
 def _order_free(observed):
     """The part of an observation that no event order can move."""
-    result, metrics, _ = observed
+    result, _, _ = observed
     return (result.completed, result.faults_injected,
-            result.faults_recovered,
-            {key: value for key, value in metrics.items()
-             if key.startswith("faults.")})
+            result.faults_recovered)
 
 
 def _compare(reference, fused, swapped: bool) -> None:
@@ -450,34 +438,24 @@ def test_fused_write_matches_two_stage_reference(shape, controller_ns,
 @given(shapes, fault_plans)
 def test_event_counts_follow_the_fold(shape, plan):
     """On the DES references a read attempt costs one event plus one
-    per fault retry, and an nt-store line two, plus one closing tick
-    per writer.  Either sim itself runs no event queue and sets no
-    ``sim.engine.*`` gauge."""
+    per fault retry (a timeout re-sends once, a poisoned response
+    re-reads through its ``complete`` and a re-send), and an nt-store
+    line two, plus one closing tick per writer.  Either sim itself runs
+    no event queue."""
     threads, lines = shape
-    telemetry = Telemetry.metrics_only()
-    with forced_des():
+    telemetry = Telemetry.on()
+    with forced_des(), engine_events() as events:
         CxlEndToEndSim(fault_plan=plan, telemetry=telemetry).run(
             threads=threads, lines_per_thread=lines)
-    snapshot = telemetry.registry.snapshot()
-
-    def value(key):
-        return int(snapshot[key]["value"]) if key in snapshot else 0
-
-    assert value("sim.engine.events_processed") == (
-        threads * lines + value("faults.timeouts")
-        + 2 * value("faults.poisoned_responses"))
-    telemetry = Telemetry.metrics_only()
-    with forced_des():
-        CxlWriteEndToEndSim(fault_plan=plan, telemetry=telemetry).run(
+    faults = [event.name for event in telemetry.tracer.events]
+    assert events == [threads * lines + faults.count("fault-timeout")
+                      + 2 * faults.count("fault-poison")]
+    with forced_des(), engine_events() as events:
+        CxlWriteEndToEndSim(fault_plan=plan).run(
             threads=threads, lines_per_thread=lines)
-    assert telemetry.registry.snapshot()[
-        "sim.engine.events_processed"]["value"] == 2 * threads * lines \
-        + threads
+    assert events == [2 * threads * lines + threads]
     for sim_class in (CxlEndToEndSim, CxlWriteEndToEndSim):
-        telemetry = Telemetry.metrics_only()
-        with counted_engine_runs() as calls:
-            sim_class(fault_plan=plan, telemetry=telemetry).run(
-                threads=threads, lines_per_thread=lines)
+        with engine_events() as calls:
+            sim_class(fault_plan=plan).run(threads=threads,
+                                           lines_per_thread=lines)
         assert not calls
-        assert not [key for key in telemetry.registry.snapshot()
-                    if key.startswith("sim.engine.")]

@@ -5,14 +5,13 @@ the event schedule can be told apart from one that changes the model:
 
 * ``results`` hashes the ``dataclasses.asdict`` of every
   :class:`E2eResult` a run or sweep returns;
-* ``metrics`` hashes the snapshot of the ``cxl.e2e.*`` and ``faults.*``
-  metrics it records;
-* ``events`` lists ``sim.engine.events_processed`` per run, as plain
+* ``metrics`` hashes the snapshot of the ``cxl.e2e.*`` metrics it
+  records;
+* ``events`` lists :attr:`Engine.events_processed` per run, as plain
   integers;
 * traced cases pin the trace twice: ``trace`` hashes the Chrome JSON
   in emission order, and ``trace_content`` hashes its events sorted,
-  without the ``sim.engine`` run slice's ``events`` argument, so it
-  holds as long as the same slices, instants and counters are
+  so it holds as long as the same slices, instants and counters are
   recorded, whatever order they are recorded in.
 
 The ``results`` and ``metrics`` hashes were recorded before the
@@ -31,16 +30,17 @@ two (``thread_tick`` and ``drained``), plus one closing tick per
 writer.  The folded stages record their slices and instants when the
 send runs rather than when their old event fired, so only the
 emission order moved: ``results``, ``metrics`` and ``trace_content``
-kept the values recorded before the fold.
+kept the values recorded before the fold.  The fault-plan ``metrics``
+and the ``trace`` hashes were re-pinned once more when the fault
+injector stopped recording ``faults.*`` counters and the engine its
+``sim.engine`` run slice: each new value is the old run's hash over
+what is left, the ``cxl.e2e.*`` metrics and the trace less that slice.
 
 Every read and nt-store run is served without the event queue
 (``tests/cxl/test_e2e_engine_free.py``), so it runs no events.  Each
-case holds its ``results`` and ``metrics`` pins on that default path,
-and every pin on the same runs forced onto the event queue
-(:func:`des_read_run`, :func:`des_write_run`), which is where its
-``events`` counts and ``trace`` hashes come from.  A traced run on the
-default path records that reference's trace less the engine's
-``sim.engine`` run slice.
+case holds every pin but ``events`` on that default path, and every pin
+on the same runs forced onto the event queue (:func:`des_read_run`,
+:func:`des_write_run`), which is where its ``events`` counts come from.
 
 Regenerate after an *intentional* model change with::
 
@@ -56,16 +56,15 @@ import json
 import pytest
 
 from repro.cxl.e2e_sim import CxlEndToEndSim, CxlWriteEndToEndSim
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.telemetry import Telemetry
 from tests.cxl.test_e2e_engine_free import forced_des
+from tests.sim.engine_events import engine_events
 
 READ_THREADS = [1, 2, 4, 8, 12, 16, 32]
 WRITE_THREADS = [1, 2, 4, 8, 16]
 READ_LINES = 200
 WRITE_LINES = 200
-
-PINNED_METRICS = ("cxl.e2e.", "faults.")
 
 FAULTS = FaultPlan(crc_rate=0.02, poison_rate=0.01, timeout_rate=0.01,
                    stall_rate=0.02, link_width_fraction=0.5, seed=7)
@@ -77,31 +76,10 @@ def _digest(obj) -> str:
 
 
 def _trace_content(tracer) -> str:
-    """Hash of the trace's events as a sorted multiset.
-
-    The ``sim.engine`` run slice's ``events`` argument is left out: it
-    is the executed event count, pinned on its own.
-    """
-    lines = []
-    for event in tracer.chrome_trace()["traceEvents"]:
-        if event.get("cat") == "sim.engine" and event["name"] == "run":
-            event = dict(event, args={key: value for key, value
-                                      in event["args"].items()
-                                      if key != "events"})
-        lines.append(json.dumps(event, sort_keys=True,
-                                separators=(",", ":")))
-    return _digest(sorted(lines))
-
-
-def _without_engine(tracer) -> dict:
-    """The Chrome trace less the ``sim.engine`` track: its run slice
-    and its metadata."""
-    trace = tracer.chrome_trace()
-    if "sim.engine" not in tracer.tracks:
-        return trace
-    tid = tracer.tracks.index("sim.engine") + 1
-    return dict(trace, traceEvents=[
-        event for event in trace["traceEvents"] if event["tid"] != tid])
+    """Hash of the trace's events as a sorted multiset."""
+    return _digest(sorted(
+        json.dumps(event, sort_keys=True, separators=(",", ":"))
+        for event in tracer.chrome_trace()["traceEvents"]))
 
 
 def _case(name: str, telemetry: Telemetry):
@@ -129,27 +107,22 @@ def _case(name: str, telemetry: Telemetry):
     raise KeyError(name)
 
 
-def _run_case(name: str) -> tuple[dict, Telemetry]:
+def _run_case(name: str) -> dict:
     """Run one pinned case; returns its result, metric and trace hashes
     plus the per-run event counts, which only runs forced onto the
-    event queue have, and the telemetry it recorded into."""
+    event queue have."""
     traced = name.startswith("traced")
-    telemetry = Telemetry.on() if traced else Telemetry.metrics_only()
+    telemetry = Telemetry.on() if traced else Telemetry()
     sim, thread_counts, lines = _case(name, telemetry)
     results = {}
-    events = []
-    for threads in thread_counts:
-        results[threads] = sim.run(threads=threads, lines_per_thread=lines)
-        gauge = telemetry.registry.snapshot().get(
-            "sim.engine.events_processed")
-        if gauge is not None:
-            events.append(int(gauge["value"]))
-    snapshot = telemetry.registry.snapshot()
+    with engine_events() as events:
+        for threads in thread_counts:
+            results[threads] = sim.run(threads=threads,
+                                       lines_per_thread=lines)
     digests = {
         "results": _digest({str(threads): dataclasses.asdict(result)
                             for threads, result in results.items()}),
-        "metrics": _digest({key: value for key, value in snapshot.items()
-                            if key.startswith(PINNED_METRICS)}),
+        "metrics": _digest(telemetry.registry.snapshot()),
     }
     if events:
         digests["events"] = events
@@ -157,7 +130,7 @@ def _run_case(name: str) -> tuple[dict, Telemetry]:
         digests["trace"] = hashlib.sha256(
             telemetry.tracer.to_json().encode()).hexdigest()
         digests["trace_content"] = _trace_content(telemetry.tracer)
-    return digests, telemetry
+    return digests
 
 
 PINNED: dict[str, dict] = {
@@ -186,69 +159,80 @@ PINNED: dict[str, dict] = {
         "results":
             "2d0ba442ee7ca87226d5b7381a29c7491c489a55c8bc3917a20b03a17794bf22",
         "metrics":
-            "cc2ad25441e3702292dd3c9d1d0ddf89ea8969a250371f88783061a124d74d4b",
+            "e5cc7a81a07a8d90b1c21a3af1409757ec4a3b20aceef3a3e3967d81675d1eee",
         "events": [1641],
     },
     "write-faults": {
         "results":
             "0ab8ef136e0b0af35a52af8037564d1320c8fcc5da81258a040aa33a63754046",
         "metrics":
-            "f2eb7e1f67e9252a790056f216c065226165812a001a62eb41d1a642ff24cce6",
+            "7308e31f4b703a7fed3f622fe784916e91bcd24a7fd512fa04ff171a4b4aca81",
         "events": [3208],
     },
     "traced-read-faults": {
         "results":
             "62b7e83404f0005323e6ce7b69f2080713518d4fa877cd9d772babe5021d29d2",
         "metrics":
-            "fc79f2eba45e4ac57bb1dad86ec302fad84d845023dc2bac8412ef67487460b6",
+            "9e545409bdf8e0f83ff5dffbec5f15fc96d39c4f88125dc789297c215ba0d9b1",
         "events": [244],
         "trace":
-            "f791366d67686235c907568fc5af2717627d8a8a4b0e7250a9faf19716974395",
+            "6df948ae8e4a39695950680866a4f2e0c5f8def3bb6b25939be6a45b8a4d2670",
         "trace_content":
-            "4e1c0d201fa69436126a04cae66b724ff2347ee5f8144843045419cacf52e4c5",
+            "e32dab8056abf0c8e7eeb54ff439168f24bec92310bcb606d6b7cfa8f3910529",
     },
     "traced-write-faults": {
         "results":
             "4a688c8b43f44d421002b18eb0e8cd1c15e41ac059a07b9918327742f0d5fbda",
         "metrics":
-            "9b2659603f3c1f13702c2c2ad1966f72ffe9165d7d87881915a01fa209b03e68",
+            "9745fbd02f7733ba46099294725d50955dad9bad4e7fc279a660949aca60fb58",
         "events": [484],
         "trace":
-            "10c4e6c27da19062363d427dc403a1b2f7d6223bcde756923a95ac0bc1777f81",
+            "3f3a9aad5b9b390bca49c9f3f756d5ffa985debee283d75b14f1e897bfd0b4d1",
         "trace_content":
-            "7f729cc176aeb505b2800a5b2105e0e7d56148f756caf32a2de951c1d70c5277",
+            "c099e1a88e1ac48952d3d4cd3dce5348dc68a2e7f5867b8ebae43b517d58bed5",
     },
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_e2e_outputs_match_pins(name):
-    digests, telemetry = _run_case(name)
-    assert {key: value for key, value in digests.items()
-            if key not in ("trace", "trace_content")} \
-        == {key: PINNED[name][key] for key in ("results", "metrics")}
+    assert _run_case(name) == {key: value
+                               for key, value in PINNED[name].items()
+                               if key != "events"}
     with forced_des():
-        reference, reference_telemetry = _run_case(name)
-    assert reference == PINNED[name]
-    assert _without_engine(telemetry.tracer) \
-        == _without_engine(reference_telemetry.tracer)
+        assert _run_case(name) == PINNED[name]
+
+
+# Whether one call of each FaultInjector draw injected a fault.
+FAULT_DRAWS = {
+    "crc_transmissions": lambda sent, flits, *key: sent > flits,
+    "timeout": lambda hit, *key: hit,
+    "poisoned": lambda hit, *key: hit,
+    "stall_ns": lambda stall, *key: stall > 0.0,
+}
 
 
 def test_fault_cases_exercise_every_fault_kind():
     """The degraded-mode pins are only meaningful if the plan fires."""
-    telemetry = Telemetry.metrics_only()
-    result = CxlEndToEndSim(fault_plan=FAULTS, telemetry=telemetry).run(
-        threads=8, lines_per_thread=READ_LINES)
+    hits = dict.fromkeys(FAULT_DRAWS, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, fired in FAULT_DRAWS.items():
+            def counted(injector, *args, name=name, fired=fired,
+                        draw=getattr(FaultInjector, name)):
+                value = draw(injector, *args)
+                hits[name] += fired(value, *args)
+                return value
+
+            patch.setattr(FaultInjector, name, counted)
+        result = CxlEndToEndSim(fault_plan=FAULTS).run(
+            threads=8, lines_per_thread=READ_LINES)
     assert result.faults_injected == result.faults_recovered > 0
-    snapshot = telemetry.registry.snapshot()
-    for counter in ("crc_errors", "timeouts", "poisoned_responses",
-                    "stalls"):
-        assert snapshot[f"faults.{counter}"]["value"] > 0, counter
+    assert all(hits.values()), hits
 
 
 if __name__ == "__main__":
     with forced_des():
-        print(json.dumps({name: _run_case(name)[0]
+        print(json.dumps({name: _run_case(name)
                           for name in ("read-open", "read-closed", "write",
                                        "read-faults", "write-faults",
                                        "traced-read-faults",

@@ -137,6 +137,20 @@ class TestValidation:
             link_isolated_sim().run(read_transaction(), transactions=0,
                                     mlp=1)
 
+    @pytest.mark.parametrize("service_ns", [float("nan"), float("inf")])
+    def test_non_finite_service_time_rejected_by_name(self, service_ns):
+        with pytest.raises(SimulationError, match="device_service_ns"):
+            CreditedLinkSim(CxlPort(), device_service_ns=service_ns)
+
+    @pytest.mark.parametrize("field, value", [
+        ("transactions", 10.0), ("transactions", True), ("mlp", 2.5),
+        ("mlp", float("nan")),
+    ])
+    def test_non_integer_counts_rejected_by_name(self, field, value):
+        counts = {"transactions": 10, "mlp": 2, field: value}
+        with pytest.raises(SimulationError, match=field):
+            link_isolated_sim().run(read_transaction(), **counts)
+
     def test_conservation(self):
         """Every launched transaction completes exactly once."""
         sim = link_isolated_sim()

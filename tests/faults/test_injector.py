@@ -1,4 +1,4 @@
-"""FaultInjector: deterministic draws, accounting, telemetry counters."""
+"""FaultInjector: deterministic draws and per-run fault tallies."""
 
 import random
 
@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.faults import FaultInjector, FaultPlan, injector_for
-from repro.faults.injector import (
-    CRC_ERRORS,
-    POISONED,
-    RECOVERIES,
-    STALLS,
-    TIMEOUTS,
-)
 from repro.sim.rng import decision_uniform
-from repro.telemetry import Telemetry
 
 
 class TestInjectorFor:
@@ -124,26 +116,23 @@ class TestCrc:
 
 
 class TestAccounting:
-    def test_telemetry_counters(self):
-        telemetry = Telemetry.metrics_only()
+    def test_every_fault_kind_is_tallied(self):
         plan = FaultPlan(crc_rate=0.2, poison_rate=0.3,
                          timeout_rate=0.3, stall_rate=0.3, seed=8)
-        injector = FaultInjector(plan, stream="s",
-                                 telemetry=telemetry)
+        injector = FaultInjector(plan, stream="s")
+        hits = {"crc": 0, "poison": 0, "timeout": 0, "stall": 0}
         for k in range(100):
-            injector.crc_transmissions(1, "m2s", k)
+            hits["crc"] += injector.crc_transmissions(1, "m2s", k) - 1
             if injector.poisoned(k):
+                hits["poison"] += 1
                 injector.recovery()
             if injector.timeout(k):
+                hits["timeout"] += 1
                 injector.recovery()
-            injector.stall_ns(k)
-        registry = telemetry.registry
-        assert registry.counter(CRC_ERRORS).value > 0
-        assert registry.counter(POISONED).value > 0
-        assert registry.counter(TIMEOUTS).value > 0
-        assert registry.counter(STALLS).value > 0
-        assert registry.counter(RECOVERIES).value == injector.recovered
-        assert injector.injected == injector.recovered
+            hits["stall"] += bool(injector.stall_ns(k))
+        assert all(hits.values()), hits
+        assert injector.injected == injector.recovered \
+            == sum(hits.values())
 
     def test_stall_returns_plan_duration(self):
         plan = FaultPlan(stall_rate=0.5, stall_ns=321.0, seed=2)
@@ -154,9 +143,9 @@ class TestAccounting:
 
 class TestRequestExtrasOrder:
     """``request_extras`` gives each key the same parts and leaves the
-    same tallies and ``faults.*`` counters whatever order the keys are
-    visited in — what lets a run draw every request's faults before
-    serving them instead of in grant order."""
+    same tallies whatever order the keys are visited in — what lets a
+    run draw every request's faults before serving them instead of in
+    grant order."""
 
     PLANS = (
         FaultPlan(stall_rate=0.2, stall_ns=123.4, timeout_rate=0.15,
@@ -168,19 +157,14 @@ class TestRequestExtrasOrder:
 
     @staticmethod
     def _visit(plan: FaultPlan, keys: list) -> tuple:
-        telemetry = Telemetry.metrics_only()
-        injector = FaultInjector(plan, stream="host0",
-                                 telemetry=telemetry)
+        injector = FaultInjector(plan, stream="host0")
         parts = {}
         for key in keys:
             parts[key] = injector.request_extras(*key,
                                                  reread_ns=1.5 * len(key))
             for _ in range(parts[key][1]):
                 injector.recovery()
-        faults = {name: value for name, value
-                  in telemetry.registry.snapshot().items()
-                  if name.startswith("faults.")}
-        return parts, (injector.injected, injector.recovered), faults
+        return parts, (injector.injected, injector.recovered)
 
     @pytest.mark.parametrize("plan", PLANS)
     def test_index_reversed_and_shuffled_orders_agree(self, plan):
@@ -189,16 +173,13 @@ class TestRequestExtrasOrder:
             + [(index, "h", 0) for index in range(0, 400, 11)]
         shuffled = list(keys)
         random.Random(5).shuffle(shuffled)
-        parts, tallies, faults = self._visit(plan, keys)
+        parts, tallies = self._visit(plan, keys)
         assert tallies[0] == tallies[1] > 0
-        assert self._visit(plan, list(reversed(keys))) \
-            == (parts, tallies, faults)
-        assert self._visit(plan, shuffled) == (parts, tallies, faults)
+        assert self._visit(plan, list(reversed(keys))) == (parts, tallies)
+        assert self._visit(plan, shuffled) == (parts, tallies)
 
     def test_every_fault_kind_fires(self):
-        parts, _, faults = self._visit(self.PLANS[0],
-                                       [(index,) for index in range(400)])
+        parts, _ = self._visit(self.PLANS[0],
+                               [(index,) for index in range(400)])
         kinds = {name for extras, _ in parts.values() for name, _ in extras}
         assert kinds == {"fault.stall", "fault.timeout", "fault.reread"}
-        assert faults[STALLS]["value"] and faults[TIMEOUTS]["value"] \
-            and faults[POISONED]["value"]

@@ -50,6 +50,15 @@ class TestExperimentsCli:
         assert main(["table1", "--jobs", "0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_bad_unit_timeout_is_exit_2_naming_the_flag(self, timeout,
+                                                        capsys):
+        from repro.experiments.runner import main
+
+        assert main(["table1", "--unit-timeout", timeout]) == 2
+        _, _, _, fields = last_error_line(capsys.readouterr().err)
+        assert "--unit-timeout" in fields["msg"]
+
     def test_bad_faults_spec_is_exit_2(self, capsys):
         from repro.experiments.runner import main
 

@@ -73,6 +73,9 @@ class TestPolicy:
             SupervisionPolicy(timeout_s=0)
         with pytest.raises(ResilienceError):
             SupervisionPolicy(timeout_s=-1.5)
+        for timeout in (float("nan"), float("inf")):
+            with pytest.raises(ResilienceError, match="timeout_s"):
+                SupervisionPolicy(timeout_s=timeout)
         with pytest.raises(ResilienceError):
             SupervisionPolicy(retries=-1)
         with pytest.raises(ResilienceError):

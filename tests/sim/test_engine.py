@@ -80,6 +80,17 @@ class TestScheduling:
         assert eng.events_processed == 2
         assert eng.now == 10.0
 
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    def test_nan_time_rejected(self, method):
+        """A NaN time compares false both ways, so it would fire first
+        and set the clock to NaN."""
+        eng = Engine()
+        fired = []
+        with pytest.raises(SimulationError, match="NaN"):
+            getattr(eng, method)(float("nan"), lambda: fired.append(1))
+        eng.run()
+        assert fired == [] and eng.now == 0.0
+
     def test_nested_scheduling_from_callback(self):
         eng = Engine()
         order = []

@@ -1,4 +1,4 @@
-"""Counter/gauge/histogram semantics and the registry."""
+"""Counter/histogram semantics and the registry."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from repro.errors import TelemetryError
 from repro.telemetry import (
     Counter,
-    Gauge,
     Histogram,
     NullRegistry,
     Registry,
@@ -58,14 +57,6 @@ class TestCounterExactness:
         counter.inc(0.5)
         counter.inc(2)
         assert counter.value == 2.5
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        gauge = Gauge("g")
-        gauge.set(3.5)
-        gauge.add(1.5)
-        assert gauge.value == 5.0
 
 
 class TestHistogram:
@@ -223,19 +214,18 @@ class TestRegistry:
     def test_get_or_create_returns_same_instance(self):
         registry = Registry()
         assert registry.counter("a.b") is registry.counter("a.b")
-        assert registry.gauge("a.g") is registry.gauge("a.g")
         assert registry.histogram("a.h") is registry.histogram("a.h")
 
     def test_type_mismatch_rejected(self):
         registry = Registry()
         registry.counter("a.b")
         with pytest.raises(TelemetryError):
-            registry.gauge("a.b")
+            registry.histogram("a.b")
 
     def test_snapshot_is_flat_and_sorted(self):
         registry = Registry()
         registry.counter("z.last").inc(2)
-        registry.gauge("a.first").set(1.0)
+        registry.histogram("a.first").record(1.0)
         snapshot = registry.snapshot()
         assert list(snapshot) == sorted(snapshot)
         assert snapshot["z.last"]["value"] == 2

@@ -17,7 +17,7 @@ from repro.telemetry.report import (
 def populated_registry() -> Registry:
     registry = Registry()
     registry.counter("cxl.e2e.read.completed").inc(42)
-    registry.gauge("mem.controller.utilization").set(0.75)
+    registry.counter("mem.controller.busy_ns").inc(0.75)
     hist = registry.histogram("cxl.e2e.read.latency_ns")
     for value in (100.0, 200.0, 300.0):
         hist.record(value)

@@ -8,7 +8,7 @@ same checker the tracer's traces do.
 
 import pytest
 
-from repro.telemetry import NULL_SPANS, SpanConfig, SpanRecorder
+from repro.telemetry import SpanConfig, SpanRecorder
 from repro.telemetry.report import trace_track_names, validate_chrome_trace
 from repro.telemetry.spans import (
     SpanError,
@@ -48,13 +48,6 @@ class TestSpanConfig:
     def test_to_dict_is_canonical(self):
         assert SpanConfig(exemplars=3, windows=2).to_dict() == \
             {"exemplars": 3, "windows": 2}
-
-
-class TestNullRecorder:
-    def test_disabled_and_inert(self):
-        assert not NULL_SPANS.enabled
-        NULL_SPANS.record(0, 0.0, [("a", 1.0)])
-        assert NULL_SPANS.export() is None
 
 
 def _record_some(recorder, n=10):
